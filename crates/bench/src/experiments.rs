@@ -12,8 +12,7 @@ use cgp_cgm::{BlockDistribution, CgmConfig, CgmMachine};
 use cgp_core::baselines::{one_round_permutation, rejection_permutation, sort_based_permutation};
 use cgp_core::uniformity::{recommended_samples, test_uniformity};
 use cgp_core::{
-    fisher_yates_shuffle, permute_vec, Algorithm, BucketScratch, LocalShuffle, MatrixBackend,
-    PermuteOptions, TransportKind,
+    fisher_yates_shuffle, permute_vec, BucketScratch, LocalShuffle, MatrixBackend, PermuteOptions,
 };
 use cgp_hypergeom::{sample_with, SamplerKind};
 use cgp_matrix::{
@@ -1382,239 +1381,6 @@ pub fn shuffle_crossover(
 }
 
 // ---------------------------------------------------------------------------
-// E13 — transport substrate overhead (threads vs process)
-// ---------------------------------------------------------------------------
-
-/// One row of the E13 table: the full Algorithm 1 session pipeline at one
-/// `(n, p)` point, once per transport substrate.
-#[derive(Debug, Clone)]
-pub struct TransportRow {
-    /// Number of items permuted per call.
-    pub n: usize,
-    /// Number of virtual processors (= mailbox children on the process
-    /// transport).
-    pub procs: usize,
-    /// Median per-call time on [`TransportKind::Threads`].
-    pub threads: Duration,
-    /// Median per-call time on [`TransportKind::Process`].
-    pub process: Duration,
-    /// Paired per-repetition median of `threads / process` — the process
-    /// transport's *speedup* against the in-process fabric.  Below 1.0 by
-    /// construction (every envelope is wire-coded and crosses two Unix
-    /// domain sockets); the `--check` gate holds this ratio, so a change
-    /// that makes inter-process permutations disproportionately slower
-    /// fails CI.
-    pub process_vs_threads_paired: f64,
-    /// Frame bytes the process transport put on the wire for one call
-    /// (both planes; the thread transport frames nothing).
-    pub wire_bytes: u64,
-}
-
-impl TransportRow {
-    /// How many times the process transport *slows down* the same seeded
-    /// session permutation (`process / threads`, ≥ 1 in practice) — the
-    /// human-readable inverse of the gated ratio.
-    pub fn process_overhead(&self) -> f64 {
-        1.0 / self.process_vs_threads_paired.max(1e-12)
-    }
-}
-
-/// Measures the threads-vs-process substrate overhead of the full session
-/// pipeline across an `(n, p)` grid: for each point, one resident session
-/// per [`TransportKind`] (children spawned once, outside the clock), an
-/// untimed warmup each, then alternating timed repetitions.  The engine's
-/// random streams never depend on the substrate, so both sessions compute
-/// the identical permutation — the pairs time pure transport overhead.
-pub fn transport_overhead(ns: &[usize], ps: &[usize], seed: u64) -> Vec<TransportRow> {
-    let mut rows = Vec::new();
-    for &p in ps {
-        for &n in ns {
-            rows.push(transport_row(n, p, seed));
-        }
-    }
-    rows
-}
-
-fn transport_row(n: usize, p: usize, seed: u64) -> TransportRow {
-    let reps = if n >= 1_000_000 { 5 } else { 9 };
-    let mut sessions: Vec<_> = [TransportKind::Threads, TransportKind::Process]
-        .into_iter()
-        .map(|kind| {
-            cgp_core::Permuter::new(p)
-                .seed(seed)
-                .transport(kind)
-                .session::<u64>()
-        })
-        .collect();
-    let mut data = workload::identity_items(n);
-    let mut wire_bytes = 0;
-    for session in &mut sessions {
-        let report = session.permute_into(&mut data);
-        wire_bytes = report.exchange_metrics.wire_volume() + report.matrix_metrics.wire_volume();
-    }
-    let mut times: [Vec<Duration>; 2] = [Vec::with_capacity(reps), Vec::with_capacity(reps)];
-    for _ in 0..reps {
-        for (session, samples) in sessions.iter_mut().zip(times.iter_mut()) {
-            let started = Instant::now();
-            session.permute_into(&mut data);
-            samples.push(started.elapsed());
-        }
-    }
-    std::hint::black_box(&data);
-    let [threads, process] = times;
-    TransportRow {
-        n,
-        procs: p,
-        process_vs_threads_paired: median_ratio(&threads, &process),
-        threads: median(threads),
-        process: median(process),
-        wire_bytes,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// E14 — darts vs. Gustedt engine crossover
-// ---------------------------------------------------------------------------
-
-/// One row of the E14 table: the same permutation job run once per engine
-/// at one `(scope, n, p, target_factor)` point.
-///
-/// `scope = "index"` samples an index permutation of `0..n` through the
-/// buffer-reusing session entry (`sample_permutation_into`) — the dart
-/// engine's native mode, and the Gustedt engine's identity-vector path.
-/// `scope = "payload"` permutes 32-byte items (`[u64; 4]`) through
-/// `permute_into` — the shape that stresses the two engines' opposite
-/// cost structures (Gustedt ships the payload through the exchange, darts
-/// throws indices and pays one local gather).
-#[derive(Debug, Clone)]
-pub struct DartsRow {
-    /// `"index"` or `"payload"` (see above).
-    pub scope: &'static str,
-    /// Number of items permuted per call.
-    pub n: usize,
-    /// Number of virtual processors.
-    pub procs: usize,
-    /// The dart engine's board oversizing factor for this row.
-    pub target_factor: u32,
-    /// Median per-call time of the Gustedt engine.
-    pub gustedt: Duration,
-    /// Median per-call time of the dart engine.
-    pub darts: Duration,
-    /// Paired per-repetition median of `gustedt / darts` — above 1.0 the
-    /// darts engine wins at this point.  This is the `--check`-gated
-    /// ratio: it locates the crossover (or documents single-engine
-    /// dominance) and guards it against regressions on both engines.
-    pub darts_speedup_paired: f64,
-}
-
-impl DartsRow {
-    /// How many times faster the dart engine ran than the Gustedt engine
-    /// at this grid point (> 1.0 ⇒ darts wins).
-    pub fn darts_speedup(&self) -> f64 {
-        self.darts_speedup_paired
-    }
-}
-
-fn darts_reps(n: usize) -> usize {
-    if n >= 4_000_000 {
-        5
-    } else {
-        9
-    }
-}
-
-/// One index-scope row: both engines sampling `0..n` on resident sessions
-/// through the buffer-reusing entry.  Same paired protocol as E8–E13:
-/// one untimed warmup per engine (scratch ratchets, allocator growth and
-/// page faults stay outside the clock), then alternating timed reps.
-fn darts_index_row(n: usize, p: usize, target_factor: u32, seed: u64) -> DartsRow {
-    let reps = darts_reps(n);
-    let permuter = cgp_core::Permuter::new(p).seed(seed);
-    let mut gustedt_session = permuter.session::<u64>();
-    let mut darts_session = permuter
-        .clone()
-        .algorithm(Algorithm::Darts { target_factor })
-        .session::<u64>();
-    let mut out = Vec::new();
-    gustedt_session.sample_permutation_into(n, &mut out);
-    darts_session.sample_permutation_into(n, &mut out);
-    let mut gustedt_times = Vec::with_capacity(reps);
-    let mut darts_times = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let started = Instant::now();
-        gustedt_session.sample_permutation_into(n, &mut out);
-        gustedt_times.push(started.elapsed());
-        std::hint::black_box(&out);
-        let started = Instant::now();
-        darts_session.sample_permutation_into(n, &mut out);
-        darts_times.push(started.elapsed());
-        std::hint::black_box(&out);
-    }
-    DartsRow {
-        scope: "index",
-        n,
-        procs: p,
-        target_factor,
-        darts_speedup_paired: median_ratio(&gustedt_times, &darts_times),
-        gustedt: median(gustedt_times),
-        darts: median(darts_times),
-    }
-}
-
-/// One payload-scope row: both engines permuting 32-byte items in place on
-/// resident sessions.
-fn darts_payload_row(n: usize, p: usize, target_factor: u32, seed: u64) -> DartsRow {
-    let reps = darts_reps(n);
-    let permuter = cgp_core::Permuter::new(p).seed(seed);
-    let mut gustedt_session = permuter.session::<[u64; 4]>();
-    let mut darts_session = permuter
-        .clone()
-        .algorithm(Algorithm::Darts { target_factor })
-        .session::<[u64; 4]>();
-    let mut data: Vec<[u64; 4]> = (0..n as u64).map(|i| [i; 4]).collect();
-    gustedt_session.permute_into(&mut data);
-    darts_session.permute_into(&mut data);
-    let mut gustedt_times = Vec::with_capacity(reps);
-    let mut darts_times = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let started = Instant::now();
-        gustedt_session.permute_into(&mut data);
-        gustedt_times.push(started.elapsed());
-        std::hint::black_box(&data);
-        let started = Instant::now();
-        darts_session.permute_into(&mut data);
-        darts_times.push(started.elapsed());
-        std::hint::black_box(&data);
-    }
-    DartsRow {
-        scope: "payload",
-        n,
-        procs: p,
-        target_factor,
-        darts_speedup_paired: median_ratio(&gustedt_times, &darts_times),
-        gustedt: median(gustedt_times),
-        darts: median(darts_times),
-    }
-}
-
-/// Races the dart engine against the Gustedt pipeline over an
-/// `n × p × target_factor` grid, in both the index and the 32-byte
-/// payload scope, and reports per-engine medians plus the paired
-/// per-repetition speedup ratio (`gustedt / darts`).
-pub fn darts_crossover(ns: &[usize], ps: &[usize], factors: &[u32], seed: u64) -> Vec<DartsRow> {
-    let mut rows = Vec::new();
-    for &p in ps {
-        for &n in ns {
-            for &factor in factors {
-                rows.push(darts_index_row(n, p, factor, seed));
-                rows.push(darts_payload_row(n, p, factor, seed));
-            }
-        }
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------------
 // E15 — wire front-end overhead (socket round-trip vs in-process handle)
 // ---------------------------------------------------------------------------
 
@@ -1727,7 +1493,7 @@ fn wire_row(transport: &'static str, n: usize, procs: usize, seed: u64) -> WireR
 
 /// Measures the wire front-end against the in-process handle for every
 /// `n` in the grid, on both socket families.  Same paired protocol as
-/// E8–E14: both paths warmed untimed, then alternating timed repetitions
+/// E8–E12: both paths warmed untimed, then alternating timed repetitions
 /// with per-path medians and a paired per-repetition ratio median.
 pub fn wire_overhead(ns: &[usize], procs: usize, seed: u64) -> Vec<WireRow> {
     let mut rows = Vec::new();
@@ -1928,23 +1694,6 @@ mod tests {
             assert!(r.auto > Duration::ZERO);
             assert!(r.bucketed_speedup() > 0.0);
             assert!(r.auto_speedup() > 0.0);
-        }
-    }
-
-    #[test]
-    fn darts_crossover_experiment_smoke() {
-        let rows = darts_crossover(&[2_048], &[1, 2], &[2], 17);
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[0].scope, "index");
-        assert_eq!(rows[1].scope, "payload");
-        assert_eq!(rows[0].procs, 1);
-        assert_eq!(rows[2].procs, 2);
-        for r in &rows {
-            assert_eq!(r.n, 2_048);
-            assert_eq!(r.target_factor, 2);
-            assert!(r.gustedt > Duration::ZERO);
-            assert!(r.darts > Duration::ZERO);
-            assert!(r.darts_speedup() > 0.0);
         }
     }
 

@@ -37,11 +37,6 @@
 //!   across a size grid straddling `AUTO_CROSSOVER_BYTES` plus full
 //!   resident-session permutations — snapshotted to `BENCH_shuffle.json`
 //!   by `exp_shuffle`.
-//! * **E13**: the transport substrate overhead — the full session pipeline
-//!   on the in-process channel fabric versus child-process mailboxes over
-//!   Unix domain sockets, across an `(n, p)` grid; both substrates compute
-//!   the byte-identical permutation, so the pairs time pure transport
-//!   cost — snapshotted to `BENCH_transport.json` by `exp_transport`.
 //!
 //! The `BENCH_*.json` layout (and the `--check` perf-regression gate every
 //! snapshot binary exposes to CI) lives in [`snapshot`].

@@ -610,7 +610,7 @@ mod tests {
         // Guard the real files: if a hand edit breaks them, fail here, not
         // in CI's --check step.
         for name in [
-            "exchange", "resident", "fused", "service", "shuffle", "darts",
+            "exchange", "resident", "fused", "service", "shuffle", "wire",
         ] {
             let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
             if let Ok(text) = std::fs::read_to_string(&path) {

@@ -1,7 +1,7 @@
 //! Point-to-point communication between virtual processors.
 //!
-//! Each processor owns a [`Communicator`]: one [`TransportEndpoint`] for
-//! its plane plus a small mailbox that re-orders messages by sender.
+//! Each processor owns a [`Communicator`]: its endpoint of one in-process
+//! channel plane plus a small mailbox that re-orders messages by sender.
 //! Semantics mirror what the paper's SSCRAP/MPI substrate provides:
 //!
 //! * messages between a fixed (sender, receiver) pair arrive in sending
@@ -13,35 +13,30 @@
 //!   vector per peer and receives one incoming vector per peer;
 //! * every word and message is metered into [`ProcMetrics`].
 //!
-//! Self-sends never touch the transport: the payload is moved locally (but
+//! Self-sends never touch the channels: the payload is moved locally (but
 //! still counted as volume, since the paper's accounting counts the data a
 //! processor has to touch, not only what crosses the network).
 //!
-//! Everything below the envelope level — how an envelope physically reaches
-//! the peer — is the transport's business ([`crate::transport`]): on the
-//! default thread transport payloads are **moved, never cloned** (`send`
-//! takes the `Vec<T>` by value, the envelope carries it through a channel,
-//! `recv` hands the same allocation back), on the process transport they
-//! are serialized through the wire codecs.  The meters count the moved
-//! words all the same (`words_sent`/`words_received` are payload lengths,
-//! independent of the substrate), which is what makes the simulator's
-//! volume figures comparable to the paper's bandwidth accounting; the
-//! *extra* bytes a non-local substrate frames onto its medium are metered
-//! separately as [`ProcMetrics::wire_bytes`].
+//! Payloads are **moved, never cloned**: `send` takes the `Vec<T>` by
+//! value, the envelope carries it through a channel, and `recv` hands the
+//! same allocation back.  The meters count the moved words
+//! (`words_sent`/`words_received` are payload lengths), which is what makes
+//! the simulator's volume figures comparable to the paper's bandwidth
+//! accounting.
 //!
 //! The communicator is also where the resident pool's **generation fence**
 //! lives: outgoing envelopes are stamped, incoming envelopes from an older
-//! job are dropped.  The transport contract (stamps survive the wire
-//! unmodified — see [`crate::transport`]) is exactly what makes this work
-//! on any substrate.
+//! job are dropped.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
+use crossbeam_channel::RecvTimeoutError;
+
+use crate::channel::{Endpoint, Envelope};
 use crate::metrics::ProcMetrics;
 use crate::sync::{abort_unwind, AbortFlag, BarrierWait, SuperstepBarrier};
-use crate::transport::{Envelope, TransportEndpoint, TransportRecv};
 
 /// How often a blocked receive re-checks the machine's abort flag.  A
 /// message arriving during the wait wakes the receiver immediately — the
@@ -53,11 +48,11 @@ const ABORT_POLL: Duration = Duration::from_millis(1);
 pub struct Communicator<T> {
     id: usize,
     procs: usize,
-    /// This processor's wire on its plane; everything that physically moves
+    /// This processor's endpoint of its plane; everything that moves
     /// between processors goes through it.
-    endpoint: Box<dyn TransportEndpoint<T>>,
+    endpoint: Endpoint<T>,
     /// Messages that arrived but have not been asked for yet, grouped by
-    /// sender (per-sender FIFO order is preserved by the transport).
+    /// sender (the channels preserve per-sender FIFO order).
     mailbox: Vec<VecDeque<Envelope<T>>>,
     /// Payloads this processor sent to itself, by tag order.
     self_queue: VecDeque<Envelope<T>>,
@@ -71,16 +66,13 @@ pub struct Communicator<T> {
     barrier: Arc<SuperstepBarrier>,
     abort: Arc<AbortFlag>,
     metrics: ProcMetrics,
-    /// Endpoint wire bytes already attributed to earlier metric takes (the
-    /// endpoint counter is cumulative; per-job metering needs deltas).
-    wire_taken: u64,
 }
 
 impl<T: Send> Communicator<T> {
     pub(crate) fn new(
         id: usize,
         procs: usize,
-        endpoint: Box<dyn TransportEndpoint<T>>,
+        endpoint: Endpoint<T>,
         barrier: Arc<SuperstepBarrier>,
         abort: Arc<AbortFlag>,
     ) -> Self {
@@ -94,7 +86,6 @@ impl<T: Send> Communicator<T> {
             barrier,
             abort,
             metrics: ProcMetrics::default(),
-            wire_taken: 0,
         }
     }
 
@@ -103,7 +94,7 @@ impl<T: Send> Communicator<T> {
     /// but never received cannot be mistaken for this job's messages, and
     /// discards the local leftovers (mailbox and self-queue — only this
     /// thread touches those).  Stale envelopes still in flight on the
-    /// transport are dropped lazily when a receive encounters them, so this
+    /// channels are dropped lazily when a receive encounters them, so this
     /// costs `O(1)` when the previous job consumed everything.
     ///
     /// The generation is a coordinator *stamp*, not a local counter: after
@@ -133,7 +124,7 @@ impl<T: Send> Communicator<T> {
 
     /// Sends `payload` to processor `to` under `tag`.
     ///
-    /// Sending to oneself is allowed and does not use the transport.
+    /// Sending to oneself is allowed and does not use the channels.
     ///
     /// # Panics
     /// Panics if `to` is out of range or the destination processor has
@@ -210,9 +201,9 @@ impl<T: Send> Communicator<T> {
                 abort_unwind(culprit);
             }
             let env = match self.endpoint.recv_timeout(ABORT_POLL) {
-                TransportRecv::Envelope(env) => env,
-                TransportRecv::TimedOut => continue,
-                TransportRecv::Closed => panic!(
+                Ok(env) => env,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => panic!(
                     "all peers terminated while processor {} waited for a message from {from}",
                     self.id
                 ),
@@ -245,7 +236,7 @@ impl<T: Send> Communicator<T> {
         );
         // Send phase: everything leaves before anything is awaited, so the
         // exchange cannot deadlock regardless of processor ordering (the
-        // transport contract guarantees sends never wait on receivers).
+        // channels are unbounded, so sends never wait on receivers).
         for (to, payload) in outgoing.into_iter().enumerate() {
             self.send(to, tag, payload);
         }
@@ -272,35 +263,27 @@ impl<T: Send> Communicator<T> {
     }
 
     /// The metrics accumulated by this communicator so far.
-    ///
-    /// Note: [`ProcMetrics::wire_bytes`] is settled from the transport
-    /// endpoint when the metrics are *taken* (end of run / end of job), not
-    /// continuously — mid-job reads through this accessor see it as `0`.
     pub fn metrics(&self) -> &ProcMetrics {
         &self.metrics
     }
 
     /// Consumes the communicator, returning its metrics (called by the
     /// machine after the processor function returns).
-    pub(crate) fn into_metrics(mut self) -> ProcMetrics {
-        self.metrics.wire_bytes = self.endpoint.wire_bytes() - self.wire_taken;
+    pub(crate) fn into_metrics(self) -> ProcMetrics {
         self.metrics
     }
 
     /// Hands out the metrics accumulated since the last take, resetting the
     /// counters — the per-job metering of the resident pool.
     pub(crate) fn take_metrics(&mut self) -> ProcMetrics {
-        let framed = self.endpoint.wire_bytes();
-        self.metrics.wire_bytes = framed - self.wire_taken;
-        self.wire_taken = framed;
         std::mem::take(&mut self.metrics)
     }
 
     /// Clears every buffered message (mailbox, self-queue and anything still
-    /// in flight on the transport).  Resident-pool recovery: after a job
+    /// in flight on the channels).  Resident-pool recovery: after a job
     /// panics, partially-delivered envelopes of the dead job must not leak
     /// into the next one.  Only sound while all peers are parked between
-    /// jobs — which is exactly the precondition of the transport's drain
+    /// jobs — which is exactly the precondition of the endpoint's drain
     /// contract.
     pub(crate) fn clear_in_flight(&mut self) {
         for q in &mut self.mailbox {
@@ -412,7 +395,6 @@ mod tests {
             assert_eq!(m.messages_received, 1);
             assert_eq!(m.words_received, 10);
             assert_eq!(m.barriers, 1);
-            assert_eq!(m.wire_bytes, 0, "the thread transport frames nothing");
         }
     }
 

@@ -35,7 +35,6 @@ use std::cell::Cell;
 thread_local! {
     static FABRIC_BUILDS: Cell<u64> = const { Cell::new(0) };
     static THREAD_SPAWNS: Cell<u64> = const { Cell::new(0) };
-    static PROCESS_SPAWNS: Cell<u64> = const { Cell::new(0) };
 }
 
 pub(crate) fn note_fabric_build() {
@@ -44,10 +43,6 @@ pub(crate) fn note_fabric_build() {
 
 pub(crate) fn note_thread_spawn() {
     THREAD_SPAWNS.with(|c| c.set(c.get() + 1));
-}
-
-pub(crate) fn note_process_spawn() {
-    PROCESS_SPAWNS.with(|c| c.set(c.get() + 1));
 }
 
 /// A snapshot of the current thread's cumulative startup activity.
@@ -62,10 +57,6 @@ pub struct StartupCounters {
     /// Virtual-processor worker threads spawned by this thread so far (both
     /// the one-shot machine's scoped threads and the pool's residents).
     pub thread_spawns: u64,
-    /// Mailbox child processes spawned by this thread so far (the process
-    /// transport spawns one per virtual processor when its fabric opens;
-    /// the thread transport never increments this).
-    pub process_spawns: u64,
 }
 
 /// Reads the current thread's startup counters.
@@ -73,7 +64,6 @@ pub fn startup_counters() -> StartupCounters {
     StartupCounters {
         fabric_builds: FABRIC_BUILDS.with(Cell::get),
         thread_spawns: THREAD_SPAWNS.with(Cell::get),
-        process_spawns: PROCESS_SPAWNS.with(Cell::get),
     }
 }
 
@@ -87,11 +77,9 @@ mod tests {
         note_fabric_build();
         note_thread_spawn();
         note_thread_spawn();
-        note_process_spawn();
         let after = startup_counters();
         assert_eq!(after.fabric_builds, before.fabric_builds + 1);
         assert_eq!(after.thread_spawns, before.thread_spawns + 2);
-        assert_eq!(after.process_spawns, before.process_spawns + 1);
         // Another thread's activity is invisible here.
         std::thread::spawn(|| {
             note_fabric_build();

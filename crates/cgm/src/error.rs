@@ -45,19 +45,6 @@ pub enum CgmError {
         /// The OS error message.
         message: String,
     },
-    /// A transport that serializes payloads (the process transport) was
-    /// asked to carry a type with no registered wire codec; see
-    /// [`crate::transport::wire::register_wire`].
-    TransportUnsupportedPayload {
-        /// The payload type the transport could not serialize.
-        type_name: &'static str,
-    },
-    /// A transport could not open its fabric (socket setup, mailbox
-    /// process spawn or handshake failure).
-    TransportSetupFailed {
-        /// What went wrong.
-        message: String,
-    },
 }
 
 impl fmt::Display for CgmError {
@@ -98,16 +85,6 @@ impl fmt::Display for CgmError {
                     "could not spawn the resident worker thread for virtual processor \
                      {proc}: {message}"
                 )
-            }
-            CgmError::TransportUnsupportedPayload { type_name } => {
-                write!(
-                    f,
-                    "the process transport has no wire codec for payload type {type_name}; \
-                     register one with cgp_cgm::transport::wire::register_wire"
-                )
-            }
-            CgmError::TransportSetupFailed { message } => {
-                write!(f, "transport fabric setup failed: {message}")
             }
         }
     }

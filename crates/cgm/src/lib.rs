@@ -8,12 +8,10 @@
 //!
 //! * **`p` virtual processors**, each an OS thread with its own block of
 //!   data, its own random stream, and its own metrics counters;
-//! * **point-to-point messages** over a pluggable [`transport`] layer, with
-//!   the same semantics as MPI send/recv between supersteps (per-sender
-//!   FIFO order, matched by sender id and tag) — in-process channels by
-//!   default ([`TransportKind::Threads`]), per-processor mailbox child
-//!   processes over Unix domain sockets as the multi-process substrate
-//!   ([`TransportKind::Process`]);
+//! * **point-to-point messages** over in-process channels, with the same
+//!   semantics as MPI send/recv between supersteps (per-sender FIFO order,
+//!   matched by sender id and tag) — payloads move by value, never
+//!   serialized or cloned;
 //! * **supersteps** separated by barriers, so algorithms are expressed
 //!   exactly as in the BSP/CGM/PRO papers;
 //! * **metering** of every word sent and received, every message, every
@@ -33,7 +31,7 @@
 //! its workers between jobs — the substrate for steady-state services that
 //! run many jobs back to back (see the [`pool`] module docs).
 //!
-//! Every fabric carries **two typed transport planes** over one barrier: the
+//! Every fabric carries **two typed channel planes** over one barrier: the
 //! data plane (`Vec<T>` payloads, [`ProcCtx::comm_mut`]) and the word plane
 //! (`Vec<u64>` envelopes, [`ProcCtx::matrix_ctx`] → [`MatrixCtx`]).  The
 //! word plane is what lets a single job fuse the `O(p)`-sized
@@ -62,6 +60,7 @@
 //! ```
 
 pub mod block;
+mod channel;
 pub mod comm;
 pub mod diag;
 pub mod error;
@@ -69,7 +68,6 @@ pub mod machine;
 pub mod metrics;
 pub mod pool;
 mod sync;
-pub mod transport;
 
 pub use block::BlockDistribution;
 pub use comm::Communicator;
@@ -79,9 +77,3 @@ pub use machine::{
 };
 pub use metrics::{CostModel, MachineMetrics, ProcMetrics};
 pub use pool::ResidentCgm;
-pub use transport::process::ProcessTransport;
-pub use transport::wire::{register_wire, Wire};
-pub use transport::{
-    Envelope, FabricWires, ThreadTransport, Transport, TransportEndpoint, TransportKind,
-    TransportRecv,
-};

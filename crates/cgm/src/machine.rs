@@ -4,11 +4,11 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::channel::open_plane;
 use crate::comm::Communicator;
 use crate::error::CgmError;
 use crate::metrics::{MachineMetrics, ProcMetrics};
 use crate::sync::{panic_message, AbortFlag, AbortPanic, SuperstepBarrier};
-use crate::transport::{FabricWires, TransportKind};
 use cgp_rng::{Pcg64, SeedSequence};
 
 /// Configuration of a virtual coarse grained machine.
@@ -18,11 +18,6 @@ pub struct CgmConfig {
     pub procs: usize,
     /// Master seed from which every processor's random stream is derived.
     pub seed: u64,
-    /// Which transport the machine's fabric is opened on
-    /// ([`TransportKind::Threads`] by default).  The substrate never touches
-    /// the engine's random streams, so permutations are a function of
-    /// `seed` alone — identical across transports.
-    pub transport: TransportKind,
 }
 
 impl CgmConfig {
@@ -44,11 +39,7 @@ impl CgmConfig {
         if procs == 0 {
             return Err(CgmError::NoProcessors);
         }
-        Ok(CgmConfig {
-            procs,
-            seed: 0,
-            transport: TransportKind::Threads,
-        })
+        Ok(CgmConfig { procs, seed: 0 })
     }
 
     /// Replaces the master seed.
@@ -56,18 +47,12 @@ impl CgmConfig {
         self.seed = seed;
         self
     }
-
-    /// Replaces the transport the fabric is opened on.
-    pub fn with_transport(mut self, transport: TransportKind) -> Self {
-        self.transport = transport;
-        self
-    }
 }
 
 /// Everything a virtual processor has access to while an algorithm runs:
 /// its identity, its communicators, and its private random stream.
 ///
-/// Every processor owns **two transport planes** over the same barrier and
+/// Every processor owns **two channel planes** over the same barrier and
 /// abort flag:
 ///
 /// * the **data plane** ([`ProcCtx::comm`]/[`ProcCtx::comm_mut`]), typed
@@ -223,7 +208,7 @@ impl MatrixCtx<'_> {
     }
 }
 
-/// The transport fabric and per-processor contexts of one machine:
+/// The channel fabric and per-processor contexts of one machine:
 /// everything that is built once per `CgmMachine::run` call, and once per
 /// *lifetime* for a [`crate::ResidentCgm`] worker pool.
 pub(crate) struct Fabric<T> {
@@ -232,42 +217,18 @@ pub(crate) struct Fabric<T> {
     pub(crate) abort: Arc<AbortFlag>,
 }
 
-/// Opens both transport planes on the configured [`TransportKind`] and
-/// wires them into per-processor contexts.  Fallible because a transport
-/// may have real setup work to do (spawning mailbox processes, codec
-/// lookup); the thread transport never fails.
-pub(crate) fn build_fabric<T: Send + 'static>(config: &CgmConfig) -> Result<Fabric<T>, CgmError> {
-    let wires = config.transport.open_fabric::<T>(config.procs)?;
-    Ok(build_fabric_on(config, wires))
-}
-
-/// Wires already-opened transport planes — from any [`crate::transport::Transport`]
-/// implementation, not just the built-in kinds — into the shared
-/// barrier/abort pair and one [`ProcCtx`] per processor.
-pub(crate) fn build_fabric_on<T: Send + 'static>(
-    config: &CgmConfig,
-    wires: FabricWires<T>,
-) -> Fabric<T> {
+/// Opens both channel planes and wires them into the shared barrier/abort
+/// pair and one [`ProcCtx`] per processor.
+pub(crate) fn build_fabric<T: Send + 'static>(config: &CgmConfig) -> Fabric<T> {
     crate::diag::note_fabric_build();
     let p = config.procs;
-    assert_eq!(
-        wires.data.len(),
-        p,
-        "transport opened a wrong-sized data plane"
-    );
-    assert_eq!(
-        wires.words.len(),
-        p,
-        "transport opened a wrong-sized word plane"
-    );
     let seeds = SeedSequence::new(config.seed);
     let barrier = Arc::new(SuperstepBarrier::new(p));
     let abort = Arc::new(AbortFlag::new());
 
-    let contexts: Vec<ProcCtx<T>> = wires
-        .data
+    let contexts: Vec<ProcCtx<T>> = open_plane(p)
         .into_iter()
-        .zip(wires.words)
+        .zip(open_plane(p))
         .enumerate()
         .map(|(id, (data, words))| ProcCtx {
             comm: Communicator::new(id, p, data, Arc::clone(&barrier), Arc::clone(&abort)),
@@ -533,7 +494,7 @@ impl CgmMachine {
             mut contexts,
             barrier,
             abort,
-        } = build_fabric::<T>(&self.config)?;
+        } = build_fabric::<T>(&self.config);
 
         // One processor's deposited outcome: the result plus the per-plane
         // metrics pair (data plane, word plane), or the panic payload.

@@ -26,12 +26,6 @@ pub struct ProcMetrics {
     pub barriers: u64,
     /// Number of supersteps this processor started.
     pub supersteps: u64,
-    /// Bytes this processor framed onto an inter-process medium (serialized
-    /// payloads plus frame headers).  `0` on the default thread transport,
-    /// where payloads move by value — the observable form of its
-    /// "zero wire overhead" claim.  `words_sent`/`words_received` stay
-    /// substrate-independent; this counter is the substrate's surcharge.
-    pub wire_bytes: u64,
 }
 
 impl ProcMetrics {
@@ -44,7 +38,6 @@ impl ProcMetrics {
         self.words_received += other.words_received;
         self.barriers += other.barriers;
         self.supersteps += other.supersteps;
-        self.wire_bytes += other.wire_bytes;
     }
 
     /// Total communication volume (sent + received words) attributed to this
@@ -157,16 +150,6 @@ impl MachineMetrics {
             .unwrap_or(0)
     }
 
-    /// Total bytes framed onto an inter-process medium across both planes
-    /// and all processors — `0` for a run on the thread transport.
-    pub fn wire_volume(&self) -> u64 {
-        self.per_proc
-            .iter()
-            .chain(&self.matrix_plane)
-            .map(|m| m.wire_bytes)
-            .sum()
-    }
-
     /// The word-plane (matrix-phase) traffic of this run viewed as its own
     /// [`MachineMetrics`]: `per_proc` of the view holds the word-plane
     /// counters, so all aggregate methods apply to the matrix phase.  This
@@ -243,7 +226,6 @@ mod tests {
                     words_received: 90,
                     barriers: 2,
                     supersteps: 2,
-                    wire_bytes: 40,
                 },
                 ProcMetrics {
                     messages_sent: 3,
@@ -252,7 +234,6 @@ mod tests {
                     words_received: 120,
                     barriers: 2,
                     supersteps: 2,
-                    wire_bytes: 44,
                 },
             ],
             matrix_plane: vec![
@@ -263,7 +244,6 @@ mod tests {
                     words_received: 0,
                     barriers: 0,
                     supersteps: 2,
-                    wire_bytes: 16,
                 },
                 ProcMetrics {
                     messages_sent: 0,
@@ -272,7 +252,6 @@ mod tests {
                     words_received: 8,
                     barriers: 0,
                     supersteps: 2,
-                    wire_bytes: 0,
                 },
             ],
             elapsed: Duration::from_millis(5),
@@ -289,7 +268,6 @@ mod tests {
         assert!((m.avg_comm_volume() - 210.0).abs() < 1e-12);
         assert!((m.comm_balance() - 230.0 / 210.0).abs() < 1e-12);
         assert_eq!(m.supersteps(), 2);
-        assert_eq!(m.wire_volume(), 100, "wire bytes sum over both planes");
     }
 
     #[test]
@@ -301,14 +279,12 @@ mod tests {
             words_received: 4,
             barriers: 5,
             supersteps: 6,
-            wire_bytes: 7,
         };
         let b = a.clone();
         a.merge(&b);
         assert_eq!(a.messages_sent, 2);
         assert_eq!(a.words_received, 8);
         assert_eq!(a.supersteps, 12);
-        assert_eq!(a.wire_bytes, 14);
         assert_eq!(a.comm_volume(), 2 * (2 + 4));
     }
 

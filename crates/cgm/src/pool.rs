@@ -77,12 +77,11 @@ use crossbeam_channel::{unbounded, Receiver, Sender};
 
 use crate::error::CgmError;
 use crate::machine::{
-    attribute_panics, build_fabric, build_fabric_on, raise_attributed_panic, BatchJobOutcome,
-    CgmConfig, CgmExecutor, Fabric, ProcCtx, RunOutcome,
+    attribute_panics, build_fabric, raise_attributed_panic, BatchJobOutcome, CgmConfig,
+    CgmExecutor, Fabric, ProcCtx, RunOutcome,
 };
 use crate::metrics::{MachineMetrics, ProcMetrics};
 use crate::sync::{AbortFlag, AbortPanic, BarrierWait, SuperstepBarrier};
-use crate::transport::Transport;
 use std::time::Duration;
 
 /// A type-erased per-processor job: the pool wraps the caller's typed
@@ -184,34 +183,16 @@ impl<T: Send + 'static> ResidentCgm<T> {
     /// Fallible constructor: spawns the workers, or returns
     /// [`CgmError::NoProcessors`] for an empty machine /
     /// [`CgmError::WorkerSpawnFailed`] when the OS refuses a thread (any
-    /// workers spawned before the failure are shut down and joined first) /
-    /// a transport error when the configured fabric cannot be opened.
+    /// workers spawned before the failure are shut down and joined first).
     pub fn try_new(config: CgmConfig) -> Result<Self, CgmError> {
         if config.procs == 0 {
             return Err(CgmError::NoProcessors);
         }
-        let fabric = build_fabric::<T>(&config)?;
-        ResidentCgm::from_fabric(config, fabric)
-    }
-
-    /// Like [`ResidentCgm::try_new`], but opens the fabric on an explicitly
-    /// provided [`Transport`] implementation instead of the built-in kind
-    /// named by `config.transport` — the entry point for custom transports
-    /// and for the [`crate::transport::conformance`] battery.
-    pub fn try_new_on(config: CgmConfig, transport: &dyn Transport<T>) -> Result<Self, CgmError> {
-        if config.procs == 0 {
-            return Err(CgmError::NoProcessors);
-        }
-        let wires = transport.open(config.procs)?;
-        ResidentCgm::from_fabric(config, build_fabric_on(&config, wires))
-    }
-
-    fn from_fabric(config: CgmConfig, fabric: Fabric<T>) -> Result<Self, CgmError> {
         let Fabric {
             contexts,
             barrier,
             abort,
-        } = fabric;
+        } = build_fabric::<T>(&config);
         let (done_tx, done_rx) = unbounded();
         let mut commands = Vec::with_capacity(config.procs);
         let mut workers = Vec::with_capacity(config.procs);
@@ -765,6 +746,28 @@ mod tests {
     }
 
     #[test]
+    fn abort_wakes_workers_parked_in_a_blocked_receive() {
+        let mut pool: ResidentCgm<u64> = ResidentCgm::new(CgmConfig::new(3));
+        let err = pool
+            .try_run(|ctx: &mut ProcCtx<u64>| {
+                if ctx.id() == 2 {
+                    panic!("receive abort");
+                }
+                // Parked forever unless the abort wakes us: nobody sends this.
+                let _ = ctx.comm_mut().recv(2, 77);
+            })
+            .unwrap_err();
+        match err {
+            CgmError::ProcessorPanicked { proc, ref message } => {
+                assert_eq!(proc, 2, "the root cause is blamed, not a woken peer");
+                assert!(message.contains("receive abort"));
+            }
+            other => panic!("unexpected error: {other}"),
+        }
+        assert_eq!(pool.run(|ctx| ctx.id()).into_results(), vec![0, 1, 2]);
+    }
+
+    #[test]
     fn try_run_reports_the_failed_processor_and_recovers() {
         let mut pool: ResidentCgm<u64> = ResidentCgm::new(CgmConfig::new(4));
         let err = pool
@@ -872,11 +875,7 @@ mod tests {
 
     #[test]
     fn zero_processors_is_an_error_value() {
-        let config = CgmConfig {
-            procs: 0,
-            seed: 0,
-            transport: Default::default(),
-        };
+        let config = CgmConfig { procs: 0, seed: 0 };
         assert!(matches!(
             ResidentCgm::<u64>::try_new(config),
             Err(CgmError::NoProcessors)

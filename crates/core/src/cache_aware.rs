@@ -363,10 +363,6 @@ impl<T> Default for BucketScratch<T> {
 /// phase (b) shuffles each bucket in cache and concatenates into the
 /// emptied source allocation.  Random accesses therefore never span more
 /// than one window or one bucket at a time — everything else is streaming.
-/// (An earlier variant batched halfword bounded draws through
-/// [`cgp_rng::BlockRng::gen_bounded`]; E12 measured the generator's direct
-/// stream faster on the reference box, so the engine draws directly and the
-/// batched primitive remains available in `cgp-rng` for narrower loops.)
 ///
 /// The permutation is exactly uniform for every choice of `bucket_items`
 /// (see the module docs for the proof sketch).

@@ -1,67 +1,7 @@
 //! Options controlling the parallel permutation.
 
 use crate::cache_aware::LocalShuffle;
-use crate::darts::DEFAULT_TARGET_FACTOR;
-use cgp_cgm::{CgmConfig, CgmError, TransportKind};
-
-/// Which permutation algorithm generates the permutation.
-///
-/// The crate ships two algorithmically different engines behind one API:
-///
-/// * [`Algorithm::Gustedt`] — the paper's Algorithm 1: local shuffle,
-///   communication-matrix sampling, one all-to-all exchange, re-shuffle
-///   (see the [`crate::parallel`] module docs).  Work-optimal, perfectly
-///   balanced, `O(m)` memory per processor; the payload moves through the
-///   exchange.
-/// * [`Algorithm::Darts`] — the dart-throwing engine: every worker throws
-///   its item indices at random slots of a shared `target_factor × n`
-///   array with atomic compare-exchange, retries the bounced darts in
-///   shrinking rounds, then compacts the occupied slots (see the
-///   [`crate::darts`] module docs).  Natively produces an *index*
-///   permutation; payloads are rearranged by one local gather.
-///
-/// Both engines are exactly uniform and deterministic per seed; they do
-/// **not** produce byte-identical permutations for the same seed (they
-/// consume their derived random streams differently).  See the README's
-/// "Choosing a permutation algorithm" table for when each wins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Algorithm {
-    /// Algorithm 1 of the paper (the default).
-    #[default]
-    Gustedt,
-    /// Compare-exchange dart throwing into an oversized target array of
-    /// `target_factor × n` slots.  Larger factors mean fewer collision
-    /// rounds but more memory and a longer compaction scan; `target_factor`
-    /// is clamped to at least 1 (`= 1` degenerates to coupon-collector
-    /// retry behaviour — correct, but slow).
-    Darts {
-        /// Oversizing factor of the shared target array.
-        target_factor: u32,
-    },
-}
-
-impl Algorithm {
-    /// The dart-throwing engine with the default oversizing factor
-    /// ([`DEFAULT_TARGET_FACTOR`]).
-    pub fn darts() -> Self {
-        Algorithm::Darts {
-            target_factor: DEFAULT_TARGET_FACTOR,
-        }
-    }
-
-    /// Whether this is the dart-throwing engine.
-    pub fn is_darts(&self) -> bool {
-        matches!(self, Algorithm::Darts { .. })
-    }
-
-    /// A short stable name used in benchmark/report tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algorithm::Gustedt => "gustedt",
-            Algorithm::Darts { .. } => "darts",
-        }
-    }
-}
+use cgp_cgm::{CgmConfig, CgmError};
 
 /// Which of the paper's matrix-sampling algorithms supplies the communication
 /// matrix of Algorithm 1.
@@ -151,8 +91,8 @@ impl EngineFault {
 }
 
 /// The engine-selection core shared by every front door of the crate: which
-/// permutation a seed produces (`seed`, `algorithm`, `local_shuffle`) and
-/// what machine it runs on (`procs`, `transport`).
+/// permutation a seed produces (`seed`, `local_shuffle`) and what machine it
+/// runs on (`procs`).
 ///
 /// [`crate::Permuter`], [`crate::PermutationSession`],
 /// [`crate::service::ServiceConfig`] and per-job [`PermuteOptions`] used to
@@ -162,10 +102,10 @@ impl EngineFault {
 /// surface:
 ///
 /// ```
-/// use cgp_core::{Algorithm, EngineConfig, Permuter};
+/// use cgp_core::{EngineConfig, LocalShuffle, Permuter};
 /// use cgp_core::service::ServiceConfig;
 ///
-/// let engine = EngineConfig::new(4).seed(42).algorithm(Algorithm::darts());
+/// let engine = EngineConfig::new(4).seed(42).local_shuffle(LocalShuffle::FisherYates);
 /// let one_shot = Permuter::from_engine(engine);       // one-shot / session
 /// let fleet = ServiceConfig::from_engine(engine);     // resident service
 /// assert_eq!(one_shot.engine(), fleet.engine);
@@ -177,8 +117,8 @@ impl EngineFault {
 ///   they change cost and diagnostics, never which permutation a seed
 ///   produces, so they remain per-surface options.
 /// * [`PermuteOptions`] derives only the per-job half
-///   ([`EngineConfig::options`]) — a job carries no seed, processor count
-///   or transport of its own, which is what keeps a submitted job from
+///   ([`EngineConfig::options`]) — a job carries no seed or processor
+///   count of its own, which is what keeps a submitted job from
 ///   silently disagreeing with the resident fleet it runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
@@ -186,13 +126,8 @@ pub struct EngineConfig {
     pub procs: usize,
     /// Master seed; every derived random stream follows from it.
     pub seed: u64,
-    /// Which permutation engine generates the permutation.
-    pub algorithm: Algorithm,
     /// Which engine runs the local (per-processor) shuffles.
     pub local_shuffle: LocalShuffle,
-    /// Transport substrate the machine fabric is opened on.  Never changes
-    /// the permutation a seed produces, only where the mailboxes live.
-    pub transport: TransportKind,
 }
 
 impl EngineConfig {
@@ -202,9 +137,7 @@ impl EngineConfig {
         EngineConfig {
             procs,
             seed: 0,
-            algorithm: Algorithm::Gustedt,
             local_shuffle: LocalShuffle::Auto,
-            transport: TransportKind::Threads,
         }
     }
 
@@ -220,40 +153,24 @@ impl EngineConfig {
         self
     }
 
-    /// Selects the permutation engine (see [`Algorithm`]).
-    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
     /// Selects the engine for the local shuffles (see [`LocalShuffle`]).
     pub fn local_shuffle(mut self, engine: LocalShuffle) -> Self {
         self.local_shuffle = engine;
         self
     }
 
-    /// Selects the transport substrate (see [`TransportKind`]).
-    pub fn transport(mut self, transport: TransportKind) -> Self {
-        self.transport = transport;
-        self
-    }
-
     /// The per-job half of this engine: [`PermuteOptions`] carrying the
-    /// algorithm and local-shuffle choice (and nothing machine-shaped —
-    /// see the type docs for why).
+    /// local-shuffle choice (and nothing machine-shaped — see the type docs
+    /// for why).
     pub fn options(&self) -> PermuteOptions {
-        PermuteOptions::new()
-            .algorithm(self.algorithm)
-            .local_shuffle(self.local_shuffle)
+        PermuteOptions::new().local_shuffle(self.local_shuffle)
     }
 
     /// The machine half of this engine: a [`CgmConfig`] carrying the
-    /// processor count, seed and transport, or [`CgmError::NoProcessors`]
-    /// when `procs == 0`.
+    /// processor count and seed, or [`CgmError::NoProcessors`] when
+    /// `procs == 0`.
     pub fn try_cgm_config(&self) -> Result<CgmConfig, CgmError> {
-        Ok(CgmConfig::try_new(self.procs)?
-            .with_seed(self.seed)
-            .with_transport(self.transport))
+        Ok(CgmConfig::try_new(self.procs)?.with_seed(self.seed))
     }
 
     /// Panicking form of [`EngineConfig::try_cgm_config`], for surfaces
@@ -266,11 +183,7 @@ impl EngineConfig {
 /// Options for [`crate::permute_blocks`] / [`crate::permute_vec`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PermuteOptions {
-    /// Which permutation algorithm generates the permutation (Gustedt's
-    /// Algorithm 1 by default, or the dart-throwing engine).
-    pub algorithm: Algorithm,
-    /// Which matrix-sampling algorithm to use.  Only meaningful for
-    /// [`Algorithm::Gustedt`]; the darts engine samples no matrix.
+    /// Which matrix-sampling algorithm to use.
     pub backend: MatrixBackend,
     /// Which engine runs the local (per-processor) shuffles — the
     /// superstep-1 and superstep-3 passes of Algorithm 1.  Every engine is
@@ -291,7 +204,6 @@ pub struct PermuteOptions {
 impl Default for PermuteOptions {
     fn default() -> Self {
         PermuteOptions {
-            algorithm: Algorithm::Gustedt,
             backend: MatrixBackend::Sequential,
             local_shuffle: LocalShuffle::Auto,
             keep_matrix: false,
@@ -315,7 +227,7 @@ impl PermuteOptions {
     }
 
     /// Options carrying the per-job half of an [`EngineConfig`] (its
-    /// algorithm and local-shuffle choice).  Alias of
+    /// local-shuffle choice).  Alias of
     /// [`EngineConfig::options`], for call sites that start from the
     /// options side.
     pub fn from_engine(engine: &EngineConfig) -> Self {
@@ -325,14 +237,6 @@ impl PermuteOptions {
     /// Sets the matrix-sampling backend.
     pub fn backend(mut self, backend: MatrixBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Selects the permutation algorithm (see [`Algorithm`]).  Changing the
-    /// algorithm changes which (equally uniform) permutation a seed
-    /// produces.
-    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = algorithm;
         self
     }
 
@@ -487,21 +391,11 @@ mod tests {
     }
 
     #[test]
-    fn algorithm_defaults_to_gustedt() {
-        assert_eq!(Algorithm::default(), Algorithm::Gustedt);
-        assert_eq!(PermuteOptions::default().algorithm, Algorithm::Gustedt);
-        assert!(!Algorithm::Gustedt.is_darts());
-    }
-
-    #[test]
     fn engine_config_splits_into_job_and_machine_halves() {
         let engine = EngineConfig::new(3)
             .seed(99)
-            .algorithm(Algorithm::darts())
-            .local_shuffle(LocalShuffle::FisherYates)
-            .transport(TransportKind::Threads);
+            .local_shuffle(LocalShuffle::FisherYates);
         let options = engine.options();
-        assert_eq!(options.algorithm, Algorithm::darts());
         assert_eq!(options.local_shuffle, LocalShuffle::FisherYates);
         // The per-job half deliberately resets nothing else.
         assert_eq!(options.backend, MatrixBackend::Sequential);
@@ -511,19 +405,5 @@ mod tests {
         assert_eq!(machine.procs, 3);
         assert_eq!(machine.seed, 99);
         assert!(EngineConfig::new(0).try_cgm_config().is_err());
-    }
-
-    #[test]
-    fn algorithm_builder_and_names() {
-        let opts = PermuteOptions::new().algorithm(Algorithm::darts());
-        assert_eq!(
-            opts.algorithm,
-            Algorithm::Darts {
-                target_factor: DEFAULT_TARGET_FACTOR
-            }
-        );
-        assert!(opts.algorithm.is_darts());
-        assert_ne!(Algorithm::Gustedt.name(), Algorithm::darts().name());
-        assert_eq!(Algorithm::darts().name(), "darts");
     }
 }

@@ -59,20 +59,10 @@
 //!    fast path for payloads that are not `Send` or too heavy to ship:
 //!    permute `0..n` once in parallel, then gather locally by moves (no
 //!    `Clone` needed).
-//!
-//! ## A second engine: dart throwing
-//!
-//! Algorithm 1 is not the only uniform engine in the crate: the [`darts`]
-//! module implements a compare-exchange **dart-throwing** engine (the
-//! approach of Lamellar's `randperm` kernels), selectable per call via
-//! [`Algorithm`] on [`PermuteOptions`], [`Permuter`], sessions and the
-//! service.  See the README's "Choosing a permutation algorithm" table and
-//! the [`darts`] module docs for the trade-offs.
 
 pub mod baselines;
 pub mod cache_aware;
 pub mod config;
-pub mod darts;
 pub mod parallel;
 pub mod permuter;
 pub mod sequential;
@@ -85,8 +75,7 @@ pub use cache_aware::{
     BucketScratch, LocalShuffle, AUTO_CROSSOVER_BYTES, AUTO_MAX_ITEM_BYTES, BUCKET_L2_BUDGET_BYTES,
     DEFAULT_BUCKET_ITEMS, MAX_SCATTER_BUCKETS,
 };
-pub use config::{Algorithm, EngineConfig, EngineFault, FaultPhase, MatrixBackend, PermuteOptions};
-pub use darts::{serial_index_permutation, DEFAULT_TARGET_FACTOR};
+pub use config::{EngineConfig, EngineFault, FaultPhase, MatrixBackend, PermuteOptions};
 pub use parallel::{
     permute_blocks, permute_vec, permute_vec_into, permute_vec_into_with,
     try_permute_batch_into_with, try_permute_vec_into_with, BatchOutcome, PermutationReport,
@@ -100,11 +89,6 @@ pub use service::{
     DEFAULT_COALESCE_BUDGET,
 };
 pub use session::PermutationSession;
-
-// The transport selector is part of this crate's builder surface
-// (`Permuter::transport`, `ServiceConfig::transport`), so re-export it —
-// callers should not need a direct cgp-cgm dependency to pick a substrate.
-pub use cgp_cgm::TransportKind;
 
 #[cfg(test)]
 mod tests {

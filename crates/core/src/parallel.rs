@@ -45,20 +45,15 @@
 //! **zero thread spawns and zero channel-fabric constructions** for *every*
 //! backend, including `ParallelLog`/`ParallelOptimal` (which previously
 //! sampled on a freshly spawned one-shot machine per call).  The two
-//! transport planes keep the phases separately metered:
+//! channel planes keep the phases separately metered:
 //! [`PermutationReport::matrix_metrics`] carries the word-plane (matrix)
 //! traffic, [`PermutationReport::exchange_metrics`] the data-plane
 //! (payload) traffic.
 //!
-//! The engine is transport-generic by construction: it speaks only through
-//! [`CgmExecutor`], and the fabric underneath is opened on whatever
-//! [`cgp_cgm::TransportKind`] the machine's config selects — in-process
-//! channels (the zero-overhead default) or per-processor mailbox child
-//! processes over Unix domain sockets.  Both substrates produce the
-//! byte-identical permutation for the same seed (every random stream is
-//! derived from the machine seed per call); the process substrate
-//! additionally meters the frame bytes it put on the wire
-//! ([`cgp_cgm::MachineMetrics::wire_volume`]).
+//! The engine speaks only through [`CgmExecutor`], so the one-shot machine
+//! and the resident pool produce the byte-identical permutation for the
+//! same seed (every random stream is derived from the machine seed per
+//! call).
 //!
 //! ## Backend selection at a glance
 //!
@@ -98,7 +93,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use crate::cache_aware::{BucketScratch, LocalShuffle};
-use crate::config::{Algorithm, EngineFault, FaultPhase, MatrixBackend, PermuteOptions};
+use crate::config::{EngineFault, FaultPhase, MatrixBackend, PermuteOptions};
 use cgp_cgm::{
     BatchJobOutcome, BlockDistribution, CgmError, CgmExecutor, CgmMachine, MachineMetrics, ProcCtx,
 };
@@ -122,11 +117,6 @@ use cgp_matrix::{
 pub struct PermutationReport {
     /// Which matrix-sampling backend was used.
     pub backend: MatrixBackend,
-    /// Which permutation engine ran.  Under [`Algorithm::Darts`] the
-    /// Gustedt phase fields read as empty: no matrix is sampled, no local
-    /// shuffle runs, and the dart throw + compaction span is reported as
-    /// the exchange phase (see [`crate::darts`]).
-    pub algorithm: Algorithm,
     /// Which local-shuffle engine the options requested (possibly
     /// [`LocalShuffle::Auto`]; the engine resolves it once against the
     /// job's total payload size and type — see
@@ -209,13 +199,6 @@ pub struct PermuteScratch<T> {
     /// (empty — and never touched — while the resolved engine is
     /// Fisher–Yates).
     buckets: Vec<BucketScratch<T>>,
-    /// Recycled index-permutation buffer of the dart engine (also backs
-    /// [`crate::PermutationSession::sample_permutation_into`] reuse).
-    /// Empty — and never touched — under [`Algorithm::Gustedt`].
-    pub(crate) indices: Vec<u64>,
-    /// Recycled cycle-walk marks of the dart engine's in-place payload
-    /// gather.
-    pub(crate) visited: Vec<bool>,
 }
 
 impl<T> PermuteScratch<T> {
@@ -225,8 +208,6 @@ impl<T> PermuteScratch<T> {
             blocks: Vec::new(),
             outgoing: Vec::new(),
             buckets: Vec::new(),
-            indices: Vec::new(),
-            visited: Vec::new(),
         }
     }
 
@@ -247,8 +228,6 @@ impl<T> PermuteScratch<T> {
                 .iter()
                 .map(|b| b.retained_capacity())
                 .sum::<usize>()
-            + self.indices.capacity()
-            + self.visited.capacity()
     }
 }
 
@@ -550,7 +529,6 @@ fn collect_job<T>(
 
     let report = PermutationReport {
         backend: options.backend,
-        algorithm: options.algorithm,
         local_shuffle: options.local_shuffle,
         matrix_elapsed,
         exchange_elapsed,
@@ -639,31 +617,6 @@ pub fn permute_blocks<T: Send + 'static>(
     options: &PermuteOptions,
 ) -> (Vec<Vec<T>>, PermutationReport) {
     let mut exec = machine.clone();
-    if let Algorithm::Darts { target_factor } = options.algorithm {
-        // The dart engine is flat-native: concatenate the blocks, throw,
-        // and re-split by the prescribed (or source) distribution.  The
-        // permuted *contents* are uniform either way; only the block
-        // boundaries come from the prescription.
-        let p = exec.procs();
-        validate_block_count(p, blocks.len());
-        let source = BlockDistribution::from_sizes(blocks.iter().map(|b| b.len() as u64).collect());
-        options.validate_target_sizes(p, source.total());
-        let target = match &options.target_sizes {
-            Some(sizes) => BlockDistribution::from_sizes(sizes.clone()),
-            None => source.clone(),
-        };
-        let mut data = source.concat_vec(blocks);
-        let mut scratch = PermuteScratch::new();
-        let report = crate::darts::try_darts_vec_into_with(
-            &mut exec,
-            &mut data,
-            options,
-            &mut scratch,
-            target_factor,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        return (target.split_vec(data), report);
-    }
     let (new_blocks, _shells, _stagings, report) =
         exchange_engine(&mut exec, blocks, Vec::new(), Vec::new(), options)
             .unwrap_or_else(|e| panic!("{e}"));
@@ -769,11 +722,6 @@ where
     // prescription must panic with `data` and `scratch` untouched, not after
     // the items have been moved out (and lost to the unwind).
     options.validate_target_sizes(p, data.len() as u64);
-    if let Algorithm::Darts { target_factor } = options.algorithm {
-        // The dart engine works on the flat vector directly — no
-        // split/exchange/concat round-trip (see `crate::darts`).
-        return crate::darts::try_darts_vec_into_with(exec, data, options, scratch, target_factor);
-    }
     let mut options = options.clone();
     let out_dist = match options.target_sizes.take() {
         Some(sizes) => BlockDistribution::from_sizes(sizes),
@@ -863,34 +811,6 @@ where
     }
     if scratches.len() < jobs.len() {
         scratches.resize_with(jobs.len(), PermuteScratch::new);
-    }
-
-    // The dart engine has no staged-plan representation, so a batch that
-    // contains a darts job degrades to solo runs under the same positional,
-    // stop-at-first-failure contract.  The service queue never coalesces
-    // darts jobs (see `service::queue::coalescible`), so this path only
-    // serves direct batch callers; validation already ran for every job, so
-    // no data moves before the whole batch is known well-formed.
-    if jobs.iter().any(|(_, options)| options.algorithm.is_darts()) {
-        let mut out = Vec::with_capacity(jobs.len());
-        let mut failed = false;
-        for (k, (mut data, options)) in jobs.into_iter().enumerate() {
-            if failed {
-                out.push(BatchOutcome::Skipped { data });
-            } else {
-                match try_permute_vec_into_with(exec, &mut data, &options, &mut scratches[k]) {
-                    Ok(report) => out.push(BatchOutcome::Done {
-                        data,
-                        report: Box::new(report),
-                    }),
-                    Err(e) => {
-                        failed = true;
-                        out.push(BatchOutcome::Failed(e));
-                    }
-                }
-            }
-        }
-        return Ok(out);
     }
 
     // Stage every job into its own plan (moving its items into the slot

@@ -5,11 +5,11 @@
 //! plumbing and report handling into a reusable object.
 
 use crate::cache_aware::LocalShuffle;
-use crate::config::{Algorithm, EngineConfig, MatrixBackend, PermuteOptions};
+use crate::config::{EngineConfig, MatrixBackend, PermuteOptions};
 use crate::parallel::{permute_vec, permute_vec_into, PermutationReport, PermuteScratch};
 use crate::service::{PermutationService, ServiceConfig};
 use crate::session::PermutationSession;
-use cgp_cgm::{CgmConfig, CgmError, CgmMachine, TransportKind};
+use cgp_cgm::{CgmConfig, CgmError, CgmMachine};
 
 /// Reusable configuration for generating parallel random permutations.
 ///
@@ -86,19 +86,7 @@ impl Permuter {
         self
     }
 
-    /// Selects the permutation engine: the Gustedt exchange pipeline (the
-    /// default) or the compare-exchange dart engine
-    /// ([`Algorithm::Darts`], see [`crate::darts`]).  Both are exactly
-    /// uniform and seed-deterministic, but they do **not** produce the
-    /// same permutation for the same seed.
-    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.engine.algorithm = algorithm;
-        self
-    }
-
-    /// Selects the matrix-sampling backend (Algorithms 3–6).  Only
-    /// meaningful under [`Algorithm::Gustedt`]; the dart engine samples no
-    /// matrix.
+    /// Selects the matrix-sampling backend (Algorithms 3–6).
     pub fn backend(mut self, backend: MatrixBackend) -> Self {
         self.backend = backend;
         self
@@ -117,18 +105,6 @@ impl Permuter {
     /// Keeps the sampled communication matrix in the report.
     pub fn keep_matrix(mut self) -> Self {
         self.keep_matrix = true;
-        self
-    }
-
-    /// Selects the transport substrate the machine's fabric is opened on —
-    /// in-process channels ([`TransportKind::Threads`], the default) or
-    /// per-processor mailbox child processes over Unix domain sockets
-    /// ([`TransportKind::Process`]).  The substrate never touches the
-    /// engine's random streams, so the same seed produces the identical
-    /// permutation on either; see the `cgp_cgm::transport` module docs for
-    /// the `process::init` re-exec contract the process transport needs.
-    pub fn transport(mut self, kind: TransportKind) -> Self {
-        self.engine.transport = kind;
         self
     }
 
@@ -249,20 +225,7 @@ impl Permuter {
     /// it with [`crate::apply_permutation`] to rearrange payloads that are
     /// not `Send` (or too heavyweight to ship through the exchange) with a
     /// local `O(n)` gather by moves.
-    ///
-    /// Under [`Algorithm::Darts`] this is the engine's native mode: the
-    /// darts are thrown directly, with no identity vector ever staged
-    /// through the payload plumbing (the result is still byte-identical to
-    /// permuting `(0..n)` explicitly — gathering the identity through the
-    /// index permutation reproduces the indices).
     pub fn sample_permutation(&self, n: usize) -> Vec<u64> {
-        if let Algorithm::Darts { target_factor } = self.engine.algorithm {
-            let mut out = Vec::with_capacity(n);
-            let mut exec = self.machine();
-            crate::darts::darts_index_into::<u64, _>(&mut exec, n, target_factor, &mut out)
-                .unwrap_or_else(|e| panic!("{e}"));
-            return out;
-        }
         self.permute((0..n as u64).collect()).0
     }
 
@@ -376,20 +339,6 @@ mod tests {
             .local_shuffle(engine)
             .sample_permutation(500);
         assert_ne!(fy, bucketed);
-    }
-
-    #[test]
-    fn transport_defaults_to_threads_and_is_explicitly_selectable() {
-        // The explicit thread transport is the default: same object, same
-        // permutation.  (The process transport is exercised end-to-end in
-        // tests/process_transport.rs, which owns main() for the re-exec
-        // hook the child mailboxes need.)
-        let default = Permuter::new(3).seed(11).index_permutation(90);
-        let explicit = Permuter::new(3)
-            .seed(11)
-            .transport(TransportKind::Threads)
-            .index_permutation(90);
-        assert_eq!(default, explicit);
     }
 
     #[test]

@@ -119,7 +119,7 @@ use std::time::{Duration, Instant};
 
 use crate::config::{EngineConfig, PermuteOptions};
 use crate::parallel::PermutationReport;
-use cgp_cgm::{CgmError, ResidentCgm, TransportKind};
+use cgp_cgm::{CgmError, ResidentCgm};
 
 use metrics::MetricsInner;
 use queue::{Admission, Job, MachineQueue};
@@ -149,8 +149,7 @@ pub struct ServiceConfig {
     /// crate (see [`EngineConfig`]): virtual processors per machine, the
     /// fleet-wide master seed every per-call random stream derives from
     /// (which is what makes the service produce the same permutation
-    /// regardless of the serving machine), the permutation algorithm, the
-    /// local-shuffle engine and the transport substrate.
+    /// regardless of the serving machine) and the local-shuffle engine.
     pub engine: EngineConfig,
     /// Capacity of the bounded admission buffer (jobs accepted but not yet
     /// moved to a machine deque).  `try_submit` reports
@@ -222,26 +221,6 @@ impl ServiceConfig {
     pub fn seed(mut self, seed: u64) -> Self {
         self.engine.seed = seed;
         self
-    }
-
-    /// Sets the transport substrate for every machine of the fleet.
-    pub fn transport(mut self, transport: TransportKind) -> Self {
-        self.engine.transport = transport;
-        self
-    }
-
-    /// Sets the master seed.
-    #[deprecated(note = "renamed to `ServiceConfig::seed` when the engine \
-                         knobs moved into the shared `EngineConfig`")]
-    pub fn with_seed(self, seed: u64) -> Self {
-        self.seed(seed)
-    }
-
-    /// Sets the transport substrate for every machine of the fleet.
-    #[deprecated(note = "renamed to `ServiceConfig::transport` when the \
-                         engine knobs moved into the shared `EngineConfig`")]
-    pub fn with_transport(self, transport: TransportKind) -> Self {
-        self.transport(transport)
     }
 }
 
@@ -765,33 +744,6 @@ mod tests {
         // Jobs without the override keep the service-wide default.
         let (_, report) = handle.permute((0..200u64).collect()).unwrap();
         assert_eq!(report.local_shuffle, LocalShuffle::Auto);
-        service.shutdown();
-    }
-
-    #[test]
-    fn per_job_darts_override_matches_the_one_shot_path() {
-        use crate::config::Algorithm;
-        // The dart engine is selectable per job like any other run-shaping
-        // option; an overridden job must reproduce the one-shot darts
-        // permutation exactly, and jobs without the override must keep the
-        // service-wide Gustedt default.  Darts jobs never coalesce (see
-        // `queue::coalescible`), so mixing engines in one burst is safe.
-        let permuter = Permuter::new(2).seed(53);
-        let darts_reference = permuter
-            .clone()
-            .algorithm(Algorithm::darts())
-            .permute((0..200u64).collect())
-            .0;
-        let gustedt_reference = permuter.permute((0..200u64).collect()).0;
-        let service = permuter.service_sized::<u64>(1, 8);
-        let handle = service.handle();
-        let opts = PermuteOptions::new().algorithm(Algorithm::darts());
-        let (out, report) = handle.permute_with((0..200u64).collect(), opts).unwrap();
-        assert_eq!(out, darts_reference);
-        assert_eq!(report.algorithm, Algorithm::darts());
-        let (out, report) = handle.permute((0..200u64).collect()).unwrap();
-        assert_eq!(out, gustedt_reference);
-        assert_eq!(report.algorithm, Algorithm::Gustedt);
         service.shutdown();
     }
 

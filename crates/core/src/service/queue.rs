@@ -68,17 +68,12 @@ fn job_bytes<T>(job: &Job<T>) -> usize {
 /// Whether two jobs may share a coalesced batch: same run-shaping options.
 /// The injected-fault field is deliberately ignored — a fault is a
 /// test-only property of one job, and the batched engine entry point keeps
-/// per-job options (and per-job failure) intact either way.  Dart-engine
-/// jobs never coalesce: the dart engine has no staged-plan representation
-/// (the batch entry would just degrade them to sequential solo runs), so
-/// dispatching them solo keeps the scheduling honest.  Deadline jobs never
-/// coalesce either (checked in [`MachineQueue::take_batch`], not here):
+/// per-job options (and per-job failure) intact either way.  Deadline jobs
+/// never coalesce (checked in [`MachineQueue::take_batch`], not here):
 /// batching couples a latency-bounded job's start to its batchmates'
 /// payloads, exactly the coupling its deadline forbids.
 fn coalescible(a: &PermuteOptions, b: &PermuteOptions) -> bool {
-    a.algorithm == b.algorithm
-        && !a.algorithm.is_darts()
-        && a.backend == b.backend
+    a.backend == b.backend
         && a.local_shuffle == b.local_shuffle
         && a.keep_matrix == b.keep_matrix
         && a.target_sizes == b.target_sizes

@@ -36,10 +36,7 @@
 //! but the permutation engine deliberately draws from per-call derived
 //! streams — see `exchange_engine` and `MatrixCtx::sampling_rng` —
 //! precisely so substrate and history cannot change the sampled
-//! permutation.)  The same argument covers the transport substrate: a
-//! session over [`cgp_cgm::TransportKind::Process`] (set via
-//! [`crate::Permuter::transport`]) emits the byte-identical permutations,
-//! with the pool's mailboxes living in child processes.
+//! permutation.)
 //!
 //! # One job, zero spawns — for every backend
 //!
@@ -53,7 +50,7 @@
 //! counters make this assertable in tests.
 
 use crate::cache_aware::LocalShuffle;
-use crate::config::{Algorithm, EngineConfig, PermuteOptions};
+use crate::config::{EngineConfig, PermuteOptions};
 use crate::parallel::{permute_vec_into_with, PermutationReport, PermuteScratch};
 use cgp_cgm::{CgmError, ResidentCgm};
 
@@ -118,12 +115,6 @@ impl<T: Send + 'static> PermutationSession<T> {
         self.options.local_shuffle
     }
 
-    /// The permutation engine this session's jobs run with (set via
-    /// [`crate::Permuter::algorithm`] before opening the session).
-    pub fn algorithm(&self) -> Algorithm {
-        self.options.algorithm
-    }
-
     /// Uniformly permutes `data` in place on the resident pool, recycling
     /// the session's buffers.  Produces exactly the same permutation as
     /// [`crate::Permuter::permute`] for the same configuration.
@@ -165,21 +156,11 @@ impl PermutationSession<u64> {
     /// Buffer-reusing variant of
     /// [`PermutationSession::sample_permutation`]: writes the index
     /// permutation into `out` (cleared first), so a steady-state sampling
-    /// loop reuses one allocation across calls.
-    ///
-    /// Under [`Algorithm::Darts`] the indices come straight off the dart
-    /// board — the engine's native mode, with no identity vector staged
-    /// through the payload plumbing.  Under [`Algorithm::Gustedt`] the
-    /// identity is built in `out` and permuted in place through the
-    /// session's recycled scratch.  Either way the result is byte-identical
-    /// to the one-shot [`crate::Permuter::sample_permutation`] for the same
-    /// configuration.
+    /// loop reuses one allocation across calls.  The identity is built in
+    /// `out` and permuted in place through the session's recycled scratch,
+    /// so the result is byte-identical to the one-shot
+    /// [`crate::Permuter::sample_permutation`] for the same configuration.
     pub fn sample_permutation_into(&mut self, n: usize, out: &mut Vec<u64>) {
-        if let Algorithm::Darts { target_factor } = self.options.algorithm {
-            crate::darts::darts_index_into(&mut self.pool, n, target_factor, out)
-                .unwrap_or_else(|e| panic!("{e}"));
-            return;
-        }
         out.clear();
         out.extend(0..n as u64);
         permute_vec_into_with(&mut self.pool, out, &self.options, &mut self.scratch);
@@ -211,6 +192,27 @@ mod tests {
             session.sample_permutation(257),
             permuter.sample_permutation(257)
         );
+    }
+
+    #[test]
+    fn sample_permutation_into_reuses_the_buffer() {
+        let permuter = Permuter::new(3).seed(13);
+        let reference = permuter.sample_permutation(2_000);
+        let mut session = permuter.session::<u64>();
+        let mut out = Vec::new();
+        // Two warm-up calls: the exchange buffers ratchet up once over the
+        // first couple of calls (see `PermuteScratch`), then converge.
+        session.sample_permutation_into(2_000, &mut out);
+        session.sample_permutation_into(2_000, &mut out);
+        assert_eq!(out, reference);
+        let cap = out.capacity();
+        let retained = session.retained_capacity();
+        for _ in 0..2 {
+            session.sample_permutation_into(2_000, &mut out);
+            assert_eq!(out, reference);
+            assert_eq!(out.capacity(), cap);
+            assert_eq!(session.retained_capacity(), retained);
+        }
     }
 
     #[test]

@@ -4,16 +4,14 @@
 //! ([`ServiceConfig`]) and per-job [`PermuteOptions`] — round-trips
 //! unchanged and produces the identical permutation on each surface.
 
-use cgp_cgm::{CgmMachine, TransportKind};
+use cgp_cgm::CgmMachine;
 use cgp_core::service::{PermutationService, ServiceConfig};
-use cgp_core::{Algorithm, EngineConfig, LocalShuffle, PermuteOptions, Permuter};
+use cgp_core::{EngineConfig, LocalShuffle, PermuteOptions, Permuter};
 
 fn engine() -> EngineConfig {
     EngineConfig::new(3)
         .seed(4242)
-        .algorithm(Algorithm::Gustedt)
         .local_shuffle(LocalShuffle::FisherYates)
-        .transport(TransportKind::Threads)
 }
 
 #[test]
@@ -26,9 +24,7 @@ fn every_surface_round_trips_the_same_engine_config() {
     // …and so does the equivalent hand-built setter chain.
     let by_setters = Permuter::new(3)
         .seed(4242)
-        .algorithm(Algorithm::Gustedt)
-        .local_shuffle(LocalShuffle::FisherYates)
-        .transport(TransportKind::Threads);
+        .local_shuffle(LocalShuffle::FisherYates);
     assert_eq!(by_setters.engine(), engine);
 
     // Surface 2: a session opened from the permuter carries it on.
@@ -36,7 +32,6 @@ fn every_surface_round_trips_the_same_engine_config() {
     assert_eq!(session.engine(), engine);
     assert_eq!(session.seed(), engine.seed);
     assert_eq!(session.procs(), engine.procs);
-    assert_eq!(session.algorithm(), engine.algorithm);
     assert_eq!(session.local_shuffle(), engine.local_shuffle);
 
     // Surface 3: the service fleet embeds it as a public field.
@@ -47,7 +42,6 @@ fn every_surface_round_trips_the_same_engine_config() {
     // Surface 4: per-job options derive the per-job half — and nothing
     // machine-shaped that could disagree with the fleet they run on.
     let options = PermuteOptions::from_engine(&engine);
-    assert_eq!(options.algorithm, engine.algorithm);
     assert_eq!(options.local_shuffle, engine.local_shuffle);
     assert_eq!(options, engine.options());
 
@@ -68,19 +62,4 @@ fn every_surface_round_trips_the_same_engine_config() {
     let machine = CgmMachine::new(engine.cgm_config());
     let (via_raw, _) = cgp_core::permute_vec(&machine, data, &options);
     assert_eq!(via_raw, reference, "raw permute_vec diverged from one-shot");
-}
-
-#[test]
-fn deprecated_service_setters_still_delegate() {
-    // The renamed setters survive as thin shims so existing callers keep
-    // compiling (with a deprecation nudge) through the migration.
-    #[allow(deprecated)]
-    let via_shims = ServiceConfig::new(2)
-        .with_seed(77)
-        .with_transport(TransportKind::Threads);
-    let via_engine = ServiceConfig::new(2)
-        .seed(77)
-        .transport(TransportKind::Threads);
-    assert_eq!(via_shims, via_engine);
-    assert_eq!(via_shims.engine.seed, 77);
 }

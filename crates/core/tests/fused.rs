@@ -156,14 +156,12 @@ fn per_phase_metrics_and_total_elapsed_are_coherent() {
     }
 }
 
-/// Golden pin of the thread-transport engine: the permutations below were
-/// captured from the engine **before** the transport layer was extracted
-/// (seed 42, n = 32, p = 4, per backend).  The thread transport is the
-/// zero-overhead default fast path, so the refactor must be byte-invisible:
-/// the same seed reproduces these vectors exactly, one-shot and via a
-/// session.
+/// Golden pin of the fused engine: the permutations below were captured
+/// from the engine (seed 42, n = 32, p = 4, per backend) and must stay
+/// byte-identical across refactors of the fabric underneath — the same
+/// seed reproduces these vectors exactly, one-shot and via a session.
 #[test]
-fn thread_transport_reproduces_pre_transport_golden_permutations() {
+fn fused_engine_reproduces_golden_permutations() {
     let golden: [(MatrixBackend, [u64; 32]); 4] = [
         (
             MatrixBackend::Sequential,
@@ -199,13 +197,13 @@ fn thread_transport_reproduces_pre_transport_golden_permutations() {
         assert_eq!(
             permuter.sample_permutation(32),
             expected,
-            "{backend:?} one-shot diverged from the pre-transport golden vector"
+            "{backend:?} one-shot diverged from the golden vector"
         );
         let mut session = permuter.session::<u64>();
         assert_eq!(
             session.sample_permutation(32),
             expected,
-            "{backend:?} session diverged from the pre-transport golden vector"
+            "{backend:?} session diverged from the golden vector"
         );
     }
 }

@@ -36,10 +36,6 @@ use cgp_rng::RandomSource;
 /// `ln_factorial` evaluations and possibly a logarithm).
 pub const INVERSION_WALK_CUTOFF: f64 = 24.0;
 
-/// Former name of [`INVERSION_WALK_CUTOFF`], kept for source compatibility.
-#[deprecated(note = "dispatch is by expected walk length; use INVERSION_WALK_CUTOFF")]
-pub const INVERSION_SD_CUTOFF: f64 = INVERSION_WALK_CUTOFF;
-
 /// Explicit sampler selection, mostly for benchmarks and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SamplerKind {

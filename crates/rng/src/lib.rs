@@ -20,8 +20,6 @@
 //! * [`Pcg64`] — the main generator (PCG XSL RR 128/64), with
 //!   constant-time multi-stream support,
 //! * [`CountingRng`] — a transparent wrapper that counts every `u64` draw,
-//! * [`BlockRng`] — a block-refilled view that batches draws without
-//!   changing the served word stream (the bucketed shuffle's amortizer),
 //! * [`SeedSequence`] — derivation of per-processor seeds/streams,
 //! * [`RandomSource`] / [`RandomExt`] — the minimal trait the rest of the
 //!   workspace programs against, including unbiased bounded integers
@@ -30,7 +28,6 @@
 //! The crate also implements [`rand::RngCore`] for the concrete generators so
 //! that they can be plugged into third-party code when convenient.
 
-pub mod batch;
 pub mod counting;
 pub mod pcg;
 pub mod range;
@@ -38,7 +35,6 @@ pub mod splitmix;
 pub mod stream;
 pub mod traits;
 
-pub use batch::BlockRng;
 pub use counting::CountingRng;
 pub use pcg::Pcg64;
 pub use splitmix::SplitMix64;

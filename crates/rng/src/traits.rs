@@ -62,22 +62,6 @@ pub trait RandomExt: RandomSource {
         self.gen_f64() < p
     }
 
-    /// Fills `out` with uniformly random 64-bit words.
-    ///
-    /// The words are drawn in order with `next_u64`, so filling a block and
-    /// consuming it word by word replays exactly the stream a caller would
-    /// have seen drawing one at a time (this is what [`crate::BlockRng`]
-    /// builds on).  The point of the bulk form is performance: the refill
-    /// loop touches nothing but the generator state and a sequential output
-    /// buffer, so draws amortize instead of interleaving with the consumer's
-    /// memory traffic.
-    #[inline]
-    fn fill_u64(&mut self, out: &mut [u64]) {
-        for slot in out {
-            *slot = self.next_u64();
-        }
-    }
-
     /// In-place Fisher–Yates shuffle of a slice.
     ///
     /// This is the reference sequential algorithm against which the

@@ -6,9 +6,9 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
-use cgp_cgm::transport::wire::{wire_fns, WireFns};
 use cgp_core::Priority;
 
+use crate::codec::Wire;
 use crate::protocol::*;
 
 /// Why a client call failed.
@@ -116,12 +116,10 @@ enum Incoming<T> {
 /// many jobs can be in flight on one connection.  The server resolves
 /// them in completion order; the buffering re-marries frames to waits.
 ///
-/// The payload type `T` must have the same
-/// [`Wire`](cgp_cgm::transport::wire::Wire) codec registered as on the
-/// server; the hello handshake cross-checks the type name.
-pub struct Client<T: Send + 'static> {
+/// The payload type `T` must be the server's; the hello handshake
+/// cross-checks the type name.
+pub struct Client<T: Wire> {
     stream: Stream,
-    fns: WireFns<T>,
     hello: ServerHello,
     next_request: u64,
     /// Results (or per-request errors) that arrived while waiting on a
@@ -129,7 +127,7 @@ pub struct Client<T: Send + 'static> {
     pending: HashMap<u64, Result<Vec<T>, (ErrorCode, String)>>,
 }
 
-impl<T: Send + 'static> Client<T> {
+impl<T: Wire> Client<T> {
     /// Connects over a Unix domain socket.
     pub fn connect_uds(path: impl AsRef<Path>) -> Result<Self, ClientError> {
         Client::handshake(Stream::Unix(UnixStream::connect(path)?))
@@ -143,12 +141,6 @@ impl<T: Send + 'static> Client<T> {
     }
 
     fn handshake(mut stream: Stream) -> Result<Self, ClientError> {
-        let fns = wire_fns::<T>().ok_or_else(|| {
-            ClientError::Protocol(format!(
-                "payload type {} has no Wire codec; call register_wire first",
-                std::any::type_name::<T>()
-            ))
-        })?;
         let body = read_frame(&mut stream)?
             .ok_or_else(|| ClientError::Protocol("server closed before hello".into()))?;
         let mut frame = FrameReader::new(&body);
@@ -186,7 +178,6 @@ impl<T: Send + 'static> Client<T> {
         }
         Ok(Client {
             stream,
-            fns,
             hello,
             next_request: 0,
             pending: HashMap::new(),
@@ -215,7 +206,7 @@ impl<T: Send + 'static> Client<T> {
         body.extend_from_slice(&request_id.to_le_bytes());
         body.push(lane);
         body.extend_from_slice(&deadline_micros.to_le_bytes());
-        (self.fns.encode)(data, &mut body);
+        T::encode_into(data, &mut body);
         write_frame(&mut self.stream, &body)?;
         Ok(request_id)
     }
@@ -308,8 +299,7 @@ impl<T: Send + 'static> Client<T> {
                 let request_id = frame
                     .u64()
                     .ok_or_else(|| ClientError::Protocol("result frame truncated".into()))?;
-                let data = (self.fns.decode)(frame.tail())
-                    .map_err(|e| ClientError::Protocol(e.message))?;
+                let data = T::decode(frame.tail()).map_err(|e| ClientError::Protocol(e.message))?;
                 Ok(Incoming::Result { request_id, data })
             }
             Some(KIND_ERROR) => {
@@ -348,7 +338,7 @@ impl<T: Send + 'static> Client<T> {
     }
 }
 
-impl<T: Send + 'static> std::fmt::Debug for Client<T> {
+impl<T: Wire> std::fmt::Debug for Client<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Client")
             .field("hello", &self.hello)

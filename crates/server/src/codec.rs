@@ -1,38 +1,25 @@
-//! Wire codecs: how payload items cross a process boundary.
+//! Payload codecs: how `T` items cross the socket.
 //!
-//! The thread transport moves `Vec<T>` by value and needs none of this.  A
-//! transport that leaves the address space must serialize, and there is no
-//! serde here (all dependencies are vendored shims) — so the contract is a
-//! deliberately small trait, [`Wire`], with little-endian fixed-width
-//! implementations for the primitive types plus length-prefixed `String`.
-//!
-//! The executors stay generic over `T: Send + 'static` (nothing above the
-//! fabric grows a `Wire` bound).  Instead the process transport looks a
-//! codec up **at runtime** by `TypeId` when a fabric is opened: primitives
-//! are pre-registered, custom payload types opt in once via
-//! [`register_wire`], and an unregistered type fails fabric construction
-//! with [`crate::CgmError::TransportUnsupportedPayload`] — an error value,
-//! not a compile-time split of the whole API.
+//! There is no serde here (all dependencies are vendored shims), so the
+//! contract is a deliberately small trait, [`Wire`], with little-endian
+//! fixed-width implementations for the primitive types plus
+//! length-prefixed `String`.  [`crate::WireServer`] and [`crate::Client`]
+//! take it as an ordinary `T: Wire` bound: serving a payload type without a
+//! codec is a compile error, and a custom type opts in by implementing the
+//! trait.
 //!
 //! ```
-//! use cgp_cgm::transport::wire::{self, Wire};
+//! use cgp_server::Wire;
 //!
 //! let mut bytes = Vec::new();
 //! u64::encode_into(&[1, 2, 3], &mut bytes);
 //! assert_eq!(bytes.len(), 24);
 //! assert_eq!(u64::decode(&bytes).unwrap(), vec![1, 2, 3]);
-//!
-//! // Codecs for primitives are pre-registered for the process transport:
-//! assert!(wire::wire_fns::<u64>().is_some());
-//! assert!(wire::wire_fns::<Vec<u8>>().is_none()); // no codec, no fabric
 //! ```
 
-use std::any::{Any, TypeId};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
 
-/// A payload item that can cross a process boundary.
+/// A payload item that can cross the socket.
 ///
 /// Implementations must round-trip: `decode(encode_into(items)) == items`
 /// for every slice, and `decode` must reject malformed input with an error
@@ -67,72 +54,6 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
-
-/// The codec of one payload type, as the transport stores it: plain
-/// function pointers, so the registry can hand out copies without lifetime
-/// entanglement.
-pub struct WireFns<T> {
-    /// [`Wire::encode_into`] of the payload type.
-    pub encode: fn(&[T], &mut Vec<u8>),
-    /// [`Wire::decode`] of the payload type.
-    pub decode: fn(&[u8]) -> Result<Vec<T>, WireError>,
-}
-
-impl<T> Clone for WireFns<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> Copy for WireFns<T> {}
-
-fn registry() -> &'static Mutex<HashMap<TypeId, Box<dyn Any + Send + Sync>>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<TypeId, Box<dyn Any + Send + Sync>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut map = HashMap::new();
-        macro_rules! builtin {
-            ($($ty:ty),*) => {
-                $(map.insert(
-                    TypeId::of::<$ty>(),
-                    Box::new(WireFns::<$ty> {
-                        encode: <$ty as Wire>::encode_into,
-                        decode: <$ty as Wire>::decode,
-                    }) as Box<dyn Any + Send + Sync>,
-                );)*
-            };
-        }
-        builtin!(
-            u8, u16, u32, u64, u128, i8, i16, i32, i64, i128, usize, isize, f32, f64, bool, char,
-            String
-        );
-        Mutex::new(map)
-    })
-}
-
-/// Registers the codec of a custom [`Wire`] payload type, making it usable
-/// with the process transport.  Idempotent.
-pub fn register_wire<T: Wire>() {
-    registry().lock().unwrap_or_else(|e| e.into_inner()).insert(
-        TypeId::of::<T>(),
-        Box::new(WireFns::<T> {
-            encode: T::encode_into,
-            decode: T::decode,
-        }),
-    );
-}
-
-/// Looks the codec of `T` up: `Some` for primitives and every type passed
-/// through [`register_wire`], `None` otherwise.  This runtime lookup is
-/// what keeps the executor APIs at `T: Send + 'static` while the process
-/// transport still gets a typed codec.
-pub fn wire_fns<T: Send + 'static>() -> Option<WireFns<T>> {
-    registry()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .get(&TypeId::of::<T>())
-        .and_then(|any| any.downcast_ref::<WireFns<T>>())
-        .copied()
-}
 
 macro_rules! fixed_width_wire {
     ($($ty:ty),*) => {
@@ -298,11 +219,8 @@ mod tests {
     }
 
     #[test]
-    fn registry_knows_primitives_and_accepts_custom_types() {
-        assert!(wire_fns::<u64>().is_some());
-        assert!(wire_fns::<String>().is_some());
-
-        #[derive(Debug, PartialEq)]
+    fn custom_types_implement_the_trait() {
+        #[derive(Debug, PartialEq, Clone)]
         struct Meters(u64);
         impl Wire for Meters {
             fn encode_into(items: &[Self], out: &mut Vec<u8>) {
@@ -314,11 +232,6 @@ mod tests {
                 Ok(u64::decode(bytes)?.into_iter().map(Meters).collect())
             }
         }
-        assert!(wire_fns::<Meters>().is_none());
-        register_wire::<Meters>();
-        let fns = wire_fns::<Meters>().expect("registered");
-        let mut bytes = Vec::new();
-        (fns.encode)(&[Meters(7)], &mut bytes);
-        assert_eq!((fns.decode)(&bytes).unwrap(), vec![Meters(7)]);
+        round_trip(&[Meters(7), Meters(u64::MAX)]);
     }
 }

@@ -17,11 +17,11 @@
 //!   layout (hello / submit / result / error / metrics / shutdown); the
 //!   normative spec lives in `docs/wire-protocol.md`.
 //!
-//! Payload bytes ride the [`Wire`](cgp_cgm::transport::wire::Wire) codec
-//! registry from `cgp_cgm::transport` — the exact codecs the process
-//! transport uses — so any registered type crosses the socket unchanged,
-//! and a wire-submitted job returns the **byte-identical** permutation of
-//! an in-process `submit` with the same fleet seed.
+//! Payload bytes ride the [`Wire`] codecs in [`codec`]: the server and the
+//! client are generic over `T: Wire`, so any codable type crosses the
+//! socket unchanged, and a wire-submitted job returns the
+//! **byte-identical** permutation of an in-process `submit` with the same
+//! fleet seed.
 //!
 //! Results stream back in completion order, pushed by the fleet's
 //! completion core ([`cgp_core::JobTicket::on_complete`]): the server
@@ -42,11 +42,13 @@
 //! server.shutdown();
 //! ```
 
+pub mod codec;
 pub mod protocol;
 
 mod client;
 mod server;
 
 pub use client::{Client, ClientError, ServerHello, WireMetrics};
+pub use codec::{Wire, WireError};
 pub use protocol::{ErrorCode, Stream, CONNECTION_REQUEST_ID, MAX_FRAME_BYTES, PROTOCOL_VERSION};
 pub use server::{ServerError, WireServer};

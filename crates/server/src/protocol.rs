@@ -1,13 +1,10 @@
 //! The frame protocol shared by [`crate::WireServer`] and
 //! [`crate::Client`], plus the [`Stream`] abstraction spanning UDS and TCP.
 //!
-//! Little-endian throughout, mirroring the process-transport framing in
-//! `cgp_cgm::transport`: each frame is `len: u64` (byte length of the
+//! Little-endian throughout: each frame is `len: u64` (byte length of the
 //! body) followed by the body, whose first byte is the kind.  Payload
 //! bytes inside submit/result frames are produced and consumed by the
-//! [`Wire`](cgp_cgm::transport::wire::Wire) codecs — the same registry the
-//! process transport uses, so anything that can cross the fabric's process
-//! boundary can cross the front-end socket unchanged.
+//! payload type's [`Wire`](crate::Wire) codec (see [`crate::codec`]).
 //!
 //! | kind | dir | body layout after the kind byte |
 //! |------|-----|----------------------------------|

@@ -4,6 +4,7 @@
 //! I/O happens on the connection's writer thread, so a slow (or vanished)
 //! client can never wedge a dispatcher or stall another tenant.
 
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
@@ -11,12 +12,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
-use cgp_cgm::transport::wire::{wire_fns, WireFns};
 use cgp_cgm::CgmError;
 use cgp_core::{
     PermutationService, PermuteOptions, ServiceConfig, ServiceError, ServiceHandle, ServiceMetrics,
 };
 
+use crate::codec::Wire;
 use crate::protocol::*;
 
 /// Why a [`WireServer`] could not start.
@@ -26,11 +27,6 @@ pub enum ServerError {
     Io(std::io::Error),
     /// The permutation fleet behind the server could not be built.
     Service(CgmError),
-    /// The payload type has no [`Wire`](cgp_cgm::transport::wire::Wire)
-    /// codec registered — register one with
-    /// [`register_wire`](cgp_cgm::transport::wire::register_wire) before
-    /// binding (primitives are pre-registered).
-    UnregisteredPayload(&'static str),
 }
 
 impl std::fmt::Display for ServerError {
@@ -38,10 +34,6 @@ impl std::fmt::Display for ServerError {
         match self {
             ServerError::Io(e) => write!(f, "wire server I/O error: {e}"),
             ServerError::Service(e) => write!(f, "the permutation fleet could not start: {e}"),
-            ServerError::UnregisteredPayload(ty) => write!(
-                f,
-                "payload type {ty} has no Wire codec; call register_wire::<{ty}>() first"
-            ),
         }
     }
 }
@@ -51,7 +43,6 @@ impl std::error::Error for ServerError {
         match self {
             ServerError::Io(e) => Some(e),
             ServerError::Service(e) => Some(e),
-            ServerError::UnregisteredPayload(_) => None,
         }
     }
 }
@@ -98,7 +89,7 @@ enum WriterMsg {
     Close,
 }
 
-struct ServerInner<T: Send + 'static> {
+struct ServerInner<T: Wire> {
     /// `Some` until the first shutdown takes it (frame- or API-initiated —
     /// whichever comes first drains the fleet exactly once).
     service: Mutex<Option<PermutationService<T>>>,
@@ -107,17 +98,19 @@ struct ServerInner<T: Send + 'static> {
     final_metrics: Mutex<Option<ServiceMetrics>>,
     /// Per-job options for wire submissions (the service-wide defaults).
     options: PermuteOptions,
-    fns: WireFns<T>,
     hello: Vec<u8>,
     shutting_down: AtomicBool,
-    /// One writer-queue handle per connection, kept so shutdown can flush
-    /// and close them all.
-    conns: Mutex<Vec<mpsc::Sender<WriterMsg>>>,
+    /// The writer-queue handle of every live connection, by connection id,
+    /// so shutdown can flush and close them all.  A connection's reader
+    /// removes its own entry when it exits ([`ConnEntry`]); a handle kept
+    /// past that would keep the writer thread and its socket alive until
+    /// server shutdown.
+    conns: Mutex<HashMap<u64, mpsc::Sender<WriterMsg>>>,
     wake: WakeTarget,
     next_conn: AtomicU64,
 }
 
-impl<T: Send + 'static> ServerInner<T> {
+impl<T: Wire> ServerInner<T> {
     /// Drains and tears the whole server down; idempotent.  Every job
     /// accepted before this call still resolves — its result frame is
     /// queued by the completion callback during the drain, and only behind
@@ -138,7 +131,8 @@ impl<T: Send + 'static> ServerInner<T> {
             .conns
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
+            .drain()
+            .map(|(_, conn)| conn)
             .collect();
         for conn in conns {
             let _ = conn.send(WriterMsg::Close);
@@ -173,7 +167,7 @@ impl<T: Send + 'static> ServerInner<T> {
 /// byte-identical permutation of the same in-process `submit` (same fleet
 /// seed), because the payload codec and the scheduler are both
 /// deterministic — the transport is just bytes.
-pub struct WireServer<T: Send + 'static> {
+pub struct WireServer<T: Wire> {
     inner: Arc<ServerInner<T>>,
     acceptor: Option<JoinHandle<()>>,
     local_addr: Option<SocketAddr>,
@@ -181,7 +175,7 @@ pub struct WireServer<T: Send + 'static> {
     socket_path: Option<PathBuf>,
 }
 
-impl<T: Send + 'static> WireServer<T> {
+impl<T: Wire> WireServer<T> {
     /// Binds a Unix-domain-socket server at `path` (the file must not
     /// exist) and starts the fleet behind it.
     pub fn bind_uds(
@@ -229,8 +223,6 @@ impl<T: Send + 'static> WireServer<T> {
         config: ServiceConfig,
         options: PermuteOptions,
     ) -> Result<Self, ServerError> {
-        let fns = wire_fns::<T>()
-            .ok_or_else(|| ServerError::UnregisteredPayload(std::any::type_name::<T>()))?;
         let service =
             PermutationService::try_new(config, options.clone()).map_err(ServerError::Service)?;
         let mut hello = Vec::new();
@@ -247,10 +239,9 @@ impl<T: Send + 'static> WireServer<T> {
             service: Mutex::new(Some(service)),
             final_metrics: Mutex::new(None),
             options,
-            fns,
             hello,
             shutting_down: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             wake,
             next_conn: AtomicU64::new(0),
         });
@@ -304,7 +295,7 @@ impl<T: Send + 'static> WireServer<T> {
     }
 }
 
-impl<T: Send + 'static> Drop for WireServer<T> {
+impl<T: Wire> Drop for WireServer<T> {
     fn drop(&mut self) {
         self.inner.shutdown_service();
         if let Some(handle) = self.acceptor.take() {
@@ -316,7 +307,7 @@ impl<T: Send + 'static> Drop for WireServer<T> {
     }
 }
 
-fn acceptor_loop<T: Send + 'static>(listener: Listener, inner: Arc<ServerInner<T>>) {
+fn acceptor_loop<T: Wire>(listener: Listener, inner: Arc<ServerInner<T>>) {
     loop {
         let stream = match listener.accept() {
             Ok(stream) => stream,
@@ -359,13 +350,27 @@ fn writer_loop(mut stream: Stream, rx: mpsc::Receiver<WriterMsg>) {
     let _ = stream.shutdown();
 }
 
+/// A live connection's entry in [`ServerInner::conns`], removed when the
+/// reader exits by any path.  The writer thread then ends, closing the
+/// socket, once the last in-flight result frame has been queued.
+struct ConnEntry<'a, T: Wire> {
+    inner: &'a ServerInner<T>,
+    conn_id: u64,
+}
+
+impl<T: Wire> Drop for ConnEntry<'_, T> {
+    fn drop(&mut self) {
+        self.inner
+            .conns
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(&self.conn_id);
+    }
+}
+
 /// One connection's reader half: handshake, then a frame-dispatch loop
 /// until the client hangs up or the server shuts down.
-fn serve_connection<T: Send + 'static>(
-    mut stream: Stream,
-    conn_id: u64,
-    inner: Arc<ServerInner<T>>,
-) {
+fn serve_connection<T: Wire>(mut stream: Stream, conn_id: u64, inner: Arc<ServerInner<T>>) {
     // Mint this connection's tenant.  A server already shutting down
     // greets with a connection-level error instead of a hello.
     let handle: Option<ServiceHandle<T>> = inner
@@ -403,7 +408,11 @@ fn serve_connection<T: Send + 'static>(
         .conns
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .push(tx.clone());
+        .insert(conn_id, tx.clone());
+    let _entry = ConnEntry {
+        inner: &inner,
+        conn_id,
+    };
     let _ = tx.send(WriterMsg::Frame(inner.hello.clone()));
 
     let send_error = |request_id: u64, code: ErrorCode, message: &str| {
@@ -449,7 +458,7 @@ fn serve_connection<T: Send + 'static>(
                     );
                     continue;
                 };
-                let data = match (inner.fns.decode)(frame.tail()) {
+                let data = match T::decode(frame.tail()) {
                     Ok(data) => data,
                     Err(e) => {
                         send_error(request_id, ErrorCode::BadFrame, &e.message);
@@ -462,14 +471,13 @@ fn serve_connection<T: Send + 'static>(
                 match handle.try_submit_with(data, inner.options.clone(), priority) {
                     Ok(ticket) => {
                         let tx = tx.clone();
-                        let encode = inner.fns.encode;
                         ticket.on_complete(move |outcome| {
                             let body = match outcome {
                                 Ok((data, _report)) => {
                                     let mut body = Vec::with_capacity(9 + data.len() * 8);
                                     body.push(KIND_RESULT);
                                     body.extend_from_slice(&request_id.to_le_bytes());
-                                    (encode)(&data, &mut body);
+                                    T::encode_into(&data, &mut body);
                                     body
                                 }
                                 Err(e) => error_body(

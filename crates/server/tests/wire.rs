@@ -232,8 +232,13 @@ fn shutdown_with_connected_clients_drains_results_then_closes_sockets() {
     let ids: Vec<u64> = (0..3).map(|_| bystander.submit(&data).unwrap()).collect();
     // Synchronize: once metrics answers, every earlier frame on this
     // connection has been admitted, so the shutdown below must drain them.
+    // Any of the three pipelined jobs may already have completed.
     let before = bystander.metrics().unwrap();
-    assert_eq!(before.tenant_served, 1);
+    assert!(
+        (1..=4).contains(&before.tenant_served),
+        "served {} before the drain",
+        before.tenant_served
+    );
 
     // A wire-initiated shutdown from one connection...
     trigger.shutdown().unwrap();
