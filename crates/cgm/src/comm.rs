@@ -244,6 +244,19 @@ impl<T: Send> Communicator<T> {
         (0..self.procs).map(|from| self.recv(from, tag)).collect()
     }
 
+    /// Meters an all-to-all exchange whose payload moved outside the
+    /// channels (for instance by direct placement into a shared buffer):
+    /// `words_sent` words out and `words_received` words in, counted exactly
+    /// as [`Communicator::all_to_all`] counts them — one message to and one
+    /// from every other processor, self-delivery as volume only.
+    pub fn meter_all_to_all(&mut self, words_sent: u64, words_received: u64) {
+        let peers = self.procs as u64 - 1;
+        self.metrics.words_sent += words_sent;
+        self.metrics.messages_sent += peers;
+        self.metrics.words_received += words_received;
+        self.metrics.messages_received += peers;
+    }
+
     /// Barrier synchronisation with all other processors, marking the end of
     /// a superstep.
     ///
@@ -396,6 +409,25 @@ mod tests {
             assert_eq!(m.words_received, 10);
             assert_eq!(m.barriers, 1);
         }
+    }
+
+    #[test]
+    fn metered_all_to_all_counts_like_a_real_one() {
+        let p = 3;
+        let machine = CgmMachine::new(CgmConfig::new(p));
+        let row = |i: usize| -> Vec<usize> { (0..p).map(|j| i + 2 * j).collect() };
+        let real = machine.run(move |ctx| {
+            let outgoing = row(ctx.id()).into_iter().map(|w| vec![0u64; w]).collect();
+            let _ = ctx.comm_mut().all_to_all(outgoing, 0);
+        });
+        let metered = machine.run(move |ctx: &mut crate::ProcCtx<u64>| {
+            let id = ctx.id();
+            let sent: usize = row(id).iter().sum();
+            let received: usize = (0..p).map(|i| row(i)[id]).sum();
+            ctx.comm_mut()
+                .meter_all_to_all(sent as u64, received as u64);
+        });
+        assert_eq!(real.metrics().per_proc, metered.metrics().per_proc);
     }
 
     #[test]

@@ -339,7 +339,15 @@ pub enum BatchJobOutcome<R> {
 /// Job closures must be `'static` (the resident pool hands them to
 /// long-lived threads); shared inputs travel in `Arc`s, per-processor
 /// inputs in `Arc<[Mutex<Option<_>>]>` slot vectors taken by id.
-pub trait CgmExecutor<T: Send + 'static> {
+///
+/// The trait is **sealed**.  Callers may rely on both implementations
+/// running a job's closure at most once per processor, on the contexts of
+/// one fabric, and never after the run has returned — except that a
+/// [`crate::ResidentCgm`] returning [`CgmError::PoolShutDown`] may leave
+/// workers that already received the job still running it.  The
+/// permutation engine in `cgp-core` hands its workers raw access to the
+/// caller's buffers on exactly these terms.
+pub trait CgmExecutor<T: Send + 'static>: sealed::Sealed {
     /// The machine configuration (processor count and master seed).
     fn config(&self) -> CgmConfig;
 
@@ -412,6 +420,13 @@ pub trait CgmExecutor<T: Send + 'static> {
         Ok(outcomes)
     }
 }
+
+/// Seals [`CgmExecutor`] to this crate's two executors.
+pub(crate) mod sealed {
+    pub trait Sealed {}
+}
+
+impl sealed::Sealed for CgmMachine {}
 
 impl<T: Send + 'static> CgmExecutor<T> for CgmMachine {
     fn config(&self) -> CgmConfig {

@@ -271,6 +271,13 @@ impl<T: Send + 'static> ResidentCgm<T> {
     /// processor whose code failed) instead of unwinding the caller.  The
     /// fabric is recovered before this returns, so subsequent jobs are not
     /// poisoned.
+    ///
+    /// # Errors
+    /// [`CgmError::ProcessorPanicked`] is returned only after every worker
+    /// has left the job.  [`CgmError::PoolShutDown`] is not: it comes back
+    /// after a partial command send or a failed completion receive, when
+    /// workers that did receive the job may still be running it — anything
+    /// the job closure shares must stay alive (or be leaked) on that path.
     pub fn try_run<R, F>(&mut self, f: F) -> Result<RunOutcome<R>, CgmError>
     where
         R: Send + 'static,
@@ -362,6 +369,9 @@ impl<T: Send + 'static> ResidentCgm<T> {
     /// * per-sub-job [`MachineMetrics::elapsed`] is the maximum over
     ///   workers of each worker's own sub-job wall-clock (the coordinator
     ///   only observes the batch as a whole).
+    ///
+    /// As with [`ResidentCgm::try_run`], an outer [`CgmError::PoolShutDown`]
+    /// may leave workers still running a sub-job.
     pub fn try_run_batch<R, F>(&mut self, fs: Vec<F>) -> Result<Vec<BatchJobOutcome<R>>, CgmError>
     where
         R: Send + 'static,
@@ -544,6 +554,8 @@ impl<T: Send + 'static> Drop for ResidentCgm<T> {
         }
     }
 }
+
+impl<T: Send + 'static> crate::machine::sealed::Sealed for ResidentCgm<T> {}
 
 impl<T: Send + 'static> CgmExecutor<T> for ResidentCgm<T> {
     fn config(&self) -> CgmConfig {

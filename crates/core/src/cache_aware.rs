@@ -189,16 +189,29 @@ impl LocalShuffle {
     /// engine's staging capacity lives in `scratch` and is retained across
     /// calls.  The Fisher–Yates engine ignores the scratch (and leaves it
     /// untouched), so one scratch per call site serves every policy.
+    #[allow(clippy::ptr_arg)] // the owned-vector entry; see `shuffle_slice_with`
     pub fn shuffle_vec_with<T, R: RandomSource + ?Sized>(
         &self,
         rng: &mut R,
         data: &mut Vec<T>,
         scratch: &mut BucketScratch<T>,
     ) {
+        self.shuffle_slice_with(rng, data, scratch);
+    }
+
+    /// Slice form of [`LocalShuffle::shuffle_vec_with`], identical draw for
+    /// draw: permutes `data` in place without owning its allocation — the
+    /// form the pipeline workers use on their ranges of a shared buffer.
+    pub fn shuffle_slice_with<T, R: RandomSource + ?Sized>(
+        &self,
+        rng: &mut R,
+        data: &mut [T],
+        scratch: &mut BucketScratch<T>,
+    ) {
         match self.resolve_for::<T>(data.len()) {
             LocalShuffle::FisherYates => fisher_yates_shuffle(rng, data),
             LocalShuffle::Bucketed { bucket_items } => {
-                bucketed_shuffle_with(rng, data, bucket_items, scratch)
+                bucketed_shuffle_slice_with(rng, data, bucket_items, scratch)
             }
             LocalShuffle::Auto => unreachable!("resolve_for never returns Auto"),
         }
@@ -241,7 +254,8 @@ pub(crate) fn effective_bucket_items(n: usize, bucket_items: usize) -> usize {
     bucket_items.max(1).max(n.div_ceil(MAX_SCATTER_BUCKETS))
 }
 
-/// The scatter kernel every bucketed pass shares: drain `source` from its
+/// The scatter kernel of the index specialization (the slice form runs the
+/// same steps over a [`StagedSlice`]): drain `source` from its
 /// tail in windows of `window_items`, Fisher–Yates each (cache-resident)
 /// window in place, split it across the sinks by the multivariate
 /// hypergeometric law (Algorithm 2 against the sinks' `remaining` demand),
@@ -356,12 +370,12 @@ impl<T> Default for BucketScratch<T> {
 /// degenerates to one plain Fisher–Yates pass, byte-identical to
 /// [`fisher_yates_shuffle`] under the same generator state.
 ///
-/// Phase (a) drains the input from its tail in windows of `bucket_items`,
+/// Phase (a) takes the input from its tail in windows of `bucket_items`,
 /// shuffles each (cache-resident) window in place, samples the window's
 /// bucket counts from the multivariate hypergeometric law and moves the
-/// resulting consecutive runs into the per-bucket buffers with bulk drains;
-/// phase (b) shuffles each bucket in cache and concatenates into the
-/// emptied source allocation.  Random accesses therefore never span more
+/// resulting consecutive runs into the per-bucket buffers with bulk copies;
+/// phase (b) shuffles each bucket in cache and moves it back into the
+/// input, bucket after bucket.  Random accesses therefore never span more
 /// than one window or one bucket at a time — everything else is streaming.
 ///
 /// The permutation is exactly uniform for every choice of `bucket_items`
@@ -381,9 +395,22 @@ pub fn bucketed_shuffle<T, R: RandomSource + ?Sized>(
 /// Scratch-reusing form of [`bucketed_shuffle`]: all staging capacity lives
 /// in `scratch` and is retained across calls, so a warm steady state makes
 /// no per-item allocations.
+#[allow(clippy::ptr_arg)] // the owned-vector entry; see `bucketed_shuffle_slice_with`
 pub fn bucketed_shuffle_with<T, R: RandomSource + ?Sized>(
     rng: &mut R,
     data: &mut Vec<T>,
+    bucket_items: usize,
+    scratch: &mut BucketScratch<T>,
+) {
+    bucketed_shuffle_slice_with(rng, data, bucket_items, scratch);
+}
+
+/// Slice form of [`bucketed_shuffle_with`], identical draw for draw: the
+/// scatter moves each window's runs from the tail of `data` into the bucket
+/// staging, and phase (b) moves every shuffled bucket back from the front.
+pub fn bucketed_shuffle_slice_with<T, R: RandomSource + ?Sized>(
+    rng: &mut R,
+    data: &mut [T],
     bucket_items: usize,
     scratch: &mut BucketScratch<T>,
 ) {
@@ -396,20 +423,123 @@ pub fn bucketed_shuffle_with<T, R: RandomSource + ?Sized>(
     let sizes = bucket_sizes(n, bucket_items);
     let k = sizes.len();
     scratch.prepare(&sizes);
+    let BucketScratch {
+        buckets,
+        remaining,
+        row,
+    } = scratch;
+    let mut staged = StagedSlice::new(data, &mut buckets[..k]);
 
-    scatter_windows(
-        rng,
-        data,
-        bucket_items,
-        &mut scratch.remaining,
-        &mut scratch.row,
-        &mut scratch.buckets[..k],
-    );
+    // Phase (a): the scatter of `scatter_windows`, over the live prefix.
+    while staged.live() > 0 {
+        let take = bucket_items.min(staged.live());
+        let start = staged.live() - take;
+        fisher_yates_shuffle(rng, &mut staged.live_mut()[start..]);
+        cgp_hypergeom::multivariate_hypergeometric_into(rng, take as u64, remaining, row);
+        for (s, &count) in row.iter().enumerate() {
+            if count > 0 {
+                remaining[s] -= count;
+                staged.stage_tail(s, count as usize);
+            }
+        }
+        debug_assert_eq!(staged.live(), start, "the row sums to the window size");
+    }
 
-    // Phase (b), reusing the emptied source allocation as the output.
-    for bucket in &mut scratch.buckets[..k] {
-        fisher_yates_shuffle(rng, bucket);
-        data.append(bucket);
+    // Phase (b): shuffle each bucket in cache and move it back in order.
+    for s in 0..k {
+        fisher_yates_shuffle(rng, staged.bucket_mut(s));
+        staged.unstage(s);
+    }
+}
+
+/// A slice whose tail `data[live..]` has been moved out into bucket
+/// staging: `live` items sit at the front, and the buckets hold exactly
+/// `len - live` items between them.
+///
+/// Every move is a bitwise copy followed by a length update, with nothing
+/// that can panic in between, so the count invariant holds at every panic
+/// point (the random draws in between are the only code that can unwind).
+/// On drop — normal or unwinding — whatever the buckets still hold is moved
+/// back into the tail, so the caller's slice is always left holding each
+/// of its items exactly once.
+struct StagedSlice<'a, T> {
+    ptr: *mut T,
+    len: usize,
+    live: usize,
+    buckets: &'a mut [Vec<T>],
+    _data: std::marker::PhantomData<&'a mut [T]>,
+}
+
+impl<'a, T> StagedSlice<'a, T> {
+    fn new(data: &'a mut [T], buckets: &'a mut [Vec<T>]) -> Self {
+        debug_assert!(buckets.iter().all(Vec::is_empty));
+        StagedSlice {
+            ptr: data.as_mut_ptr(),
+            len: data.len(),
+            live: data.len(),
+            buckets,
+            _data: std::marker::PhantomData,
+        }
+    }
+
+    fn live(&self) -> usize {
+        self.live
+    }
+
+    fn live_mut(&mut self) -> &mut [T] {
+        // SAFETY: `data[..live]` holds initialized items that nothing else
+        // references; the borrow of `self` keeps it exclusive.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.live) }
+    }
+
+    fn bucket_mut(&mut self, s: usize) -> &mut [T] {
+        &mut self.buckets[s]
+    }
+
+    /// Moves the last `count` live items onto the end of bucket `s`.
+    fn stage_tail(&mut self, s: usize, count: usize) {
+        assert!(count <= self.live);
+        let bucket = &mut self.buckets[s];
+        bucket.reserve(count);
+        let from = self.live - count;
+        // SAFETY: `data[from..live]` is initialized and leaves the live
+        // prefix below; the bucket has room for `count` more items.  The
+        // copy and both length updates cannot panic.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                self.ptr.add(from),
+                bucket.as_mut_ptr().add(bucket.len()),
+                count,
+            );
+            bucket.set_len(bucket.len() + count);
+        }
+        self.live = from;
+    }
+
+    /// Moves all of bucket `s` into the slice right after the live prefix.
+    fn unstage(&mut self, s: usize) {
+        let bucket = &mut self.buckets[s];
+        let count = bucket.len();
+        assert!(self.live + count <= self.len);
+        // SAFETY: `data[live..live + count]` is moved-out space (the buckets
+        // hold `len - live >= count` items); the bucket forgets the items it
+        // hands over.  The copy and both length updates cannot panic.
+        unsafe {
+            std::ptr::copy_nonoverlapping(bucket.as_ptr(), self.ptr.add(self.live), count);
+            bucket.set_len(0);
+        }
+        self.live += count;
+    }
+}
+
+impl<T> Drop for StagedSlice<'_, T> {
+    fn drop(&mut self) {
+        // `unstage` cannot panic here: the buckets hold exactly the
+        // `len - live` items that fit the tail.
+        for s in 0..self.buckets.len() {
+            self.unstage(s);
+        }
+        debug_assert_eq!(self.live, self.len);
     }
 }
 
@@ -595,6 +725,107 @@ mod tests {
         bucketed_shuffle(&mut a, &mut x, 1_024);
         bucketed_shuffle_with(&mut b, &mut y, 1_024, &mut scratch);
         assert_eq!(x, y);
+    }
+
+    /// The owned-vector bucketed shuffle as it was before the slice form:
+    /// drain the windows with `scatter_windows`, append the buckets back.
+    fn vec_bucketed_reference<T, R: RandomSource>(
+        rng: &mut R,
+        data: &mut Vec<T>,
+        bucket_items: usize,
+    ) {
+        let n = data.len();
+        let bucket_items = effective_bucket_items(n, bucket_items);
+        if n <= bucket_items {
+            fisher_yates_shuffle(rng, data);
+            return;
+        }
+        let mut scratch = BucketScratch::new();
+        scratch.prepare(&bucket_sizes(n, bucket_items));
+        let BucketScratch {
+            buckets,
+            remaining,
+            row,
+        } = &mut scratch;
+        scatter_windows(rng, data, bucket_items, remaining, row, buckets);
+        for bucket in buckets.iter_mut() {
+            fisher_yates_shuffle(rng, bucket);
+            data.append(bucket);
+        }
+    }
+
+    #[test]
+    fn slice_form_equals_the_vec_form_draw_for_draw() {
+        let mut scratch = BucketScratch::new();
+        for (seed, n, bucket) in [(50, 0, 32), (51, 1, 32), (52, 257, 32), (53, 5000, 32)]
+            .into_iter()
+            .chain([(54, 10_000, 1), (55, 4_096, 4_096), (56, 3_001, 100)])
+        {
+            let mut a = Pcg64::seed_from_u64(seed);
+            let mut b = Pcg64::seed_from_u64(seed);
+            let mut c = CountingRng::new(Pcg64::seed_from_u64(seed));
+            let mut d = CountingRng::new(Pcg64::seed_from_u64(seed));
+            let mut via_vec: Vec<u64> = (0..n).collect();
+            let mut via_slice = via_vec.clone();
+            bucketed_shuffle_with(&mut a, &mut via_vec, bucket, &mut scratch);
+            bucketed_shuffle_slice_with(&mut b, &mut via_slice[..], bucket, &mut scratch);
+            assert_eq!(via_vec, via_slice, "n = {n}, bucket = {bucket}");
+
+            let mut reference: Vec<u64> = (0..n).collect();
+            vec_bucketed_reference(&mut c, &mut reference, bucket);
+            let mut slice: Vec<u64> = (0..n).collect();
+            bucketed_shuffle_slice_with(&mut d, &mut slice[..], bucket, &mut scratch);
+            assert_eq!(slice, reference, "n = {n}, bucket = {bucket}");
+            assert_eq!(c.count(), d.count(), "same number of draws");
+        }
+    }
+
+    #[test]
+    fn a_panicking_generator_leaves_the_slice_whole() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        /// Panics on its `limit`-th draw.
+        struct Fuse(Pcg64, u64);
+        impl RandomSource for Fuse {
+            fn next_u64(&mut self) -> u64 {
+                self.1 = self.1.checked_sub(1).expect("the fuse blew");
+                self.0.next_u64()
+            }
+        }
+        /// Counts its live instances.
+        struct Tracked(u64, Rc<Cell<i64>>);
+        impl Drop for Tracked {
+            fn drop(&mut self) {
+                self.1.set(self.1.get() - 1);
+            }
+        }
+
+        let live = Rc::new(Cell::new(0i64));
+        let n = 2_000u64;
+        // Draw budgets that blow in the first window, mid-scatter, between
+        // the phases and inside phase (b).
+        for limit in [3u64, 700, 2_000, 2_100, 3_500] {
+            let mut data: Vec<Tracked> = (0..n)
+                .map(|i| {
+                    live.set(live.get() + 1);
+                    Tracked(i, Rc::clone(&live))
+                })
+                .collect();
+            let mut scratch = BucketScratch::new();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut rng = Fuse(Pcg64::seed_from_u64(limit), limit);
+                bucketed_shuffle_slice_with(&mut rng, &mut data[..], 64, &mut scratch);
+            }));
+            assert!(outcome.is_err(), "limit {limit}: the fuse blows");
+            assert_eq!(scratch.buckets.iter().map(Vec::len).sum::<usize>(), 0);
+            assert_eq!(live.get(), n as i64, "limit {limit}: nothing dropped");
+            let mut ids: Vec<u64> = data.iter().map(|t| t.0).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, (0..n).collect::<Vec<u64>>(), "limit {limit}");
+            drop(data);
+            assert_eq!(live.get(), 0, "limit {limit}: each item dropped once");
+        }
     }
 
     #[test]

@@ -37,19 +37,20 @@
 //!   work-optimal per round but *not* uniform for any fixed number of
 //!   rounds.
 //!
-//! ## Zero-copy exchange and the `T: Send` bound
+//! ## Direct-placement exchange and the `T: Send` bound
 //!
-//! The data exchange of Algorithm 1 is move-based end to end: blocks are cut
-//! with tail drains, payloads travel through the machine by value, and the
-//! receive side concatenates into a buffer pre-sized from the prescribed
-//! `m'_j`.  Items are never cloned, so [`permute_blocks`]/[`permute_vec`]
-//! (and the [`Permuter`] facade) only require `T: Send`.  Three tiers of
-//! allocation behaviour are available:
+//! The data exchange of Algorithm 1 moves each item once: every worker
+//! shuffles its block in place in the caller's vector and copies each run
+//! straight to its final slot in a spare buffer, which then becomes the
+//! caller's vector (see the [`parallel`] module docs).  Items are never
+//! cloned, so [`permute_blocks`]/[`permute_vec`] (and the [`Permuter`]
+//! facade) only require `T: Send`.  Four tiers of allocation behaviour are
+//! available:
 //!
-//! 1. [`permute_vec`] — one-shot, allocates its intermediates per call;
-//! 2. [`permute_vec_into`] + [`PermuteScratch`] — recycles the per-processor
-//!    block and outgoing-vector allocations across calls (steady-state
-//!    loops allocate only channel envelopes);
+//! 1. [`permute_vec`] — one-shot, allocates its spare buffer per call;
+//! 2. [`permute_vec_into`] + [`PermuteScratch`] — recycles the spare buffer
+//!    and the shuffle staging across calls (steady-state loops ping-pong
+//!    between two allocations);
 //! 3. [`Permuter::session`] / [`PermutationSession`] — the steady-state
 //!    tier: a **resident worker pool** plus a scratch, so repeated
 //!    permutations also skip the per-call thread spawns and channel

@@ -37,18 +37,18 @@
 //!    scatter the rows, as the paper prescribes; the parallel backends run
 //!    Algorithms 5/6 across all workers — each worker ends up holding its
 //!    own row of `A`;
-//! 3. cuts its shuffled block along that row, runs the all-to-all exchange
-//!    on the data plane, concatenates and re-shuffles (supersteps 2–3).
+//! 3. copies each run of its shuffled block straight to the run's final
+//!    slot in the output and re-shuffles its target block (supersteps 2–3;
+//!    see the direct-placement exchange below).
 //!
 //! No second machine is ever built: on a [`cgp_cgm::ResidentCgm`]-backed
 //! [`crate::PermutationSession`] a steady-state permutation therefore makes
 //! **zero thread spawns and zero channel-fabric constructions** for *every*
 //! backend, including `ParallelLog`/`ParallelOptimal` (which previously
-//! sampled on a freshly spawned one-shot machine per call).  The two
-//! channel planes keep the phases separately metered:
-//! [`PermutationReport::matrix_metrics`] carries the word-plane (matrix)
-//! traffic, [`PermutationReport::exchange_metrics`] the data-plane
-//! (payload) traffic.
+//! sampled on a freshly spawned one-shot machine per call).  The phases
+//! stay separately metered: [`PermutationReport::matrix_metrics`] carries
+//! the word-plane (matrix) traffic, [`PermutationReport::exchange_metrics`]
+//! the payload exchange.
 //!
 //! The engine speaks only through [`CgmExecutor`], so the one-shot machine
 //! and the resident pool produce the byte-identical permutation for the
@@ -69,24 +69,54 @@
 //! for large machines or small blocks.  Measure with `exp_crossover` /
 //! `exp_fused` on your host when in doubt.
 //!
-//! # Zero-copy exchange
+//! # Direct-placement exchange
 //!
-//! The data-exchange phase is **move-based end to end**: the shuffled block
-//! is cut into the `a_ij` runs by draining its tail (each item is moved
-//! exactly once, never cloned), the payload vectors travel through
-//! [`cgp_cgm::Communicator::all_to_all`] by value, and the receive side
-//! concatenates with `Vec::append` into a buffer pre-sized from the
-//! prescribed target size `m'_j` — so `O(m)` memory per processor holds with
-//! a constant factor of one, matching Theorem 1's cost model.  Consequently
-//! the item type only needs to be `Send`; `Clone` is *not* required.
+//! In shared memory every run `(i, j)` already has a fixed home in the
+//! output: target block `j` starts at `Σ_{l<j} m'_l`, and run `(i, j)` sits
+//! at offset `Σ_{k<i} a_kj` inside it.  So beyond the algorithm's two
+//! shuffles each item is copied exactly once:
 //!
-//! Callers that permute repeatedly can go further and recycle every
-//! intermediate allocation across calls with [`permute_vec_into`] and a
-//! [`PermuteScratch`]; callers whose payloads are not `Send` (or are too
-//! heavy to ship through channels) can permute indices once with
-//! [`crate::Permuter::sample_permutation`] and gather locally with
-//! [`crate::apply_permutation`].
+//! * **Superstep 1** shuffles worker `i`'s block in place, inside the
+//!   caller's vector, and publishes row `i` of `A` into a per-job `p × p`
+//!   table.  One barrier follows.
+//! * **Superstep 2**: worker `j` reads its run offsets from the table and
+//!   copies every run `(i, j)` bitwise to its final slot in the spare
+//!   buffer of the [`PermuteScratch`].  Each target block is thus filled by
+//!   the worker that shuffles it next: the copies stream, and the shuffle
+//!   finds its block in its own cache.
+//! * **Superstep 3** shuffles worker `j`'s target block of the spare in
+//!   place.
+//!
+//! The caller then swaps the two allocations: `data` comes back in the
+//! scratch's former spare (capacity at least `n`), and the scratch keeps the
+//! caller's old allocation as the next call's spare.  Items are moved, never
+//! cloned, so the item type only needs to be `Send`; `Clone` is *not*
+//! required.  Memory is the input plus one spare of the same size.  The
+//! exchange is metered from the row of `A` exactly as a channel all-to-all
+//! would be (`m_i` words out, `m'_j` words in, one message per peer), so
+//! the Theorem 1 volume figures read the same as over channels.
+//!
+//! ## Leak on panic
+//!
+//! While a run is in flight the two allocations belong to no `Vec`: the
+//! workers reach them through one audited raw hand-off (`Handoff`, whose
+//! docs hold the safety protocol).  If a worker panics, an item may sit in
+//! the input, in the output, or bitwise in both, so the engine forgets the
+//! items rather than risk dropping one twice: they are **leaked** (their
+//! destructors never run), `data` comes back empty, and the scratch may
+//! come back cold.  If a worker may still be running when the executor
+//! returns — a resident pool that shut down mid-dispatch — both
+//! allocations are leaked as well.  Plain-data payloads lose nothing but
+//! the failed job's items.
+//!
+//! Callers that permute repeatedly recycle the spare and the shuffle
+//! staging across calls with [`permute_vec_into`] and a [`PermuteScratch`];
+//! callers whose payloads are not `Send` (or are too heavy to move around)
+//! can permute indices once with [`crate::Permuter::sample_permutation`] and
+//! gather locally with [`crate::apply_permutation`].
 
+use std::mem::ManuallyDrop;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -126,7 +156,7 @@ pub struct PermutationReport {
     /// workers of the time spent inside the in-context sampler.
     pub matrix_elapsed: Duration,
     /// In-run wall-clock time of the data phase: the maximum over workers
-    /// of the time spent in the shuffle + cut + exchange + shuffle steps.
+    /// of the time spent in the shuffle + gather + shuffle steps.
     pub exchange_elapsed: Duration,
     /// In-run wall-clock time of the local shuffles alone: the maximum
     /// over workers of superstep-1 plus superstep-3 shuffle time.  This is
@@ -140,7 +170,8 @@ pub struct PermutationReport {
     /// processor 0 (at `p = 1` that scatter degenerates to one metered
     /// self-send; the parallel backends move nothing at all there).
     pub matrix_metrics: MachineMetrics,
-    /// Metered data-plane communication of the exchange phase.
+    /// Metered communication of the exchange phase (data plane; the
+    /// direct-placement exchange meters it from the row of `A`).
     pub exchange_metrics: MachineMetrics,
     /// The sampled communication matrix, if `keep_matrix` was requested.
     pub matrix: Option<CommMatrix>,
@@ -179,22 +210,22 @@ impl PermutationReport {
     }
 }
 
-/// Reusable buffers for [`permute_vec_into`]: the per-processor block
-/// vectors and the per-processor outgoing payload vectors of the exchange.
+/// Reusable buffers for [`permute_vec_into`]: one spare payload buffer and
+/// the per-processor staging of the bucketed local shuffle.
 ///
-/// A fresh scratch starts empty and warms up over the first couple of
-/// calls: the block buffers are sized by the first call, and each exchange
-/// buffer ratchets up once to the larger of the two run lengths it carries
-/// (buffers ping-pong between the `i → j` and `j → i` directions).  From
-/// then on, same-shaped calls retain every capacity and make no per-item
-/// allocations — only `O(p)` bookkeeping, the sampled matrix and the
-/// channel envelopes remain.
+/// The engine permutes out of place, from the caller's vector into the
+/// spare, and then swaps the two allocations: after a call `data` holds the
+/// spare's former allocation (capacity at least `n`) and the scratch keeps
+/// the caller's old one as the next call's spare.  Same-shaped calls
+/// therefore ping-pong between two allocations and, once both are sized,
+/// make no per-item allocation — only `O(p²)` bookkeeping and the sampled
+/// matrix remain.  After a failed call the scratch may come back cold (see
+/// the module docs on leaks).
 #[derive(Debug)]
 pub struct PermuteScratch<T> {
-    /// Per-processor block buffers (emptied, capacity retained).
-    blocks: Vec<Vec<T>>,
-    /// Per-processor recycled outgoing payload buffers.
-    outgoing: Vec<Vec<Vec<T>>>,
+    /// The buffer the next call places its output into (empty, capacity
+    /// retained).
+    spare: Vec<T>,
     /// Per-processor staging buffers for the bucketed local-shuffle engine
     /// (empty — and never touched — while the resolved engine is
     /// Fisher–Yates).
@@ -205,24 +236,17 @@ impl<T> PermuteScratch<T> {
     /// An empty scratch; buffers grow on first use and are retained after.
     pub fn new() -> Self {
         PermuteScratch {
-            blocks: Vec::new(),
-            outgoing: Vec::new(),
+            spare: Vec::new(),
             buckets: Vec::new(),
         }
     }
 
-    /// Total capacity (in items) currently retained across the block,
-    /// exchange and bucket-staging buffers — a cheap observability hook for
+    /// Total capacity (in items) currently retained across the spare and
+    /// bucket-staging buffers — a cheap observability hook for
     /// allocation-reuse tests (a converged scratch reports the same value
     /// call after call).
     pub fn retained_capacity(&self) -> usize {
-        self.blocks.iter().map(|b| b.capacity()).sum::<usize>()
-            + self
-                .outgoing
-                .iter()
-                .flatten()
-                .map(|b| b.capacity())
-                .sum::<usize>()
+        self.spare.capacity()
             + self
                 .buckets
                 .iter()
@@ -251,120 +275,344 @@ fn validate_block_count(p: usize, blocks: usize) {
     );
 }
 
-/// What one virtual processor takes into the exchange: its block plus the
-/// recycled outgoing payload buffers and bucketed-shuffle staging from a
-/// previous call (both possibly empty).
-type ProcPayload<T> = (Vec<T>, Vec<Vec<T>>, BucketScratch<T>);
+/// The lease bit [`Handoff::vacate`] sets; the bits below count the workers
+/// inside the run.
+const CLOSED: usize = 1 << (usize::BITS - 1);
 
-/// What one virtual processor hands back from the fused run: its permuted
-/// block, the emptied payload shells, its bucket staging, its row of `A`,
-/// and its in-run phase timings (matrix, data, local shuffles).
-type ProcResult<T> = (
-    Vec<T>,
-    Vec<Vec<T>>,
-    BucketScratch<T>,
-    Vec<u64>,
-    Duration,
-    Duration,
-    Duration,
-);
-
-/// What the engine hands back: the permuted blocks, the emptied payload
-/// shells and bucket staging (capacities retained, ready to be the next
-/// call's scratch), and the run report.
-type EngineOutput<T> = (
-    Vec<Vec<T>>,
-    Vec<Vec<Vec<T>>>,
-    Vec<BucketScratch<T>>,
-    PermutationReport,
-);
-
-/// One permutation job, staged and ready to run on an executor: the
-/// per-processor payload slots plus the resolved run parameters.
+/// The caller's input vector and spare buffer as raw parts, owned by no
+/// `Vec` for the length of one run.
 ///
-/// Building a plan *moves* the caller's items into the slots.  The worker
-/// closure ([`worker_closure`]) takes each slot exactly once; a plan whose
-/// closure never ran (a skipped sub-job in a batch) still holds every item
-/// and can be dismantled again with [`Arc::try_unwrap`] — that reversibility
-/// is what lets a scheduler requeue skipped jobs intact.
-struct JobPlan<T> {
-    slots: Arc<Vec<Mutex<Option<ProcPayload<T>>>>>,
-    source_sizes: Arc<Vec<u64>>,
-    target_sizes: Arc<Vec<u64>>,
+/// # Safety protocol
+///
+/// This is the engine's one hand-off of raw storage.  Workers reach it only
+/// from inside an [`Handoff::enter`] lease, and only in this order (`s_i`
+/// and `t_j` are the first indices of source block `i` and target block `j`):
+///
+/// 1. **Superstep 1.**  Worker `i` shuffles `input[s_i .. s_i + m_i]`, its
+///    own source block ([`Handoff::block`]), then publishes row `i` of `A`
+///    and waits at the job's one barrier.  Past the barrier nobody writes
+///    to `input` again.
+/// 2. **Superstep 2.**  Worker `j` copies run `(i, j)` — the `a_ij` items
+///    of source block `i` that follow its runs for lower targets — bitwise
+///    to `output[t_j + Σ_{k<i} a_kj ..]` ([`Handoff::place`]), for every
+///    `i`.  Before each copy it checks that the run lies inside its source
+///    and target blocks, so the copies stay in bounds whatever the sampler
+///    returned, and after the last that the runs fill target block `j`.
+/// 3. **Superstep 3.**  Worker `j` shuffles `output[t_j .. t_j + m'_j]`,
+///    which it alone has just filled ([`Handoff::target_block`]).
+///
+/// Source blocks are each written by one worker before the barrier and
+/// only read after it; target blocks are each touched by one worker only.
+/// Runs of one source block are disjoint (row prefix sums), so after a
+/// completed run every item sits in `output` exactly once and `input` holds
+/// only moved-out bits.
+///
+/// The caller reclaims the storage once, after the run ([`reclaim`]):
+///
+/// * **Done** — `output` becomes the caller's vector, `input` the empty
+///   spare.
+/// * **Skipped** — the closure never ran; `input` comes back untouched and
+///   `output` as the empty spare.
+/// * **Failed** — [`Handoff::vacate`] closes the lease.  With no worker
+///   inside, both allocations come back with length 0: an item may be in
+///   `input`, in `output` or bitwise in both, so it is leaked (its
+///   destructor never runs) rather than risk dropping it twice.  With a
+///   worker possibly inside, both allocations are leaked whole.  That is
+///   the resident pool's early return: `ResidentCgm::try_run` and
+///   `try_run_batch` report `PoolShutDown` after a partial command send or
+///   a failed completion receive, while workers that did get the command
+///   may still be running and writing.
+///
+/// The two executors run a job's closure at most once per processor, and
+/// never after the run returns — the [`CgmExecutor`] trait is sealed so no
+/// other executor can break that.  A worker that reaches
+/// [`Handoff::enter`] after the lease closed panics before touching
+/// anything.
+struct Handoff<T> {
+    input: *mut T,
+    input_capacity: usize,
+    output: *mut T,
+    output_capacity: usize,
+    len: usize,
+    /// [`CLOSED`] once the caller vacated the run, plus the number of
+    /// workers inside it.
+    lease: AtomicUsize,
+}
+
+// SAFETY: `input` and `output` point to storage of `T`s that threads move
+// items in and out of along the protocol above, which needs `T: Send`; the
+// capacities and `len` are plain values and `lease` is atomic.
+unsafe impl<T: Send> Send for Handoff<T> {}
+// SAFETY: shared access writes the pointed-to storage only in ranges the
+// protocol gives one thread at a time, and never hands out `&T` across
+// threads, so `T: Send` suffices; the other fields are read-only or atomic.
+unsafe impl<T: Send> Sync for Handoff<T> {}
+
+/// A worker's presence inside a run, released on drop (also when the
+/// worker unwinds).
+struct Inside<'a>(&'a AtomicUsize);
+
+impl Drop for Inside<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+impl<T> Handoff<T> {
+    /// Takes the caller's items and the spare (emptied and grown to hold
+    /// them) out of their vectors.
+    fn new(input: Vec<T>, mut spare: Vec<T>) -> Self {
+        spare.clear();
+        spare.reserve(input.len());
+        let mut input = ManuallyDrop::new(input);
+        let mut spare = ManuallyDrop::new(spare);
+        Handoff {
+            input: input.as_mut_ptr(),
+            input_capacity: input.capacity(),
+            output: spare.as_mut_ptr(),
+            output_capacity: spare.capacity(),
+            len: input.len(),
+            lease: AtomicUsize::new(0),
+        }
+    }
+
+    /// Enters the run on behalf of one worker.
+    ///
+    /// # Panics
+    /// Panics, touching nothing, if the caller already vacated the run.
+    fn enter(&self) -> Inside<'_> {
+        let inside = Inside(&self.lease);
+        let before = self.lease.fetch_add(1, Ordering::AcqRel);
+        assert!(
+            before & CLOSED == 0,
+            "a worker entered a permutation job after its run ended"
+        );
+        inside
+    }
+
+    /// Closes the lease; true when no worker is inside the run, so none
+    /// can touch the storage any more.
+    fn vacate(&self) -> bool {
+        self.lease.fetch_or(CLOSED, Ordering::AcqRel) & !CLOSED == 0
+    }
+
+    /// Source block `start .. start + len` (protocol step 1).
+    ///
+    /// # Safety
+    /// The caller holds a lease, owns this block under the protocol, and the
+    /// block is initialized and in bounds.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn block(&self, start: usize, len: usize) -> &mut [T] {
+        debug_assert!(start + len <= self.len);
+        std::slice::from_raw_parts_mut(self.input.add(start), len)
+    }
+
+    /// Copies `count` items from `input[from..]` to `output[to..]` (protocol
+    /// step 2).
+    ///
+    /// # Safety
+    /// The caller holds a lease, no worker writes the input range any more,
+    /// the caller owns the output range, and both are in bounds.
+    unsafe fn place(&self, from: usize, to: usize, count: usize) {
+        debug_assert!(from + count <= self.len && to + count <= self.len);
+        std::ptr::copy_nonoverlapping(self.input.add(from), self.output.add(to), count);
+    }
+
+    /// The input allocation as a vector of its first `len` items.
+    ///
+    /// # Safety
+    /// The lease is vacant, this allocation is reclaimed only once, and
+    /// `input[..len]` holds live items.
+    unsafe fn input_vec(&self, len: usize) -> Vec<T> {
+        Vec::from_raw_parts(self.input, len, self.input_capacity)
+    }
+
+    /// The output allocation as a vector of its first `len` items.
+    ///
+    /// # Safety
+    /// As for [`Handoff::input_vec`].
+    unsafe fn output_vec(&self, len: usize) -> Vec<T> {
+        Vec::from_raw_parts(self.output, len, self.output_capacity)
+    }
+
+    /// Target block `start .. start + len` (protocol step 3).
+    ///
+    /// # Safety
+    /// The caller holds a lease, owns this block under the protocol, and
+    /// has placed every run of it.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn target_block(&self, start: usize, len: usize) -> &mut [T] {
+        debug_assert!(start + len <= self.len);
+        std::slice::from_raw_parts_mut(self.output.add(start), len)
+    }
+}
+
+/// How a run ended, for [`reclaim`].
+enum RunEnd {
+    /// Every worker completed: the output is whole.
+    Done,
+    /// The closure never ran: the input is untouched.
+    Skipped,
+    /// A worker panicked, or the executor failed as a whole.
+    Failed,
+}
+
+/// What one virtual processor hands back from the fused run: its row of
+/// `A` and its in-run phase timings (matrix, data, local shuffles).
+type ProcResult = (Vec<u64>, Duration, Duration, Duration);
+
+/// One permutation job, staged and ready to run on an executor, shared by
+/// the caller and every worker of the run.
+struct Job<T> {
+    handoff: Handoff<T>,
+    source: BlockDistribution,
+    target: BlockDistribution,
+    /// The sampled matrix `A`, `p × p` row-major: worker `i` publishes row
+    /// `i` before the barrier, and every worker reads its run offsets after
+    /// it.
+    matrix: Vec<AtomicU64>,
+    /// Per-processor staging of the bucketed shuffle; each worker locks its
+    /// own for the whole run.
+    buckets: Vec<Mutex<BucketScratch<T>>>,
     backend: MatrixBackend,
     local_shuffle: LocalShuffle,
     fault: Option<EngineFault>,
 }
 
-/// Stages one job: validates and resolves the prescription, resolves the
-/// local-shuffle engine against the job's total payload, and hands each
-/// virtual processor ownership of its block (and recycled buffers) through
-/// a slot vector.
+impl<T> Job<T> {
+    /// Protocol step 2 for worker `j` (see [`Handoff`]): copies run `(i, j)`
+    /// of every source block `i` to its final slot in target block `j`,
+    /// checking each run's bounds before its copy.
+    ///
+    /// # Safety
+    /// The caller is worker `j`, inside the lease and past the barrier.
+    unsafe fn gather(&self, j: usize) {
+        let p = self.source.procs();
+        let a = |i: usize, l: usize| self.matrix[i * p + l].load(Ordering::Relaxed);
+        let end = self.target.offset(j) + self.target.size(j);
+        let mut to = self.target.offset(j);
+        for i in 0..p {
+            let skipped: u64 = (0..j).map(|l| a(i, l)).sum();
+            let count = a(i, j);
+            assert!(
+                skipped + count <= self.source.size(i) && to + count <= end,
+                "run ({i}, {j}) of the sampled matrix overflows its blocks"
+            );
+            let from = self.source.offset(i) + skipped;
+            // SAFETY: the run lies inside source block `i`, which nobody
+            // writes past the barrier, and inside target block `j`, which
+            // only this worker touches; both were just checked.
+            self.handoff
+                .place(from as usize, to as usize, count as usize);
+            to += count;
+        }
+        assert_eq!(
+            to, end,
+            "column {j} of the sampled matrix does not sum to its target size"
+        );
+    }
+}
+
+/// Stages one job: resolves the local-shuffle engine against the job's
+/// total payload, takes the caller's items and the scratch's spare into a
+/// [`Handoff`], and lends each virtual processor its bucket staging.
 ///
-/// All misuse is rejected here, before any job starts, so failures surface
-/// as a clean panic on the calling thread instead of a cross-thread panic
-/// out of a worker.
-fn plan_job<T: Send>(
-    p: usize,
-    blocks: Vec<Vec<T>>,
-    mut outgoing_scratch: Vec<Vec<Vec<T>>>,
-    mut bucket_scratch: Vec<BucketScratch<T>>,
+/// The distributions must already be validated (see
+/// [`PermuteOptions::resolve_target_sizes`]): all misuse is rejected before
+/// this moves a single item.
+fn stage_job<T: Send>(
+    data: &mut Vec<T>,
+    source: BlockDistribution,
+    target: BlockDistribution,
     options: &PermuteOptions,
-) -> JobPlan<T> {
-    let source_sizes: Vec<u64> = blocks.iter().map(|b| b.len() as u64).collect();
-    let target_sizes = options.resolve_target_sizes(p, &source_sizes);
+    scratch: &mut PermuteScratch<T>,
+) -> Arc<Job<T>> {
+    let p = source.procs();
+    // The protocol's block ranges come from these distributions.
+    assert!(
+        source.total() == data.len() as u64 && target.total() == data.len() as u64,
+        "the block distributions must cover the payload exactly"
+    );
     // Auto resolves against the *job's* total payload, not each worker's
     // block: all `p` blocks are live at once, so the combined working set
     // is what decides whether the local shuffles are cache-miss-bound (see
     // `AUTO_CROSSOVER_BYTES`).  Resolving here also keeps every worker on
     // the same engine.
-    let total_items: u64 = source_sizes.iter().sum();
-    let local_shuffle = options.local_shuffle.resolve_for::<T>(total_items as usize);
-
-    // The closure is shared between threads, so interior mutability with an
-    // exclusive take() per processor id is the simplest safe hand-off.
-    outgoing_scratch.resize_with(p, Vec::new);
-    bucket_scratch.resize_with(p, BucketScratch::new);
-    let slots: Arc<Vec<Mutex<Option<ProcPayload<T>>>>> = Arc::new(
-        blocks
-            .into_iter()
-            .zip(outgoing_scratch)
-            .zip(bucket_scratch)
-            .map(|((block, outgoing), buckets)| Mutex::new(Some((block, outgoing, buckets))))
-            .collect(),
-    );
-    JobPlan {
-        slots,
-        source_sizes: Arc::new(source_sizes),
-        target_sizes: Arc::new(target_sizes),
+    let local_shuffle = options.local_shuffle.resolve_for::<T>(data.len());
+    let mut buckets = std::mem::take(&mut scratch.buckets);
+    buckets.resize_with(p, BucketScratch::new);
+    Arc::new(Job {
+        handoff: Handoff::new(std::mem::take(data), std::mem::take(&mut scratch.spare)),
+        source,
+        target,
+        matrix: (0..p * p).map(|_| AtomicU64::new(0)).collect(),
+        buckets: buckets.into_iter().map(Mutex::new).collect(),
         backend: options.backend,
         local_shuffle,
         fault: options.fault,
-    }
+    })
 }
 
-/// Builds the per-processor job closure for a staged plan — the whole of
-/// Algorithm 1 (superstep-1 shuffle, in-context matrix sampling, cut,
-/// all-to-all exchange, superstep-3 shuffle) as one closure every virtual
-/// processor runs.
+/// Hands the storage of a finished run back to the caller — the one place
+/// the [`Handoff`] is undone (see its safety protocol) — and recovers the
+/// bucket staging into the scratch.
+fn reclaim<T>(job: Arc<Job<T>>, end: RunEnd, data: &mut Vec<T>, scratch: &mut PermuteScratch<T>) {
+    let h = &job.handoff;
+    let vacant = h.vacate();
+    assert!(
+        vacant || matches!(end, RunEnd::Failed),
+        "a worker is still inside a finished permutation job"
+    );
+    // SAFETY: once the lease is vacant no worker is inside the run or can
+    // enter it, and this consumes the job's only reclaim.  A completed run
+    // left every item in `output` once and only moved-out bits in `input`;
+    // a skipped one touched nothing; after a failed one an item may be in
+    // either or both, so both come back with length 0 and leak their items.
+    let (caller, spare) = unsafe {
+        match end {
+            RunEnd::Done => (h.output_vec(h.len), h.input_vec(0)),
+            RunEnd::Skipped => (h.input_vec(h.len), h.output_vec(0)),
+            RunEnd::Failed if vacant => (h.input_vec(0), h.output_vec(0)),
+            // A worker may still be running and writing: leak both
+            // allocations.
+            RunEnd::Failed => (Vec::new(), Vec::new()),
+        }
+    };
+    *data = caller;
+    // The caller's allocation may be far larger than this job (a pooled
+    // vector that once held a big payload); keeping it would pin that
+    // memory in a scratch that serves small jobs.
+    if spare.capacity() <= h.len.saturating_mul(2) {
+        scratch.spare = spare;
+    }
+    // Workers release their clones before the run reports back; a job
+    // that may still be running keeps its staging, and the scratch goes cold.
+    scratch.buckets = match Arc::try_unwrap(job) {
+        Ok(job) => job.buckets.into_iter().map(Mutex::into_inner).collect(),
+        Err(_) => Vec::new(),
+    };
+}
+
+/// Builds the per-processor job closure for a staged job — the whole of
+/// Algorithm 1 (superstep-1 shuffle, in-context matrix sampling, direct
+/// placement, superstep-3 shuffle) as one closure every virtual processor
+/// runs.
 ///
 /// Every random stream the closure draws is derived from the machine's
-/// master seed *per call* (never from executor history), so the same plan
+/// master seed *per call* (never from executor history), so the same job
 /// produces the byte-identical permutation whether it runs solo, inside a
 /// coalesced batch, or on a different fleet machine with the same seed.
 fn worker_closure<T: Send + 'static>(
-    plan: &JobPlan<T>,
-) -> impl Fn(&mut ProcCtx<T>) -> ProcResult<T> + Send + Sync + 'static {
-    let slots = Arc::clone(&plan.slots);
-    let source_ref = Arc::clone(&plan.source_sizes);
-    let target_ref = Arc::clone(&plan.target_sizes);
-    let backend = plan.backend;
-    let local_shuffle = plan.local_shuffle;
-    let fault = plan.fault;
-
-    move |ctx| -> ProcResult<T> {
+    job: &Arc<Job<T>>,
+) -> impl Fn(&mut ProcCtx<T>) -> ProcResult + Send + Sync + 'static {
+    let job = Arc::clone(job);
+    move |ctx| -> ProcResult {
+        let _inside = job.handoff.enter();
         let id = ctx.id();
         let p = ctx.procs();
+        let (source_start, source_len) = (job.source.offset(id), job.source.size(id));
+        let (target_start, target_len) = (job.target.offset(id), job.target.size(id));
+        let mut buckets = job.buckets[id].lock();
         // The in-context matrix samplers draw from their own per-call
         // derived streams (`MatrixCtx::sampling_rng` / the named front-end
         // stream); the local shuffles must be statistically independent of
@@ -372,21 +620,24 @@ fn worker_closure<T: Send + 'static>(
         // streams from the master seed.
         let mut shuffle_rng = ctx.seeds().child_sequence(0x5AFE_B10C).proc_stream(id);
 
-        // Superstep 1: local shuffle of the own block.  Independent of the
-        // matrix, so on workers that are not (yet) involved in a sampling
-        // round it overlaps the matrix phase instead of waiting for it.
+        // Superstep 1: local shuffle of the own block, in place in the
+        // caller's vector.  Independent of the matrix, so on workers that
+        // are not (yet) involved in a sampling round it overlaps the matrix
+        // phase instead of waiting for it.
         ctx.superstep();
-        let (mut block, mut outgoing, mut buckets) = slots[id]
-            .lock()
-            .take()
-            .expect("each processor takes its block exactly once");
         let shuffle_started = Instant::now();
-        local_shuffle.shuffle_vec_with(&mut shuffle_rng, &mut block, &mut buckets);
+        // SAFETY: protocol step 1 — this worker's own, initialized block.
+        let block = unsafe {
+            job.handoff
+                .block(source_start as usize, source_len as usize)
+        };
+        job.local_shuffle
+            .shuffle_slice_with(&mut shuffle_rng, block, &mut buckets);
         let mut shuffle_elapsed = shuffle_started.elapsed();
 
         // Matrix phase, in-context on the word plane: this worker ends up
         // holding its own row of `A`.
-        if let Some(f) = fault {
+        if let Some(f) = job.fault {
             if f.proc == id && f.phase == FaultPhase::Matrix {
                 panic!("injected engine fault (matrix phase)");
             }
@@ -394,140 +645,94 @@ fn worker_closure<T: Send + 'static>(
         let matrix_started = Instant::now();
         let row: Vec<u64> = {
             let mut mctx = ctx.matrix_ctx();
-            match backend {
-                MatrixBackend::Sequential => {
-                    sample_sequential_ctx(&mut mctx, &source_ref, &target_ref)
-                }
-                MatrixBackend::Recursive => {
-                    sample_recursive_ctx(&mut mctx, &source_ref, &target_ref)
-                }
-                MatrixBackend::ParallelLog => {
-                    sample_parallel_log_ctx(&mut mctx, &source_ref, &target_ref)
-                }
+            let (source, target) = (job.source.sizes(), job.target.sizes());
+            match job.backend {
+                MatrixBackend::Sequential => sample_sequential_ctx(&mut mctx, source, target),
+                MatrixBackend::Recursive => sample_recursive_ctx(&mut mctx, source, target),
+                MatrixBackend::ParallelLog => sample_parallel_log_ctx(&mut mctx, source, target),
                 MatrixBackend::ParallelOptimal => {
-                    sample_parallel_optimal_ctx(&mut mctx, &source_ref, &target_ref)
+                    sample_parallel_optimal_ctx(&mut mctx, source, target)
                 }
             }
         };
         let matrix_elapsed = matrix_started.elapsed();
         let data_started = Instant::now();
 
-        // Superstep 2: cut the shuffled block according to row `id` of A and
-        // exchange.  Because the block was just shuffled, taking consecutive
-        // runs of length a_ij is a uniformly random choice of which items go
-        // where.  The cut *moves* the items — no clone: the highest column
-        // is carved off first, so each run is the then-current tail of the
-        // block.  A cold piece is carved with `split_off` (one bulk memmove);
-        // a warm recycled piece is refilled by draining the tail into it,
-        // keeping its allocation alive across calls.
+        // Superstep 2: publish row `id` of A, then gather target block `id`
+        // from every source block.  Because the blocks were just shuffled,
+        // taking consecutive runs of length a_ij is a uniformly random choice
+        // of which items go where; each run is copied once, straight to its
+        // final slot, by the worker that shuffles it next.
         ctx.superstep();
-        if let Some(f) = fault {
+        if let Some(f) = job.fault {
             if f.proc == id && f.phase == FaultPhase::Exchange {
                 panic!("injected engine fault (exchange phase)");
             }
         }
         debug_assert_eq!(row.len(), p, "resolve_target_sizes guarantees p' == p");
-        outgoing.resize_with(p, Vec::new);
-        for j in (0..p).rev() {
-            let count = row[j] as usize;
-            let tail = block.len() - count;
-            let piece = &mut outgoing[j];
-            if piece.capacity() == 0 {
-                *piece = block.split_off(tail);
-            } else {
-                piece.clear();
-                piece.reserve(count);
-                piece.extend(block.drain(tail..));
-            }
+        // Relaxed: the barrier's mutex orders these stores before every
+        // worker's loads in `gather`.
+        for (cell, &a) in job.matrix[id * p..(id + 1) * p].iter().zip(&row) {
+            cell.store(a, Ordering::Relaxed);
         }
-        debug_assert!(block.is_empty());
-        let incoming = ctx.comm_mut().all_to_all(outgoing, 0);
+        ctx.comm_mut().barrier();
+        // SAFETY: this is worker `id`, inside the lease, past the barrier.
+        unsafe { job.gather(id) };
+        ctx.comm_mut().meter_all_to_all(source_len, target_len);
 
-        // Superstep 3: concatenate what was received and shuffle it locally.
-        // The emptied source block becomes the receive buffer (its capacity
-        // is reused; `reserve` tops it up to the prescribed m'_j), and the
-        // drained payload vectors are kept as shells for the next call.
+        // Superstep 3: shuffle the now complete target block in place.
         ctx.superstep();
-        let mut new_block = block;
-        new_block.reserve(target_ref[id] as usize);
-        let mut shells: Vec<Vec<T>> = Vec::with_capacity(p);
-        for mut part in incoming {
-            new_block.append(&mut part);
-            shells.push(part);
-        }
         let reshuffle_started = Instant::now();
-        local_shuffle.shuffle_vec_with(&mut shuffle_rng, &mut new_block, &mut buckets);
+        // SAFETY: protocol step 3 — this worker just filled the whole block.
+        let block = unsafe {
+            job.handoff
+                .target_block(target_start as usize, target_len as usize)
+        };
+        job.local_shuffle
+            .shuffle_slice_with(&mut shuffle_rng, block, &mut buckets);
         let reshuffle_elapsed = reshuffle_started.elapsed();
         // The data phase ran from the end of the matrix phase and contains
-        // the cut, the exchange, the concat and the reshuffle; superstep 1
-        // overlapped the matrix phase and is added on top.
+        // the gather and the reshuffle; superstep 1 overlapped the matrix
+        // phase and is added on top.
         let data_elapsed = shuffle_elapsed + data_started.elapsed();
         shuffle_elapsed += reshuffle_elapsed;
-        (
-            new_block,
-            shells,
-            buckets,
-            row,
-            matrix_elapsed,
-            data_elapsed,
-            shuffle_elapsed,
-        )
+        (row, matrix_elapsed, data_elapsed, shuffle_elapsed)
     }
 }
 
-/// Assembles one job's per-processor results into the engine output:
-/// max-over-workers phase timings, the recovered scratch parts, the
-/// (optionally kept) communication matrix, and the run report.
-fn collect_job<T>(
-    source_sizes: &[u64],
-    target_sizes: &[u64],
-    results: Vec<ProcResult<T>>,
+/// Assembles one job's per-processor results into the run report:
+/// max-over-workers phase timings and the (optionally kept) communication
+/// matrix.
+fn collect_report<T>(
+    job: &Job<T>,
+    results: Vec<ProcResult>,
     metrics: MachineMetrics,
     options: &PermuteOptions,
     total_elapsed: Duration,
-) -> EngineOutput<T> {
-    let p = source_sizes.len();
-    let mut new_blocks = Vec::with_capacity(p);
-    let mut shells = Vec::with_capacity(p);
-    let mut stagings = Vec::with_capacity(p);
-    let mut rows = Vec::with_capacity(p);
+) -> PermutationReport {
+    let mut rows = Vec::with_capacity(results.len());
     let mut matrix_elapsed = Duration::ZERO;
     let mut exchange_elapsed = Duration::ZERO;
     let mut shuffle_elapsed = Duration::ZERO;
-    for (block, shell, staging, row, matrix_dur, data_dur, shuffle_dur) in results {
-        new_blocks.push(block);
-        shells.push(shell);
-        stagings.push(staging);
+    for (row, matrix_dur, data_dur, shuffle_dur) in results {
         rows.push(row);
         matrix_elapsed = matrix_elapsed.max(matrix_dur);
         exchange_elapsed = exchange_elapsed.max(data_dur);
         shuffle_elapsed = shuffle_elapsed.max(shuffle_dur);
     }
 
-    // Sanity: the produced blocks have exactly the prescribed target sizes
-    // (all of them — resolve_target_sizes guarantees one per processor).
-    debug_assert_eq!(
-        new_blocks
-            .iter()
-            .map(|b| b.len() as u64)
-            .collect::<Vec<_>>(),
-        target_sizes
-    );
     // The rows every worker brought back assemble into the sampled matrix;
     // in debug builds verify its marginals unconditionally, in release only
     // pay the assembly when the caller asked to keep it.
-    let assemble = |rows: Vec<Vec<u64>>| {
+    let matrix = (options.keep_matrix || cfg!(debug_assertions)).then(|| {
         let matrix = CommMatrix::from_rows(rows);
-        debug_assert!(matrix.check_marginals(source_sizes, target_sizes).is_ok());
+        debug_assert!(matrix
+            .check_marginals(job.source.sizes(), job.target.sizes())
+            .is_ok());
         matrix
-    };
-    let matrix = if options.keep_matrix || cfg!(debug_assertions) {
-        Some(assemble(rows))
-    } else {
-        None
-    };
+    });
 
-    let report = PermutationReport {
+    PermutationReport {
         backend: options.backend,
         local_shuffle: options.local_shuffle,
         matrix_elapsed,
@@ -543,54 +748,64 @@ fn collect_job<T>(
             matrix_plane: Vec::new(),
             elapsed: exchange_elapsed,
         },
-        matrix: if options.keep_matrix { matrix } else { None },
+        matrix: matrix.filter(|_| options.keep_matrix),
         total_elapsed,
-    };
-    (new_blocks, shells, stagings, report)
+    }
 }
 
-/// The fused, move-based engine behind [`permute_blocks`] and
-/// [`permute_vec_into`]: stages a [`JobPlan`], runs its [`worker_closure`]
-/// as **one job on one executor**, and assembles the output with
-/// [`collect_job`].  The batched entry ([`try_permute_batch_into_with`])
-/// shares all three pieces, which is what makes a coalesced run
-/// byte-identical to a solo run by construction.
+/// The source and target distributions of one job over `p` processors:
+/// the given source blocks, and the prescribed targets or the same sizes.
+///
+/// # Panics
+/// On a bad prescription (see [`PermuteOptions::validate_target_sizes`]).
+fn distributions(
+    p: usize,
+    source: BlockDistribution,
+    options: &PermuteOptions,
+) -> (BlockDistribution, BlockDistribution) {
+    let target = BlockDistribution::from_sizes(options.resolve_target_sizes(p, source.sizes()));
+    (source, target)
+}
+
+/// The fused, direct-placement engine behind every entry point: stages a
+/// [`Job`], runs its [`worker_closure`] as **one job on one executor**, and
+/// hands the permuted items back in `data`.  The batched entry
+/// ([`try_permute_batch_into_with`]) shares all of its pieces, which is what
+/// makes a coalesced run byte-identical to a solo run by construction.
 ///
 /// Generic over the execution substrate: the same engine runs one-shot on a
 /// [`CgmMachine`] (threads spawned per call) or on a [`cgp_cgm::ResidentCgm`]
 /// worker pool (threads spawned once, per the session API) — shared state
-/// travels in `Arc`s so the job closure is `'static` either way.  No second
-/// machine is built for the matrix phase; the samplers run in-context on the
-/// word plane of the same workers (see the module docs).
-///
-/// Consumes the blocks and a set of recycled outgoing buffers (padded with
-/// empty vectors when the scratch is shorter than `p`).
-fn exchange_engine<T, E>(
+/// travels in an `Arc` so the job closure is `'static` either way.  No
+/// second machine is built for the matrix phase; the samplers run
+/// in-context on the word plane of the same workers (see the module docs).
+fn try_permute_placed<T, E>(
     exec: &mut E,
-    blocks: Vec<Vec<T>>,
-    outgoing_scratch: Vec<Vec<Vec<T>>>,
-    bucket_scratch: Vec<BucketScratch<T>>,
+    data: &mut Vec<T>,
+    (source, target): (BlockDistribution, BlockDistribution),
     options: &PermuteOptions,
-) -> Result<EngineOutput<T>, CgmError>
+    scratch: &mut PermuteScratch<T>,
+) -> Result<PermutationReport, CgmError>
 where
     T: Send + 'static,
     E: CgmExecutor<T>,
 {
-    let p = exec.procs();
-    validate_block_count(p, blocks.len());
-    let plan = plan_job(p, blocks, outgoing_scratch, bucket_scratch, options);
+    let job = stage_job(data, source, target, options, scratch);
     let run_started = Instant::now();
-    let outcome = exec.try_run_job(worker_closure(&plan));
-    let (results, metrics) = outcome?.into_parts();
+    let outcome = exec.try_run_job(worker_closure(&job));
     let total_elapsed = run_started.elapsed();
-    Ok(collect_job(
-        &plan.source_sizes,
-        &plan.target_sizes,
-        results,
-        metrics,
-        options,
-        total_elapsed,
-    ))
+    match outcome {
+        Ok(run) => {
+            let (results, metrics) = run.into_parts();
+            let report = collect_report(&job, results, metrics, options, total_elapsed);
+            reclaim(job, RunEnd::Done, data, scratch);
+            Ok(report)
+        }
+        Err(e) => {
+            reclaim(job, RunEnd::Failed, data, scratch);
+            Err(e)
+        }
+    }
 }
 
 /// Permutes a block-distributed vector.
@@ -603,7 +818,9 @@ where
 /// Every permutation of the `n` input items into the target blocks is
 /// equally likely (Theorem 1), provided the underlying generator is sound.
 ///
-/// Items are moved, never cloned: `T` only needs to be `Send`.
+/// Items are moved, never cloned: `T` only needs to be `Send`.  The blocks
+/// are concatenated into one vector for the engine and the output is split
+/// back into target blocks.
 ///
 /// # Panics
 /// Panics if `blocks.len()` differs from the machine size, the target sizes
@@ -616,44 +833,48 @@ pub fn permute_blocks<T: Send + 'static>(
     blocks: Vec<Vec<T>>,
     options: &PermuteOptions,
 ) -> (Vec<Vec<T>>, PermutationReport) {
-    let mut exec = machine.clone();
-    let (new_blocks, _shells, _stagings, report) =
-        exchange_engine(&mut exec, blocks, Vec::new(), Vec::new(), options)
-            .unwrap_or_else(|e| panic!("{e}"));
-    (new_blocks, report)
+    let p = machine.procs();
+    validate_block_count(p, blocks.len());
+    let source = BlockDistribution::from_sizes(blocks.iter().map(|b| b.len() as u64).collect());
+    let (source, target) = distributions(p, source, options);
+    let output_blocks = target.clone();
+    let mut data: Vec<T> = Vec::with_capacity(source.total() as usize);
+    for block in blocks {
+        data.extend(block);
+    }
+    let report = try_permute_placed(
+        &mut machine.clone(),
+        &mut data,
+        (source, target),
+        options,
+        &mut PermuteScratch::new(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
+    (output_blocks.split_vec(data), report)
 }
 
 /// Convenience wrapper: splits `data` evenly over the machine's processors,
-/// permutes, and concatenates the result back into a single vector.
+/// permutes, and returns the result as a single vector.
 pub fn permute_vec<T: Send + 'static>(
     machine: &CgmMachine,
-    data: Vec<T>,
+    mut data: Vec<T>,
     options: &PermuteOptions,
 ) -> (Vec<T>, PermutationReport) {
-    let p = machine.procs();
-    let dist = BlockDistribution::even(data.len() as u64, p);
-    let blocks = dist.split_vec(data);
-    let mut options = options.clone();
-    // The output distribution is exactly what the options prescribe (or the
-    // even split when nothing was prescribed) — no need to recompute it from
-    // the returned block lengths.
-    let out_dist = match options.target_sizes.take() {
-        Some(sizes) => BlockDistribution::from_sizes(sizes),
-        None => dist,
-    };
-    options.target_sizes = Some(out_dist.sizes().to_vec());
-    let (blocks, report) = permute_blocks(machine, blocks, &options);
-    (out_dist.concat_vec(blocks), report)
+    let report = permute_vec_into(machine, &mut data, options, &mut PermuteScratch::new());
+    (data, report)
 }
 
-/// Allocation-reusing variant of [`permute_vec`]: permutes `data` in place,
-/// recycling every intermediate buffer (per-processor blocks and outgoing
-/// payload vectors) through `scratch` across calls.
+/// Allocation-reusing variant of [`permute_vec`]: permutes `data`, recycling
+/// the output buffer and the shuffle staging through `scratch` across calls.
+///
+/// `data` may come back in a different allocation: the permuted items are
+/// placed into the scratch's spare (capacity at least `n`), and the caller's
+/// old allocation becomes the next call's spare (see [`PermuteScratch`]).
 ///
 /// Produces exactly the same permutation as [`permute_vec`] for the same
 /// machine seed and options; only the allocation behaviour differs.  Intended
 /// for steady-state callers that permute many same-shaped vectors — once the
-/// scratch is warm (see [`PermuteScratch`]) no per-item allocation remains.
+/// scratch is warm no per-item allocation remains.
 ///
 /// To also amortize the machine startup itself (thread spawns, channel
 /// fabric), pair a scratch with a resident pool via
@@ -669,8 +890,8 @@ pub fn permute_vec_into<T: Send + 'static>(
     permute_vec_into_with(&mut exec, data, options, scratch)
 }
 
-/// Executor-generic core of [`permute_vec_into`]: permutes `data` in place
-/// on any [`CgmExecutor`] — the one-shot [`CgmMachine`] or a resident
+/// Executor-generic core of [`permute_vec_into`]: permutes `data` on any
+/// [`CgmExecutor`] — the one-shot [`CgmMachine`] or a resident
 /// [`cgp_cgm::ResidentCgm`] pool.
 ///
 /// For a fixed configuration (processor count, seed, options) every
@@ -700,10 +921,10 @@ where
 /// through, where one tenant's failure must be contained to its own ticket.
 ///
 /// # Data loss on failure
-/// By the time a worker panics the input has already been distributed into
-/// the machine, so on `Err` the items are gone: `data` is left empty and
-/// the scratch cold (it rebuilds on the next call).  Misuse that is
-/// detected *before* any item moves (bad prescriptions, see
+/// By the time a worker panics the items are spread over the input and
+/// output buffers, so on `Err` they are leaked — never dropped twice (see
+/// the module docs): `data` is left empty and the scratch possibly cold.
+/// Misuse that is detected *before* any item moves (bad prescriptions, see
 /// [`PermuteOptions::validate_target_sizes`]) still panics on the calling
 /// thread with `data` untouched, as in the infallible variant.
 pub fn try_permute_vec_into_with<T, E>(
@@ -717,28 +938,8 @@ where
     E: CgmExecutor<T>,
 {
     let p = exec.procs();
-    let dist = BlockDistribution::even(data.len() as u64, p);
-    // Validate the prescription BEFORE draining the caller's vector: a bad
-    // prescription must panic with `data` and `scratch` untouched, not after
-    // the items have been moved out (and lost to the unwind).
-    options.validate_target_sizes(p, data.len() as u64);
-    let mut options = options.clone();
-    let out_dist = match options.target_sizes.take() {
-        Some(sizes) => BlockDistribution::from_sizes(sizes),
-        None => dist.clone(),
-    };
-    options.target_sizes = Some(out_dist.sizes().to_vec());
-    let mut blocks = std::mem::take(&mut scratch.blocks);
-    dist.split_vec_into(data, &mut blocks);
-    let outgoing = std::mem::take(&mut scratch.outgoing);
-    let buckets = std::mem::take(&mut scratch.buckets);
-    let (mut new_blocks, shells, stagings, report) =
-        exchange_engine(exec, blocks, outgoing, buckets, &options)?;
-    out_dist.concat_vec_into(&mut new_blocks, data);
-    scratch.blocks = new_blocks;
-    scratch.outgoing = shells;
-    scratch.buckets = stagings;
-    Ok(report)
+    let layout = distributions(p, BlockDistribution::even(data.len() as u64, p), options);
+    try_permute_placed(exec, data, layout, options, scratch)
 }
 
 /// What happened to one job of a coalesced batch submitted through
@@ -754,14 +955,13 @@ pub enum BatchOutcome<T> {
         report: Box<PermutationReport>,
     },
     /// A worker panicked inside this job.  As with a failed solo run the
-    /// items had already been distributed into the machine, so they are
-    /// lost; the executor has recovered and stays usable.
+    /// items are leaked; the executor has recovered and stays usable.
     Failed(CgmError),
     /// The job never started because an earlier job in the batch failed.
-    /// Its items were still untouched in their staging slots, so they are
-    /// handed back intact — resubmit to run the job.
+    /// Its items were never touched, so the submitted vector is handed back
+    /// as it was — resubmit to run the job.
     Skipped {
-        /// The submitted vector, restored to its original order.
+        /// The submitted vector, in its original order.
         data: Vec<T>,
     },
 }
@@ -792,8 +992,8 @@ pub enum BatchOutcome<T> {
 /// Misuse (a bad prescription on *any* job) panics on the calling thread
 /// before any item has moved, with every job's data untouched.  An
 /// executor-level error (`Err`) means the batch could not run or complete
-/// as a whole; as with a failed solo run, the items of jobs that were
-/// already staged into the machine are lost.
+/// as a whole; as with a failed solo run, the items of every job are
+/// leaked.
 pub fn try_permute_batch_into_with<T, E>(
     exec: &mut E,
     jobs: Vec<(Vec<T>, PermuteOptions)>,
@@ -804,100 +1004,71 @@ where
     E: CgmExecutor<T>,
 {
     let p = exec.procs();
-    // Validate every job before moving a single item: a bad prescription
+    // Resolve every job before moving a single item: a bad prescription
     // anywhere in the batch must panic with all data untouched.
-    for (data, options) in &jobs {
-        options.validate_target_sizes(p, data.len() as u64);
-    }
+    let layouts: Vec<_> = jobs
+        .iter()
+        .map(|(data, options)| {
+            distributions(p, BlockDistribution::even(data.len() as u64, p), options)
+        })
+        .collect();
     if scratches.len() < jobs.len() {
         scratches.resize_with(jobs.len(), PermuteScratch::new);
     }
 
-    // Stage every job into its own plan (moving its items into the slot
-    // vector) and build the per-job closures the executor will run as
-    // fenced sub-jobs.
+    // Stage every job (handing its items to the run) and build the per-job
+    // closures the executor will run as fenced sub-jobs.
     let mut staged = Vec::with_capacity(jobs.len());
     let mut closures = Vec::with_capacity(jobs.len());
-    for (k, (mut data, options)) in jobs.into_iter().enumerate() {
-        let scratch = &mut scratches[k];
-        let dist = BlockDistribution::even(data.len() as u64, p);
-        let mut options = options;
-        let out_dist = match options.target_sizes.take() {
-            Some(sizes) => BlockDistribution::from_sizes(sizes),
-            None => dist.clone(),
-        };
-        options.target_sizes = Some(out_dist.sizes().to_vec());
-        let mut blocks = std::mem::take(&mut scratch.blocks);
-        dist.split_vec_into(&mut data, &mut blocks);
-        let outgoing = std::mem::take(&mut scratch.outgoing);
-        let buckets = std::mem::take(&mut scratch.buckets);
-        let plan = plan_job(p, blocks, outgoing, buckets, &options);
-        closures.push(worker_closure(&plan));
-        // `data` is now the emptied shell of the submitted vector; its
-        // allocation is reused for the reassembled output (or the restore).
-        staged.push((plan, dist, out_dist, options, data));
+    for (((mut data, options), (source, target)), scratch) in
+        jobs.into_iter().zip(layouts).zip(scratches.iter_mut())
+    {
+        let job = stage_job(&mut data, source, target, &options, scratch);
+        closures.push(worker_closure(&job));
+        staged.push((job, options));
     }
 
     let run_started = Instant::now();
-    let outcomes = exec.try_run_batch(closures)?;
+    let outcomes = match exec.try_run_batch(closures) {
+        Ok(outcomes) => outcomes,
+        Err(e) => {
+            for ((job, _), scratch) in staged.into_iter().zip(scratches.iter_mut()) {
+                reclaim(job, RunEnd::Failed, &mut Vec::new(), scratch);
+            }
+            return Err(e);
+        }
+    };
     let total_elapsed = run_started.elapsed();
     debug_assert_eq!(outcomes.len(), staged.len());
 
     let mut out = Vec::with_capacity(staged.len());
-    for (k, (outcome, parts)) in outcomes.into_iter().zip(staged).enumerate() {
-        let (plan, dist, out_dist, options, mut data) = parts;
-        let scratch = &mut scratches[k];
-        match outcome {
+    for ((outcome, (job, options)), scratch) in
+        outcomes.into_iter().zip(staged).zip(scratches.iter_mut())
+    {
+        let mut data = Vec::new();
+        out.push(match outcome {
             BatchJobOutcome::Done(run) => {
                 // Each sub-job's report carries its own metered span (the
                 // max over its workers' in-run timings), not the whole
                 // batch's wall clock.
                 let sub_elapsed = run.metrics().elapsed.min(total_elapsed);
                 let (results, metrics) = run.into_parts();
-                let (mut new_blocks, shells, stagings, report) = collect_job(
-                    &plan.source_sizes,
-                    &plan.target_sizes,
-                    results,
-                    metrics,
-                    &options,
-                    sub_elapsed,
-                );
-                out_dist.concat_vec_into(&mut new_blocks, &mut data);
-                scratch.blocks = new_blocks;
-                scratch.outgoing = shells;
-                scratch.buckets = stagings;
-                out.push(BatchOutcome::Done {
+                let report = collect_report(&job, results, metrics, &options, sub_elapsed);
+                reclaim(job, RunEnd::Done, &mut data, scratch);
+                BatchOutcome::Done {
                     data,
                     report: Box::new(report),
-                });
-            }
-            BatchJobOutcome::Failed(e) => out.push(BatchOutcome::Failed(e)),
-            BatchJobOutcome::Skipped => {
-                // The closure never ran, so every slot still holds its
-                // payload and ours is the last Arc (workers drop their
-                // clones of the job list before depositing results).
-                let slots = Arc::try_unwrap(plan.slots)
-                    .unwrap_or_else(|_| unreachable!("skipped sub-job slots still shared"));
-                let mut blocks = Vec::with_capacity(p);
-                let mut shells = Vec::with_capacity(p);
-                let mut stagings = Vec::with_capacity(p);
-                for slot in slots {
-                    let (block, outgoing, buckets) = slot
-                        .into_inner()
-                        .expect("skipped sub-job left every slot untouched");
-                    blocks.push(block);
-                    shells.push(outgoing);
-                    stagings.push(buckets);
                 }
-                // Undo the split with the *source* distribution: the items
-                // come back in exactly the submitted order.
-                dist.concat_vec_into(&mut blocks, &mut data);
-                scratch.blocks = blocks;
-                scratch.outgoing = shells;
-                scratch.buckets = stagings;
-                out.push(BatchOutcome::Skipped { data });
             }
-        }
+            BatchJobOutcome::Failed(e) => {
+                reclaim(job, RunEnd::Failed, &mut data, scratch);
+                BatchOutcome::Failed(e)
+            }
+            BatchJobOutcome::Skipped => {
+                reclaim(job, RunEnd::Skipped, &mut data, scratch);
+                BatchOutcome::Skipped { data }
+            }
+        });
     }
     Ok(out)
 }
@@ -1036,22 +1207,44 @@ mod tests {
         let reference = permute_vec(&machine, (0..512u64).collect(), &options).0;
 
         let mut scratch = PermuteScratch::new();
-        let mut caps = Vec::new();
-        for round in 0..3 {
-            let mut data: Vec<u64> = (0..512).collect();
+        let mut data: Vec<u64> = Vec::new();
+        let mut buffers = Vec::new();
+        for round in 0..4 {
+            data.clear();
+            data.extend(0..512);
             let report = permute_vec_into(&machine, &mut data, &options, &mut scratch);
             assert_eq!(
                 data, reference,
                 "round {round} diverged from the plain path"
             );
             assert_eq!(report.max_exchange_volume(), 2 * 512 / 4);
-            caps.push(scratch.retained_capacity());
+            assert_eq!(scratch.retained_capacity(), 512, "the spare is retained");
+            buffers.push(data.as_ptr());
         }
-        assert!(caps[0] >= 2 * 512, "blocks + exchange buffers are retained");
-        // The exchange buffers may ratchet up once (each buffer ping-pongs
-        // between the i→j and j→i directions); after that the capacities
-        // must be stable — steady state allocates nothing new.
-        assert_eq!(caps[1], caps[2], "capacities converge after the ratchet");
+        // The output lands in the spare and the caller's allocation becomes
+        // the next spare: steady state ping-pongs between two allocations.
+        assert_ne!(buffers[0], buffers[1]);
+        assert_eq!(buffers[0], buffers[2]);
+        assert_eq!(buffers[1], buffers[3]);
+    }
+
+    #[test]
+    fn the_lease_reports_workers_inside_and_bars_late_entry() {
+        // The resident pool's early `PoolShutDown` return: a worker may
+        // still be inside the run when the caller gives up on it.
+        let handoff = Handoff::new(vec![1u64, 2, 3], Vec::new());
+        let inside = handoff.enter();
+        assert!(!handoff.vacate(), "a worker inside keeps the storage");
+        drop(inside);
+        let late = std::panic::catch_unwind(|| {
+            let _ = handoff.enter();
+        });
+        assert!(late.is_err(), "no worker enters a vacated run");
+        assert!(handoff.vacate(), "the last worker out frees the storage");
+        // SAFETY: the lease is vacant and nothing touched the input.
+        let (input, spare) = unsafe { (handoff.input_vec(3), handoff.output_vec(0)) };
+        assert_eq!(input, vec![1, 2, 3]);
+        assert!(spare.capacity() >= 3);
     }
 
     #[test]

@@ -5,15 +5,15 @@
 //! threads and wires up the `p²` channel fabric per call.  A
 //! [`PermutationSession`] is the *steady-state* counterpart: it owns a
 //! [`ResidentCgm`] (threads spawned once, parked between jobs) **and** a
-//! [`PermuteScratch`] (block and exchange buffers recycled across calls), so
-//! repeated permutations make
+//! [`PermuteScratch`] (spare buffer and shuffle staging recycled across
+//! calls), so repeated permutations make
 //!
 //! * no thread spawns,
 //! * no channel construction, and
 //! * no per-item allocations once the scratch is warm —
 //!
-//! only the `O(p)` bookkeeping, the sampled `p × p` matrix and the channel
-//! envelopes of each call remain.
+//! only the `O(p²)` bookkeeping and the sampled `p × p` matrix of each call
+//! remain.
 //!
 //! # When to use one-shot vs. session
 //!
@@ -34,7 +34,7 @@
 //! is derived from the machine seed per call, never from pool state.  (The
 //! resident workers' private `ctx.rng()` streams do advance across jobs,
 //! but the permutation engine deliberately draws from per-call derived
-//! streams — see `exchange_engine` and `MatrixCtx::sampling_rng` —
+//! streams — see `worker_closure` and `MatrixCtx::sampling_rng` —
 //! precisely so substrate and history cannot change the sampled
 //! permutation.)
 //!
@@ -200,8 +200,8 @@ mod tests {
         let reference = permuter.sample_permutation(2_000);
         let mut session = permuter.session::<u64>();
         let mut out = Vec::new();
-        // Two warm-up calls: the exchange buffers ratchet up once over the
-        // first couple of calls (see `PermuteScratch`), then converge.
+        // Two warm-up calls size both allocations the output ping-pongs
+        // between (see `PermuteScratch`).
         session.sample_permutation_into(2_000, &mut out);
         session.sample_permutation_into(2_000, &mut out);
         assert_eq!(out, reference);

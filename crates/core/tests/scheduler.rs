@@ -12,6 +12,7 @@
 
 use cgp_core::{
     EngineFault, MatrixBackend, PermutationService, PermuteOptions, Permuter, Priority,
+    ServiceHandle, ServiceMetrics,
 };
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
@@ -154,28 +155,63 @@ fn stolen_jobs_match_their_one_shot_permutation_for_every_backend() {
     );
 }
 
+/// Stall sizes tried by [`behind_a_stall`]: 200 000 items, then 4x and
+/// 16x that.
+const STALL_ATTEMPTS: u32 = 3;
+
+/// Runs `queue` on a fresh single-machine service while a long job occupies
+/// the machine, so the jobs `queue` submits pile up behind it and reach the
+/// machine as one refill.  The stall's options differ from the default (a
+/// pinned backend), so it never coalesces with them, and `queue` starts
+/// only once the machine has taken the stall, so no queued job can join
+/// the stall's refill.
+///
+/// The stall must outlast the queuing.  When it has already finished once
+/// `queue` returns (a fast engine, a busy host), the round is redone on a
+/// new service with a 4x larger stall, up to [`STALL_ATTEMPTS`] times.
+/// Returns what `queue` returned and the drained service's metrics.
+fn behind_a_stall<Q>(
+    permuter: &Permuter,
+    queue_depth: usize,
+    queue: impl Fn(&ServiceHandle<u64>) -> Q,
+) -> (Q, ServiceMetrics) {
+    let stall_opts = PermuteOptions::with_backend(MatrixBackend::Sequential);
+    for attempt in 0..STALL_ATTEMPTS {
+        let service = permuter.service_sized::<u64>(1, queue_depth);
+        let handle = service.handle();
+        let stall = handle
+            .submit_with(
+                identity(200_000 << (2 * attempt)),
+                stall_opts.clone(),
+                Priority::Normal,
+            )
+            .unwrap();
+        drain_queues(&service);
+        let queued = queue(&handle);
+        let outlasted = !stall.is_done();
+        let metrics = service.shutdown();
+        stall.wait().unwrap();
+        if outlasted {
+            return (queued, metrics);
+        }
+    }
+    panic!("every stall finished before the jobs behind it were queued");
+}
+
 #[test]
 fn coalesced_service_jobs_match_one_shot_and_are_metered() {
     const TINY_JOBS: usize = 10;
     let permuter = Permuter::new(2).seed(101);
     let tiny_reference = permuter.permute(identity(64)).0;
-    let service = permuter.service_sized::<u64>(1, TINY_JOBS + 2);
-    let handle = service.handle();
 
-    // Occupy the single machine with a long job whose options differ (a
-    // pinned backend), so it can never coalesce with the tiny jobs...
-    let stall_opts = PermuteOptions::with_backend(MatrixBackend::Sequential);
-    let stall = handle
-        .submit_with(identity(200_000), stall_opts, Priority::Normal)
-        .unwrap();
-    // ...while the tiny jobs pile up behind it and arrive on the deque as
-    // one refill: consecutive, compatible, and far under the byte budget —
-    // one fenced batch.
-    let tickets: Vec<_> = (0..TINY_JOBS)
-        .map(|_| handle.submit(identity(64)).unwrap())
-        .collect();
-
-    stall.wait().unwrap();
+    // The tiny jobs pile up behind the stall and arrive on the deque as one
+    // refill: consecutive, compatible, and far under the byte budget — one
+    // fenced batch.
+    let (tickets, metrics) = behind_a_stall(&permuter, TINY_JOBS + 2, |handle| {
+        (0..TINY_JOBS)
+            .map(|_| handle.submit(identity(64)).unwrap())
+            .collect::<Vec<_>>()
+    });
     for (k, ticket) in tickets.into_iter().enumerate() {
         assert_eq!(
             ticket.wait().unwrap().0,
@@ -183,7 +219,6 @@ fn coalesced_service_jobs_match_one_shot_and_are_metered() {
             "job {k}: coalescing is invisible in the permutation"
         );
     }
-    let metrics = service.shutdown();
     assert_eq!(metrics.jobs_served, (TINY_JOBS + 1) as u64);
     assert_eq!(metrics.coalesced_jobs, TINY_JOBS as u64);
     assert_eq!(
@@ -197,31 +232,26 @@ fn coalesced_service_jobs_match_one_shot_and_are_metered() {
 fn a_mid_batch_panic_fails_only_the_faulting_ticket() {
     let permuter = Permuter::new(2).seed(107);
     let tiny_reference = permuter.permute(identity(64)).0;
-    let service = permuter.service_sized::<u64>(1, 8);
-    let handle = service.handle();
 
-    // Stage one coalesced batch of four tiny jobs behind a stall (options
-    // incompatible with the tinies, as above); the second job of the batch
-    // panics mid-matrix-phase.  Injected faults do not break coalescing
-    // compatibility — a faulty job must be contained *inside* a batch, not
-    // quarantined out of one.
-    let stall_opts = PermuteOptions::with_backend(MatrixBackend::Sequential);
-    let stall = handle
-        .submit_with(identity(200_000), stall_opts, Priority::Normal)
-        .unwrap();
-    let clean_before = handle.submit(identity(64)).unwrap();
-    let poisoned = handle
-        .submit_with(
-            identity(64),
-            PermuteOptions::default().inject_fault(EngineFault::matrix_phase(1)),
-            Priority::Normal,
-        )
-        .unwrap();
-    let clean_after: Vec<_> = (0..2)
-        .map(|_| handle.submit(identity(64)).unwrap())
-        .collect();
+    // Stage one coalesced batch of four tiny jobs behind a stall; the
+    // second job of the batch panics mid-matrix-phase.  Injected faults do
+    // not break coalescing compatibility — a faulty job must be contained
+    // *inside* a batch, not quarantined out of one.
+    let ((clean_before, poisoned, clean_after), metrics) = behind_a_stall(&permuter, 8, |handle| {
+        let clean_before = handle.submit(identity(64)).unwrap();
+        let poisoned = handle
+            .submit_with(
+                identity(64),
+                PermuteOptions::default().inject_fault(EngineFault::matrix_phase(1)),
+                Priority::Normal,
+            )
+            .unwrap();
+        let clean_after: Vec<_> = (0..2)
+            .map(|_| handle.submit(identity(64)).unwrap())
+            .collect();
+        (clean_before, poisoned, clean_after)
+    });
 
-    stall.wait().unwrap();
     assert_eq!(clean_before.wait().unwrap().0, tiny_reference);
     assert!(
         matches!(
@@ -237,7 +267,6 @@ fn a_mid_batch_panic_fails_only_the_faulting_ticket() {
             "job {k} behind the panic was requeued and served clean"
         );
     }
-    let metrics = service.shutdown();
     assert_eq!(metrics.jobs_served, 4, "stall + three clean tinies");
     assert_eq!(metrics.jobs_failed, 1);
     assert_eq!(metrics.per_machine[0].recoveries, 1, "one recovery round");
