@@ -17,8 +17,15 @@
 //! the bucket sizes follow the multivariate hypergeometric law a uniform
 //! permutation induces, the assignment of items to buckets given those sizes
 //! is uniform, and each bucket is shuffled uniformly.  [`bucketed_shuffle`]
-//! is the engine; [`LocalShuffle`] is the policy knob every layer of the
-//! stack (options, `Permuter`, sessions, the service) carries.
+//! is the sequential engine; [`LocalShuffle`] is the policy knob every
+//! layer of the stack (options, `Permuter`, sessions, the service) carries.
+//!
+//! The parallel pipeline does not nest this engine inside Algorithm 1's
+//! local shuffles.  It runs **one scatter level** instead: every bucket of
+//! every target block is a virtual target of a single Algorithm 1 over the
+//! whole job (see the `parallel` module docs).  There each item gets two
+//! in-cache Fisher–Yates passes and one copy, the same single copy the
+//! Fisher–Yates path makes.
 //!
 //! Whether buckets beat plain Fisher–Yates depends on the machine's
 //! cache/memory ratio and on the working-set size — that crossover is
@@ -58,20 +65,26 @@ pub const BUCKET_L2_BUDGET_BYTES: usize = 256 * 1024;
 /// (`n` total items), not each worker's block: the per-worker blocks of one
 /// job are live simultaneously, so their combined footprint is what the
 /// cache actually sees (E12's session grid confirms the job-level split
-/// predicts the win where the per-block sizes do not).
+/// predicts the win where the per-block sizes do not).  The value dates
+/// from the pipeline that nested the sequential engine in both local
+/// shuffles; it has not been recalibrated for the one scatter level.
 pub const AUTO_CROSSOVER_BYTES: usize = 64 * 1024 * 1024;
 
 /// Item size (bytes of one `T`) past which [`LocalShuffle::Auto`] stays on
 /// Fisher–Yates regardless of the payload size.
 ///
-/// The scatter moves every item ~3 times (window shuffle, run drain,
-/// bucket shuffle + concat) where Fisher–Yates moves it ~2 times; for wide
-/// records the extra bulk copies dominate the latency the buckets save —
-/// E12 measures 64-byte and 512-byte records losing ~2x with buckets even
-/// at DRAM-resident sizes, because a Fisher–Yates swap of a multi-line
-/// record is prefetch-friendly (sequential within the record).  Buckets
-/// only pay off for word-sized items, where the cost is pointer-chase
-/// latency, not copy bandwidth.
+/// The value was calibrated on the sequential engine and on a pipeline
+/// that nested it in both local shuffles.  The sequential scatter moves
+/// every item ~3 times (window shuffle, run drain, bucket shuffle + concat)
+/// where Fisher–Yates moves it ~2 times; for wide records the extra bulk
+/// copies dominate the latency the buckets save — E12 measured 64-byte and
+/// 512-byte records losing ~2x with buckets even at DRAM-resident sizes,
+/// because a Fisher–Yates swap of a multi-line record is prefetch-friendly
+/// (sequential within the record).  In the pipeline, the one scatter level
+/// now copies each item once, as the Fisher–Yates path does, so this
+/// threshold (like [`AUTO_CROSSOVER_BYTES`]) is conservative there;
+/// retuning both for the pipeline awaits a measurement of wide records on
+/// the one scatter level.
 pub const AUTO_MAX_ITEM_BYTES: usize = 16;
 
 /// Upper bound on the number of buckets one scatter pass fans out to.
@@ -102,9 +115,11 @@ pub fn default_bucket_items<T>() -> usize {
     (BUCKET_L2_BUDGET_BYTES / std::mem::size_of::<T>().max(1)).max(1)
 }
 
-/// Which algorithm the engine uses for its **local** (per-processor)
-/// shuffles — the superstep-1 and superstep-3 passes of Algorithm 1, and
-/// the sequential entry points.
+/// Which algorithm the engine uses for its **local** shuffles — the
+/// sequential entry points, and the memory layout of the parallel pipeline.
+/// In the pipeline, `FisherYates` shuffles each block in one pass in
+/// supersteps 1 and 3, and `Bucketed` runs the one scatter level over
+/// every bucket of every target block (see the `parallel` module docs).
 ///
 /// Every variant produces an exactly uniform permutation; they differ only
 /// in memory behaviour.  **Engines need not agree byte-for-byte**: for the
@@ -122,8 +137,10 @@ pub enum LocalShuffle {
     /// The two-phase bucketed scatter shuffle of [`bucketed_shuffle`]:
     /// stream the items into `ceil(n / bucket_items)` buckets (sizes
     /// governed by the multivariate hypergeometric law), then Fisher–Yates
-    /// each cache-resident bucket.  `bucket_items` is clamped to at least 1;
-    /// use [`LocalShuffle::bucketed_for`] for the payload-aware default.
+    /// each cache-resident bucket.  In the parallel pipeline: the one
+    /// scatter level, with windows and buckets of `bucket_items`.
+    /// `bucket_items` is clamped to at least 1; use
+    /// [`LocalShuffle::bucketed_for`] for the payload-aware default.
     Bucketed {
         /// Target bucket size in items.
         bucket_items: usize,
@@ -180,7 +197,7 @@ impl LocalShuffle {
     ///
     /// Allocates the bucketed engine's staging buffers per call; loops
     /// should hold a [`BucketScratch`] and use
-    /// [`LocalShuffle::shuffle_vec_with`] (the fused pipeline workers do).
+    /// [`LocalShuffle::shuffle_vec_with`].
     pub fn shuffle_vec<T, R: RandomSource + ?Sized>(&self, rng: &mut R, data: &mut Vec<T>) {
         self.shuffle_vec_with(rng, data, &mut BucketScratch::new());
     }
@@ -189,29 +206,16 @@ impl LocalShuffle {
     /// engine's staging capacity lives in `scratch` and is retained across
     /// calls.  The Fisher–Yates engine ignores the scratch (and leaves it
     /// untouched), so one scratch per call site serves every policy.
-    #[allow(clippy::ptr_arg)] // the owned-vector entry; see `shuffle_slice_with`
     pub fn shuffle_vec_with<T, R: RandomSource + ?Sized>(
         &self,
         rng: &mut R,
         data: &mut Vec<T>,
         scratch: &mut BucketScratch<T>,
     ) {
-        self.shuffle_slice_with(rng, data, scratch);
-    }
-
-    /// Slice form of [`LocalShuffle::shuffle_vec_with`], identical draw for
-    /// draw: permutes `data` in place without owning its allocation — the
-    /// form the pipeline workers use on their ranges of a shared buffer.
-    pub fn shuffle_slice_with<T, R: RandomSource + ?Sized>(
-        &self,
-        rng: &mut R,
-        data: &mut [T],
-        scratch: &mut BucketScratch<T>,
-    ) {
         match self.resolve_for::<T>(data.len()) {
             LocalShuffle::FisherYates => fisher_yates_shuffle(rng, data),
             LocalShuffle::Bucketed { bucket_items } => {
-                bucketed_shuffle_slice_with(rng, data, bucket_items, scratch)
+                bucketed_shuffle_with(rng, data, bucket_items, scratch)
             }
             LocalShuffle::Auto => unreachable!("resolve_for never returns Auto"),
         }
@@ -254,8 +258,7 @@ pub(crate) fn effective_bucket_items(n: usize, bucket_items: usize) -> usize {
     bucket_items.max(1).max(n.div_ceil(MAX_SCATTER_BUCKETS))
 }
 
-/// The scatter kernel of the index specialization (the slice form runs the
-/// same steps over a [`StagedSlice`]): drain `source` from its
+/// The scatter kernel of the sequential engine: drain `source` from its
 /// tail in windows of `window_items`, Fisher–Yates each (cache-resident)
 /// window in place, split it across the sinks by the multivariate
 /// hypergeometric law (Algorithm 2 against the sinks' `remaining` demand),
@@ -310,10 +313,8 @@ pub(crate) fn scatter_windows<T, R: RandomSource + ?Sized>(
 /// plus the `O(k)` bookkeeping rows.
 ///
 /// A fresh scratch warms up on the first call (each bucket buffer is sized
-/// by the demand it serves) and retains every capacity afterwards — the
-/// allocation discipline that makes the engine viable inside the fused
-/// pipeline, where a worker shuffles every call and a quarter-megabyte of
-/// fresh pages per pass would cost more than the shuffle itself.
+/// by the demand it serves) and retains every capacity afterwards, so a
+/// caller that shuffles in a loop does not pay for fresh pages per pass.
 #[derive(Debug)]
 pub struct BucketScratch<T> {
     buckets: Vec<Vec<T>>,
@@ -382,8 +383,7 @@ impl<T> Default for BucketScratch<T> {
 /// (see the module docs for the proof sketch).
 ///
 /// This convenience form allocates its staging buffers per call; steady-state
-/// callers should reuse a scratch via [`bucketed_shuffle_with`] (the fused
-/// pipeline and the session API do this internally).
+/// callers should reuse a scratch via [`bucketed_shuffle_with`].
 pub fn bucketed_shuffle<T, R: RandomSource + ?Sized>(
     rng: &mut R,
     data: &mut Vec<T>,
@@ -395,22 +395,9 @@ pub fn bucketed_shuffle<T, R: RandomSource + ?Sized>(
 /// Scratch-reusing form of [`bucketed_shuffle`]: all staging capacity lives
 /// in `scratch` and is retained across calls, so a warm steady state makes
 /// no per-item allocations.
-#[allow(clippy::ptr_arg)] // the owned-vector entry; see `bucketed_shuffle_slice_with`
 pub fn bucketed_shuffle_with<T, R: RandomSource + ?Sized>(
     rng: &mut R,
     data: &mut Vec<T>,
-    bucket_items: usize,
-    scratch: &mut BucketScratch<T>,
-) {
-    bucketed_shuffle_slice_with(rng, data, bucket_items, scratch);
-}
-
-/// Slice form of [`bucketed_shuffle_with`], identical draw for draw: the
-/// scatter moves each window's runs from the tail of `data` into the bucket
-/// staging, and phase (b) moves every shuffled bucket back from the front.
-pub fn bucketed_shuffle_slice_with<T, R: RandomSource + ?Sized>(
-    rng: &mut R,
-    data: &mut [T],
     bucket_items: usize,
     scratch: &mut BucketScratch<T>,
 ) {
@@ -428,118 +415,12 @@ pub fn bucketed_shuffle_slice_with<T, R: RandomSource + ?Sized>(
         remaining,
         row,
     } = scratch;
-    let mut staged = StagedSlice::new(data, &mut buckets[..k]);
-
-    // Phase (a): the scatter of `scatter_windows`, over the live prefix.
-    while staged.live() > 0 {
-        let take = bucket_items.min(staged.live());
-        let start = staged.live() - take;
-        fisher_yates_shuffle(rng, &mut staged.live_mut()[start..]);
-        cgp_hypergeom::multivariate_hypergeometric_into(rng, take as u64, remaining, row);
-        for (s, &count) in row.iter().enumerate() {
-            if count > 0 {
-                remaining[s] -= count;
-                staged.stage_tail(s, count as usize);
-            }
-        }
-        debug_assert_eq!(staged.live(), start, "the row sums to the window size");
-    }
-
+    // Phase (a): drain `data` window by window into the buckets.
+    scatter_windows(rng, data, bucket_items, remaining, row, &mut buckets[..k]);
     // Phase (b): shuffle each bucket in cache and move it back in order.
-    for s in 0..k {
-        fisher_yates_shuffle(rng, staged.bucket_mut(s));
-        staged.unstage(s);
-    }
-}
-
-/// A slice whose tail `data[live..]` has been moved out into bucket
-/// staging: `live` items sit at the front, and the buckets hold exactly
-/// `len - live` items between them.
-///
-/// Every move is a bitwise copy followed by a length update, with nothing
-/// that can panic in between, so the count invariant holds at every panic
-/// point (the random draws in between are the only code that can unwind).
-/// On drop — normal or unwinding — whatever the buckets still hold is moved
-/// back into the tail, so the caller's slice is always left holding each
-/// of its items exactly once.
-struct StagedSlice<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    live: usize,
-    buckets: &'a mut [Vec<T>],
-    _data: std::marker::PhantomData<&'a mut [T]>,
-}
-
-impl<'a, T> StagedSlice<'a, T> {
-    fn new(data: &'a mut [T], buckets: &'a mut [Vec<T>]) -> Self {
-        debug_assert!(buckets.iter().all(Vec::is_empty));
-        StagedSlice {
-            ptr: data.as_mut_ptr(),
-            len: data.len(),
-            live: data.len(),
-            buckets,
-            _data: std::marker::PhantomData,
-        }
-    }
-
-    fn live(&self) -> usize {
-        self.live
-    }
-
-    fn live_mut(&mut self) -> &mut [T] {
-        // SAFETY: `data[..live]` holds initialized items that nothing else
-        // references; the borrow of `self` keeps it exclusive.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.live) }
-    }
-
-    fn bucket_mut(&mut self, s: usize) -> &mut [T] {
-        &mut self.buckets[s]
-    }
-
-    /// Moves the last `count` live items onto the end of bucket `s`.
-    fn stage_tail(&mut self, s: usize, count: usize) {
-        assert!(count <= self.live);
-        let bucket = &mut self.buckets[s];
-        bucket.reserve(count);
-        let from = self.live - count;
-        // SAFETY: `data[from..live]` is initialized and leaves the live
-        // prefix below; the bucket has room for `count` more items.  The
-        // copy and both length updates cannot panic.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                self.ptr.add(from),
-                bucket.as_mut_ptr().add(bucket.len()),
-                count,
-            );
-            bucket.set_len(bucket.len() + count);
-        }
-        self.live = from;
-    }
-
-    /// Moves all of bucket `s` into the slice right after the live prefix.
-    fn unstage(&mut self, s: usize) {
-        let bucket = &mut self.buckets[s];
-        let count = bucket.len();
-        assert!(self.live + count <= self.len);
-        // SAFETY: `data[live..live + count]` is moved-out space (the buckets
-        // hold `len - live >= count` items); the bucket forgets the items it
-        // hands over.  The copy and both length updates cannot panic.
-        unsafe {
-            std::ptr::copy_nonoverlapping(bucket.as_ptr(), self.ptr.add(self.live), count);
-            bucket.set_len(0);
-        }
-        self.live += count;
-    }
-}
-
-impl<T> Drop for StagedSlice<'_, T> {
-    fn drop(&mut self) {
-        // `unstage` cannot panic here: the buckets hold exactly the
-        // `len - live` items that fit the tail.
-        for s in 0..self.buckets.len() {
-            self.unstage(s);
-        }
-        debug_assert_eq!(self.live, self.len);
+    for bucket in &mut buckets[..k] {
+        fisher_yates_shuffle(rng, bucket);
+        data.append(bucket);
     }
 }
 
@@ -702,9 +583,8 @@ mod tests {
 
     #[test]
     fn scratch_capacity_converges_across_calls() {
-        // The allocation discipline the fused pipeline relies on: after the
-        // first call the scratch retains every staging buffer, so repeated
-        // same-shaped shuffles report a stable capacity.
+        // After the first call the scratch retains every staging buffer, so
+        // repeated same-shaped shuffles report a stable capacity.
         let mut rng = Pcg64::seed_from_u64(45);
         let mut scratch = BucketScratch::new();
         let mut caps = Vec::new();
@@ -727,104 +607,30 @@ mod tests {
         assert_eq!(x, y);
     }
 
-    /// The owned-vector bucketed shuffle as it was before the slice form:
-    /// drain the windows with `scatter_windows`, append the buckets back.
-    fn vec_bucketed_reference<T, R: RandomSource>(
-        rng: &mut R,
-        data: &mut Vec<T>,
-        bucket_items: usize,
-    ) {
-        let n = data.len();
-        let bucket_items = effective_bucket_items(n, bucket_items);
-        if n <= bucket_items {
-            fisher_yates_shuffle(rng, data);
-            return;
-        }
-        let mut scratch = BucketScratch::new();
-        scratch.prepare(&bucket_sizes(n, bucket_items));
-        let BucketScratch {
-            buckets,
-            remaining,
-            row,
-        } = &mut scratch;
-        scatter_windows(rng, data, bucket_items, remaining, row, buckets);
-        for bucket in buckets.iter_mut() {
-            fisher_yates_shuffle(rng, bucket);
-            data.append(bucket);
-        }
-    }
-
     #[test]
-    fn slice_form_equals_the_vec_form_draw_for_draw() {
+    fn the_sequential_engine_reproduces_recorded_checksums() {
+        // `(seed, n, bucket_items, FNV-1a checksum, draws)`, recorded from
+        // the engine's first `scatter_windows` + `append` form; the output
+        // of the sequential engine is part of its API.
+        const RECORDED: [(u64, u64, usize, u64, u64); 7] = [
+            (50, 0, 32, 0xcbf2_9ce4_8422_2325, 0),
+            (51, 1, 32, 0xaf63_bd4c_8601_b7df, 0),
+            (52, 257, 32, 0x2c7b_0914_5c2f_73c5, 558),
+            (53, 5000, 32, 0x97af_a511_87a8_0e49, 43_916),
+            (54, 10_000, 1, 0x145b_1960_27eb_589b, 148_167),
+            (55, 4_096, 4_096, 0x5912_d203_2c7d_a67b, 4_095),
+            (56, 3_001, 100, 0xd2a4_5c10_361e_6b4d, 8_543),
+        ];
         let mut scratch = BucketScratch::new();
-        for (seed, n, bucket) in [(50, 0, 32), (51, 1, 32), (52, 257, 32), (53, 5000, 32)]
-            .into_iter()
-            .chain([(54, 10_000, 1), (55, 4_096, 4_096), (56, 3_001, 100)])
-        {
-            let mut a = Pcg64::seed_from_u64(seed);
-            let mut b = Pcg64::seed_from_u64(seed);
-            let mut c = CountingRng::new(Pcg64::seed_from_u64(seed));
-            let mut d = CountingRng::new(Pcg64::seed_from_u64(seed));
-            let mut via_vec: Vec<u64> = (0..n).collect();
-            let mut via_slice = via_vec.clone();
-            bucketed_shuffle_with(&mut a, &mut via_vec, bucket, &mut scratch);
-            bucketed_shuffle_slice_with(&mut b, &mut via_slice[..], bucket, &mut scratch);
-            assert_eq!(via_vec, via_slice, "n = {n}, bucket = {bucket}");
-
-            let mut reference: Vec<u64> = (0..n).collect();
-            vec_bucketed_reference(&mut c, &mut reference, bucket);
-            let mut slice: Vec<u64> = (0..n).collect();
-            bucketed_shuffle_slice_with(&mut d, &mut slice[..], bucket, &mut scratch);
-            assert_eq!(slice, reference, "n = {n}, bucket = {bucket}");
-            assert_eq!(c.count(), d.count(), "same number of draws");
-        }
-    }
-
-    #[test]
-    fn a_panicking_generator_leaves_the_slice_whole() {
-        use std::cell::Cell;
-        use std::rc::Rc;
-
-        /// Panics on its `limit`-th draw.
-        struct Fuse(Pcg64, u64);
-        impl RandomSource for Fuse {
-            fn next_u64(&mut self) -> u64 {
-                self.1 = self.1.checked_sub(1).expect("the fuse blew");
-                self.0.next_u64()
-            }
-        }
-        /// Counts its live instances.
-        struct Tracked(u64, Rc<Cell<i64>>);
-        impl Drop for Tracked {
-            fn drop(&mut self) {
-                self.1.set(self.1.get() - 1);
-            }
-        }
-
-        let live = Rc::new(Cell::new(0i64));
-        let n = 2_000u64;
-        // Draw budgets that blow in the first window, mid-scatter, between
-        // the phases and inside phase (b).
-        for limit in [3u64, 700, 2_000, 2_100, 3_500] {
-            let mut data: Vec<Tracked> = (0..n)
-                .map(|i| {
-                    live.set(live.get() + 1);
-                    Tracked(i, Rc::clone(&live))
-                })
-                .collect();
-            let mut scratch = BucketScratch::new();
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut rng = Fuse(Pcg64::seed_from_u64(limit), limit);
-                bucketed_shuffle_slice_with(&mut rng, &mut data[..], 64, &mut scratch);
-            }));
-            assert!(outcome.is_err(), "limit {limit}: the fuse blows");
-            assert_eq!(scratch.buckets.iter().map(Vec::len).sum::<usize>(), 0);
-            assert_eq!(live.get(), n as i64, "limit {limit}: nothing dropped");
-            let mut ids: Vec<u64> = data.iter().map(|t| t.0).collect();
-            ids.sort_unstable();
-            assert_eq!(ids, (0..n).collect::<Vec<u64>>(), "limit {limit}");
-            drop(data);
-            assert_eq!(live.get(), 0, "limit {limit}: each item dropped once");
+        for (seed, n, bucket, checksum, draws) in RECORDED {
+            let mut rng = CountingRng::new(Pcg64::seed_from_u64(seed));
+            let mut data: Vec<u64> = (0..n).collect();
+            bucketed_shuffle_with(&mut rng, &mut data, bucket, &mut scratch);
+            let fnv = data.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &x| {
+                (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            assert_eq!(fnv, checksum, "n = {n}, bucket = {bucket}");
+            assert_eq!(rng.count(), draws, "n = {n}, bucket = {bucket}");
         }
     }
 

@@ -49,9 +49,13 @@ pub enum FaultPhase {
     /// Panic at the start of the matrix phase, while peers are inside (or
     /// entering) the word-plane sampling rounds.
     Matrix,
-    /// Panic at the start of superstep 2, before the data exchange — peers
-    /// end up blocked in the all-to-all and must be woken by the abort
-    /// protocol.
+    /// Panic in the data exchange, with peers blocked at a barrier that the
+    /// abort protocol must wake.  On the Fisher–Yates path it fires at the
+    /// start of superstep 2, before the row of `A` is published.  On the
+    /// one scatter level it fires after the worker has copied its first
+    /// window's runs into the spare (at once if its block is empty), so
+    /// those items sit bitwise in both buffers; the engine leaks them rather
+    /// than drop one twice (see the `parallel` module docs).
     Exchange,
 }
 

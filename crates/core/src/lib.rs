@@ -49,8 +49,7 @@
 //!
 //! 1. [`permute_vec`] — one-shot, allocates its spare buffer per call;
 //! 2. [`permute_vec_into`] + [`PermuteScratch`] — recycles the spare buffer
-//!    and the shuffle staging across calls (steady-state loops ping-pong
-//!    between two allocations);
+//!    across calls (steady-state loops ping-pong between two allocations);
 //! 3. [`Permuter::session`] / [`PermutationSession`] — the steady-state
 //!    tier: a **resident worker pool** plus a scratch, so repeated
 //!    permutations also skip the per-call thread spawns and channel

@@ -41,6 +41,11 @@
 //!    slot in the output and re-shuffles its target block (supersteps 2–3;
 //!    see the direct-placement exchange below).
 //!
+//! That is the **Fisher–Yates path**.  A job that resolves to the bucketed
+//! local shuffle and has a block larger than one window runs the **one
+//! scatter level** instead (see below): the same program over every
+//! cache-sized bucket of every target block.
+//!
 //! No second machine is ever built: on a [`cgp_cgm::ResidentCgm`]-backed
 //! [`crate::PermutationSession`] a steady-state permutation therefore makes
 //! **zero thread spawns and zero channel-fabric constructions** for *every*
@@ -96,6 +101,56 @@
 //! would be (`m_i` words out, `m'_j` words in, one message per peer), so
 //! the Theorem 1 volume figures read the same as over channels.
 //!
+//! # One scatter level
+//!
+//! The paper's §6 outlook treats the cache levels as CGM processors.  The
+//! bucketed engine applies it once, across the whole job: every bucket of
+//! every target block is a **virtual target** of one Algorithm 1 — the
+//! single-level form of Sanders' hierarchical scatter (*Random permutations
+//! on distributed, external and hierarchical memory*, IPL 1998).  Target
+//! block `j` is cut into `k_j` buckets of
+//! `effective_bucket_items(m'_j, bucket_items)` items (so
+//! `k_j ≤ MAX_SCATTER_BUCKETS`), `K = Σ_j k_j` virtual targets in all, laid
+//! out in output order: bucket `c` is `starts[c] .. starts[c + 1]`.  The
+//! run takes three barriers:
+//!
+//! 1. **Matrix.**  Algorithms 3–6 sample `A` as on the Fisher–Yates path;
+//!    each worker publishes its row into the job's `p × p` table.
+//!    *Barrier.*
+//! 2. **Column refinement.**  Target `j` splits column `j` of `A` over its
+//!    buckets: a `p × k_j` table with row sums `a_ij` and the bucket sizes
+//!    as column sums, drawn row by row by Algorithm 2 against the buckets'
+//!    remaining capacity, from its own per-target stream.  It publishes the
+//!    table into the job's refined `p × K` matrix `r`.  *Barrier.*
+//! 3. **Supersteps 1 + 2, fused.**  Worker `i` walks its block of the
+//!    caller's vector in windows of `bucket_items` items (raised, like the
+//!    buckets, so a block has at most `MAX_SCATTER_BUCKETS` windows).  It
+//!    shuffles each window in place, splits it over the `K` virtual targets
+//!    against its remaining demand (row `i` of `r`; the last window's split
+//!    is forced and draws nothing), and copies each run to its cursor in
+//!    the spare.  Worker `i`'s slot in bucket `c` starts at
+//!
+//!    ```text
+//!    starts[c] + Σ_{l<i} r_lc
+//!    ```
+//!
+//!    and its cursor advances by every run placed there.  Each copy is
+//!    bounds-checked against the slot first; after its last window the
+//!    worker asserts that every slot it owns is full.  *Barrier.*
+//! 4. **Superstep 3.**  Worker `j` shuffles each bucket of its target
+//!    block in place in the spare.  There is no copy back: the caller swaps
+//!    the allocations as on the Fisher–Yates path.
+//!
+//! So each item gets two in-cache Fisher–Yates passes and one copy.
+//! Uniformity is Propositions 1–2 over the virtual targets: `A` has the
+//! law a uniform permutation induces, and given `A` the split of each
+//! column over its buckets is the law of a uniform arrangement of target
+//! block `j`; a shuffled window cut into runs of hypergeometric lengths
+//! sends a uniform subset to each virtual target; and superstep 3 makes
+//! each bucket's order uniform.  Jobs whose source and target blocks each
+//! fit one window keep the Fisher–Yates path, where a bucketed shuffle is
+//! one Fisher–Yates pass anyway.
+//!
 //! ## Leak on panic
 //!
 //! While a run is in flight the two allocations belong to no `Vec`: the
@@ -104,13 +159,15 @@
 //! the input, in the output, or bitwise in both, so the engine forgets the
 //! items rather than risk dropping one twice: they are **leaked** (their
 //! destructors never run), `data` comes back empty, and the scratch may
-//! come back cold.  If a worker may still be running when the executor
+//! come back cold.  On the one scatter level a panic can strike
+//! mid-scatter, with some of a worker's runs already copied into other
+//! workers' target blocks; the same contract covers it.  If a worker may still be running when the executor
 //! returns — a resident pool that shut down mid-dispatch — both
 //! allocations are leaked as well.  Plain-data payloads lose nothing but
 //! the failed job's items.
 //!
-//! Callers that permute repeatedly recycle the spare and the shuffle
-//! staging across calls with [`permute_vec_into`] and a [`PermuteScratch`];
+//! Callers that permute repeatedly recycle the spare across calls with
+//! [`permute_vec_into`] and a [`PermuteScratch`];
 //! callers whose payloads are not `Send` (or are too heavy to move around)
 //! can permute indices once with [`crate::Permuter::sample_permutation`] and
 //! gather locally with [`crate::apply_permutation`].
@@ -120,17 +177,18 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
-use crate::cache_aware::{BucketScratch, LocalShuffle};
+use crate::cache_aware::{effective_bucket_items, LocalShuffle};
 use crate::config::{EngineFault, FaultPhase, MatrixBackend, PermuteOptions};
+use crate::sequential::fisher_yates_shuffle;
 use cgp_cgm::{
     BatchJobOutcome, BlockDistribution, CgmError, CgmExecutor, CgmMachine, MachineMetrics, ProcCtx,
 };
+use cgp_hypergeom::multivariate_hypergeometric_into;
 use cgp_matrix::{
     sample_parallel_log_ctx, sample_parallel_optimal_ctx, sample_recursive_ctx,
     sample_sequential_ctx, CommMatrix,
 };
+use cgp_rng::{Pcg64, SeedSequence};
 
 /// What happened during one parallel permutation: timings, per-phase
 /// metered communication, and (optionally) the sampled communication
@@ -156,13 +214,18 @@ pub struct PermutationReport {
     /// workers of the time spent inside the in-context sampler.
     pub matrix_elapsed: Duration,
     /// In-run wall-clock time of the data phase: the maximum over workers
-    /// of the time spent in the shuffle + gather + shuffle steps.
+    /// of the time spent in the shuffle + gather + shuffle steps (on the one
+    /// scatter level: column refinement, scatter and bucket shuffles,
+    /// barrier waits included).
     pub exchange_elapsed: Duration,
     /// In-run wall-clock time of the local shuffles alone: the maximum
-    /// over workers of superstep-1 plus superstep-3 shuffle time.  This is
-    /// a *subset* of [`PermutationReport::exchange_elapsed`] (the data
-    /// phase contains both shuffle passes), split out so benches can
-    /// attribute engine wins per phase.
+    /// over workers of the time spent in Fisher–Yates passes — superstep 1
+    /// and superstep 3, or on the one scatter level the window and bucket
+    /// shuffles.  This is a *subset* of
+    /// [`PermutationReport::exchange_elapsed`], split out so benches can
+    /// attribute engine wins per phase; the rest of the data phase is the
+    /// copies and waits, and on the one scatter level also the column
+    /// refinement and the window splits.
     pub shuffle_elapsed: Duration,
     /// Metered word-plane communication of the matrix phase.  Every
     /// backend gets a meter: the parallel backends record their
@@ -210,8 +273,7 @@ impl PermutationReport {
     }
 }
 
-/// Reusable buffers for [`permute_vec_into`]: one spare payload buffer and
-/// the per-processor staging of the bucketed local shuffle.
+/// Reusable buffers for [`permute_vec_into`]: one spare payload buffer.
 ///
 /// The engine permutes out of place, from the caller's vector into the
 /// spare, and then swaps the two allocations: after a call `data` holds the
@@ -226,32 +288,19 @@ pub struct PermuteScratch<T> {
     /// The buffer the next call places its output into (empty, capacity
     /// retained).
     spare: Vec<T>,
-    /// Per-processor staging buffers for the bucketed local-shuffle engine
-    /// (empty — and never touched — while the resolved engine is
-    /// Fisher–Yates).
-    buckets: Vec<BucketScratch<T>>,
 }
 
 impl<T> PermuteScratch<T> {
     /// An empty scratch; buffers grow on first use and are retained after.
     pub fn new() -> Self {
-        PermuteScratch {
-            spare: Vec::new(),
-            buckets: Vec::new(),
-        }
+        PermuteScratch { spare: Vec::new() }
     }
 
-    /// Total capacity (in items) currently retained across the spare and
-    /// bucket-staging buffers — a cheap observability hook for
-    /// allocation-reuse tests (a converged scratch reports the same value
-    /// call after call).
+    /// Capacity (in items) currently retained in the spare — a cheap
+    /// observability hook for allocation-reuse tests (a converged scratch
+    /// reports the same value call after call).
     pub fn retained_capacity(&self) -> usize {
         self.spare.capacity()
-            + self
-                .buckets
-                .iter()
-                .map(|b| b.retained_capacity())
-                .sum::<usize>()
     }
 }
 
@@ -286,7 +335,8 @@ const CLOSED: usize = 1 << (usize::BITS - 1);
 ///
 /// This is the engine's one hand-off of raw storage.  Workers reach it only
 /// from inside an [`Handoff::enter`] lease, and only in this order (`s_i`
-/// and `t_j` are the first indices of source block `i` and target block `j`):
+/// and `t_j` are the first indices of source block `i` and target block `j`).
+/// On the Fisher–Yates path:
 ///
 /// 1. **Superstep 1.**  Worker `i` shuffles `input[s_i .. s_i + m_i]`, its
 ///    own source block ([`Handoff::block`]), then publishes row `i` of `A`
@@ -306,6 +356,26 @@ const CLOSED: usize = 1 << (usize::BITS - 1);
 /// Runs of one source block are disjoint (row prefix sums), so after a
 /// completed run every item sits in `output` exactly once and `input` holds
 /// only moved-out bits.
+///
+/// On the one scatter level (see the module docs) step 2 is the scatter,
+/// and target blocks are written by every worker:
+///
+/// 1. **Supersteps 1 + 2.**  Worker `i` shuffles each window of its own
+///    source block in place ([`Handoff::block`]) and copies the window's
+///    runs bitwise into its slots `(i, c)`, one in each bucket `c` of every
+///    target block ([`Handoff::place`]).  The slots are disjoint: slot
+///    `(i, c)` is `r_ic` items from `starts[c] + Σ_{l<i} r_lc`, and the
+///    columns of the refined matrix `r` sum to the bucket sizes.  Before
+///    each copy the worker checks that the run lies inside its window and
+///    its slot, and after its last window that every slot it owns is full.
+///    Then it waits at the barrier; past it nobody writes to `input` or to
+///    another worker's target block again.
+/// 2. **Superstep 3.**  Worker `j` shuffles each bucket of
+///    `output[t_j .. t_j + m'_j]` ([`Handoff::target_block`]).
+///
+/// Each source block is touched by its own worker only, and each output
+/// slot is written once, so a completed run again leaves every item in
+/// `output` exactly once.
 ///
 /// The caller reclaims the storage once, after the run ([`reclaim`]):
 ///
@@ -396,7 +466,8 @@ impl<T> Handoff<T> {
         self.lease.fetch_or(CLOSED, Ordering::AcqRel) & !CLOSED == 0
     }
 
-    /// Source block `start .. start + len` (protocol step 1).
+    /// Source block `start .. start + len`, or a window of it (protocol
+    /// step 1; on the one scatter level, step 1 of the scatter).
     ///
     /// # Safety
     /// The caller holds a lease, owns this block under the protocol, and the
@@ -408,11 +479,11 @@ impl<T> Handoff<T> {
     }
 
     /// Copies `count` items from `input[from..]` to `output[to..]` (protocol
-    /// step 2).
+    /// step 2, the gather or the scatter).
     ///
     /// # Safety
-    /// The caller holds a lease, no worker writes the input range any more,
-    /// the caller owns the output range, and both are in bounds.
+    /// The caller holds a lease, no other worker writes the input range, the
+    /// caller owns the output range, and both are in bounds.
     unsafe fn place(&self, from: usize, to: usize, count: usize) {
         debug_assert!(from + count <= self.len && to + count <= self.len);
         std::ptr::copy_nonoverlapping(self.input.add(from), self.output.add(to), count);
@@ -435,11 +506,12 @@ impl<T> Handoff<T> {
         Vec::from_raw_parts(self.output, len, self.output_capacity)
     }
 
-    /// Target block `start .. start + len` (protocol step 3).
+    /// Target block `start .. start + len`, or a bucket of it (protocol
+    /// step 3).
     ///
     /// # Safety
     /// The caller holds a lease, owns this block under the protocol, and
-    /// has placed every run of it.
+    /// every run of it has been placed.
     #[allow(clippy::mut_from_ref)]
     unsafe fn target_block(&self, start: usize, len: usize) -> &mut [T] {
         debug_assert!(start + len <= self.len);
@@ -461,6 +533,68 @@ enum RunEnd {
 /// `A` and its in-run phase timings (matrix, data, local shuffles).
 type ProcResult = (Vec<u64>, Duration, Duration, Duration);
 
+/// Index of the per-processor local-shuffle streams among the machine
+/// seed's child sequences.
+const SHUFFLE_STREAMS: u64 = 0x5AFE_B10C;
+
+/// Index of the per-target column-refinement streams of the one scatter
+/// level among the machine seed's child sequences.
+const REFINE_STREAMS: u64 = 0x5EF1_0C01;
+
+/// The layout of the one scatter level: its virtual targets — every bucket
+/// of every target block, in output order — and the refined `p × K`
+/// matrix that splits `A` over them.
+struct Scatter {
+    /// Requested window and bucket size in items (at least 1).
+    bucket_items: usize,
+    /// `first[j]` is the index of target block `j`'s first bucket;
+    /// `first[p] = K`.
+    first: Vec<usize>,
+    /// `starts[c]` is the first output index of bucket `c`; `starts[K] = n`,
+    /// so bucket `c` is `starts[c] .. starts[c + 1]`.
+    starts: Vec<u64>,
+    /// The refined matrix, `p × K` row-major: target `j` publishes the
+    /// columns of its buckets before the second barrier, and every worker
+    /// reads its slots after it.
+    refined: Vec<AtomicU64>,
+}
+
+impl Scatter {
+    /// The scatter over `target`'s blocks, each cut into buckets of
+    /// `effective_bucket_items(m'_j, bucket_items)` items (so at most
+    /// `MAX_SCATTER_BUCKETS` per block).
+    fn new(target: &BlockDistribution, bucket_items: usize) -> Self {
+        let mut first = vec![0];
+        let mut starts = Vec::new();
+        for j in 0..target.procs() {
+            let (offset, size) = (target.offset(j), target.size(j));
+            let bucket = effective_bucket_items(size as usize, bucket_items) as u64;
+            starts.extend((0..size).step_by(bucket as usize).map(|b| offset + b));
+            first.push(starts.len());
+        }
+        starts.push(target.total());
+        let refined = (0..target.procs() * (starts.len() - 1))
+            .map(|_| AtomicU64::new(0))
+            .collect();
+        Scatter {
+            bucket_items,
+            first,
+            starts,
+            refined,
+        }
+    }
+
+    /// `K`, the number of virtual targets.
+    fn targets(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Entry `(i, c)` of the refined matrix.
+    fn refined(&self, i: usize, c: usize) -> u64 {
+        self.refined[i * self.targets() + c].load(Ordering::Relaxed)
+    }
+}
+
 /// One permutation job, staged and ready to run on an executor, shared by
 /// the caller and every worker of the run.
 struct Job<T> {
@@ -471,29 +605,33 @@ struct Job<T> {
     /// `i` before the barrier, and every worker reads its run offsets after
     /// it.
     matrix: Vec<AtomicU64>,
-    /// Per-processor staging of the bucketed shuffle; each worker locks its
-    /// own for the whole run.
-    buckets: Vec<Mutex<BucketScratch<T>>>,
+    /// The one scatter level, when the job runs the bucketed engine and a
+    /// block spans more than one window; `None` runs the Fisher–Yates path.
+    scatter: Option<Scatter>,
     backend: MatrixBackend,
-    local_shuffle: LocalShuffle,
     fault: Option<EngineFault>,
 }
 
 impl<T> Job<T> {
-    /// Protocol step 2 for worker `j` (see [`Handoff`]): copies run `(i, j)`
-    /// of every source block `i` to its final slot in target block `j`,
-    /// checking each run's bounds before its copy.
+    /// Entry `(i, j)` of the sampled matrix `A`.
+    fn a(&self, i: usize, j: usize) -> u64 {
+        self.matrix[i * self.source.procs() + j].load(Ordering::Relaxed)
+    }
+
+    /// Protocol step 2 of the Fisher–Yates path for worker `j` (see
+    /// [`Handoff`]): copies run `(i, j)` of every source block `i` to its
+    /// final slot in target block `j`, checking each run's bounds before its
+    /// copy.
     ///
     /// # Safety
     /// The caller is worker `j`, inside the lease and past the barrier.
     unsafe fn gather(&self, j: usize) {
         let p = self.source.procs();
-        let a = |i: usize, l: usize| self.matrix[i * p + l].load(Ordering::Relaxed);
         let end = self.target.offset(j) + self.target.size(j);
         let mut to = self.target.offset(j);
         for i in 0..p {
-            let skipped: u64 = (0..j).map(|l| a(i, l)).sum();
-            let count = a(i, j);
+            let skipped: u64 = (0..j).map(|l| self.a(i, l)).sum();
+            let count = self.a(i, j);
             assert!(
                 skipped + count <= self.source.size(i) && to + count <= end,
                 "run ({i}, {j}) of the sampled matrix overflows its blocks"
@@ -511,11 +649,122 @@ impl<T> Job<T> {
             "column {j} of the sampled matrix does not sum to its target size"
         );
     }
+
+    /// Column refinement for target `j`: splits column `j` of `A` over the
+    /// buckets of target block `j`, row by row, each row drawn by Algorithm
+    /// 2 against the buckets' remaining capacity, and publishes the split
+    /// into the refined matrix.
+    fn refine(&self, scatter: &Scatter, j: usize, rng: &mut Pcg64) {
+        let buckets = scatter.first[j]..scatter.first[j + 1];
+        let mut capacity: Vec<u64> = buckets
+            .clone()
+            .map(|c| scatter.starts[c + 1] - scatter.starts[c])
+            .collect();
+        let mut split = vec![0; capacity.len()];
+        let k = scatter.targets();
+        for i in 0..self.source.procs() {
+            multivariate_hypergeometric_into(rng, self.a(i, j), &capacity, &mut split);
+            let row = &scatter.refined[i * k + buckets.start..i * k + buckets.end];
+            for ((cell, &x), room) in row.iter().zip(&split).zip(&mut capacity) {
+                *room -= x;
+                // Relaxed: the barrier's mutex orders these stores before
+                // every worker's loads in `scatter`.
+                cell.store(x, Ordering::Relaxed);
+            }
+        }
+        assert!(
+            capacity.iter().all(|&room| room == 0),
+            "column {j} of the sampled matrix does not sum to its target size"
+        );
+    }
+
+    /// Supersteps 1 and 2 of the one scatter level for worker `i` (protocol
+    /// step 2 of [`Handoff`]): shuffles source block `i` window by window in
+    /// place, splits each window over the virtual targets against the
+    /// worker's remaining demand, and copies each run to its cursor in slot
+    /// `(i, c)` of bucket `c`, which starts at `starts[c] + Σ_{l<i} r_lc`.
+    /// Returns the time spent in Fisher–Yates passes.
+    ///
+    /// # Safety
+    /// The caller is worker `i`, inside the lease and past the barrier that
+    /// follows the column refinement.
+    unsafe fn scatter(&self, scatter: &Scatter, i: usize, rng: &mut Pcg64) -> Duration {
+        let k = scatter.targets();
+        let mut demand: Vec<u64> = (0..k).map(|c| scatter.refined(i, c)).collect();
+        let mut cursor: Vec<u64> = (0..k)
+            .map(|c| scatter.starts[c] + (0..i).map(|l| scatter.refined(l, c)).sum::<u64>())
+            .collect();
+        let end: Vec<u64> = cursor.iter().zip(&demand).map(|(at, d)| at + d).collect();
+        assert!(
+            (0..k).all(|c| end[c] <= scatter.starts[c + 1]),
+            "worker {i}'s slots overflow their buckets"
+        );
+        let mut left = self.source.size(i);
+        assert_eq!(
+            demand.iter().sum::<u64>(),
+            left,
+            "row {i} of the sampled matrix does not sum to its source size"
+        );
+        let window = effective_bucket_items(left as usize, scatter.bucket_items) as u64;
+        let mut from = self.source.offset(i);
+        let mut split = vec![0; k];
+        let mut shuffled = Duration::ZERO;
+        // An exchange fault fires once the first window's runs sit in both
+        // buffers (at once for an empty block).
+        let fault = self
+            .fault
+            .is_some_and(|f| f.proc == i && f.phase == FaultPhase::Exchange);
+        if fault && left == 0 {
+            panic!("injected engine fault (exchange phase, mid-scatter)");
+        }
+        while left > 0 {
+            let take = window.min(left);
+            let started = Instant::now();
+            // SAFETY: the window lies inside source block `i`, which only
+            // this worker touches.
+            fisher_yates_shuffle(rng, self.handoff.block(from as usize, take as usize));
+            shuffled += started.elapsed();
+            if take == left {
+                // The last window's split is forced: skip the draw.
+                split.copy_from_slice(&demand);
+            } else {
+                multivariate_hypergeometric_into(rng, take, &demand, &mut split);
+            }
+            let window_end = from + take;
+            for c in 0..k {
+                let count = split[c];
+                if count == 0 {
+                    continue;
+                }
+                assert!(
+                    cursor[c] + count <= end[c] && from + count <= window_end,
+                    "run ({i}, {c}) of the scatter overflows its slot"
+                );
+                // SAFETY: the run lies inside the window just shuffled and
+                // inside slot `(i, c)`, which only this worker writes; both
+                // were just checked.
+                self.handoff
+                    .place(from as usize, cursor[c] as usize, count as usize);
+                cursor[c] += count;
+                demand[c] -= count;
+                from += count;
+            }
+            left -= take;
+            if fault {
+                panic!("injected engine fault (exchange phase, mid-scatter)");
+            }
+        }
+        assert_eq!(
+            cursor, end,
+            "worker {i} left a slot of the scatter unfilled"
+        );
+        shuffled
+    }
 }
 
 /// Stages one job: resolves the local-shuffle engine against the job's
-/// total payload, takes the caller's items and the scratch's spare into a
-/// [`Handoff`], and lends each virtual processor its bucket staging.
+/// total payload, lays out the scatter when the bucketed engine needs one,
+/// and takes the caller's items and the scratch's spare into a [`Handoff`].
 ///
 /// The distributions must already be validated (see
 /// [`PermuteOptions::resolve_target_sizes`]): all misuse is rejected before
@@ -538,24 +787,29 @@ fn stage_job<T: Send>(
     // is what decides whether the local shuffles are cache-miss-bound (see
     // `AUTO_CROSSOVER_BYTES`).  Resolving here also keeps every worker on
     // the same engine.
-    let local_shuffle = options.local_shuffle.resolve_for::<T>(data.len());
-    let mut buckets = std::mem::take(&mut scratch.buckets);
-    buckets.resize_with(p, BucketScratch::new);
+    // A job whose blocks each fit one window runs the Fisher–Yates path:
+    // there a bucketed shuffle is one Fisher–Yates pass anyway.
+    let scatter = match options.local_shuffle.resolve_for::<T>(data.len()) {
+        LocalShuffle::Bucketed { bucket_items } => {
+            let window = bucket_items as u64;
+            let fits = |d: &BlockDistribution| d.sizes().iter().all(|&m| m <= window);
+            (!(fits(&source) && fits(&target))).then(|| Scatter::new(&target, bucket_items))
+        }
+        _ => None,
+    };
     Arc::new(Job {
         handoff: Handoff::new(std::mem::take(data), std::mem::take(&mut scratch.spare)),
         source,
         target,
         matrix: (0..p * p).map(|_| AtomicU64::new(0)).collect(),
-        buckets: buckets.into_iter().map(Mutex::new).collect(),
+        scatter,
         backend: options.backend,
-        local_shuffle,
         fault: options.fault,
     })
 }
 
 /// Hands the storage of a finished run back to the caller — the one place
-/// the [`Handoff`] is undone (see its safety protocol) — and recovers the
-/// bucket staging into the scratch.
+/// the [`Handoff`] is undone (see its safety protocol).
 fn reclaim<T>(job: Arc<Job<T>>, end: RunEnd, data: &mut Vec<T>, scratch: &mut PermuteScratch<T>) {
     let h = &job.handoff;
     let vacant = h.vacate();
@@ -585,18 +839,12 @@ fn reclaim<T>(job: Arc<Job<T>>, end: RunEnd, data: &mut Vec<T>, scratch: &mut Pe
     if spare.capacity() <= h.len.saturating_mul(2) {
         scratch.spare = spare;
     }
-    // Workers release their clones before the run reports back; a job
-    // that may still be running keeps its staging, and the scratch goes cold.
-    scratch.buckets = match Arc::try_unwrap(job) {
-        Ok(job) => job.buckets.into_iter().map(Mutex::into_inner).collect(),
-        Err(_) => Vec::new(),
-    };
 }
 
 /// Builds the per-processor job closure for a staged job — the whole of
-/// Algorithm 1 (superstep-1 shuffle, in-context matrix sampling, direct
-/// placement, superstep-3 shuffle) as one closure every virtual processor
-/// runs.
+/// Algorithm 1 (in-context matrix sampling, local shuffles and direct
+/// placement, on the Fisher–Yates path or through the one scatter level) as
+/// one closure every virtual processor runs.
 ///
 /// Every random stream the closure draws is derived from the machine's
 /// master seed *per call* (never from executor history), so the same job
@@ -612,28 +860,32 @@ fn worker_closure<T: Send + 'static>(
         let p = ctx.procs();
         let (source_start, source_len) = (job.source.offset(id), job.source.size(id));
         let (target_start, target_len) = (job.target.offset(id), job.target.size(id));
-        let mut buckets = job.buckets[id].lock();
         // The in-context matrix samplers draw from their own per-call
         // derived streams (`MatrixCtx::sampling_rng` / the named front-end
         // stream); the local shuffles must be statistically independent of
         // the sampled matrix, so this phase derives its own per-processor
         // streams from the master seed.
-        let mut shuffle_rng = ctx.seeds().child_sequence(0x5AFE_B10C).proc_stream(id);
+        let seeds: SeedSequence = *ctx.seeds();
+        let mut shuffle_rng = seeds.child_sequence(SHUFFLE_STREAMS).proc_stream(id);
 
-        // Superstep 1: local shuffle of the own block, in place in the
-        // caller's vector.  Independent of the matrix, so on workers that
-        // are not (yet) involved in a sampling round it overlaps the matrix
-        // phase instead of waiting for it.
+        // Superstep 1 on the Fisher–Yates path: local shuffle of the own
+        // block, in place in the caller's vector.  Independent of the
+        // matrix, so on workers that are not (yet) involved in a sampling
+        // round it overlaps the matrix phase instead of waiting for it.
+        // The one scatter level fuses it with superstep 2 instead.
         ctx.superstep();
-        let shuffle_started = Instant::now();
-        // SAFETY: protocol step 1 — this worker's own, initialized block.
-        let block = unsafe {
-            job.handoff
-                .block(source_start as usize, source_len as usize)
-        };
-        job.local_shuffle
-            .shuffle_slice_with(&mut shuffle_rng, block, &mut buckets);
-        let mut shuffle_elapsed = shuffle_started.elapsed();
+        let mut first_shuffle = Duration::ZERO;
+        if job.scatter.is_none() {
+            let shuffle_started = Instant::now();
+            // SAFETY: protocol step 1 — this worker's own, initialized block.
+            let block = unsafe {
+                job.handoff
+                    .block(source_start as usize, source_len as usize)
+            };
+            fisher_yates_shuffle(&mut shuffle_rng, block);
+            first_shuffle = shuffle_started.elapsed();
+        }
+        let mut shuffle_elapsed = first_shuffle;
 
         // Matrix phase, in-context on the word plane: this worker ends up
         // holding its own row of `A`.
@@ -658,44 +910,79 @@ fn worker_closure<T: Send + 'static>(
         let matrix_elapsed = matrix_started.elapsed();
         let data_started = Instant::now();
 
-        // Superstep 2: publish row `id` of A, then gather target block `id`
-        // from every source block.  Because the blocks were just shuffled,
-        // taking consecutive runs of length a_ij is a uniformly random choice
-        // of which items go where; each run is copied once, straight to its
-        // final slot, by the worker that shuffles it next.
+        // Superstep 2: publish row `id` of A; past the barrier every worker
+        // can read the whole matrix.
         ctx.superstep();
         if let Some(f) = job.fault {
-            if f.proc == id && f.phase == FaultPhase::Exchange {
+            if f.proc == id && f.phase == FaultPhase::Exchange && job.scatter.is_none() {
                 panic!("injected engine fault (exchange phase)");
             }
         }
         debug_assert_eq!(row.len(), p, "resolve_target_sizes guarantees p' == p");
         // Relaxed: the barrier's mutex orders these stores before every
-        // worker's loads in `gather`.
+        // worker's loads in `gather` and `refine`.
         for (cell, &a) in job.matrix[id * p..(id + 1) * p].iter().zip(&row) {
             cell.store(a, Ordering::Relaxed);
         }
         ctx.comm_mut().barrier();
-        // SAFETY: this is worker `id`, inside the lease, past the barrier.
-        unsafe { job.gather(id) };
-        ctx.comm_mut().meter_all_to_all(source_len, target_len);
+        match &job.scatter {
+            None => {
+                // Gather target block `id` from every source block.  Because
+                // the blocks were just shuffled, taking consecutive runs of
+                // length a_ij is a uniformly random choice of which items go
+                // where; each run is copied once, straight to its final
+                // slot, by the worker that shuffles it next.
+                // SAFETY: this is worker `id`, inside the lease, past the
+                // barrier.
+                unsafe { job.gather(id) };
+                ctx.comm_mut().meter_all_to_all(source_len, target_len);
 
-        // Superstep 3: shuffle the now complete target block in place.
-        ctx.superstep();
-        let reshuffle_started = Instant::now();
-        // SAFETY: protocol step 3 — this worker just filled the whole block.
-        let block = unsafe {
-            job.handoff
-                .target_block(target_start as usize, target_len as usize)
-        };
-        job.local_shuffle
-            .shuffle_slice_with(&mut shuffle_rng, block, &mut buckets);
-        let reshuffle_elapsed = reshuffle_started.elapsed();
-        // The data phase ran from the end of the matrix phase and contains
-        // the gather and the reshuffle; superstep 1 overlapped the matrix
-        // phase and is added on top.
-        let data_elapsed = shuffle_elapsed + data_started.elapsed();
-        shuffle_elapsed += reshuffle_elapsed;
+                // Superstep 3: shuffle the now complete target block in
+                // place.
+                ctx.superstep();
+                let reshuffle_started = Instant::now();
+                // SAFETY: protocol step 3 — this worker just filled the
+                // whole block.
+                let block = unsafe {
+                    job.handoff
+                        .target_block(target_start as usize, target_len as usize)
+                };
+                fisher_yates_shuffle(&mut shuffle_rng, block);
+                shuffle_elapsed += reshuffle_started.elapsed();
+            }
+            Some(scatter) => {
+                // Refine column `id` over this target's buckets, then scatter
+                // the own block over every bucket of every target.
+                let mut refine_rng = seeds.child_sequence(REFINE_STREAMS).proc_stream(id);
+                job.refine(scatter, id, &mut refine_rng);
+                ctx.comm_mut().barrier();
+                // SAFETY: this is worker `id`, inside the lease, past the
+                // refinement barrier.
+                shuffle_elapsed += unsafe { job.scatter(scatter, id, &mut shuffle_rng) };
+                ctx.comm_mut().meter_all_to_all(source_len, target_len);
+                ctx.comm_mut().barrier();
+
+                // Superstep 3: shuffle each bucket of the now complete target
+                // block in place.
+                ctx.superstep();
+                let reshuffle_started = Instant::now();
+                for c in scatter.first[id]..scatter.first[id + 1] {
+                    let (start, end) = (scatter.starts[c], scatter.starts[c + 1]);
+                    // SAFETY: protocol step 3 — every worker filled its
+                    // slots of this block before the barrier.
+                    let bucket = unsafe {
+                        job.handoff
+                            .target_block(start as usize, (end - start) as usize)
+                    };
+                    fisher_yates_shuffle(&mut shuffle_rng, bucket);
+                }
+                shuffle_elapsed += reshuffle_started.elapsed();
+            }
+        }
+        // The data phase ran from the end of the matrix phase to here; a
+        // superstep-1 shuffle overlapped the matrix phase and is added on
+        // top.
+        let data_elapsed = first_shuffle + data_started.elapsed();
         (row, matrix_elapsed, data_elapsed, shuffle_elapsed)
     }
 }
@@ -865,7 +1152,7 @@ pub fn permute_vec<T: Send + 'static>(
 }
 
 /// Allocation-reusing variant of [`permute_vec`]: permutes `data`, recycling
-/// the output buffer and the shuffle staging through `scratch` across calls.
+/// the output buffer through `scratch` across calls.
 ///
 /// `data` may come back in a different allocation: the permuted items are
 /// placed into the scratch's spare (capacity at least `n`), and the caller's

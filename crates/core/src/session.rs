@@ -5,8 +5,8 @@
 //! threads and wires up the `p²` channel fabric per call.  A
 //! [`PermutationSession`] is the *steady-state* counterpart: it owns a
 //! [`ResidentCgm`] (threads spawned once, parked between jobs) **and** a
-//! [`PermuteScratch`] (spare buffer and shuffle staging recycled across
-//! calls), so repeated permutations make
+//! [`PermuteScratch`] (spare buffer recycled across calls), so repeated
+//! permutations make
 //!
 //! * no thread spawns,
 //! * no channel construction, and

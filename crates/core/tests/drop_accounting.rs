@@ -6,14 +6,17 @@
 //! hand-off's contract: a completed permutation keeps every item alive
 //! exactly once; a failed one may leak items but never drops one twice; a
 //! skipped sub-job of a coalesced batch comes back intact and in order.
+//! Multi-window bucketed jobs run the one scatter level, where an exchange
+//! fault fires with the worker's first window already copied out, so its
+//! items sit bitwise in both buffers.
 
 use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use cgp_cgm::{CgmConfig, CgmError, CgmMachine, ResidentCgm};
 use cgp_core::{
-    permute_vec_into, try_permute_batch_into_with, try_permute_vec_into_with, BatchOutcome,
-    EngineFault, LocalShuffle, PermuteOptions, PermuteScratch, Permuter,
+    permute_vec, permute_vec_into, try_permute_batch_into_with, try_permute_vec_into_with,
+    BatchOutcome, EngineFault, LocalShuffle, PermuteOptions, PermuteScratch, Permuter,
 };
 
 /// Live instances and per-item drop counts of one test's payload.
@@ -82,8 +85,8 @@ fn sorted_ids(items: &[Counted]) -> Vec<usize> {
     ids
 }
 
-/// Both local-shuffle engines: the bucketed one stages items out of the
-/// caller's buffer and back.
+/// Both local-shuffle engines: with 8-item buckets every job of more than
+/// a few items runs the one scatter level.
 const ENGINES: [LocalShuffle; 2] = [
     LocalShuffle::FisherYates,
     LocalShuffle::Bucketed { bucket_items: 8 },
@@ -220,5 +223,60 @@ fn a_mid_batch_fault_hands_back_skipped_jobs_intact_and_in_order() {
     ledger.assert_never_dropped_twice();
     for id in (0..100).chain(200..400) {
         assert_eq!(ledger.drops(id), 1, "item {id} of a served or skipped job");
+    }
+}
+
+#[test]
+fn a_panic_mid_scatter_never_drops_an_item_twice() {
+    let n = 500;
+    let options = PermuteOptions::default().local_shuffle(ENGINES[1]);
+    for p in [2usize, 3] {
+        for proc in 0..p {
+            let case = format!("p = {p}, fault on {proc}");
+            let config = CgmConfig::new(p).with_seed(21);
+            let ledger = Ledger::new(n);
+            let mut pool: ResidentCgm<Counted> = ResidentCgm::new(config);
+            let mut scratch = PermuteScratch::new();
+            let mut data = ledger.items(0..n);
+            let faulty = options
+                .clone()
+                .inject_fault(EngineFault::exchange_phase(proc));
+            let err =
+                try_permute_vec_into_with(&mut pool, &mut data, &faulty, &mut scratch).unwrap_err();
+            match err {
+                CgmError::ProcessorPanicked {
+                    proc: blamed,
+                    ref message,
+                } => {
+                    assert_eq!(blamed, proc, "{case}");
+                    assert!(message.contains("mid-scatter"), "{case}: {message}");
+                }
+                other => panic!("{case}: unexpected error {other}"),
+            }
+            assert!(data.is_empty(), "{case}");
+            ledger.assert_never_dropped_twice();
+
+            // The pool's next job succeeds, keeps every item alive exactly
+            // once and matches a fresh one-shot run.
+            let fresh = Ledger::new(n);
+            let mut data = fresh.items(0..n);
+            try_permute_vec_into_with(&mut pool, &mut data, &options, &mut scratch).unwrap();
+            assert_eq!(fresh.live(), n as i64, "{case}");
+            let reference =
+                permute_vec(&CgmMachine::new(config), (0..n as u64).collect(), &options).0;
+            let ids: Vec<u64> = data.iter().map(|c| c.id as u64).collect();
+            assert_eq!(ids, reference, "{case}");
+
+            drop((data, scratch, pool));
+            // Leaked, not dropped: the failed job's items may stay live.
+            ledger.assert_never_dropped_twice();
+            assert_eq!(
+                ledger.live(),
+                (0..n).filter(|&id| ledger.drops(id) == 0).count() as i64,
+                "{case}"
+            );
+            assert_eq!(fresh.live(), 0, "{case}");
+            (0..n).for_each(|id| assert_eq!(fresh.drops(id), 1, "{case}"));
+        }
     }
 }

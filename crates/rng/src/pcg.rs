@@ -73,7 +73,16 @@ impl Pcg64 {
     }
 
     /// Seeds a generator on an explicit stream id, expanding the `u64` seed
-    /// with SplitMix64.  Used for per-processor generators.
+    /// with SplitMix64.
+    ///
+    /// Generators that share `seed` and differ only in `stream` are **not**
+    /// independent: their 128-bit states differ by an offset that does not
+    /// depend on the seed, so their outputs are correlated at particular
+    /// draw indices.  Over 200 000 seeds, streams 0 and 1 gave a correlation
+    /// coefficient of −0.05 between their sixth outputs, and streams 0 and 2
+    /// gave −0.06 at the 48th.  Do not derive per-processor generators this
+    /// way; use [`crate::SeedSequence::proc_stream`], which gives every
+    /// processor its own child seed as well as its own stream.
     pub fn seed_stream(seed: u64, stream: u64) -> Self {
         let mut sm = SplitMix64::new(seed);
         let lo = sm.next() as u128;
@@ -184,7 +193,7 @@ impl rand::RngCore for Pcg64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::traits::RandomExt;
 
@@ -202,6 +211,32 @@ mod tests {
         let mut b = Pcg64::seed_stream(11, 1);
         let eq = (0..1024).filter(|_| a.next() == b.next()).count();
         assert_eq!(eq, 0);
+    }
+
+    /// Correlation coefficient of the sixth outputs of two generators over
+    /// 200 000 seeds.
+    pub(crate) fn sixth_draw_correlation(pair: impl Fn(u64) -> (Pcg64, Pcg64)) -> f64 {
+        let unit = |x: u64| (x >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+        let seeds = 200_000u64;
+        let sum: f64 = (0..seeds)
+            .map(|seed| {
+                let (mut a, mut b) = pair(seed);
+                a.advance(5);
+                b.advance(5);
+                unit(a.next()) * unit(b.next())
+            })
+            .sum();
+        12.0 * sum / seeds as f64
+    }
+
+    #[test]
+    fn streams_sharing_a_seed_are_correlated() {
+        // The states of two streams under one seed differ by a
+        // seed-independent offset (see `seed_stream`).
+        let corr = sixth_draw_correlation(|seed| {
+            (Pcg64::seed_stream(seed, 0), Pcg64::seed_stream(seed, 1))
+        });
+        assert!(corr < -0.04, "correlation {corr}");
     }
 
     #[test]

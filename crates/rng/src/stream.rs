@@ -122,6 +122,17 @@ mod tests {
     }
 
     #[test]
+    fn proc_streams_are_uncorrelated_where_shared_seed_streams_are_not() {
+        // The draw at which `Pcg64::seed_stream(seed, 0)` and `(seed, 1)`
+        // correlate (see its docs) shows nothing for processor streams.
+        let corr = crate::pcg::tests::sixth_draw_correlation(|seed| {
+            let seq = SeedSequence::new(seed);
+            (seq.proc_stream(0), seq.proc_stream(1))
+        });
+        assert!(corr.abs() < 0.01, "correlation {corr}");
+    }
+
+    #[test]
     fn many_processors_no_prefix_collisions() {
         // First outputs of 512 processor streams must be pairwise distinct.
         let seq = SeedSequence::new(0xABCD);
