@@ -2,11 +2,11 @@
 //! reference algorithm (Fisher–Yates) and of the memory access patterns that
 //! bound it.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
 
 use cgp_core::cache_aware::{bucketed_shuffle, default_bucket_items};
-use cgp_core::fisher_yates_shuffle;
+use cgp_core::{fisher_yates_shuffle, fisher_yates_shuffle_warming};
 use cgp_rng::{Pcg64, RandomExt};
 
 fn bench_seq_shuffle(c: &mut Criterion) {
@@ -61,5 +61,56 @@ fn bench_seq_shuffle(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_seq_shuffle);
+/// Items shuffled by the `cold_windows` group: 128 MiB of `u64`.
+const COLD_ITEMS: usize = 1 << 24;
+
+/// Bytes streamed between two `cold_windows` iterations to push the
+/// payload out of the caches.
+const EVICT_BYTES: usize = 128 << 20;
+
+/// The window passes of the one scatter level in isolation: shuffle 2^24
+/// `u64` one cache-sized window at a time, each window starting cold.
+/// `warming` prefetches the next window during each pass; the draws and
+/// the output are those of `fisher_yates`.
+fn bench_cold_windows(c: &mut Criterion) {
+    let mut group = c.benchmark_group("cold_windows");
+    group.sample_size(10);
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(4));
+    group.throughput(Throughput::Elements(COLD_ITEMS as u64));
+    let window = default_bucket_items::<u64>();
+    let mut data: Vec<u64> = (0..COLD_ITEMS as u64).collect();
+    let mut evict = vec![0u64; EVICT_BYTES / std::mem::size_of::<u64>()];
+    let mut rng = Pcg64::seed_from_u64(3);
+    for warm in [false, true] {
+        let id = if warm { "warming" } else { "fisher_yates" };
+        group.bench_function(id, |b| {
+            b.iter_batched(
+                || {
+                    // Stream over a second buffer so the payload is cold.
+                    for (i, x) in evict.iter_mut().enumerate() {
+                        *x = x.wrapping_add(i as u64);
+                    }
+                    std::hint::black_box(&evict);
+                },
+                |()| {
+                    for w in (0..COLD_ITEMS).step_by(window) {
+                        let (current, rest) = data[w..].split_at_mut(window.min(COLD_ITEMS - w));
+                        if warm {
+                            let next = &rest[..window.min(rest.len())];
+                            fisher_yates_shuffle_warming(&mut rng, current, next);
+                        } else {
+                            fisher_yates_shuffle(&mut rng, current);
+                        }
+                    }
+                    std::hint::black_box(data[0])
+                },
+                BatchSize::PerIteration,
+            );
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_seq_shuffle, bench_cold_windows);
 criterion_main!(benches);

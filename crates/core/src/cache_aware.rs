@@ -27,6 +27,14 @@
 //! in-cache Fisher–Yates passes and one copy, the same single copy the
 //! Fisher–Yates path makes.
 //!
+//! "In-cache" needs help: a window or bucket is far larger than the reach
+//! of the hardware prefetcher, which the shuffle's random accesses defeat
+//! anyway, so a pass would start on cold lines.  Both engines therefore
+//! shuffle with [`crate::fisher_yates_shuffle_warming`], which hints the
+//! *next* window or bucket into L2 while the current one is shuffled — the
+//! same draws and the same output as plain Fisher–Yates, so no recorded
+//! permutation changes.
+//!
 //! Whether buckets beat plain Fisher–Yates depends on the machine's
 //! cache/memory ratio and on the working-set size — that crossover is
 //! measured by experiment E12 (`cgp-bench`, `exp_shuffle`) and baked into
@@ -34,7 +42,7 @@
 
 use cgp_rng::RandomSource;
 
-use crate::sequential::fisher_yates_shuffle;
+use crate::sequential::{fisher_yates_shuffle, fisher_yates_shuffle_warming};
 
 /// Byte budget one bucket may occupy, sized so that the phase-(b) shuffle of
 /// a bucket runs against fast cache instead of main memory.
@@ -260,9 +268,10 @@ pub(crate) fn effective_bucket_items(n: usize, bucket_items: usize) -> usize {
 
 /// The scatter kernel of the sequential engine: drain `source` from its
 /// tail in windows of `window_items`, Fisher–Yates each (cache-resident)
-/// window in place, split it across the sinks by the multivariate
-/// hypergeometric law (Algorithm 2 against the sinks' `remaining` demand),
-/// and move the resulting **consecutive runs** with bulk tail drains.
+/// window in place while warming the next one, split it across the sinks
+/// by the multivariate hypergeometric law (Algorithm 2 against the sinks'
+/// `remaining` demand), and move the resulting **consecutive runs** with
+/// bulk tail drains.
 ///
 /// A uniformly shuffled window cut into consecutive runs of
 /// hypergeometric lengths is exactly the Proposition 1–2 construction of
@@ -295,7 +304,9 @@ pub(crate) fn scatter_windows<T, R: RandomSource + ?Sized>(
     while !source.is_empty() {
         let take = window_items.min(source.len());
         let start = source.len() - take;
-        fisher_yates_shuffle(rng, &mut source[start..]);
+        // The next window is the slice just below this one: warm it.
+        let (rest, window) = source.split_at_mut(start);
+        fisher_yates_shuffle_warming(rng, window, &rest[start - window_items.min(start)..]);
         cgp_hypergeom::multivariate_hypergeometric_into(rng, take as u64, remaining, row);
         for (s, &count) in row.iter().enumerate() {
             if count == 0 {
@@ -418,9 +429,21 @@ pub fn bucketed_shuffle_with<T, R: RandomSource + ?Sized>(
     // Phase (a): drain `data` window by window into the buckets.
     scatter_windows(rng, data, bucket_items, remaining, row, &mut buckets[..k]);
     // Phase (b): shuffle each bucket in cache and move it back in order.
-    for bucket in &mut buckets[..k] {
-        fisher_yates_shuffle(rng, bucket);
-        data.append(bucket);
+    shuffle_buckets_into(rng, &mut buckets[..k], data);
+}
+
+/// Phase (b) of the sequential engine: Fisher–Yates each bucket, warming
+/// the next one meanwhile, and append it to `out`, bucket after bucket.
+fn shuffle_buckets_into<T, R: RandomSource + ?Sized>(
+    rng: &mut R,
+    buckets: &mut [Vec<T>],
+    out: &mut Vec<T>,
+) {
+    let mut rest = buckets;
+    while let Some((bucket, tail)) = rest.split_first_mut() {
+        fisher_yates_shuffle_warming(rng, bucket, tail.first().map_or(&[], |b| b));
+        out.append(bucket);
+        rest = tail;
     }
 }
 
@@ -461,10 +484,7 @@ pub fn bucketed_index_permutation<R: RandomSource + ?Sized>(
     }
 
     let mut out = Vec::with_capacity(n);
-    for bucket in &mut scratch.buckets[..k] {
-        fisher_yates_shuffle(rng, bucket);
-        out.append(bucket);
-    }
+    shuffle_buckets_into(rng, &mut scratch.buckets[..k], &mut out);
     out
 }
 

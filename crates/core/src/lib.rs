@@ -82,7 +82,10 @@ pub use parallel::{
     PermuteScratch,
 };
 pub use permuter::Permuter;
-pub use sequential::{apply_permutation, fisher_yates_shuffle, sequential_random_permutation};
+pub use sequential::{
+    apply_permutation, fisher_yates_shuffle, fisher_yates_shuffle_warming,
+    sequential_random_permutation,
+};
 pub use service::{
     CompletionSet, JobTicket, LaneDepth, MachineUtilization, PermutationService, Priority,
     RejectedJob, ServiceConfig, ServiceError, ServiceHandle, ServiceMetrics, TenantMetrics,

@@ -151,6 +151,17 @@
 //! fit one window keep the Fisher–Yates path, where a bucketed shuffle is
 //! one Fisher–Yates pass anyway.
 //!
+//! **Warm ahead.**  A window or bucket is too large for the hardware
+//! prefetcher to follow the shuffle's random accesses, so each pass would
+//! start on lines the previous passes pushed out to the last-level cache
+//! or memory.  Every pass that has a known successor therefore runs
+//! [`crate::fisher_yates_shuffle_warming`]: while worker `i` shuffles
+//! window `w`, it hints window `w + 1` of its block into L2, and while
+//! worker `j` shuffles bucket `c`, it hints bucket `c + 1` of its target
+//! block.  The output is byte-identical to plain Fisher–Yates passes: the
+//! kernel makes the same draws and the same swaps in the same order, and a
+//! prefetch changes only what the cache holds, never a value.
+//!
 //! ## Leak on panic
 //!
 //! While a run is in flight the two allocations belong to no `Vec`: the
@@ -161,10 +172,10 @@
 //! destructors never run), `data` comes back empty, and the scratch may
 //! come back cold.  On the one scatter level a panic can strike
 //! mid-scatter, with some of a worker's runs already copied into other
-//! workers' target blocks; the same contract covers it.  If a worker may still be running when the executor
-//! returns — a resident pool that shut down mid-dispatch — both
-//! allocations are leaked as well.  Plain-data payloads lose nothing but
-//! the failed job's items.
+//! workers' target blocks; the same contract covers it.  If a worker may
+//! still be running when the executor returns — a resident pool that shut
+//! down mid-dispatch — both allocations are leaked as well.  Plain-data
+//! payloads lose nothing but the failed job's items.
 //!
 //! Callers that permute repeatedly recycle the spare across calls with
 //! [`permute_vec_into`] and a [`PermuteScratch`];
@@ -179,7 +190,7 @@ use std::time::{Duration, Instant};
 
 use crate::cache_aware::{effective_bucket_items, LocalShuffle};
 use crate::config::{EngineFault, FaultPhase, MatrixBackend, PermuteOptions};
-use crate::sequential::fisher_yates_shuffle;
+use crate::sequential::{fisher_yates_shuffle, fisher_yates_shuffle_warming};
 use cgp_cgm::{
     BatchJobOutcome, BlockDistribution, CgmError, CgmExecutor, CgmMachine, MachineMetrics, ProcCtx,
 };
@@ -377,6 +388,13 @@ const CLOSED: usize = 1 << (usize::BITS - 1);
 /// slot is written once, so a completed run again leaves every item in
 /// `output` exactly once.
 ///
+/// Both shuffle steps of the one scatter level warm the region their
+/// worker shuffles next (see the module docs): the next window of its own
+/// source block, or the next bucket of its own target block.  A prefetch
+/// only computes addresses inside that region and never dereferences them,
+/// so it reads nothing another worker may be writing and writes nothing at
+/// all.
+///
 /// The caller reclaims the storage once, after the run ([`reclaim`]):
 ///
 /// * **Done** — `output` becomes the caller's vector, `input` the empty
@@ -506,8 +524,7 @@ impl<T> Handoff<T> {
         Vec::from_raw_parts(self.output, len, self.output_capacity)
     }
 
-    /// Target block `start .. start + len`, or a bucket of it (protocol
-    /// step 3).
+    /// Target block `start .. start + len` (protocol step 3).
     ///
     /// # Safety
     /// The caller holds a lease, owns this block under the protocol, and
@@ -719,10 +736,15 @@ impl<T> Job<T> {
         }
         while left > 0 {
             let take = window.min(left);
+            let ahead = window.min(left - take);
             let started = Instant::now();
-            // SAFETY: the window lies inside source block `i`, which only
-            // this worker touches.
-            fisher_yates_shuffle(rng, self.handoff.block(from as usize, take as usize));
+            // SAFETY: the window and the next one lie inside source block
+            // `i`, which only this worker touches.
+            let (current, next) = self
+                .handoff
+                .block(from as usize, (take + ahead) as usize)
+                .split_at_mut(take as usize);
+            fisher_yates_shuffle_warming(rng, current, next);
             shuffled += started.elapsed();
             if take == left {
                 // The last window's split is forced: skip the draw.
@@ -966,15 +988,24 @@ fn worker_closure<T: Send + 'static>(
                 // block in place.
                 ctx.superstep();
                 let reshuffle_started = Instant::now();
+                debug_assert_eq!(scatter.starts[scatter.first[id]], target_start);
+                // SAFETY: protocol step 3 — every worker filled its slots of
+                // this block before the barrier.
+                let mut rest = unsafe {
+                    job.handoff
+                        .target_block(target_start as usize, target_len as usize)
+                };
                 for c in scatter.first[id]..scatter.first[id + 1] {
-                    let (start, end) = (scatter.starts[c], scatter.starts[c + 1]);
-                    // SAFETY: protocol step 3 — every worker filled its
-                    // slots of this block before the barrier.
-                    let bucket = unsafe {
-                        job.handoff
-                            .target_block(start as usize, (end - start) as usize)
-                    };
-                    fisher_yates_shuffle(&mut shuffle_rng, bucket);
+                    let len = (scatter.starts[c + 1] - scatter.starts[c]) as usize;
+                    let (bucket, tail) = rest.split_at_mut(len);
+                    // Warm the next bucket of this block, if any; it is no
+                    // longer than this one.
+                    fisher_yates_shuffle_warming(
+                        &mut shuffle_rng,
+                        bucket,
+                        &tail[..len.min(tail.len())],
+                    );
+                    rest = tail;
                 }
                 shuffle_elapsed += reshuffle_started.elapsed();
             }

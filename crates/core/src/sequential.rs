@@ -17,6 +17,89 @@ pub fn fisher_yates_shuffle<T, R: RandomSource + ?Sized>(rng: &mut R, data: &mut
     rng.shuffle(data);
 }
 
+/// Bytes per cache line that [`fisher_yates_shuffle_warming`] prefetches.
+const CACHE_LINE_BYTES: usize = 64;
+
+/// [`fisher_yates_shuffle`] of `data` that also warms `next` — the region
+/// the caller shuffles after this one — into the cache while it runs.
+///
+/// The shuffle is exactly the Durstenfeld loop of
+/// [`fisher_yates_shuffle`]: the same draws and the same swaps, in the
+/// same order, so the output and the generator state afterwards are
+/// identical.  On top of it, every 64-byte line of `next` gets one prefetch
+/// hint into the L2 cache, spread over the pass: `⌈lines / steps⌉` per
+/// step, and any left over (when `data` has fewer than two items) after
+/// the loop.  The pass's own random accesses defeat the hardware
+/// prefetcher, so without the hints the next pass would start on cold
+/// lines.  A prefetch never faults and never changes what the program
+/// observes; `next` is only read for its address.  On targets other than
+/// x86_64 the hints are no-ops.
+pub fn fisher_yates_shuffle_warming<T, R: RandomSource + ?Sized>(
+    rng: &mut R,
+    data: &mut [T],
+    next: &[T],
+) {
+    let mut lines = LineWarmer::new(next);
+    let per_step = lines.left.div_ceil(data.len().saturating_sub(1).max(1));
+    for i in (1..data.len()).rev() {
+        let j = rng.gen_range_u64((i + 1) as u64) as usize;
+        data.swap(i, j);
+        lines.warm(per_step);
+    }
+    lines.warm(usize::MAX);
+}
+
+/// The cache lines of one region, handed out to the prefetcher in order.
+struct LineWarmer {
+    /// Address of the next line to warm.
+    at: *const u8,
+    /// Lines not warmed yet.
+    left: usize,
+}
+
+impl LineWarmer {
+    /// Every line that holds a byte of `region`.
+    fn new<T>(region: &[T]) -> Self {
+        let bytes = std::mem::size_of_val(region);
+        let start = region.as_ptr().cast::<u8>();
+        let skew = start as usize % CACHE_LINE_BYTES;
+        LineWarmer {
+            at: start.wrapping_sub(skew),
+            left: if bytes == 0 {
+                0
+            } else {
+                (skew + bytes).div_ceil(CACHE_LINE_BYTES)
+            },
+        }
+    }
+
+    /// Prefetches up to `count` more lines.
+    #[inline(always)]
+    fn warm(&mut self, count: usize) {
+        let count = count.min(self.left);
+        for _ in 0..count {
+            prefetch_l2(self.at);
+            self.at = self.at.wrapping_add(CACHE_LINE_BYTES);
+        }
+        self.left -= count;
+    }
+}
+
+/// Hints the cache line holding `line` into L2.
+#[inline(always)]
+fn prefetch_l2(line: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: SSE, which `_mm_prefetch` needs, is baseline on x86_64.  A
+    // prefetch only computes an address: it never dereferences it, never
+    // faults, and never changes what the program observes.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T1};
+        _mm_prefetch::<_MM_HINT_T1>(line.cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = line;
+}
+
 /// Out-of-place uniform random permutation: returns a new vector containing
 /// the elements of `data` in uniformly random order.
 ///
