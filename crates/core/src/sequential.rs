@@ -3,18 +3,22 @@
 //! The PRO model measures a parallel algorithm against a fixed sequential
 //! reference; for random permutations that reference is the Fisher–Yates
 //! (Knuth) shuffle: one pass, one bounded random integer per position,
-//! `O(n)` time and `O(1)` extra space.  Its only weakness — and the paper's
+//! `O(n)` time and `O(1)` extra space.  The workspace runs it as one batched
+//! kernel ([`cgp_rng::fisher_yates_with`]) that draws up to six of those
+//! integers from each 64-bit word.  Its only weakness — and the paper's
 //! opening motivation — is its unpredictable memory access pattern, which
 //! makes it memory-bandwidth bound (experiment E1 measures the cycles per
 //! item).
 
-use cgp_rng::{RandomExt, RandomSource};
+use cgp_rng::{fisher_yates_with, RandomSource};
 
 /// In-place Fisher–Yates shuffle (Durstenfeld variant).
 ///
-/// Uses exactly one bounded random integer per position beyond the first.
+/// Draws one bounded random integer per position beyond the first, up to
+/// six of them from each 64-bit word ([`cgp_rng::shuffle`]): a shuffle of
+/// `n ≤ 2^19` items consumes about `n / 3` words or fewer.
 pub fn fisher_yates_shuffle<T, R: RandomSource + ?Sized>(rng: &mut R, data: &mut [T]) {
-    rng.shuffle(data);
+    fisher_yates_with(rng, data, |_| ());
 }
 
 /// Bytes per cache line that [`fisher_yates_shuffle_warming`] prefetches.
@@ -23,17 +27,16 @@ const CACHE_LINE_BYTES: usize = 64;
 /// [`fisher_yates_shuffle`] of `data` that also warms `next` — the region
 /// the caller shuffles after this one — into the cache while it runs.
 ///
-/// The shuffle is exactly the Durstenfeld loop of
-/// [`fisher_yates_shuffle`]: the same draws and the same swaps, in the
-/// same order, so the output and the generator state afterwards are
-/// identical.  On top of it, every 64-byte line of `next` gets one prefetch
-/// hint into the L2 cache, spread over the pass: `⌈lines / steps⌉` per
-/// step, and any left over (when `data` has fewer than two items) after
-/// the loop.  The pass's own random accesses defeat the hardware
-/// prefetcher, so without the hints the next pass would start on cold
-/// lines.  A prefetch never faults and never changes what the program
-/// observes; `next` is only read for its address.  On targets other than
-/// x86_64 the hints are no-ops.
+/// The shuffle is the kernel of [`fisher_yates_shuffle`]: the same draws
+/// and the same swaps, in the same order, so the output and the generator
+/// state afterwards are identical.  On top of it, every 64-byte line of
+/// `next` gets one prefetch hint into the L2 cache, spread over the pass:
+/// `⌈lines / steps⌉` per step, issued after each batch of steps, and any
+/// left over (when `data` has fewer than two items) after the pass.  The
+/// pass's own random accesses defeat the hardware prefetcher, so without
+/// the hints the next pass would start on cold lines.  A prefetch never
+/// faults and never changes what the program observes; `next` is only read
+/// for its address.  On targets other than x86_64 the hints are no-ops.
 pub fn fisher_yates_shuffle_warming<T, R: RandomSource + ?Sized>(
     rng: &mut R,
     data: &mut [T],
@@ -41,11 +44,7 @@ pub fn fisher_yates_shuffle_warming<T, R: RandomSource + ?Sized>(
 ) {
     let mut lines = LineWarmer::new(next);
     let per_step = lines.left.div_ceil(data.len().saturating_sub(1).max(1));
-    for i in (1..data.len()).rev() {
-        let j = rng.gen_range_u64((i + 1) as u64) as usize;
-        data.swap(i, j);
-        lines.warm(per_step);
-    }
+    fisher_yates_with(rng, data, |steps| lines.warm(per_step * steps));
     lines.warm(usize::MAX);
 }
 
@@ -187,11 +186,16 @@ mod tests {
 
     #[test]
     fn random_number_budget_is_linear() {
-        let n = 50_000usize;
+        // Widths 3 to 6 below 2^19 items: between a sixth and a third of
+        // a word per item, plus rare rejections.
+        let n = 50_000u64;
         let mut rng = CountingRng::new(Pcg64::seed_from_u64(3));
-        let _ = random_index_permutation(&mut rng, n);
-        assert!(rng.count() >= (n - 1) as u64);
-        assert!(rng.count() < (n as u64 * 11) / 10);
+        let _ = random_index_permutation(&mut rng, n as usize);
+        let draws = rng.count();
+        assert!(
+            (n / 6..=n / 3 + 64).contains(&draws),
+            "{draws} draws for {n} items"
+        );
     }
 
     #[test]

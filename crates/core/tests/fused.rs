@@ -160,35 +160,38 @@ fn per_phase_metrics_and_total_elapsed_are_coherent() {
 /// from the engine (seed 42, n = 32, p = 4, per backend) and must stay
 /// byte-identical across refactors of the fabric underneath — the same
 /// seed reproduces these vectors exactly, one-shot and via a session.
+/// They were last re-recorded when the batched Fisher–Yates kernel (up to
+/// six swap indices per 64-bit word) changed every seed-to-permutation map
+/// by design.
 #[test]
 fn fused_engine_reproduces_golden_permutations() {
     let golden: [(MatrixBackend, [u64; 32]); 4] = [
         (
             MatrixBackend::Sequential,
             [
-                7, 1, 10, 12, 26, 30, 9, 14, 16, 31, 21, 2, 20, 8, 23, 15, 28, 18, 25, 24, 29, 0,
-                22, 19, 5, 11, 4, 17, 13, 27, 3, 6,
+                25, 11, 10, 5, 0, 8, 31, 15, 12, 14, 20, 18, 23, 29, 22, 1, 30, 24, 28, 16, 21, 4,
+                26, 19, 13, 17, 27, 6, 7, 9, 2, 3,
             ],
         ),
         (
             MatrixBackend::Recursive,
             [
-                7, 1, 30, 0, 31, 26, 2, 23, 29, 25, 10, 5, 21, 12, 14, 9, 28, 16, 22, 24, 19, 15,
-                20, 8, 3, 13, 6, 17, 18, 27, 4, 11,
+                29, 31, 4, 5, 0, 1, 25, 22, 8, 10, 18, 11, 28, 26, 15, 2, 30, 24, 16, 14, 20, 12,
+                21, 23, 19, 17, 27, 9, 6, 13, 3, 7,
             ],
         ),
         (
             MatrixBackend::ParallelLog,
             [
-                7, 1, 21, 9, 30, 20, 2, 23, 31, 29, 19, 0, 26, 14, 16, 12, 28, 8, 25, 24, 22, 5,
-                15, 10, 3, 13, 6, 17, 18, 27, 4, 11,
+                31, 18, 8, 5, 0, 1, 20, 22, 10, 15, 25, 16, 29, 28, 23, 4, 30, 24, 21, 11, 12, 2,
+                26, 14, 19, 17, 27, 9, 6, 13, 3, 7,
             ],
         ),
         (
             MatrixBackend::ParallelOptimal,
             [
-                7, 1, 21, 12, 26, 30, 9, 23, 22, 31, 16, 2, 19, 14, 20, 0, 24, 15, 29, 25, 18, 5,
-                10, 3, 4, 13, 8, 28, 17, 27, 6, 11,
+                25, 18, 10, 5, 0, 8, 31, 22, 4, 15, 16, 23, 21, 29, 20, 1, 26, 30, 19, 3, 11, 2,
+                28, 12, 17, 24, 27, 9, 14, 13, 7, 6,
             ],
         ),
     ];

@@ -23,7 +23,11 @@
 //! * [`SeedSequence`] — derivation of per-processor seeds/streams,
 //! * [`RandomSource`] / [`RandomExt`] — the minimal trait the rest of the
 //!   workspace programs against, including unbiased bounded integers
-//!   (Lemire's method) and uniform floats.
+//!   (Lemire's method) and uniform floats,
+//! * [`fisher_yates_with`] — the workspace's one Fisher–Yates kernel, which
+//!   draws up to six swap indices from each 64-bit word (the batched form of
+//!   Lemire's method), so a cache-resident shuffle of `n ≤ 2^19` items
+//!   consumes about `n / 3` words or fewer rather than `n − 1`.
 //!
 //! The crate also implements [`rand::RngCore`] for the concrete generators so
 //! that they can be plugged into third-party code when convenient.
@@ -31,12 +35,14 @@
 pub mod counting;
 pub mod pcg;
 pub mod range;
+pub mod shuffle;
 pub mod splitmix;
 pub mod stream;
 pub mod traits;
 
 pub use counting::CountingRng;
 pub use pcg::Pcg64;
+pub use shuffle::fisher_yates_with;
 pub use splitmix::SplitMix64;
 pub use stream::SeedSequence;
 pub use traits::{RandomExt, RandomSource};

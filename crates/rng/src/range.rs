@@ -6,6 +6,13 @@
 //! set of low products that would introduce bias.  On average this consumes
 //! barely more than one 64-bit draw per bounded integer, which matters for
 //! the random-number accounting of Theorem 1.
+//!
+//! The Fisher–Yates kernel ([`crate::shuffle`]) draws several bounded
+//! integers from one word instead, by the batched form of the same method
+//! (Brackett-Rozinsky and Lemire, *Batched Ranged Random Integer
+//! Generation*, Software: Practice and Experience, 2024): it keeps
+//! multiplying the low half by the next bound, and rejects once, on the
+//! product of all the bounds.
 
 use crate::traits::RandomSource;
 
@@ -30,6 +37,54 @@ pub fn bounded_u64<R: RandomSource + ?Sized>(rng: &mut R, bound: u64) -> u64 {
         }
     }
     (m >> 64) as u64
+}
+
+/// `K` independent uniform indices `j_t ∈ [0, i − t)`, `t < K`, from one
+/// 64-bit word in the common case.
+///
+/// Multiplying the word by `i`, its low half by `i − 1`, and so on, yields
+/// the mixed-radix digits of `⌊word · P / 2^64⌋`, `P = ∏ (i − t)`, as the
+/// high halves, and `word · P mod 2^64` as the final low half.  So this is
+/// Lemire's method for the bound `P`: rejecting the final low halves below
+/// `2^64 mod P` makes the tuple exactly uniform.
+///
+/// `bound` carries the product of the previous batch (start with
+/// `u64::MAX`).  While `i` only shrinks, that product is at least `P`, which
+/// exceeds the threshold, so a low half at or above it is accepted without
+/// computing the threshold; otherwise the exact `P` and its threshold are
+/// computed and `bound` becomes `P`.
+///
+/// Callers guarantee `i ≥ K` and `P < 2^64`.
+#[inline(always)]
+pub(crate) fn bounded_batch<const K: usize, R: RandomSource + ?Sized>(
+    rng: &mut R,
+    i: u64,
+    bound: &mut u64,
+) -> [u64; K] {
+    let mut out = [0u64; K];
+    let mut low = split_word(rng.next_u64(), i, &mut out);
+    if low < *bound {
+        let product: u64 = (0..K as u64).map(|t| i - t).product();
+        let threshold = product.wrapping_neg() % product;
+        while low < threshold {
+            low = split_word(rng.next_u64(), i, &mut out);
+        }
+        *bound = product;
+    }
+    out
+}
+
+/// Splits `word` into the digits `out[t] ∈ [0, i − t)` and returns the
+/// final low half.
+#[inline(always)]
+fn split_word<const K: usize>(word: u64, i: u64, out: &mut [u64; K]) -> u64 {
+    let mut low = word;
+    for (t, digit) in (0u64..).zip(out.iter_mut()) {
+        let m = u128::from(low) * u128::from(i - t);
+        *digit = (m >> 64) as u64;
+        low = m as u64;
+    }
+    low
 }
 
 /// Maps a 64-bit word to a uniform `f64` in `[0, 1)` using the top 53 bits.

@@ -8,6 +8,7 @@
 //! hypergeometric sample" claim of Section 3 are verified experimentally.
 
 use crate::range::{bounded_u64, unit_f64};
+use crate::shuffle::fisher_yates_with;
 
 /// A source of uniformly distributed 64-bit words.
 pub trait RandomSource {
@@ -62,18 +63,15 @@ pub trait RandomExt: RandomSource {
         self.gen_f64() < p
     }
 
-    /// In-place Fisher–Yates shuffle of a slice.
+    /// In-place uniform Fisher–Yates shuffle of a slice.
     ///
     /// This is the reference sequential algorithm against which the
     /// coarse-grained algorithm's work-optimality is defined (the PRO model
-    /// measures speed-up relative to a fixed sequential algorithm).
+    /// measures speed-up relative to a fixed sequential algorithm).  It runs
+    /// the batched Durstenfeld kernel of [`crate::shuffle`], which draws up
+    /// to six swap indices from each 64-bit word.
     fn shuffle<T>(&mut self, data: &mut [T]) {
-        // Durstenfeld variant: for i from n-1 down to 1, swap a[i] with
-        // a[j], j uniform in [0, i].
-        for i in (1..data.len()).rev() {
-            let j = self.gen_range_u64((i + 1) as u64) as usize;
-            data.swap(i, j);
-        }
+        fisher_yates_with(self, data, |_| ());
     }
 
     /// Draws a uniformly random permutation of `0..n` as a vector.
