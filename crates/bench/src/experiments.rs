@@ -1402,28 +1402,50 @@ pub struct WireRow {
     /// outside the clock; each repetition is one submit + result
     /// round-trip).
     pub wire: Duration,
-    /// Paired per-repetition median of `in_process / wire` — the wire
-    /// path's *speedup* against the in-process handle.  Below 1.0 by
-    /// construction (every job is frame-encoded twice and crosses the
-    /// socket twice); the `--check` gate holds this ratio, so a change
-    /// that makes the socket front-end disproportionately slower fails CI.
-    pub wire_vs_in_process_paired: f64,
+    /// The wire's own throughput: the median over repetitions of
+    /// `n / (wire − in_process)`, in items per second, each difference
+    /// taken within one back-to-back pair.  This prices only what the
+    /// socket front-end adds — frame-encoding the payload twice and
+    /// crossing the socket twice per job — so a faster or slower engine
+    /// leaves it alone.  The `--check` gate holds it (higher is better).
+    pub wire_items_per_s: f64,
 }
 
 impl WireRow {
     /// How many times the wire front-end *slows down* the same job
-    /// (`wire / in_process`, ≥ 1 in practice) — the human-readable inverse
-    /// of the gated ratio.
+    /// (`wire / in_process`, ≥ 1 in practice), from the per-path medians.
     pub fn wire_overhead(&self) -> f64 {
-        1.0 / self.wire_vs_in_process_paired.max(1e-12)
+        self.wire.as_secs_f64() / self.in_process.as_secs_f64().max(1e-12)
     }
 }
 
+/// Median over paired repetitions of `n / (wire − in_process)` in items
+/// per second.  A pair in which the wire happened to be no slower counts
+/// as a one-nanosecond difference: noise, not a free wire.
+fn wire_items_per_s(n: usize, in_process: &[Duration], wire: &[Duration]) -> f64 {
+    let mut rates: Vec<f64> = in_process
+        .iter()
+        .zip(wire)
+        .map(|(local, remote)| n as f64 / remote.saturating_sub(*local).as_secs_f64().max(1e-9))
+        .collect();
+    rates.sort_by(|x, y| x.total_cmp(y));
+    rates[rates.len() / 2]
+}
+
+/// Untimed jobs per path before a row's clock starts, past the one that
+/// checks the two paths agree.
+const WIRE_WARMUP_JOBS: usize = 4;
+
+/// Repetitions per row: about 0.1 s of wire jobs at each size, since the
+/// gated figure is a difference of two noisy times and small jobs need
+/// many pairs for a steady median.
 fn wire_reps(n: usize) -> usize {
     if n >= 1_000_000 {
-        5
-    } else {
         9
+    } else if n >= 100_000 {
+        41
+    } else {
+        101
     }
 }
 
@@ -1461,6 +1483,10 @@ fn wire_row(transport: &'static str, n: usize, procs: usize, seed: u64) -> WireR
     let reference = handle.permute(data.clone()).expect("in-process job").0;
     let via_wire = client.permute(&data).expect("wire job");
     assert_eq!(via_wire, reference, "wire and in-process jobs must agree");
+    for _ in 0..WIRE_WARMUP_JOBS {
+        std::hint::black_box(handle.permute(data.clone()).expect("in-process job"));
+        std::hint::black_box(client.permute(&data).expect("wire job"));
+    }
 
     let mut in_process_times = Vec::with_capacity(reps);
     let mut wire_times = Vec::with_capacity(reps);
@@ -1485,16 +1511,16 @@ fn wire_row(transport: &'static str, n: usize, procs: usize, seed: u64) -> WireR
         transport,
         n,
         procs,
-        wire_vs_in_process_paired: median_ratio(&in_process_times, &wire_times),
+        wire_items_per_s: wire_items_per_s(n, &in_process_times, &wire_times),
         in_process: median(in_process_times),
         wire: median(wire_times),
     }
 }
 
 /// Measures the wire front-end against the in-process handle for every
-/// `n` in the grid, on both socket families.  Same paired protocol as
-/// E8–E12: both paths warmed untimed, then alternating timed repetitions
-/// with per-path medians and a paired per-repetition ratio median.
+/// `n` in the grid, on both socket families: both paths warmed untimed,
+/// then alternating timed repetitions with per-path medians and the
+/// paired median of the wire's own throughput.
 pub fn wire_overhead(ns: &[usize], procs: usize, seed: u64) -> Vec<WireRow> {
     let mut rows = Vec::new();
     for &n in ns {
@@ -1709,6 +1735,7 @@ mod tests {
             assert!(r.in_process > Duration::ZERO);
             assert!(r.wire > Duration::ZERO);
             assert!(r.wire_overhead() > 0.0);
+            assert!(r.wire_items_per_s > 0.0);
         }
     }
 
