@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use cgp_cgm::{BlockDistribution, CgmConfig, CgmMachine};
+use cgp_cgm::{CgmConfig, CgmMachine};
 use cgp_core::baselines::{one_round_permutation, rejection_permutation, sort_based_permutation};
 use cgp_core::uniformity::{recommended_samples, test_uniformity};
 use cgp_core::{
@@ -587,91 +587,8 @@ pub fn baselines(n: usize, p: usize, seed: u64) -> Vec<BaselineRow> {
     rows
 }
 
-// ---------------------------------------------------------------------------
-// E8 — clone-based vs move-based data exchange
-// ---------------------------------------------------------------------------
-
-/// The clone-based exchange of the original port, kept verbatim as the
-/// benchmark baseline: the shuffled block is cut with `block[a..b].to_vec()`
-/// (one clone per item on the send side) and the receive side `extend`s into
-/// a fresh buffer.  Every random stream is derived exactly as in
-/// [`cgp_core::permute_vec`], so for the same machine this produces the
-/// *identical* permutation — the only difference is the copy behaviour,
-/// which is precisely what the E8 measurement isolates.
-pub fn clone_based_permute_vec<T: Send + Clone + 'static>(
-    machine: &CgmMachine,
-    data: Vec<T>,
-) -> Vec<T> {
-    let p = machine.procs();
-    let dist = BlockDistribution::even(data.len() as u64, p);
-    let blocks = dist.split_vec(data);
-    let source_sizes: Vec<u64> = blocks.iter().map(|b| b.len() as u64).collect();
-    let seeds = SeedSequence::new(machine.config().seed);
-    let mut matrix_rng = seeds.named_stream("communication-matrix");
-    let matrix = sample_sequential(&mut matrix_rng, &source_sizes, &source_sizes);
-    let slots: Vec<Mutex<Option<Vec<T>>>> =
-        blocks.into_iter().map(|b| Mutex::new(Some(b))).collect();
-    let matrix_ref = &matrix;
-    let outcome = machine.run(|ctx| {
-        let id = ctx.id();
-        let p = ctx.procs();
-        let mut shuffle_rng = ctx.seeds().child_sequence(0x5AFE_B10C).proc_stream(id);
-        ctx.superstep();
-        let mut block = slots[id]
-            .lock()
-            .take()
-            .expect("each processor takes its block exactly once");
-        fisher_yates_shuffle(&mut shuffle_rng, &mut block);
-        ctx.superstep();
-        let row = matrix_ref.row(id);
-        let mut outgoing: Vec<Vec<T>> = Vec::with_capacity(p);
-        let mut cursor = 0usize;
-        for &count in row {
-            let next = cursor + count as usize;
-            outgoing.push(block[cursor..next].to_vec());
-            cursor = next;
-        }
-        drop(block);
-        let incoming = ctx.comm_mut().all_to_all(outgoing, 0);
-        ctx.superstep();
-        let mut new_block: Vec<T> =
-            Vec::with_capacity(incoming.iter().map(|v| v.len()).sum::<usize>());
-        for part in incoming {
-            new_block.extend(part);
-        }
-        fisher_yates_shuffle(&mut shuffle_rng, &mut new_block);
-        new_block
-    });
-    let blocks = outcome.into_results();
-    dist.concat_vec(blocks)
-}
-
-/// One row of the E8 table: the same exchange measured clone-based and
-/// move-based for one payload type.
-#[derive(Debug, Clone)]
-pub struct ExchangeRow {
-    /// Payload type name (`"String"`, `"u64"`).
-    pub payload: &'static str,
-    /// Number of items permuted.
-    pub n: usize,
-    /// Number of virtual processors.
-    pub procs: usize,
-    /// Wall-clock time of the clone-based (seed) exchange.
-    pub clone_elapsed: Duration,
-    /// Wall-clock time of the move-based (current) exchange.
-    pub move_elapsed: Duration,
-}
-
-impl ExchangeRow {
-    /// How many times faster the move-based path is (> 1.0 means faster).
-    pub fn speedup(&self) -> f64 {
-        self.clone_elapsed.as_secs_f64() / self.move_elapsed.as_secs_f64().max(1e-12)
-    }
-}
-
 /// Median of a set of per-repetition durations (element at index n/2 of
-/// the sorted vector) — the shared statistic of the paired protocols of
-/// E8/E9/E10.
+/// the sorted vector) — the shared statistic of the paired protocols.
 fn median(mut xs: Vec<Duration>) -> Duration {
     xs.sort();
     xs[xs.len() / 2]
@@ -688,299 +605,6 @@ fn median_ratio(a: &[Duration], b: &[Duration]) -> f64 {
         .collect();
     ratios.sort_by(|x, y| x.total_cmp(y));
     ratios[ratios.len() / 2]
-}
-
-/// Times both paths for one payload type: an untimed warmup of each path
-/// first (allocator-arena growth, page faults and thread start-up would
-/// otherwise be billed entirely to whichever path runs first), then
-/// alternating timed repetitions, reporting the per-path median.
-fn measure_exchange_pair<T: Send + Clone + 'static>(
-    machine: &CgmMachine,
-    options: &PermuteOptions,
-    make: impl Fn() -> Vec<T>,
-) -> (Duration, Duration) {
-    const REPS: usize = 3;
-    std::hint::black_box(clone_based_permute_vec(machine, make()).len());
-    std::hint::black_box(permute_vec(machine, make(), options).0.len());
-    let mut clone_times = Vec::with_capacity(REPS);
-    let mut move_times = Vec::with_capacity(REPS);
-    for _ in 0..REPS {
-        let data = make();
-        let started = Instant::now();
-        std::hint::black_box(clone_based_permute_vec(machine, data).len());
-        clone_times.push(started.elapsed());
-        let data = make();
-        let started = Instant::now();
-        std::hint::black_box(permute_vec(machine, data, options).0.len());
-        move_times.push(started.elapsed());
-    }
-    (median(clone_times), median(move_times))
-}
-
-/// Measures the clone-based versus the move-based exchange for a heap-heavy
-/// payload (`String`) and a `Copy` payload (`u64`) at `n` items over `p`
-/// processors.  The `String` row is where the move-based engine pays off:
-/// the clone path duplicates every heap allocation on the send side.
-pub fn exchange(n: usize, p: usize, seed: u64) -> Vec<ExchangeRow> {
-    let machine = CgmMachine::new(CgmConfig::new(p).with_seed(seed));
-    let options = PermuteOptions::default();
-    let mut rows = Vec::new();
-
-    let (clone_elapsed, move_elapsed) = measure_exchange_pair(&machine, &options, || {
-        (0..n)
-            .map(|i| format!("item-{i:012}"))
-            .collect::<Vec<String>>()
-    });
-    rows.push(ExchangeRow {
-        payload: "String",
-        n,
-        procs: p,
-        clone_elapsed,
-        move_elapsed,
-    });
-
-    let (clone_elapsed, move_elapsed) =
-        measure_exchange_pair(&machine, &options, || workload::identity_items(n));
-    rows.push(ExchangeRow {
-        payload: "u64",
-        n,
-        procs: p,
-        clone_elapsed,
-        move_elapsed,
-    });
-
-    rows
-}
-
-// ---------------------------------------------------------------------------
-// E9 — per-call machine spawn vs the resident worker pool
-// ---------------------------------------------------------------------------
-
-/// One row of the E9 table: the same steady-state permutation loop measured
-/// three ways — the idiomatic per-call API (machine spawned *and* buffers
-/// allocated per call), the scratch-warm per-call path (machine spawned per
-/// call, buffers recycled), and a resident session (spawned once, workers
-/// parked between calls, buffers recycled).
-#[derive(Debug, Clone)]
-pub struct ResidentRow {
-    /// Number of items permuted per call.
-    pub n: usize,
-    /// Number of virtual processors.
-    pub procs: usize,
-    /// Median per-call time of `Permuter::permute_in_place` — threads,
-    /// channel fabric *and* intermediate buffers rebuilt every call.
-    pub one_shot_elapsed: Duration,
-    /// Median per-call time of `Permuter::permute_into` with a warm scratch
-    /// — threads and channel fabric rebuilt every call, buffers recycled.
-    pub spawn_warm_elapsed: Duration,
-    /// Median per-call time of the resident session.
-    pub resident_elapsed: Duration,
-    /// Paired median of the per-repetition ratios `one_shot / resident`.
-    pub speedup_paired: f64,
-    /// Paired median of the per-repetition ratios `spawn_warm / resident`.
-    pub warm_speedup_paired: f64,
-}
-
-impl ResidentRow {
-    /// How many times faster the resident session is than the idiomatic
-    /// per-call path it replaces (> 1.0 means faster).  This is the
-    /// **paired median**: each repetition's one-shot time is divided by the
-    /// resident time measured immediately after it, and the median of those
-    /// ratios is reported — adjacent pairing cancels machine-load drift
-    /// that a ratio of independent medians would absorb.
-    pub fn speedup(&self) -> f64 {
-        self.speedup_paired
-    }
-
-    /// Paired-median speedup over the scratch-warm per-call path —
-    /// isolating the machine-startup share alone.
-    pub fn warm_speedup(&self) -> f64 {
-        self.warm_speedup_paired
-    }
-}
-
-/// Measures repeated same-shaped permutations on the per-call-spawn paths
-/// versus a resident session, for every `(p, n)` in the grid.
-///
-/// The session bundles two amortizations: the machine startup (`p` thread
-/// spawns, the `p²` channel fabric, the barrier — per call on the one-shot
-/// paths) and the buffer recycling of [`cgp_core::PermuteScratch`].  The
-/// `one_shot` column pays both per call, the `spawn_warm` column only the
-/// startup, the `resident` column neither — so `speedup` is the end-to-end
-/// win of switching to a session and `warm_speedup` its startup share.  All
-/// paths are warmed first (allocator growth, page faults and the pool spawn
-/// itself stay outside the clock), then timed repetitions alternate between
-/// the paths and the per-path median is reported — the same paired protocol
-/// as E8.
-pub fn resident(ns: &[usize], ps: &[usize], seed: u64) -> Vec<ResidentRow> {
-    let mut rows = Vec::new();
-    for &p in ps {
-        for &n in ns {
-            // Startup amortization is a fixed-size effect, so the small and
-            // medium cells — where it is the story — get enough repetitions
-            // for a stable median even on a busy host; the big memory-bound
-            // cells stay cheap.
-            let reps: usize = if n >= 500_000 { 9 } else { 41 };
-            let permuter = cgp_core::Permuter::new(p).seed(seed);
-            let mut spawn_scratch = cgp_core::PermuteScratch::new();
-            let mut session = permuter.session::<u64>();
-            // The permuted contents are irrelevant to the timing, so one
-            // vector serves every repetition of all three paths.
-            let mut data = workload::identity_items(n);
-
-            // Warm-up: the scratches ratchet to their steady state.
-            for _ in 0..2 {
-                permuter.permute_in_place(&mut data);
-                permuter.permute_into(&mut data, &mut spawn_scratch);
-                session.permute_into(&mut data);
-            }
-
-            let mut one_shot_times = Vec::with_capacity(reps);
-            let mut spawn_warm_times = Vec::with_capacity(reps);
-            let mut resident_times = Vec::with_capacity(reps);
-            for _ in 0..reps {
-                let started = Instant::now();
-                permuter.permute_in_place(&mut data);
-                one_shot_times.push(started.elapsed());
-                let started = Instant::now();
-                permuter.permute_into(&mut data, &mut spawn_scratch);
-                spawn_warm_times.push(started.elapsed());
-                let started = Instant::now();
-                session.permute_into(&mut data);
-                resident_times.push(started.elapsed());
-            }
-            std::hint::black_box(&data);
-            rows.push(ResidentRow {
-                n,
-                procs: p,
-                speedup_paired: median_ratio(&one_shot_times, &resident_times),
-                warm_speedup_paired: median_ratio(&spawn_warm_times, &resident_times),
-                one_shot_elapsed: median(one_shot_times),
-                spawn_warm_elapsed: median(spawn_warm_times),
-                resident_elapsed: median(resident_times),
-            });
-        }
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------------
-// E10 — the staged two-job pipeline vs the fused single-job pipeline
-// ---------------------------------------------------------------------------
-
-/// One row of the E10 table: the same permutation measured through the
-/// staged seed pipeline (matrix sampled as its own machine job, then the
-/// exchange) and through today's fused single-job pipeline — one-shot and
-/// on resident sessions.
-#[derive(Debug, Clone)]
-pub struct FusedRow {
-    /// Number of items permuted.
-    pub n: usize,
-    /// Number of virtual processors.
-    pub procs: usize,
-    /// Median per-call time of the staged pipeline, one-shot (matrix
-    /// machine + exchange machine per call).
-    pub staged_one_shot: Duration,
-    /// Median per-call time of the fused pipeline, one-shot (one machine
-    /// per call).
-    pub fused_one_shot: Duration,
-    /// Median per-call time of the staged pipeline on a resident session
-    /// (exchange on the pool, matrix still on a one-shot machine per call
-    /// — the PR 3 session behaviour).
-    pub staged_session: Duration,
-    /// Median per-call time of the fused pipeline on a resident session
-    /// (everything on the pool — zero spawns at steady state).
-    pub fused_session: Duration,
-    /// Paired median of the per-repetition ratios `staged / fused`,
-    /// one-shot.
-    pub one_shot_speedup_paired: f64,
-    /// Paired median of the per-repetition ratios `staged / fused` on the
-    /// sessions.
-    pub session_speedup_paired: f64,
-}
-
-impl FusedRow {
-    /// How many times faster the fused one-shot pipeline is (> 1.0 means
-    /// fusing helped; paired per-repetition median).
-    pub fn one_shot_speedup(&self) -> f64 {
-        self.one_shot_speedup_paired
-    }
-
-    /// How many times faster the fused session is than the staged session
-    /// (paired per-repetition median) — the cell the acceptance criterion
-    /// reads, since sessions are where the per-call matrix machine of the
-    /// staged pipeline hurts most.
-    pub fn session_speedup(&self) -> f64 {
-        self.session_speedup_paired
-    }
-}
-
-/// Measures the staged versus the fused pipeline with the
-/// `ParallelOptimal` backend (the backend for which the staged pipeline
-/// spawns a whole extra machine per call) for every `(p, n)` in the grid.
-///
-/// Same paired protocol as E8/E9: both paths warmed first, then timed
-/// repetitions alternate between the paths and per-path medians plus
-/// paired per-repetition ratio medians are reported.
-pub fn fused(ns: &[usize], ps: &[usize], seed: u64) -> Vec<FusedRow> {
-    let backend = MatrixBackend::ParallelOptimal;
-    let mut rows = Vec::new();
-    for &p in ps {
-        for &n in ns {
-            let reps: usize = if n >= 500_000 { 9 } else { 41 };
-            let config = CgmConfig::new(p).with_seed(seed);
-            let machine = CgmMachine::new(config);
-            let options = PermuteOptions::with_backend(backend);
-            let permuter = cgp_core::Permuter::new(p).seed(seed).backend(backend);
-            let mut staged_session: crate::staged::StagedSession<u64> =
-                crate::staged::StagedSession::new(config, options.clone());
-            let mut fused_session = permuter.session::<u64>();
-            let mut data = workload::identity_items(n);
-
-            // Warm-up: allocator growth, page faults, pool spawns and
-            // scratch ratchets stay outside the clock.
-            for _ in 0..2 {
-                data = crate::staged::staged_permute_vec(&machine, data, &options);
-                permuter.permute_in_place(&mut data);
-                staged_session.permute_into(&mut data);
-                fused_session.permute_into(&mut data);
-            }
-
-            let mut staged_one_shot_times = Vec::with_capacity(reps);
-            let mut fused_one_shot_times = Vec::with_capacity(reps);
-            let mut staged_session_times = Vec::with_capacity(reps);
-            let mut fused_session_times = Vec::with_capacity(reps);
-            for _ in 0..reps {
-                let started = Instant::now();
-                data = crate::staged::staged_permute_vec(&machine, data, &options);
-                staged_one_shot_times.push(started.elapsed());
-                let started = Instant::now();
-                permuter.permute_in_place(&mut data);
-                fused_one_shot_times.push(started.elapsed());
-                let started = Instant::now();
-                staged_session.permute_into(&mut data);
-                staged_session_times.push(started.elapsed());
-                let started = Instant::now();
-                fused_session.permute_into(&mut data);
-                fused_session_times.push(started.elapsed());
-            }
-            std::hint::black_box(&data);
-            rows.push(FusedRow {
-                n,
-                procs: p,
-                one_shot_speedup_paired: median_ratio(
-                    &staged_one_shot_times,
-                    &fused_one_shot_times,
-                ),
-                session_speedup_paired: median_ratio(&staged_session_times, &fused_session_times),
-                staged_one_shot: median(staged_one_shot_times),
-                fused_one_shot: median(fused_one_shot_times),
-                staged_session: median(staged_session_times),
-                fused_session: median(fused_session_times),
-            });
-        }
-    }
-    rows
 }
 
 // ---------------------------------------------------------------------------
@@ -1065,7 +689,7 @@ fn drive_clients(
 /// population (client `i` owns `jobs_per_client[i]` jobs) served by a
 /// fleet of `machines`, against the same population serializing on one
 /// shared session.  Both substrates are built once and warmed, then timed
-/// repetitions alternate between them (the paired protocol of E8–E10).
+/// repetitions alternate between them (the paired protocol).
 fn service_cell(
     scenario: &'static str,
     n: usize,
@@ -1614,59 +1238,6 @@ mod tests {
             if r.generator.contains("Algorithm 1") || r.generator.contains("Fisher") {
                 assert!(r.p_value > 1e-4, "{} rejected: {r:?}", r.generator);
             }
-        }
-    }
-
-    #[test]
-    fn clone_reference_matches_the_move_based_engine() {
-        // The E8 baseline replays the seed's clone-based exchange with the
-        // same random streams, so it must produce the identical permutation
-        // — anything else would mean the refactor changed semantics.
-        let machine = CgmMachine::new(CgmConfig::new(4).with_seed(77));
-        let data: Vec<u64> = workload::identity_items(2_000);
-        let cloned = clone_based_permute_vec(&machine, data.clone());
-        let (moved, _) = permute_vec(&machine, data, &PermuteOptions::default());
-        assert_eq!(cloned, moved);
-    }
-
-    #[test]
-    fn exchange_experiment_smoke() {
-        let rows = exchange(4_000, 4, 13);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].payload, "String");
-        for r in &rows {
-            assert_eq!(r.n, 4_000);
-            assert_eq!(r.procs, 4);
-            assert!(r.speedup() > 0.0);
-        }
-    }
-
-    #[test]
-    fn resident_experiment_smoke() {
-        let rows = resident(&[2_000], &[2, 4], 19);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert_eq!(r.n, 2_000);
-            assert!(r.one_shot_elapsed > Duration::ZERO);
-            assert!(r.spawn_warm_elapsed > Duration::ZERO);
-            assert!(r.resident_elapsed > Duration::ZERO);
-            assert!(r.speedup() > 0.0);
-            assert!(r.warm_speedup() > 0.0);
-        }
-    }
-
-    #[test]
-    fn fused_experiment_smoke() {
-        let rows = fused(&[2_000], &[2, 4], 23);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert_eq!(r.n, 2_000);
-            assert!(r.staged_one_shot > Duration::ZERO);
-            assert!(r.fused_one_shot > Duration::ZERO);
-            assert!(r.staged_session > Duration::ZERO);
-            assert!(r.fused_session > Duration::ZERO);
-            assert!(r.one_shot_speedup() > 0.0);
-            assert!(r.session_speedup() > 0.0);
         }
     }
 

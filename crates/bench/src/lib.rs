@@ -18,16 +18,6 @@
 //! * **E6** (§6, outlook): the crossover between matrix-sampling cost and
 //!   data-exchange cost as `n` varies for fixed `p`.
 //! * **E7** (§1): the three-criteria comparison against the baselines.
-//! * **E8** (Theorem 1, memory): the clone-based exchange of the original
-//!   port versus the current move-based engine, for heap-heavy and `Copy`
-//!   payloads — snapshotted to `BENCH_exchange.json` by `exp_exchange`.
-//! * **E9**: per-call machine spawn versus the resident worker pool —
-//!   snapshotted to `BENCH_resident.json` by `exp_resident`.
-//! * **E10**: the staged two-job pipeline (matrix on its own machine, then
-//!   the exchange) versus the fused single-job pipeline, one-shot and
-//!   session — snapshotted to `BENCH_fused.json` by `exp_fused`; the
-//!   [`staged`] module keeps the pre-fusion engine verbatim as the
-//!   baseline and equivalence witness.
 //! * **E11**: aggregate throughput of the multi-tenant
 //!   `PermutationService` — concurrent clients × fleet sizes, contrasted
 //!   against the same clients serializing on a single session —

@@ -1,6 +1,6 @@
 //! The **staged** two-job pipeline of the original engine, kept verbatim as
-//! the measurement baseline and the equivalence witness for the fused
-//! single-job pipeline that replaced it.
+//! the equivalence witness for the fused single-job pipeline that replaced
+//! it.
 //!
 //! Before the fusion, `cgp_core::permute_vec` ran Algorithm 1 in two stages:
 //!
@@ -15,15 +15,11 @@
 //! Every random stream below is derived exactly as the old engine derived
 //! it, so for the same machine seed this produces the **identical**
 //! permutation as today's fused path — which is precisely what the
-//! equivalence proptests in `tests/fused_equivalence.rs` assert, and what
-//! makes the E10 (`exp_fused`) comparison a pure pipeline-shape
-//! measurement.
+//! equivalence proptests in `tests/fused_equivalence.rs` assert.
 //!
 //! One deliberate asymmetry with history: both pipelines here run on
 //! today's dual-plane fabric (every machine carries the word plane whether
-//! or not a job samples on it), so E10 isolates the pipeline *shape* —
-//! job count, spawns, overlap — rather than the per-fabric constant, which
-//! is identical on both sides of the comparison.
+//! or not a job samples on it).
 
 use std::sync::Arc;
 use std::time::Instant;

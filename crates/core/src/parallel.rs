@@ -71,8 +71,8 @@
 //! (`Sequential`) to `Θ(p log p)` (`ParallelLog`, Algorithm 5) or the
 //! cost-optimal `Θ(p)` (`ParallelOptimal`, Algorithm 6) — they win once
 //! `p²` work on one processor rivals `m = n/p` work on all of them, i.e.
-//! for large machines or small blocks.  Measure with `exp_crossover` /
-//! `exp_fused` on your host when in doubt.
+//! for large machines or small blocks.  Measure with `exp_crossover` on
+//! your host when in doubt.
 //!
 //! # Direct-placement exchange
 //!

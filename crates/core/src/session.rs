@@ -22,8 +22,7 @@
 //!   startup cost is paid per call but nothing stays resident.
 //! * **Session** ([`crate::Permuter::session`]): a loop or service that
 //!   permutes many vectors of one payload type.  Startup is paid once;
-//!   per-call latency drops accordingly (experiment E9 / `exp_resident`
-//!   measures the gap).  The pool's worker threads stay parked (blocking
+//!   per-call latency drops accordingly.  The pool's worker threads stay parked (blocking
 //!   channel receives, no spin) between calls, so an idle session costs no
 //!   CPU.
 //!
