@@ -48,8 +48,7 @@ fn bench_seq_shuffle(c: &mut Criterion) {
             });
         });
         // §6 outlook ablation: the bucketed two-phase shuffle derived from
-        // the coarse grained decomposition (see also experiment E12 /
-        // `exp_shuffle`, which locates the engine crossover).
+        // the coarse grained decomposition.
         group.bench_with_input(BenchmarkId::new("bucketed", n), &n, |b, &n| {
             let mut rng = Pcg64::seed_from_u64(2);
             let mut data: Vec<u64> = (0..n as u64).collect();

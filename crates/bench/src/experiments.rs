@@ -1,4 +1,4 @@
-//! Reusable implementations of the experiments E1–E7.
+//! Reusable implementations of the experiments E1–E7, E11 and E15.
 //!
 //! Every function takes explicit size parameters so that the `exp_*`
 //! binaries can run paper-scale versions while the unit tests and CI run
@@ -11,9 +11,7 @@ use parking_lot::Mutex;
 use cgp_cgm::{CgmConfig, CgmMachine};
 use cgp_core::baselines::{one_round_permutation, rejection_permutation, sort_based_permutation};
 use cgp_core::uniformity::{recommended_samples, test_uniformity};
-use cgp_core::{
-    fisher_yates_shuffle, permute_vec, BucketScratch, LocalShuffle, MatrixBackend, PermuteOptions,
-};
+use cgp_core::{fisher_yates_shuffle, permute_vec, MatrixBackend, PermuteOptions};
 use cgp_hypergeom::{sample_with, SamplerKind};
 use cgp_matrix::{
     sample_parallel_log, sample_parallel_optimal, sample_recursive, sample_sequential,
@@ -823,188 +821,6 @@ pub fn service_scenarios(
 }
 
 // ---------------------------------------------------------------------------
-// E12 — local-shuffle engine crossover (Fisher–Yates vs bucketed scatter)
-// ---------------------------------------------------------------------------
-
-/// One row of the E12 table: the same `u64` payload permuted once per
-/// [`LocalShuffle`] engine, either as a raw single-block shuffle
-/// (`scope = "raw"`, the engine alone on one thread) or as a full
-/// Algorithm 1 permutation on a resident session (`scope = "session"`).
-#[derive(Debug, Clone)]
-pub struct ShuffleRow {
-    /// `"raw"` (one block, one thread, the engine alone) or `"session"`
-    /// (the whole pipeline on a resident worker pool).
-    pub scope: &'static str,
-    /// Number of items shuffled (raw) or permuted (session).
-    pub n: usize,
-    /// Number of virtual processors (1 for raw rows).
-    pub procs: usize,
-    /// Median per-call time with [`LocalShuffle::FisherYates`].
-    pub fisher_yates: Duration,
-    /// Median per-call time with the explicit bucketed engine,
-    /// [`LocalShuffle::bucketed_for::<u64>()`](LocalShuffle::bucketed_for).
-    pub bucketed: Duration,
-    /// Median per-call time with [`LocalShuffle::Auto`].
-    pub auto: Duration,
-    /// Paired per-repetition median of `fisher_yates / bucketed`.
-    pub bucketed_speedup_paired: f64,
-    /// Paired per-repetition median of `fisher_yates / auto`.
-    pub auto_speedup_paired: f64,
-}
-
-impl ShuffleRow {
-    /// How many times faster the bucketed scatter engine is than
-    /// Fisher–Yates (> 1.0 past the memory crossover, < 1.0 while the
-    /// payload is cache-resident and the scatter traffic is pure
-    /// overhead).
-    pub fn bucketed_speedup(&self) -> f64 {
-        self.bucketed_speedup_paired
-    }
-
-    /// How many times faster [`LocalShuffle::Auto`] is than Fisher–Yates.
-    /// Below the [`cgp_core::AUTO_CROSSOVER_BYTES`] crossover `Auto`
-    /// resolves to Fisher–Yates, so this hovers around 1.0 there by
-    /// construction; past it, it should track [`Self::bucketed_speedup`].
-    pub fn auto_speedup(&self) -> f64 {
-        self.auto_speedup_paired
-    }
-}
-
-/// The three engines E12 compares, in the order of the row columns.
-fn shuffle_engines() -> [LocalShuffle; 3] {
-    [
-        LocalShuffle::FisherYates,
-        LocalShuffle::bucketed_for::<u64>(),
-        LocalShuffle::Auto,
-    ]
-}
-
-fn shuffle_reps(n: usize) -> usize {
-    if n >= 16_000_000 {
-        5
-    } else {
-        9
-    }
-}
-
-/// One raw-scope row: the engine alone, repeatedly re-shuffling the same
-/// `u64` block on one thread.  Same paired protocol as E8–E10: every
-/// engine warmed once untimed (allocator growth, page faults and scratch
-/// ratchets stay outside the clock), then timed repetitions alternate
-/// between the engines.
-fn shuffle_raw_row(n: usize, seed: u64) -> ShuffleRow {
-    let engines = shuffle_engines();
-    let reps = shuffle_reps(n);
-    let mut rng = Pcg64::seed_from_u64(seed);
-    let mut data = workload::identity_items(n);
-    let mut scratches = [
-        BucketScratch::new(),
-        BucketScratch::new(),
-        BucketScratch::new(),
-    ];
-    for (engine, scratch) in engines.iter().zip(scratches.iter_mut()) {
-        engine.shuffle_vec_with(&mut rng, &mut data, scratch);
-    }
-    let mut times: [Vec<Duration>; 3] = [
-        Vec::with_capacity(reps),
-        Vec::with_capacity(reps),
-        Vec::with_capacity(reps),
-    ];
-    for _ in 0..reps {
-        for ((engine, scratch), samples) in engines
-            .iter()
-            .zip(scratches.iter_mut())
-            .zip(times.iter_mut())
-        {
-            let started = Instant::now();
-            engine.shuffle_vec_with(&mut rng, &mut data, scratch);
-            samples.push(started.elapsed());
-        }
-    }
-    std::hint::black_box(&data);
-    let [fy, bucketed, auto] = times;
-    ShuffleRow {
-        scope: "raw",
-        n,
-        procs: 1,
-        bucketed_speedup_paired: median_ratio(&fy, &bucketed),
-        auto_speedup_paired: median_ratio(&fy, &auto),
-        fisher_yates: median(fy),
-        bucketed: median(bucketed),
-        auto: median(auto),
-    }
-}
-
-/// One session-scope row: the whole Algorithm 1 pipeline on a resident
-/// worker pool, once per engine, same paired protocol as the raw rows.
-/// `Auto` resolves against the *job total* here (see
-/// [`cgp_core::PermuteOptions::local_shuffle`]), so a job whose combined
-/// blocks exceed the crossover buckets even when each worker's block alone
-/// would not.
-fn shuffle_session_row(n: usize, p: usize, seed: u64) -> ShuffleRow {
-    let engines = shuffle_engines();
-    let reps = shuffle_reps(n);
-    let mut sessions: Vec<_> = engines
-        .iter()
-        .map(|&engine| {
-            cgp_core::Permuter::new(p)
-                .seed(seed)
-                .local_shuffle(engine)
-                .session::<u64>()
-        })
-        .collect();
-    let mut data = workload::identity_items(n);
-    for session in &mut sessions {
-        session.permute_into(&mut data);
-    }
-    let mut times: [Vec<Duration>; 3] = [
-        Vec::with_capacity(reps),
-        Vec::with_capacity(reps),
-        Vec::with_capacity(reps),
-    ];
-    for _ in 0..reps {
-        for (session, samples) in sessions.iter_mut().zip(times.iter_mut()) {
-            let started = Instant::now();
-            session.permute_into(&mut data);
-            samples.push(started.elapsed());
-        }
-    }
-    std::hint::black_box(&data);
-    let [fy, bucketed, auto] = times;
-    ShuffleRow {
-        scope: "session",
-        n,
-        procs: p,
-        bucketed_speedup_paired: median_ratio(&fy, &bucketed),
-        auto_speedup_paired: median_ratio(&fy, &auto),
-        fisher_yates: median(fy),
-        bucketed: median(bucketed),
-        auto: median(auto),
-    }
-}
-
-/// Measures the Fisher–Yates / bucketed-scatter / `Auto` local-shuffle
-/// engines across a size grid — raw single-thread shuffles at `raw_ns`
-/// and full resident-session permutations at `session_ns` with `p`
-/// virtual processors — and reports per-engine medians plus paired
-/// per-repetition speedup ratios against Fisher–Yates.
-pub fn shuffle_crossover(
-    raw_ns: &[usize],
-    session_ns: &[usize],
-    p: usize,
-    seed: u64,
-) -> Vec<ShuffleRow> {
-    let mut rows = Vec::new();
-    for &n in raw_ns {
-        rows.push(shuffle_raw_row(n, seed));
-    }
-    for &n in session_ns {
-        rows.push(shuffle_session_row(n, p, seed));
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------------
 // E15 — wire front-end overhead (socket round-trip vs in-process handle)
 // ---------------------------------------------------------------------------
 
@@ -1274,23 +1090,6 @@ mod tests {
         for r in &tiny {
             assert_eq!(r.n, TINY_JOB_N);
             assert!(r.throughput() > 0.0);
-        }
-    }
-
-    #[test]
-    fn shuffle_crossover_experiment_smoke() {
-        let rows = shuffle_crossover(&[4_096], &[2_048], 2, 17);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].scope, "raw");
-        assert_eq!(rows[0].procs, 1);
-        assert_eq!(rows[1].scope, "session");
-        assert_eq!(rows[1].procs, 2);
-        for r in &rows {
-            assert!(r.fisher_yates > Duration::ZERO);
-            assert!(r.bucketed > Duration::ZERO);
-            assert!(r.auto > Duration::ZERO);
-            assert!(r.bucketed_speedup() > 0.0);
-            assert!(r.auto_speedup() > 0.0);
         }
     }
 

@@ -22,11 +22,10 @@
 //!   `PermutationService` — concurrent clients × fleet sizes, contrasted
 //!   against the same clients serializing on a single session —
 //!   snapshotted to `BENCH_service.json` by `exp_service`.
-//! * **E12**: the local-shuffle engine crossover — Fisher–Yates versus the
-//!   bucketed scatter shuffle versus `Auto`, raw single-thread shuffles
-//!   across a size grid straddling `AUTO_CROSSOVER_BYTES` plus full
-//!   resident-session permutations — snapshotted to `BENCH_shuffle.json`
-//!   by `exp_shuffle`.
+//! * **E15**: the wire front-end's own cost — the same job through an
+//!   in-process handle and through a socket client, gated on the wire's
+//!   throughput `n / (wire − in_process)` — snapshotted to
+//!   `BENCH_wire.json` by `exp_wire`.
 //!
 //! The `BENCH_*.json` layout (and the `--check` perf-regression gate every
 //! snapshot binary exposes to CI) lives in [`snapshot`].

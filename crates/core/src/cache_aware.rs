@@ -17,15 +17,16 @@
 //! the bucket sizes follow the multivariate hypergeometric law a uniform
 //! permutation induces, the assignment of items to buckets given those sizes
 //! is uniform, and each bucket is shuffled uniformly.  [`bucketed_shuffle`]
-//! is the sequential engine; [`LocalShuffle`] is the policy knob every
-//! layer of the stack (options, `Permuter`, sessions, the service) carries.
+//! is the sequential engine, and [`LocalShuffle`] picks between it and
+//! plain Fisher–Yates for the sequential entry points.
 //!
-//! The parallel pipeline does not nest this engine inside Algorithm 1's
-//! local shuffles.  It runs **one scatter level** instead: every bucket of
-//! every target block is a virtual target of a single Algorithm 1 over the
-//! whole job (see the `parallel` module docs).  There each item gets two
-//! in-cache Fisher–Yates passes and one copy, the same single copy the
-//! Fisher–Yates path makes.
+//! The parallel pipeline has no such knob and does not nest this engine
+//! inside Algorithm 1's local shuffles.  When some block holds more than
+//! four windows of [`default_bucket_items`] items it runs **one scatter
+//! level** instead: every bucket of every target block is a virtual target
+//! of a single Algorithm 1 over the whole job (see the `parallel` module
+//! docs).  There each item gets two in-cache Fisher–Yates passes and one
+//! copy, the same single copy the Fisher–Yates path makes.
 //!
 //! "In-cache" needs help: a window or bucket is far larger than the reach
 //! of the hardware prefetcher, which the shuffle's random accesses defeat
@@ -34,11 +35,6 @@
 //! *next* window or bucket into L2 while the current one is shuffled — the
 //! same draws and the same output as plain Fisher–Yates, so no recorded
 //! permutation changes.
-//!
-//! Whether buckets beat plain Fisher–Yates depends on the machine's
-//! cache/memory ratio and on the working-set size — that crossover is
-//! measured by experiment E12 (`cgp-bench`, `exp_shuffle`) and baked into
-//! [`LocalShuffle::Auto`] as [`AUTO_CROSSOVER_BYTES`].
 
 use cgp_rng::RandomSource;
 
@@ -47,52 +43,39 @@ use crate::sequential::{fisher_yates_shuffle, fisher_yates_shuffle_warming};
 /// Byte budget one bucket may occupy, sized so that the phase-(b) shuffle of
 /// a bucket runs against fast cache instead of main memory.
 ///
-/// 256 KiB: comfortably inside a typical L2 (the E12 calibration box carries
-/// 2 MiB of L2 and 48 KiB of L1d; a quarter-megabyte bucket leaves room for
-/// the scatter chunk, the draw buffer and the bucket cursors next to it).
+/// 256 KiB: comfortably inside a typical L2 (2 MiB of L2 and 48 KiB of L1d
+/// on the calibration host; a quarter-megabyte bucket leaves room for the
+/// scatter chunk, the draw buffer and the bucket cursors next to it).  It
+/// is a constant, never read from the host, so a seed maps to the same
+/// permutation on every machine.
 pub const BUCKET_L2_BUDGET_BYTES: usize = 256 * 1024;
 
-/// Payload size (bytes of `n · size_of::<T>()`) past which
+/// Payload size (bytes of `n · size_of::<T>()`) past which the sequential
 /// [`LocalShuffle::Auto`] flips from plain Fisher–Yates to the bucketed
 /// engine.
 ///
 /// Below this the whole working set is cache-resident and the bucket
 /// machinery is pure overhead; above it the Fisher–Yates random accesses
 /// start missing and the two streaming passes win.  The value is the
-/// empirically measured crossover of experiment E12 (`exp_shuffle`,
-/// BENCH_shuffle.json) on the reference box, whose last-level cache is an
-/// unusually large 260 MiB: for `u64` payloads Fisher–Yates wins outright
-/// at 32 MiB (buckets at 0.73x), the engines are within a few percent of
-/// each other around 46–61 MiB, and buckets pull ahead past that — 1.2x
-/// at 92 MiB, 1.4x at 122 MiB, 1.6x at 512 MiB.  Machines with ordinary
-/// (single-digit-MiB) last-level caches cross over far earlier; pin
-/// `LocalShuffle::Bucketed` explicitly — or recalibrate with
-/// `exp_shuffle` — when targeting one.
-///
-/// The fused pipeline resolves `Auto` against the **whole job's** payload
-/// (`n` total items), not each worker's block: the per-worker blocks of one
-/// job are live simultaneously, so their combined footprint is what the
-/// cache actually sees (E12's session grid confirms the job-level split
-/// predicts the win where the per-block sizes do not).  The value dates
-/// from the pipeline that nested the sequential engine in both local
-/// shuffles; it has not been recalibrated for the one scatter level.
+/// measured crossover of single-thread raw shuffles on a host whose
+/// last-level cache is an unusually large 260 MiB: for `u64` payloads
+/// Fisher–Yates wins outright at 32 MiB (buckets at 0.73x), the engines are
+/// within a few percent of each other around 46–61 MiB, and buckets pull
+/// ahead past that — 1.2x at 92 MiB, 1.4x at 122 MiB, 1.6x at 512 MiB.
+/// Machines with ordinary (single-digit-MiB) last-level caches cross over
+/// far earlier; pin `LocalShuffle::Bucketed` explicitly when targeting one.
 pub const AUTO_CROSSOVER_BYTES: usize = 64 * 1024 * 1024;
 
-/// Item size (bytes of one `T`) past which [`LocalShuffle::Auto`] stays on
-/// Fisher–Yates regardless of the payload size.
+/// Item size (bytes of one `T`) past which the sequential
+/// [`LocalShuffle::Auto`] stays on Fisher–Yates regardless of the payload
+/// size.
 ///
-/// The value was calibrated on the sequential engine and on a pipeline
-/// that nested it in both local shuffles.  The sequential scatter moves
-/// every item ~3 times (window shuffle, run drain, bucket shuffle + concat)
-/// where Fisher–Yates moves it ~2 times; for wide records the extra bulk
-/// copies dominate the latency the buckets save — E12 measured 64-byte and
-/// 512-byte records losing ~2x with buckets even at DRAM-resident sizes,
-/// because a Fisher–Yates swap of a multi-line record is prefetch-friendly
-/// (sequential within the record).  In the pipeline, the one scatter level
-/// now copies each item once, as the Fisher–Yates path does, so this
-/// threshold (like [`AUTO_CROSSOVER_BYTES`]) is conservative there;
-/// retuning both for the pipeline awaits a measurement of wide records on
-/// the one scatter level.
+/// The sequential scatter moves every item ~3 times (window shuffle, run
+/// drain, bucket shuffle + concat) where Fisher–Yates moves it ~2 times;
+/// for wide records the extra bulk copies dominate the latency the buckets
+/// save — 64-byte and 512-byte records measured ~2x slower with buckets
+/// even at DRAM-resident sizes, because a Fisher–Yates swap of a multi-line
+/// record is prefetch-friendly (sequential within the record).
 pub const AUTO_MAX_ITEM_BYTES: usize = 16;
 
 /// Upper bound on the number of buckets one scatter pass fans out to.
@@ -123,11 +106,11 @@ pub fn default_bucket_items<T>() -> usize {
     (BUCKET_L2_BUDGET_BYTES / std::mem::size_of::<T>().max(1)).max(1)
 }
 
-/// Which algorithm the engine uses for its **local** shuffles — the
-/// sequential entry points, and the memory layout of the parallel pipeline.
-/// In the pipeline, `FisherYates` shuffles each block in one pass in
-/// supersteps 1 and 3, and `Bucketed` runs the one scatter level over
-/// every bucket of every target block (see the `parallel` module docs).
+/// Which engine a **sequential** shuffle runs: [`LocalShuffle::shuffle_vec`],
+/// [`LocalShuffle::shuffle_vec_with`] and
+/// [`LocalShuffle::sample_permutation`].  This is the sequential API only:
+/// the parallel pipeline takes no engine choice and picks its layout from
+/// the block sizes (see the `parallel` module docs).
 ///
 /// Every variant produces an exactly uniform permutation; they differ only
 /// in memory behaviour.  **Engines need not agree byte-for-byte**: for the
@@ -146,9 +129,8 @@ pub enum LocalShuffle {
     /// The two-phase bucketed scatter shuffle of [`bucketed_shuffle`]:
     /// stream the items into `ceil(n / bucket_items)` buckets (sizes
     /// governed by the multivariate hypergeometric law), then Fisher–Yates
-    /// each cache-resident bucket.  In the parallel pipeline: the one
-    /// scatter level, with windows and buckets of `bucket_items`.
-    /// `bucket_items` is clamped to at least 1; use
+    /// each cache-resident bucket.  `bucket_items` is clamped to at least
+    /// 1; use
     /// [`LocalShuffle::bucketed_for`] for the payload-aware default.
     Bucketed {
         /// Target bucket size in items.
@@ -157,10 +139,8 @@ pub enum LocalShuffle {
     /// Picks per call: Fisher–Yates while the payload
     /// (`n · size_of::<T>()`) is at most [`AUTO_CROSSOVER_BYTES`] or the
     /// item is wider than [`AUTO_MAX_ITEM_BYTES`]; the bucketed engine with
-    /// [`default_bucket_items`] buckets otherwise.  Both thresholds are
-    /// E12-measured (see their docs).  This is the default everywhere
-    /// ([`crate::PermuteOptions`], the `Permuter` builder, sessions, the
-    /// service).
+    /// [`default_bucket_items`] buckets otherwise.  Both thresholds were
+    /// measured on raw single-thread shuffles (see their docs).
     #[default]
     Auto,
 }
@@ -710,7 +690,7 @@ mod tests {
             "the same item count in u8 is 8x smaller and stays below"
         );
         // Wide records stay on Fisher-Yates at any size: the scatter's
-        // extra bulk copies lose to prefetch-friendly record swaps (E12).
+        // extra bulk copies lose to prefetch-friendly record swaps.
         assert_eq!(
             auto.resolve_for::<[u64; 8]>(big),
             LocalShuffle::FisherYates,

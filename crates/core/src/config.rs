@@ -1,6 +1,11 @@
 //! Options controlling the parallel permutation.
+//!
+//! There is no local-shuffle choice among them: the pipeline picks its
+//! memory layout from the block sizes alone (the one scatter level exactly
+//! when some block exceeds four cache-sized windows; see the `parallel`
+//! module docs), so a seed maps to the same permutation on every surface
+//! and every machine.
 
-use crate::cache_aware::LocalShuffle;
 use cgp_cgm::{CgmConfig, CgmError};
 
 /// Which of the paper's matrix-sampling algorithms supplies the communication
@@ -95,54 +100,41 @@ impl EngineFault {
 }
 
 /// The engine-selection core shared by every front door of the crate: which
-/// permutation a seed produces (`seed`, `local_shuffle`) and what machine it
-/// runs on (`procs`).
+/// permutation a seed produces (`seed`) and what machine it runs on
+/// (`procs`).
 ///
-/// [`crate::Permuter`], [`crate::PermutationSession`],
-/// [`crate::service::ServiceConfig`] and per-job [`PermuteOptions`] used to
-/// hand-copy these knobs with their own setters, which let the copies
-/// drift.  They now all embed — or, for per-job options, derive from — one
-/// `EngineConfig`, so a configuration built once can be pushed through any
-/// surface:
+/// [`crate::Permuter`], [`crate::PermutationSession`] and
+/// [`crate::service::ServiceConfig`] all embed one `EngineConfig`, so a
+/// configuration built once can be pushed through any surface:
 ///
 /// ```
-/// use cgp_core::{EngineConfig, LocalShuffle, Permuter};
+/// use cgp_core::{EngineConfig, Permuter};
 /// use cgp_core::service::ServiceConfig;
 ///
-/// let engine = EngineConfig::new(4).seed(42).local_shuffle(LocalShuffle::FisherYates);
+/// let engine = EngineConfig::new(4).seed(42);
 /// let one_shot = Permuter::from_engine(engine);       // one-shot / session
 /// let fleet = ServiceConfig::from_engine(engine);     // resident service
 /// assert_eq!(one_shot.engine(), fleet.engine);
 /// ```
 ///
-/// Two deliberate asymmetries:
-///
-/// * The matrix backend and `keep_matrix` stay *outside* the engine config:
-///   they change cost and diagnostics, never which permutation a seed
-///   produces, so they remain per-surface options.
-/// * [`PermuteOptions`] derives only the per-job half
-///   ([`EngineConfig::options`]) — a job carries no seed or processor
-///   count of its own, which is what keeps a submitted job from
-///   silently disagreeing with the resident fleet it runs on.
+/// The matrix backend and `keep_matrix` stay *outside* the engine config:
+/// they change cost and diagnostics, never which permutation a seed
+/// produces, so they remain per-surface options ([`PermuteOptions`]).  A
+/// job carries no seed or processor count of its own, which is what keeps
+/// a submitted job from silently disagreeing with the resident fleet it
+/// runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Number of virtual processors per machine.
     pub procs: usize,
     /// Master seed; every derived random stream follows from it.
     pub seed: u64,
-    /// Which engine runs the local (per-processor) shuffles.
-    pub local_shuffle: LocalShuffle,
 }
 
 impl EngineConfig {
-    /// An engine over `procs` virtual processors with seed `0` and every
-    /// other knob at its default.
+    /// An engine over `procs` virtual processors with seed `0`.
     pub fn new(procs: usize) -> Self {
-        EngineConfig {
-            procs,
-            seed: 0,
-            local_shuffle: LocalShuffle::Auto,
-        }
+        EngineConfig { procs, seed: 0 }
     }
 
     /// Sets the number of virtual processors.
@@ -155,19 +147,6 @@ impl EngineConfig {
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Selects the engine for the local shuffles (see [`LocalShuffle`]).
-    pub fn local_shuffle(mut self, engine: LocalShuffle) -> Self {
-        self.local_shuffle = engine;
-        self
-    }
-
-    /// The per-job half of this engine: [`PermuteOptions`] carrying the
-    /// local-shuffle choice (and nothing machine-shaped — see the type docs
-    /// for why).
-    pub fn options(&self) -> PermuteOptions {
-        PermuteOptions::new().local_shuffle(self.local_shuffle)
     }
 
     /// The machine half of this engine: a [`CgmConfig`] carrying the
@@ -189,11 +168,6 @@ impl EngineConfig {
 pub struct PermuteOptions {
     /// Which matrix-sampling algorithm to use.
     pub backend: MatrixBackend,
-    /// Which engine runs the local (per-processor) shuffles — the
-    /// superstep-1 and superstep-3 passes of Algorithm 1.  Every engine is
-    /// exactly uniform; see [`LocalShuffle`] for the byte-compatibility
-    /// caveat when changing it.
-    pub local_shuffle: LocalShuffle,
     /// Whether to keep a copy of the sampled communication matrix in the
     /// report (costs `O(p·p')` memory; useful for tests and diagnostics).
     pub keep_matrix: bool,
@@ -203,16 +177,21 @@ pub struct PermuteOptions {
     /// chosen pipeline point (see [`EngineFault`]).  `None` — the default —
     /// costs one branch per processor per job.
     pub fault: Option<EngineFault>,
+    /// Test hook: the window of the one scatter level in items, and the
+    /// largest block the Fisher–Yates path takes (see
+    /// [`PermuteOptions::window_items`]).  `None` runs the pipeline's own
+    /// rule.
+    pub(crate) window_items: Option<usize>,
 }
 
 impl Default for PermuteOptions {
     fn default() -> Self {
         PermuteOptions {
             backend: MatrixBackend::Sequential,
-            local_shuffle: LocalShuffle::Auto,
             keep_matrix: false,
             target_sizes: None,
             fault: None,
+            window_items: None,
         }
     }
 }
@@ -230,23 +209,22 @@ impl PermuteOptions {
         PermuteOptions::new().backend(backend)
     }
 
-    /// Options carrying the per-job half of an [`EngineConfig`] (its
-    /// local-shuffle choice).  Alias of
-    /// [`EngineConfig::options`], for call sites that start from the
-    /// options side.
-    pub fn from_engine(engine: &EngineConfig) -> Self {
-        engine.options()
-    }
-
     /// Sets the matrix-sampling backend.
     pub fn backend(mut self, backend: MatrixBackend) -> Self {
         self.backend = backend;
         self
     }
 
-    /// Selects the engine for the local shuffles (see [`LocalShuffle`]).
-    pub fn local_shuffle(mut self, engine: LocalShuffle) -> Self {
-        self.local_shuffle = engine;
+    /// Test hook that overrides the pipeline's layout rule: the job runs
+    /// the one scatter level, with windows and buckets of `items` (at least
+    /// 1), exactly when some block holds more than `items` items, and the
+    /// Fisher–Yates path otherwise.  It lets the batteries reach many
+    /// windows and buckets at tiny `n`, and pin either path at any size.
+    /// The output is as uniform as under the default rule, but a different
+    /// permutation of the seed.
+    #[doc(hidden)]
+    pub fn window_items(mut self, items: usize) -> Self {
+        self.window_items = Some(items);
         self
     }
 
@@ -372,14 +350,11 @@ mod tests {
     fn builder_style_options() {
         let opts = PermuteOptions::new()
             .backend(MatrixBackend::ParallelOptimal)
-            .local_shuffle(LocalShuffle::Bucketed { bucket_items: 64 })
+            .window_items(64)
             .keep_matrix()
             .target_sizes(vec![3, 4, 5]);
         assert_eq!(opts.backend, MatrixBackend::ParallelOptimal);
-        assert_eq!(
-            opts.local_shuffle,
-            LocalShuffle::Bucketed { bucket_items: 64 }
-        );
+        assert_eq!(opts.window_items, Some(64));
         assert!(opts.keep_matrix);
         assert_eq!(opts.target_sizes, Some(vec![3, 4, 5]));
         assert_eq!(
@@ -389,22 +364,14 @@ mod tests {
     }
 
     #[test]
-    fn local_shuffle_defaults_to_auto() {
-        assert_eq!(PermuteOptions::default().local_shuffle, LocalShuffle::Auto);
+    fn the_layout_rule_is_the_default() {
+        assert_eq!(PermuteOptions::default().window_items, None);
         assert_eq!(PermuteOptions::new(), PermuteOptions::default());
     }
 
     #[test]
-    fn engine_config_splits_into_job_and_machine_halves() {
-        let engine = EngineConfig::new(3)
-            .seed(99)
-            .local_shuffle(LocalShuffle::FisherYates);
-        let options = engine.options();
-        assert_eq!(options.local_shuffle, LocalShuffle::FisherYates);
-        // The per-job half deliberately resets nothing else.
-        assert_eq!(options.backend, MatrixBackend::Sequential);
-        assert_eq!(PermuteOptions::from_engine(&engine), options);
-
+    fn engine_config_is_the_machine_half() {
+        let engine = EngineConfig::new(3).seed(99);
         let machine = engine.cgm_config();
         assert_eq!(machine.procs, 3);
         assert_eq!(machine.seed, 99);

@@ -41,10 +41,10 @@
 //!    slot in the output and re-shuffles its target block (supersteps 2–3;
 //!    see the direct-placement exchange below).
 //!
-//! That is the **Fisher–Yates path**.  A job that resolves to the bucketed
-//! local shuffle and has a block larger than one window runs the **one
-//! scatter level** instead (see below): the same program over every
-//! cache-sized bucket of every target block.
+//! That is the **Fisher–Yates path**.  A job with a source or target block
+//! of more than four windows runs the **one scatter level** instead (see
+//! below): the same program over every cache-sized bucket of every target
+//! block.  Nothing else decides the layout; there is no engine option.
 //!
 //! No second machine is ever built: on a [`cgp_cgm::ResidentCgm`]-backed
 //! [`crate::PermutationSession`] a steady-state permutation therefore makes
@@ -104,12 +104,12 @@
 //! # One scatter level
 //!
 //! The paper's §6 outlook treats the cache levels as CGM processors.  The
-//! bucketed engine applies it once, across the whole job: every bucket of
+//! pipeline applies it once, across the whole job: every bucket of
 //! every target block is a **virtual target** of one Algorithm 1 — the
 //! single-level form of Sanders' hierarchical scatter (*Random permutations
 //! on distributed, external and hierarchical memory*, IPL 1998).  Target
 //! block `j` is cut into `k_j` buckets of
-//! `effective_bucket_items(m'_j, bucket_items)` items (so
+//! `effective_bucket_items(m'_j, window)` items (so
 //! `k_j ≤ MAX_SCATTER_BUCKETS`), `K = Σ_j k_j` virtual targets in all, laid
 //! out in output order: bucket `c` is `starts[c] .. starts[c + 1]`.  The
 //! run takes three barriers:
@@ -123,7 +123,7 @@
 //!    remaining capacity, from its own per-target stream.  It publishes the
 //!    table into the job's refined `p × K` matrix `r`.  *Barrier.*
 //! 3. **Supersteps 1 + 2, fused.**  Worker `i` walks its block of the
-//!    caller's vector in windows of `bucket_items` items (raised, like the
+//!    caller's vector in windows of `window` items (raised, like the
 //!    buckets, so a block has at most `MAX_SCATTER_BUCKETS` windows).  It
 //!    shuffles each window in place, splits it over the `K` virtual targets
 //!    against its remaining demand (row `i` of `r`; the last window's split
@@ -147,9 +147,17 @@
 //! column over its buckets is the law of a uniform arrangement of target
 //! block `j`; a shuffled window cut into runs of hypergeometric lengths
 //! sends a uniform subset to each virtual target; and superstep 3 makes
-//! each bucket's order uniform.  Jobs whose source and target blocks each
-//! fit one window keep the Fisher–Yates path, where a bucketed shuffle is
-//! one Fisher–Yates pass anyway.
+//! each bucket's order uniform.
+//!
+//! **When it runs.**  The window is
+//! [`default_bucket_items::<T>()`](crate::cache_aware::default_bucket_items) items,
+//! a fixed byte budget that is never read from the host, so the
+//! seed-to-permutation map does not depend on the machine.  A job scatters
+//! exactly when some source or target block holds more than
+//! `SCATTER_MIN_WINDOWS` (four) windows; otherwise it keeps the
+//! Fisher–Yates path.  The rule is per block, not per job total, and
+//! ignores the item width: see `SCATTER_MIN_WINDOWS` for the measurements
+//! behind it.
 //!
 //! **Warm ahead.**  A window or bucket is too large for the hardware
 //! prefetcher to follow the shuffle's random accesses, so each pass would
@@ -188,7 +196,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::cache_aware::{effective_bucket_items, LocalShuffle};
+use crate::cache_aware::{default_bucket_items, effective_bucket_items};
 use crate::config::{EngineFault, FaultPhase, MatrixBackend, PermuteOptions};
 use crate::sequential::{fisher_yates_shuffle, fisher_yates_shuffle_warming};
 use cgp_cgm::{
@@ -216,11 +224,6 @@ use cgp_rng::{Pcg64, SeedSequence};
 pub struct PermutationReport {
     /// Which matrix-sampling backend was used.
     pub backend: MatrixBackend,
-    /// Which local-shuffle engine the options requested (possibly
-    /// [`LocalShuffle::Auto`]; the engine resolves it once against the
-    /// job's total payload size and type — see
-    /// [`crate::cache_aware::AUTO_CROSSOVER_BYTES`]).
-    pub local_shuffle: LocalShuffle,
     /// In-run wall-clock time of the matrix phase: the maximum over
     /// workers of the time spent inside the in-context sampler.
     pub matrix_elapsed: Duration,
@@ -558,12 +561,28 @@ const SHUFFLE_STREAMS: u64 = 0x5AFE_B10C;
 /// level among the machine seed's child sequences.
 const REFINE_STREAMS: u64 = 0x5EF1_0C01;
 
+/// A job runs the one scatter level exactly when some source or target
+/// block holds more than this many windows of [`default_bucket_items`]
+/// items.
+///
+/// Measured with one p = 2 session per layout over the public API, calls
+/// interleaved, on a 2-vCPU host with 2 MiB of L2 per core.  For `u64`
+/// items the scatter ran at 0.81–0.84x the Fisher–Yates path with 2
+/// windows per block (it lost in 37–40 of 41 pairs) and at 0.87–0.99x with
+/// 4; it won from 8 windows up: 1.06–1.21x at 8, 1.34–1.38x at 16,
+/// 1.50–1.73x at 32 and 1.90–1.99x at 64–128.  Wide records never lost to
+/// it beyond noise: 64-byte records won 1.16x at 4 windows and 1.24–1.70x
+/// beyond, 512-byte records 1.11–1.13x at 4–16 windows and tied at 32–64
+/// (0.97–1.01x).  A one-window threshold moved the 2^17–2^18-item jobs of
+/// the service workloads onto the scatter and cost them ~9% throughput.
+const SCATTER_MIN_WINDOWS: usize = 4;
+
 /// The layout of the one scatter level: its virtual targets — every bucket
 /// of every target block, in output order — and the refined `p × K`
 /// matrix that splits `A` over them.
 struct Scatter {
     /// Requested window and bucket size in items (at least 1).
-    bucket_items: usize,
+    window: usize,
     /// `first[j]` is the index of target block `j`'s first bucket;
     /// `first[p] = K`.
     first: Vec<usize>,
@@ -578,14 +597,14 @@ struct Scatter {
 
 impl Scatter {
     /// The scatter over `target`'s blocks, each cut into buckets of
-    /// `effective_bucket_items(m'_j, bucket_items)` items (so at most
+    /// `effective_bucket_items(m'_j, window)` items (so at most
     /// `MAX_SCATTER_BUCKETS` per block).
-    fn new(target: &BlockDistribution, bucket_items: usize) -> Self {
+    fn new(target: &BlockDistribution, window: usize) -> Self {
         let mut first = vec![0];
         let mut starts = Vec::new();
         for j in 0..target.procs() {
             let (offset, size) = (target.offset(j), target.size(j));
-            let bucket = effective_bucket_items(size as usize, bucket_items) as u64;
+            let bucket = effective_bucket_items(size as usize, window) as u64;
             starts.extend((0..size).step_by(bucket as usize).map(|b| offset + b));
             first.push(starts.len());
         }
@@ -594,7 +613,7 @@ impl Scatter {
             .map(|_| AtomicU64::new(0))
             .collect();
         Scatter {
-            bucket_items,
+            window,
             first,
             starts,
             refined,
@@ -622,8 +641,8 @@ struct Job<T> {
     /// `i` before the barrier, and every worker reads its run offsets after
     /// it.
     matrix: Vec<AtomicU64>,
-    /// The one scatter level, when the job runs the bucketed engine and a
-    /// block spans more than one window; `None` runs the Fisher–Yates path.
+    /// The one scatter level, when a block spans more than
+    /// `SCATTER_MIN_WINDOWS` windows; `None` runs the Fisher–Yates path.
     scatter: Option<Scatter>,
     backend: MatrixBackend,
     fault: Option<EngineFault>,
@@ -722,7 +741,7 @@ impl<T> Job<T> {
             left,
             "row {i} of the sampled matrix does not sum to its source size"
         );
-        let window = effective_bucket_items(left as usize, scatter.bucket_items) as u64;
+        let window = effective_bucket_items(left as usize, scatter.window) as u64;
         let mut from = self.source.offset(i);
         let mut split = vec![0; k];
         let mut shuffled = Duration::ZERO;
@@ -784,9 +803,10 @@ impl<T> Job<T> {
     }
 }
 
-/// Stages one job: resolves the local-shuffle engine against the job's
-/// total payload, lays out the scatter when the bucketed engine needs one,
-/// and takes the caller's items and the scratch's spare into a [`Handoff`].
+/// Stages one job: lays out the one scatter level when some block exceeds
+/// `SCATTER_MIN_WINDOWS` windows (one window of the test override's size
+/// when [`PermuteOptions::window_items`] is set), and takes the caller's
+/// items and the scratch's spare into a [`Handoff`].
 ///
 /// The distributions must already be validated (see
 /// [`PermuteOptions::resolve_target_sizes`]): all misuse is rejected before
@@ -804,21 +824,15 @@ fn stage_job<T: Send>(
         source.total() == data.len() as u64 && target.total() == data.len() as u64,
         "the block distributions must cover the payload exactly"
     );
-    // Auto resolves against the *job's* total payload, not each worker's
-    // block: all `p` blocks are live at once, so the combined working set
-    // is what decides whether the local shuffles are cache-miss-bound (see
-    // `AUTO_CROSSOVER_BYTES`).  Resolving here also keeps every worker on
-    // the same engine.
-    // A job whose blocks each fit one window runs the Fisher–Yates path:
-    // there a bucketed shuffle is one Fisher–Yates pass anyway.
-    let scatter = match options.local_shuffle.resolve_for::<T>(data.len()) {
-        LocalShuffle::Bucketed { bucket_items } => {
-            let window = bucket_items as u64;
-            let fits = |d: &BlockDistribution| d.sizes().iter().all(|&m| m <= window);
-            (!(fits(&source) && fits(&target))).then(|| Scatter::new(&target, bucket_items))
+    let (window, largest) = match options.window_items {
+        Some(items) => (items.max(1), items.max(1)),
+        None => {
+            let window = default_bucket_items::<T>();
+            (window, SCATTER_MIN_WINDOWS * window)
         }
-        _ => None,
     };
+    let fits = |d: &BlockDistribution| d.sizes().iter().all(|&m| m <= largest as u64);
+    let scatter = (!(fits(&source) && fits(&target))).then(|| Scatter::new(&target, window));
     Arc::new(Job {
         handoff: Handoff::new(std::mem::take(data), std::mem::take(&mut scratch.spare)),
         source,
@@ -1052,7 +1066,6 @@ fn collect_report<T>(
 
     PermutationReport {
         backend: options.backend,
-        local_shuffle: options.local_shuffle,
         matrix_elapsed,
         exchange_elapsed,
         shuffle_elapsed,

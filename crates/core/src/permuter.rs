@@ -4,7 +4,6 @@
 //! `s`"; the [`Permuter`] builder wraps machine construction, option
 //! plumbing and report handling into a reusable object.
 
-use crate::cache_aware::LocalShuffle;
 use crate::config::{EngineConfig, MatrixBackend, PermuteOptions};
 use crate::parallel::{permute_vec, permute_vec_into, PermutationReport, PermuteScratch};
 use crate::service::{PermutationService, ServiceConfig};
@@ -27,8 +26,8 @@ use cgp_cgm::{CgmConfig, CgmError, CgmMachine};
 #[derive(Debug, Clone)]
 pub struct Permuter {
     engine: EngineConfig,
-    backend: MatrixBackend,
-    keep_matrix: bool,
+    /// The per-job options every run of this permuter uses.
+    options: PermuteOptions,
 }
 
 impl Permuter {
@@ -68,8 +67,7 @@ impl Permuter {
         CgmConfig::try_new(engine.procs)?;
         Ok(Permuter {
             engine,
-            backend: MatrixBackend::Sequential,
-            keep_matrix: false,
+            options: PermuteOptions::new(),
         })
     }
 
@@ -88,23 +86,21 @@ impl Permuter {
 
     /// Selects the matrix-sampling backend (Algorithms 3–6).
     pub fn backend(mut self, backend: MatrixBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Selects the engine for the local (per-processor) shuffles.  The
-    /// default is [`LocalShuffle::Auto`]: plain Fisher–Yates for
-    /// cache-resident blocks, the bucketed scatter shuffle past the
-    /// crossover.  Changing the engine changes which (equally uniform)
-    /// permutation a seed produces — see [`LocalShuffle`].
-    pub fn local_shuffle(mut self, engine: LocalShuffle) -> Self {
-        self.engine.local_shuffle = engine;
+        self.options = self.options.backend(backend);
         self
     }
 
     /// Keeps the sampled communication matrix in the report.
     pub fn keep_matrix(mut self) -> Self {
-        self.keep_matrix = true;
+        self.options = self.options.keep_matrix();
+        self
+    }
+
+    /// Test hook: forwards [`PermuteOptions::window_items`] to every run
+    /// of this permuter, its sessions and its services included.
+    #[doc(hidden)]
+    pub fn window_items(mut self, items: usize) -> Self {
+        self.options = self.options.window_items(items);
         self
     }
 
@@ -117,15 +113,6 @@ impl Permuter {
     /// their own CGM phases with the same configuration).
     pub fn machine(&self) -> CgmMachine {
         CgmMachine::new(self.engine.cgm_config())
-    }
-
-    fn options(&self) -> PermuteOptions {
-        let o = self.engine.options().backend(self.backend);
-        if self.keep_matrix {
-            o.keep_matrix()
-        } else {
-            o
-        }
     }
 
     /// Opens a steady-state [`PermutationSession`] for payload type `T`: a
@@ -143,7 +130,7 @@ impl Permuter {
     /// so the remaining failure is [`CgmError::WorkerSpawnFailed`] — the OS
     /// refusing a resident worker thread (e.g. under thread exhaustion).
     pub fn try_session<T: Send + 'static>(&self) -> Result<PermutationSession<T>, CgmError> {
-        PermutationSession::create(self.engine, self.options())
+        PermutationSession::create(self.engine, self.options.clone())
     }
 
     /// Stands up a multi-tenant [`PermutationService`] for payload type
@@ -154,7 +141,7 @@ impl Permuter {
     /// permuter's one-shot methods produce — see the [`crate::service`]
     /// module docs for the one-shot vs. session vs. service guide.
     pub fn service<T: Send + 'static>(&self) -> PermutationService<T> {
-        PermutationService::new(self.service_config(), self.options())
+        PermutationService::new(self.service_config(), self.options.clone())
     }
 
     /// [`Permuter::service`] with an explicit fleet size and admission-queue
@@ -168,7 +155,7 @@ impl Permuter {
             self.service_config()
                 .machines(machines)
                 .queue_depth(queue_depth),
-            self.options(),
+            self.options.clone(),
         )
     }
 
@@ -176,7 +163,7 @@ impl Permuter {
     /// [`CgmError::WorkerSpawnFailed`] when the OS refuses a resident
     /// worker or dispatcher thread instead of panicking.
     pub fn try_service<T: Send + 'static>(&self) -> Result<PermutationService<T>, CgmError> {
-        PermutationService::try_new(self.service_config(), self.options())
+        PermutationService::try_new(self.service_config(), self.options.clone())
     }
 
     /// The [`ServiceConfig`] this permuter's [`Permuter::service`] would
@@ -190,7 +177,7 @@ impl Permuter {
     /// report.  Items are moved through the exchange, never cloned, so `T`
     /// only needs to be `Send`.
     pub fn permute<T: Send + 'static>(&self, data: Vec<T>) -> (Vec<T>, PermutationReport) {
-        permute_vec(&self.machine(), data, &self.options())
+        permute_vec(&self.machine(), data, &self.options)
     }
 
     /// Uniformly permutes `data` in place (convenience wrapper that swaps the
@@ -215,7 +202,7 @@ impl Permuter {
         data: &mut Vec<T>,
         scratch: &mut PermuteScratch<T>,
     ) -> PermutationReport {
-        permute_vec_into(&self.machine(), data, &self.options(), scratch)
+        permute_vec_into(&self.machine(), data, &self.options, scratch)
     }
 
     /// Generates a uniformly random permutation of `0..n` (as indices), by
@@ -318,27 +305,17 @@ mod tests {
     }
 
     #[test]
-    fn local_shuffle_choice_reaches_the_engine_and_report() {
-        let engine = LocalShuffle::Bucketed { bucket_items: 64 };
-        let p = Permuter::new(2).seed(3).local_shuffle(engine);
-        let (out, report) = p.permute((0..500u64).collect());
-        assert_eq!(report.local_shuffle, engine);
-        let mut sorted = out;
+    fn the_window_override_reaches_the_engine() {
+        let p = Permuter::new(2).seed(3).window_items(64);
+        let mut sorted = p.permute((0..500u64).collect()).0;
         sorted.sort_unstable();
         assert_eq!(sorted, (0..500).collect::<Vec<u64>>());
 
-        // Engines need not agree byte-for-byte: under the same seed the
-        // bucketed engine emits a different (equally uniform) permutation
-        // than the Fisher-Yates engine once buckets actually engage.
-        let fy = Permuter::new(2)
-            .seed(3)
-            .local_shuffle(LocalShuffle::FisherYates)
-            .sample_permutation(500);
-        let bucketed = Permuter::new(2)
-            .seed(3)
-            .local_shuffle(engine)
-            .sample_permutation(500);
-        assert_ne!(fy, bucketed);
+        // Under the same seed the scatter emits a different (equally
+        // uniform) permutation than the Fisher-Yates path, which the
+        // default rule takes at this size.
+        let fisher_yates = Permuter::new(2).seed(3).sample_permutation(500);
+        assert_ne!(fisher_yates, p.sample_permutation(500));
     }
 
     #[test]

@@ -519,7 +519,6 @@ mod tests {
             vec![0u64; len],
             PermutationReport {
                 backend: crate::MatrixBackend::Sequential,
-                local_shuffle: crate::LocalShuffle::FisherYates,
                 matrix_elapsed: Duration::ZERO,
                 exchange_elapsed: Duration::ZERO,
                 shuffle_elapsed: Duration::ZERO,

@@ -149,7 +149,7 @@ pub struct ServiceConfig {
     /// crate (see [`EngineConfig`]): virtual processors per machine, the
     /// fleet-wide master seed every per-call random stream derives from
     /// (which is what makes the service produce the same permutation
-    /// regardless of the serving machine) and the local-shuffle engine.
+    /// regardless of the serving machine).
     pub engine: EngineConfig,
     /// Capacity of the bounded admission buffer (jobs accepted but not yet
     /// moved to a machine deque).  `try_submit` reports
@@ -628,11 +628,9 @@ impl<T: Send + 'static> ServiceHandle<T> {
     }
 
     /// [`ServiceHandle::submit`] with explicit per-job options (matrix
-    /// backend, local-shuffle engine, target sizes, …) and an admission
-    /// lane.  The job-level options override the service-wide defaults for
-    /// this job only, so one tenant can e.g. pin
-    /// [`crate::LocalShuffle::FisherYates`] for a byte-stable permutation
-    /// while others ride the default `Auto`.
+    /// backend, target sizes, …) and an admission lane.  The job-level
+    /// options override the service-wide defaults for this job only, so
+    /// one tenant can e.g. keep the sampled matrix while others do not.
     ///
     /// Malformed options (e.g. `target_sizes` that do not match the
     /// machine) are rejected **at admission** as
@@ -723,27 +721,25 @@ mod tests {
     }
 
     #[test]
-    fn per_job_local_shuffle_override_matches_the_one_shot_path() {
-        use crate::cache_aware::LocalShuffle;
-        // Service default is Auto (via the Permuter); a tenant pinning an
-        // explicit engine per job must get exactly the permutation the
-        // one-shot path produces under that engine.
-        let engine = LocalShuffle::Bucketed { bucket_items: 16 };
+    fn per_job_window_override_matches_the_one_shot_path() {
+        // A job forcing the one scatter level through the window override
+        // must get exactly the permutation the one-shot path produces
+        // under the same override.
         let permuter = Permuter::new(2).seed(37);
         let reference = permuter
             .clone()
-            .local_shuffle(engine)
+            .window_items(16)
             .permute((0..200u64).collect())
             .0;
         let service = permuter.service_sized::<u64>(1, 4);
         let handle = service.handle();
-        let opts = PermuteOptions::new().local_shuffle(engine);
-        let (out, report) = handle.permute_with((0..200u64).collect(), opts).unwrap();
+        let opts = PermuteOptions::new().window_items(16);
+        let (out, _) = handle.permute_with((0..200u64).collect(), opts).unwrap();
         assert_eq!(out, reference);
-        assert_eq!(report.local_shuffle, engine);
-        // Jobs without the override keep the service-wide default.
-        let (_, report) = handle.permute((0..200u64).collect()).unwrap();
-        assert_eq!(report.local_shuffle, LocalShuffle::Auto);
+        // Jobs without the override keep the default rule.
+        let (out, _) = handle.permute((0..200u64).collect()).unwrap();
+        assert_eq!(out, permuter.permute((0..200u64).collect()).0);
+        assert_ne!(out, reference);
         service.shutdown();
     }
 

@@ -74,7 +74,7 @@ fn job_bytes<T>(job: &Job<T>) -> usize {
 /// payloads, exactly the coupling its deadline forbids.
 fn coalescible(a: &PermuteOptions, b: &PermuteOptions) -> bool {
     a.backend == b.backend
-        && a.local_shuffle == b.local_shuffle
+        && a.window_items == b.window_items
         && a.keep_matrix == b.keep_matrix
         && a.target_sizes == b.target_sizes
 }

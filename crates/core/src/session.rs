@@ -48,7 +48,6 @@
 //! spawned one-shot machine per call.  The `cgp_cgm::diag` startup
 //! counters make this assertable in tests.
 
-use crate::cache_aware::LocalShuffle;
 use crate::config::{EngineConfig, PermuteOptions};
 use crate::parallel::{permute_vec_into_with, PermutationReport, PermuteScratch};
 use cgp_cgm::{CgmError, ResidentCgm};
@@ -80,7 +79,7 @@ impl<T: Send + 'static> PermutationSession<T> {
     /// Builds a session: spawns the resident workers for `engine` (or
     /// reports [`CgmError::NoProcessors`]) and starts with a cold scratch.
     /// `options` carries the per-surface extras (matrix backend,
-    /// `keep_matrix`) on top of the engine's own per-job half.
+    /// `keep_matrix`).
     pub(crate) fn create(engine: EngineConfig, options: PermuteOptions) -> Result<Self, CgmError> {
         Ok(PermutationSession {
             pool: ResidentCgm::try_new(engine.try_cgm_config()?)?,
@@ -106,12 +105,6 @@ impl<T: Send + 'static> PermutationSession<T> {
     /// The master seed every per-call random stream is derived from.
     pub fn seed(&self) -> u64 {
         self.engine.seed
-    }
-
-    /// The local-shuffle engine this session's jobs run with (set via
-    /// [`crate::Permuter::local_shuffle`] before opening the session).
-    pub fn local_shuffle(&self) -> LocalShuffle {
-        self.options.local_shuffle
     }
 
     /// Uniformly permutes `data` in place on the resident pool, recycling
@@ -215,20 +208,17 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_one_shot_for_every_local_shuffle_engine() {
-        use crate::cache_aware::LocalShuffle;
-        for engine in [
-            LocalShuffle::FisherYates,
-            LocalShuffle::Bucketed { bucket_items: 32 },
-            LocalShuffle::Auto,
+    fn session_matches_one_shot_on_both_layouts() {
+        // The default rule takes the Fisher-Yates path at this size; a
+        // 32-item window forces the one scatter level.
+        for permuter in [
+            Permuter::new(3).seed(29),
+            Permuter::new(3).seed(29).window_items(32),
         ] {
-            let permuter = Permuter::new(3).seed(29).local_shuffle(engine);
             let reference = permuter.permute((0..300u64).collect()).0;
             let mut session = permuter.session::<u64>();
-            assert_eq!(session.local_shuffle(), engine);
-            let (out, report) = session.permute((0..300u64).collect());
-            assert_eq!(out, reference, "{} diverged", engine.name());
-            assert_eq!(report.local_shuffle, engine);
+            let (out, _) = session.permute((0..300u64).collect());
+            assert_eq!(out, reference, "{permuter:?} diverged");
         }
     }
 

@@ -1,9 +1,9 @@
-//! Golden checksums of the pipeline with the **bucketed** local shuffle.
+//! Golden checksums of the pipeline's **one scatter level**.
 //!
 //! The staged Fisher–Yates oracle (`cgp-bench`'s `fused_equivalence`) and
-//! the fused golden vectors run at sizes where `Auto` resolves to
-//! Fisher–Yates, so neither ever takes the one scatter level.  This file
-//! pins it: `LocalShuffle::Bucketed { bucket_items: 32 }` over a grid of
+//! the fused golden vectors run at sizes where every block fits four
+//! windows, so neither ever takes the one scatter level.  This file pins
+//! it: 32-item windows (the hidden `window_items` override) over a grid of
 //! machine sizes, payload sizes and target distributions, checked one-shot,
 //! through a resident pool (cold and warm scratch), through a session and as
 //! sub-jobs of one coalesced batch.  Every surface must reproduce the
@@ -12,11 +12,13 @@
 use cgp_cgm::{CgmConfig, CgmMachine, ResidentCgm};
 use cgp_core::{
     permute_vec, try_permute_batch_into_with, try_permute_vec_into_with, BatchOutcome,
-    LocalShuffle, PermuteOptions, PermuteScratch, Permuter,
+    PermuteOptions, PermuteScratch, Permuter,
 };
 
 const SEED: u64 = 0x6B0C_4E7D;
-const ENGINE: LocalShuffle = LocalShuffle::Bucketed { bucket_items: 32 };
+/// Window and bucket size in items; every block of more than one window
+/// scatters.
+const WINDOW: usize = 32;
 const PROCS: [usize; 4] = [1, 2, 3, 5];
 const SIZES: [usize; 4] = [0, 1, 257, 5000];
 
@@ -81,7 +83,7 @@ fn uneven_targets(n: usize, p: usize) -> Vec<u64> {
 }
 
 fn options(n: usize, p: usize, uneven: bool) -> PermuteOptions {
-    let options = PermuteOptions::default().local_shuffle(ENGINE);
+    let options = PermuteOptions::default().window_items(WINDOW);
     if uneven {
         options.target_sizes(uneven_targets(n, p))
     } else {
@@ -117,7 +119,7 @@ fn bucketed_pipeline_reproduces_golden_checksums_on_every_surface() {
         if !uneven {
             let mut session = Permuter::new(p)
                 .seed(SEED)
-                .local_shuffle(ENGINE)
+                .window_items(WINDOW)
                 .session::<u64>();
             assert_eq!(session.permute(identity(n)).0, one_shot, "session: {case}");
         }
@@ -128,7 +130,7 @@ fn bucketed_pipeline_reproduces_golden_checksums_on_every_surface() {
             (identity(n), options.clone()),
             (
                 identity(n / 2 + 3),
-                PermuteOptions::default().local_shuffle(ENGINE),
+                PermuteOptions::default().window_items(WINDOW),
             ),
             (identity(n), options.clone()),
         ];

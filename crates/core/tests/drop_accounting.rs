@@ -6,8 +6,8 @@
 //! hand-off's contract: a completed permutation keeps every item alive
 //! exactly once; a failed one may leak items but never drops one twice; a
 //! skipped sub-job of a coalesced batch comes back intact and in order.
-//! Multi-window bucketed jobs run the one scatter level, where an exchange
-//! fault fires with the worker's first window already copied out, so its
+//! Jobs forced onto small windows run the one scatter level, where an
+//! exchange fault fires with the worker's first window already copied out, so its
 //! items sit bitwise in both buffers.
 
 use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
@@ -16,7 +16,7 @@ use std::sync::Arc;
 use cgp_cgm::{CgmConfig, CgmError, CgmMachine, ResidentCgm};
 use cgp_core::{
     permute_vec, permute_vec_into, try_permute_batch_into_with, try_permute_vec_into_with,
-    BatchOutcome, EngineFault, LocalShuffle, PermuteOptions, PermuteScratch, Permuter,
+    BatchOutcome, EngineFault, PermuteOptions, PermuteScratch, Permuter,
 };
 
 /// Live instances and per-item drop counts of one test's payload.
@@ -85,20 +85,26 @@ fn sorted_ids(items: &[Counted]) -> Vec<usize> {
     ids
 }
 
-/// Both local-shuffle engines: with 8-item buckets every job of more than
-/// a few items runs the one scatter level.
-const ENGINES: [LocalShuffle; 2] = [
-    LocalShuffle::FisherYates,
-    LocalShuffle::Bucketed { bucket_items: 8 },
-];
+/// Both layouts: the default rule, which takes the Fisher–Yates path at
+/// these sizes, and 8-item windows, with which every job of more than 8
+/// items per block runs the one scatter level.
+const WINDOWS: [Option<usize>; 2] = [None, Some(8)];
+
+/// Default options, or options forcing `window`-item windows.
+fn layout(window: Option<usize>) -> PermuteOptions {
+    match window {
+        Some(items) => PermuteOptions::default().window_items(items),
+        None => PermuteOptions::default(),
+    }
+}
 
 #[test]
 fn a_completed_permutation_keeps_every_item_alive_exactly_once() {
-    for engine in ENGINES {
+    for window in WINDOWS {
         for (p, n) in [(1usize, 50usize), (2, 0), (3, 1), (3, 500), (5, 1_001)] {
-            let case = format!("{} p = {p}, n = {n}", engine.name());
+            let case = format!("window {window:?}, p = {p}, n = {n}");
             let ledger = Ledger::new(n);
-            let options = PermuteOptions::default().local_shuffle(engine);
+            let options = layout(window);
 
             // One-shot, then twice through a warm pool scratch.
             let machine = CgmMachine::new(CgmConfig::new(p).with_seed(3));
@@ -127,7 +133,7 @@ fn a_completed_permutation_keeps_every_item_alive_exactly_once() {
 #[test]
 fn a_session_and_a_batch_keep_every_item_alive_exactly_once() {
     let ledger = Ledger::new(900);
-    let permuter = Permuter::new(3).seed(8).local_shuffle(ENGINES[1]);
+    let permuter = Permuter::new(3).seed(8).window_items(8);
     let mut session = permuter.session::<Counted>();
     let (out, _) = session.permute(ledger.items(0..300));
     assert_eq!(sorted_ids(&out), (0..300).collect::<Vec<_>>());
@@ -148,13 +154,11 @@ fn a_session_and_a_batch_keep_every_item_alive_exactly_once() {
 
 #[test]
 fn a_failed_permutation_never_drops_an_item_twice() {
-    for engine in ENGINES {
+    for window in WINDOWS {
         for fault in [EngineFault::exchange_phase(1), EngineFault::matrix_phase(2)] {
             let n = 600;
             let ledger = Ledger::new(n);
-            let options = PermuteOptions::default()
-                .local_shuffle(engine)
-                .inject_fault(fault);
+            let options = layout(window).inject_fault(fault);
             let mut pool: ResidentCgm<Counted> = ResidentCgm::new(CgmConfig::new(3).with_seed(4));
             let mut scratch = PermuteScratch::new();
             let mut data = ledger.items(0..n);
@@ -168,7 +172,7 @@ fn a_failed_permutation_never_drops_an_item_twice() {
             ledger.assert_never_dropped_twice();
 
             // The pool and scratch go on to serve a clean job.
-            let clean = PermuteOptions::default().local_shuffle(engine);
+            let clean = layout(window);
             let fresh = Ledger::new(n);
             let mut data = fresh.items(0..n);
             try_permute_vec_into_with(&mut pool, &mut data, &clean, &mut scratch).unwrap();
@@ -191,7 +195,7 @@ fn a_failed_permutation_never_drops_an_item_twice() {
 fn a_mid_batch_fault_hands_back_skipped_jobs_intact_and_in_order() {
     let ledger = Ledger::new(400);
     let mut pool: ResidentCgm<Counted> = ResidentCgm::new(CgmConfig::new(3).with_seed(13));
-    let options = PermuteOptions::default().local_shuffle(ENGINES[1]);
+    let options = PermuteOptions::default().window_items(8);
     let jobs = vec![
         (ledger.items(0..100), options.clone()),
         (
@@ -229,7 +233,7 @@ fn a_mid_batch_fault_hands_back_skipped_jobs_intact_and_in_order() {
 #[test]
 fn a_panic_mid_scatter_never_drops_an_item_twice() {
     let n = 500;
-    let options = PermuteOptions::default().local_shuffle(ENGINES[1]);
+    let options = PermuteOptions::default().window_items(8);
     for p in [2usize, 3] {
         for proc in 0..p {
             let case = format!("p = {p}, fault on {proc}");

@@ -1,17 +1,16 @@
 //! The `EngineConfig` consolidation contract: one engine-selection config
 //! pushed through every front door of the crate — one-shot [`Permuter`],
 //! resident [`PermutationSession`], the multi-tenant service fleet
-//! ([`ServiceConfig`]) and per-job [`PermuteOptions`] — round-trips
-//! unchanged and produces the identical permutation on each surface.
+//! ([`ServiceConfig`]) and the raw layer with default [`PermuteOptions`] —
+//! round-trips unchanged and produces the identical permutation on each
+//! surface.
 
 use cgp_cgm::CgmMachine;
 use cgp_core::service::{PermutationService, ServiceConfig};
-use cgp_core::{EngineConfig, LocalShuffle, PermuteOptions, Permuter};
+use cgp_core::{EngineConfig, PermuteOptions, Permuter};
 
 fn engine() -> EngineConfig {
-    EngineConfig::new(3)
-        .seed(4242)
-        .local_shuffle(LocalShuffle::FisherYates)
+    EngineConfig::new(3).seed(4242)
 }
 
 #[test]
@@ -22,9 +21,7 @@ fn every_surface_round_trips_the_same_engine_config() {
     let permuter = Permuter::from_engine(engine);
     assert_eq!(permuter.engine(), engine);
     // …and so does the equivalent hand-built setter chain.
-    let by_setters = Permuter::new(3)
-        .seed(4242)
-        .local_shuffle(LocalShuffle::FisherYates);
+    let by_setters = Permuter::new(3).seed(4242);
     assert_eq!(by_setters.engine(), engine);
 
     // Surface 2: a session opened from the permuter carries it on.
@@ -32,18 +29,15 @@ fn every_surface_round_trips_the_same_engine_config() {
     assert_eq!(session.engine(), engine);
     assert_eq!(session.seed(), engine.seed);
     assert_eq!(session.procs(), engine.procs);
-    assert_eq!(session.local_shuffle(), engine.local_shuffle);
 
     // Surface 3: the service fleet embeds it as a public field.
     let config = ServiceConfig::from_engine(engine).machines(1);
     assert_eq!(config.engine, engine);
     assert_eq!(permuter.service_config().engine, engine);
 
-    // Surface 4: per-job options derive the per-job half — and nothing
-    // machine-shaped that could disagree with the fleet they run on.
-    let options = PermuteOptions::from_engine(&engine);
-    assert_eq!(options.local_shuffle, engine.local_shuffle);
-    assert_eq!(options, engine.options());
+    // Per-job options carry nothing machine-shaped that could disagree
+    // with the fleet they run on.
+    let options = PermuteOptions::default();
 
     // The point of the consolidation: all four surfaces produce the
     // byte-identical permutation for the one config.

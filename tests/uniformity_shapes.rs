@@ -17,7 +17,8 @@
 //!   a model of the one-level scatter pipeline that skips the superstep-3
 //!   shuffle of one bucket, the same model with two workers on one random
 //!   stream, and the fixed-matrix `one_round` baseline.  The model is built
-//!   here from public pieces only; the engine has no test hooks.
+//!   here from public pieces only; the engine's one test hook (the window
+//!   override that forces tiny windows) cannot break it.
 //!
 //! Seeds are fixed, so every verdict is deterministic.  The significance
 //! level is `1e-4`: the battery runs a few dozen chi-square tests, and a
@@ -29,8 +30,8 @@ use cgp::hypergeom::multivariate_hypergeometric_into;
 use cgp::stats::chi_square_test;
 use cgp::stats::lehmer::inversions;
 use cgp::{
-    fisher_yates_shuffle, permute_vec, sample_sequential, CgmConfig, CgmMachine, LocalShuffle,
-    MatrixBackend, Pcg64, PermuteOptions, Permuter, SeedSequence,
+    fisher_yates_shuffle, permute_vec, sample_sequential, CgmConfig, CgmMachine, MatrixBackend,
+    Pcg64, PermuteOptions, Permuter, SeedSequence,
 };
 
 /// Significance level of every check in this file.
@@ -79,9 +80,7 @@ impl Shape {
     fn engine(&self, seed: u64) -> Vec<u64> {
         let permuter = Permuter::new(self.p).seed(seed);
         let options = PermuteOptions::with_backend(self.backend)
-            .local_shuffle(LocalShuffle::Bucketed {
-                bucket_items: self.bucket_items,
-            })
+            .window_items(self.bucket_items)
             .target_sizes(self.targets());
         permute_vec(&permuter.machine(), (0..self.n as u64).collect(), &options).0
     }
@@ -150,7 +149,7 @@ fn the_engine_is_uniform_at_scale_over_many_windows_and_buckets() {
     let variance = n * (n - 1.0) * (2.0 * n + 5.0) / 72.0;
     for p in [2usize, 3, 8] {
         let options = PermuteOptions::default()
-            .local_shuffle(LocalShuffle::Bucketed { bucket_items: 16 })
+            .window_items(16)
             .target_sizes(uneven_targets(N, p));
         let mut occupancy = vec![0u64; BINS * BINS];
         let mut inversion_sum = 0u64;
