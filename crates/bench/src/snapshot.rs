@@ -19,9 +19,9 @@
 //!
 //! The module also implements the **CI perf-regression gate**: every
 //! snapshot binary accepts `--check <committed.json>`, re-runs its
-//! experiment at the committed grid and fails (exit 1) only when a *paired
-//! ratio* — a dimensionless speedup measured back-to-back within one run,
-//! so it transfers between hosts — regressed by more than
+//! experiment at the committed grid and fails (exit 1) only when a gated
+//! figure — a paired speedup or throughput measured back-to-back within
+//! one run, higher is better — regressed by more than
 //! [`CHECK_TOLERANCE`]× against the committed value.  The tolerance is
 //! deliberately generous: shared CI runners are noisy, and the gate exists
 //! to catch a PR that quietly *destroys* a won speedup, not to police
@@ -274,7 +274,7 @@ impl CheckOutcome {
     pub fn report(&self, bench: &str) -> i32 {
         if self.passed() {
             println!(
-                "--check PASS: {} paired ratio(s) of '{bench}' within {CHECK_TOLERANCE}x \
+                "--check PASS: {} gated figure(s) of '{bench}' within {CHECK_TOLERANCE}x \
                  of the committed snapshot",
                 self.compared
             );
@@ -294,8 +294,8 @@ impl CheckOutcome {
     }
 }
 
-/// Compares the paired-ratio columns of a fresh re-run against the
-/// committed snapshot.
+/// Compares the gated columns (paired ratios or throughputs, higher is
+/// better) of a fresh re-run against the committed snapshot.
 ///
 /// Rows are matched on `id_keys` (all must be equal); for each matched row
 /// every `ratio_keys` column must satisfy `fresh >= committed /`

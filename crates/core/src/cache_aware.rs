@@ -154,15 +154,6 @@ impl LocalShuffle {
         }
     }
 
-    /// A short stable name used in benchmark/report tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            LocalShuffle::FisherYates => "fisher-yates",
-            LocalShuffle::Bucketed { .. } => "bucketed",
-            LocalShuffle::Auto => "auto",
-        }
-    }
-
     /// Resolves the policy for a concrete call — `n` items of type `T` —
     /// to the engine that will actually run.  Never returns `Auto`.
     pub fn resolve_for<T>(&self, n: usize) -> LocalShuffle {
@@ -719,13 +710,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_names_are_distinct_and_stable() {
-        assert_eq!(LocalShuffle::FisherYates.name(), "fisher-yates");
-        assert_eq!(
-            LocalShuffle::Bucketed { bucket_items: 7 }.name(),
-            "bucketed"
-        );
-        assert_eq!(LocalShuffle::Auto.name(), "auto");
+    fn auto_is_the_default_engine() {
         assert_eq!(LocalShuffle::default(), LocalShuffle::Auto);
     }
 

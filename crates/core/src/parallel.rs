@@ -44,7 +44,7 @@
 //! That is the **Fisher–Yates path**.  A job with a source or target block
 //! of more than four windows runs the **one scatter level** instead (see
 //! below): the same program over every cache-sized bucket of every target
-//! block.  Nothing else decides the layout; there is no engine option.
+//! block.  Nothing else decides the layout.
 //!
 //! No second machine is ever built: on a [`cgp_cgm::ResidentCgm`]-backed
 //! [`crate::PermutationSession`] a steady-state permutation therefore makes
