@@ -1,34 +1,45 @@
 //! E11 — aggregate throughput of the multi-tenant permutation service.
 //!
 //! Measures a population of concurrent clients served by a
-//! `PermutationService` fleet (per-machine deques with work stealing and
-//! small-job coalescing behind fair-share admission) against the same
-//! population **serializing on a single shared session** — the do-nothing
-//! alternative a service replaces — and writes a machine-readable snapshot
-//! to `BENCH_service.json` so the multi-tenant trajectory can be tracked
-//! across PRs.
+//! `PermutationService` (serial executors behind fair-share admission)
+//! against two alternatives run back to back in the same process: the same
+//! population **serializing on a single shared session** (the do-nothing
+//! alternative a service replaces) and the same population shuffling its
+//! own jobs with **sequential Fisher–Yates** (the reference).  Writes a
+//! machine-readable snapshot to `BENCH_service.json` so the multi-tenant
+//! trajectory can be tracked across PRs.
 //!
 //! Three scenarios share the snapshot (the `"scenario"` id column):
-//! `uniform` sweeps the full `(clients, machines)` grid with an even job
+//! `uniform` sweeps the full `(clients, executors)` grid with an even job
 //! split; at the highest concurrency, `skewed` (one tenant submits half of
 //! all jobs — the fair-admission stress) and `tiny` (64-item jobs — the
-//! coalescing showcase) sweep the fleet sizes.
+//! small-job row, priced by the per-job fixed cost) sweep the executor
+//! counts.
 //!
 //! ```text
 //! cargo run --release -p cgp-bench --bin exp_service \
-//!     [n] [procs] [clients_csv] [machines_csv] [jobs_total] [out.json]
+//!     [n] [procs] [clients_csv] [executors_csv] [jobs_total] [out.json]
 //! cargo run --release -p cgp-bench --bin exp_service -- --check BENCH_service.json
 //! ```
 //!
-//! Defaults: `n = 1024`, `procs = 4`, clients ∈ {1, 4, 16, 64}, machines ∈
-//! {1, 2, 4}, 192 jobs per cell.  With `--check <committed.json>` the
-//! experiment re-runs at the committed grid and exits 1 if any paired
-//! `speedup_vs_serialized` ratio regressed by more than the shared
-//! tolerance (see `cgp_bench::snapshot`).
+//! Defaults: `n = 65536`, `procs = 4`, clients ∈ {1, 4, 16, 64}, executors
+//! ∈ {1, 2, 4}, 192 jobs per cell.  With `--check <committed.json>` the
+//! experiment re-runs at the committed grid and exits 1 if any row's
+//! `vs_seq_fy` — the service's speed relative to sequential Fisher–Yates of
+//! the same jobs, measured in the same run — fell below the committed value
+//! divided by [`TOLERANCE`].  At the default `n` the engine's work is most
+//! of a job's time, so a slower engine shows; the `tiny` rows price the
+//! per-job fixed cost.  The single-client rows are reported but not gated
+//! (see `main`).
 
 use cgp_bench::experiments::{service, service_scenarios, ServiceRow};
 use cgp_bench::snapshot::{self, Snapshot, Value};
 use cgp_bench::Table;
+
+/// How many times a committed `vs_seq_fy` may shrink before `--check`
+/// fails: tight enough that doubling every job's engine work fails the
+/// `uniform` rows, loose enough for the run-to-run spread of this host.
+const TOLERANCE: f64 = 1.5;
 
 fn parse_csv(arg: Option<&String>, default: &[usize]) -> Vec<usize> {
     match arg.filter(|s| !s.trim().is_empty()) {
@@ -50,16 +61,11 @@ fn parse_num(arg: Option<&String>, default: usize) -> usize {
 
 /// Distinct values of `key` among the committed **uniform** rows — the
 /// scenario whose grid parameterizes a re-run (the skewed and tiny grids
-/// are derived from it in code).  Pre-scenario snapshots (schema 1, no
-/// `"scenario"` column) count as uniform.
+/// are derived from it in code).
 fn distinct_uniform(committed: &Snapshot, key: &str) -> Vec<usize> {
     let mut out: Vec<usize> = Vec::new();
     for row in &committed.rows {
-        let uniform = match snapshot::get(row, "scenario") {
-            Some(Value::Str(s)) => s == "uniform",
-            _ => true,
-        };
-        if !uniform {
+        if !matches!(snapshot::get(row, "scenario"), Some(Value::Str(s)) if s == "uniform") {
             continue;
         }
         if let Some(x) = snapshot::get(row, key).and_then(Value::as_num) {
@@ -78,20 +84,19 @@ fn to_snapshot(rows: &[ServiceRow], jobs_total: usize) -> Snapshot {
         snap.rows.push(snapshot::row([
             ("scenario", r.scenario.into()),
             ("clients", r.clients.into()),
-            ("machines", r.machines.into()),
+            ("executors", r.executors.into()),
             ("n", r.n.into()),
             ("procs", r.procs.into()),
             ("jobs", r.jobs.into()),
             ("service_ns", r.service_elapsed.as_nanos().into()),
             ("serialized_ns", r.serialized_elapsed.as_nanos().into()),
+            ("seq_fy_ns", r.reference_elapsed.as_nanos().into()),
             (
                 "throughput_jobs_per_s",
                 Value::Num((r.throughput() * 10.0).round() / 10.0),
             ),
-            (
-                "speedup_vs_serialized",
-                Value::Num(r.speedup_vs_serialized()),
-            ),
+            ("speedup_vs_serialized", Value::Num(r.speedup_vs_serialized)),
+            ("vs_seq_fy", Value::Num(r.vs_seq_fy)),
         ]));
     }
     snap
@@ -108,18 +113,18 @@ fn main() {
     let committed = check
         .as_deref()
         .map(|path| Snapshot::read(path).expect("committed snapshot"));
-    let (n, procs, clients_grid, machines_grid, jobs_total, out_path);
+    let (n, procs, clients_grid, executors_grid, jobs_total, out_path);
     if let Some(committed) = &committed {
         n = distinct_uniform(committed, "n")
             .first()
             .copied()
-            .unwrap_or(1024);
+            .unwrap_or(1 << 16);
         procs = distinct_uniform(committed, "procs")
             .first()
             .copied()
             .unwrap_or(4);
         clients_grid = distinct_uniform(committed, "clients");
-        machines_grid = distinct_uniform(committed, "machines");
+        executors_grid = distinct_uniform(committed, "executors");
         jobs_total = committed
             .meta
             .iter()
@@ -131,10 +136,10 @@ fn main() {
             .cloned()
             .unwrap_or_else(|| "fresh_service.json".into());
     } else {
-        n = parse_num(args.first(), 1024);
+        n = parse_num(args.first(), 1 << 16);
         procs = parse_num(args.get(1), 4);
         clients_grid = parse_csv(args.get(2), &[1, 4, 16, 64]);
-        machines_grid = parse_csv(args.get(3), &[1, 2, 4]);
+        executors_grid = parse_csv(args.get(3), &[1, 2, 4]);
         jobs_total = parse_num(args.get(4), 192);
         out_path = args
             .get(5)
@@ -143,18 +148,19 @@ fn main() {
     }
 
     println!(
-        "E11 — multi-tenant service vs serialized session, n = {n}, p = {procs}, \
-         clients ∈ {clients_grid:?}, machines ∈ {machines_grid:?}, {jobs_total} jobs/cell\n"
+        "E11 — multi-tenant service vs serialized session vs sequential Fisher–Yates, \
+         n = {n}, p = {procs}, clients ∈ {clients_grid:?}, executors ∈ {executors_grid:?}, \
+         {jobs_total} jobs/cell\n"
     );
-    let mut rows = service(n, procs, &clients_grid, &machines_grid, jobs_total, 42);
+    let mut rows = service(n, procs, &clients_grid, &executors_grid, jobs_total, 42);
     // The scheduler-stress scenarios run at the highest concurrency of the
-    // grid (where admission fairness and coalescing actually bind).
+    // grid (where admission fairness actually binds).
     let top_clients = clients_grid.iter().copied().max().unwrap_or(1);
     rows.extend(service_scenarios(
         n,
         procs,
         top_clients,
-        &machines_grid,
+        &executors_grid,
         jobs_total,
         42,
     ));
@@ -162,25 +168,29 @@ fn main() {
     let mut table = Table::new(vec![
         "scenario",
         "clients",
-        "machines",
+        "executors",
         "n",
         "jobs",
         "service (ms)",
         "serialized (ms)",
+        "seq FY (ms)",
         "service jobs/s",
         "vs serialized",
+        "vs seq FY",
     ]);
     for r in &rows {
         table.row(vec![
             r.scenario.to_string(),
             r.clients.to_string(),
-            r.machines.to_string(),
+            r.executors.to_string(),
             r.n.to_string(),
             r.jobs.to_string(),
             format!("{:.2}", r.service_elapsed.as_secs_f64() * 1e3),
             format!("{:.2}", r.serialized_elapsed.as_secs_f64() * 1e3),
+            format!("{:.2}", r.reference_elapsed.as_secs_f64() * 1e3),
             format!("{:.0}", r.throughput()),
-            format!("{:.2}x", r.speedup_vs_serialized()),
+            format!("{:.2}x", r.speedup_vs_serialized),
+            format!("{:.3}x", r.vs_seq_fy),
         ]);
     }
     println!("{table}");
@@ -188,35 +198,20 @@ fn main() {
     let fresh = to_snapshot(&rows, jobs_total);
     fresh.write(&out_path);
 
-    // The acceptance cell: at the highest concurrency, aggregate throughput
-    // must scale with the fleet size.
-    let at = |machines: usize| {
-        rows.iter()
-            .find(|r| r.scenario == "uniform" && r.clients == top_clients && r.machines == machines)
-    };
-    let lo = machines_grid.iter().copied().min().unwrap_or(1);
-    let hi = machines_grid.iter().copied().max().unwrap_or(1);
-    if let (Some(small), Some(large)) = (at(lo), at(hi)) {
-        let scaling = large.throughput() / small.throughput().max(1e-12);
-        println!(
-            "at {top_clients} clients: machines={hi} serves {:.0} jobs/s vs machines={lo} \
-             at {:.0} jobs/s ({scaling:.2}x){}",
-            large.throughput(),
-            small.throughput(),
-            if scaling > 1.0 {
-                ""
-            } else {
-                "  <-- fleet scaling NOT observed, investigate"
-            }
-        );
-    }
-
     if let Some(committed) = &committed {
+        // A single client prices two thread wake-ups per job, whose latency
+        // on a shared host spread 1.2–2.4x between runs: those rows are
+        // reported, not gated.
+        let mut gated = committed.clone();
+        gated
+            .rows
+            .retain(|row| snapshot::get(row, "clients").and_then(Value::as_num) != Some(1.0));
         let outcome = snapshot::check_ratios(
-            committed,
+            &gated,
             &fresh,
-            &["scenario", "clients", "machines", "n", "procs"],
-            &["speedup_vs_serialized"],
+            &["scenario", "clients", "executors", "n", "procs"],
+            &["vs_seq_fy"],
+            TOLERANCE,
         );
         std::process::exit(outcome.report("service"));
     }

@@ -124,6 +124,7 @@ fn main() {
             &fresh,
             &["transport", "n", "procs"],
             &["wire_items_per_s"],
+            snapshot::CHECK_TOLERANCE,
         );
         std::process::exit(outcome.report("wire"));
     }

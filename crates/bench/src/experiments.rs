@@ -606,27 +606,30 @@ fn median_ratio(a: &[Duration], b: &[Duration]) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// E11 — multi-tenant service throughput vs a serialized single session
+// E11 — multi-tenant service throughput vs a serialized session and vs
+// sequential Fisher–Yates
 // ---------------------------------------------------------------------------
 
 /// One row of the E11 table: the same client population served by a
-/// [`cgp_core::PermutationService`] fleet and by a single shared
-/// [`cgp_core::PermutationSession`] behind a mutex (every client
-/// serializes on it — the do-nothing alternative a service replaces).
+/// [`cgp_core::PermutationService`] of `executors` serial executors, by a
+/// single shared [`cgp_core::PermutationSession`] behind a mutex (every
+/// client serializes on it — the do-nothing alternative a service
+/// replaces), and by the reference: every client shuffling its own jobs
+/// with sequential Fisher–Yates on its own thread.
 #[derive(Debug, Clone)]
 pub struct ServiceRow {
     /// Which client population shape this row measured: `"uniform"` (every
     /// client submits the same share), `"skewed"` (one tenant submits half
     /// of all jobs — the fair-admission stress), or `"tiny"` (uniform
-    /// clients, payloads small enough that batch coalescing carries the
-    /// throughput).
+    /// clients, [`TINY_JOB_N`]-item jobs, where the per-job fixed cost is
+    /// everything).
     pub scenario: &'static str,
     /// Items per job.
     pub n: usize,
-    /// Virtual processors per machine.
+    /// Virtual processors per job.
     pub procs: usize,
-    /// Fleet size.
-    pub machines: usize,
+    /// Executor threads of the service.
+    pub executors: usize,
     /// Concurrent client threads.
     pub clients: usize,
     /// Total jobs served per measured repetition (split evenly over the
@@ -637,26 +640,21 @@ pub struct ServiceRow {
     /// Median wall-clock for the same population serializing on one
     /// session.
     pub serialized_elapsed: Duration,
+    /// Median wall-clock for the same population shuffling its own jobs
+    /// with sequential Fisher–Yates.
+    pub reference_elapsed: Duration,
     /// Paired median of the per-repetition ratios `serialized / service`.
-    pub speedup_vs_serialized_paired: f64,
+    pub speedup_vs_serialized: f64,
+    /// Paired median of the per-repetition ratios `reference / service`:
+    /// the service's speed relative to sequential Fisher–Yates of the same
+    /// jobs on the same host, which the `--check` gate holds.
+    pub vs_seq_fy: f64,
 }
 
 impl ServiceRow {
     /// Aggregate service throughput, jobs per second.
     pub fn throughput(&self) -> f64 {
         self.jobs as f64 / self.service_elapsed.as_secs_f64().max(1e-12)
-    }
-
-    /// Aggregate throughput of the serialized-session contrast.
-    pub fn serialized_throughput(&self) -> f64 {
-        self.jobs as f64 / self.serialized_elapsed.as_secs_f64().max(1e-12)
-    }
-
-    /// How many times faster the service serves this population than the
-    /// single serialized session (> 1.0 means the fleet helps; paired
-    /// per-repetition median).
-    pub fn speedup_vs_serialized(&self) -> f64 {
-        self.speedup_vs_serialized_paired
     }
 }
 
@@ -683,24 +681,24 @@ fn drive_clients(
     started.elapsed()
 }
 
-/// Measures one `(scenario, clients, machines)` cell: the client
-/// population (client `i` owns `jobs_per_client[i]` jobs) served by a
-/// fleet of `machines`, against the same population serializing on one
-/// shared session.  Both substrates are built once and warmed, then timed
-/// repetitions alternate between them (the paired protocol).
+/// Measures one `(scenario, clients, executors)` cell: the client
+/// population (client `i` owns `jobs_per_client[i]` jobs) on a service of
+/// `executors`, on one shared session and on the sequential Fisher–Yates
+/// reference.  All three are built once and warmed, then timed
+/// repetitions rotate through them (the paired protocol).
 fn service_cell(
     scenario: &'static str,
     n: usize,
     procs: usize,
-    machines: usize,
+    executors: usize,
     jobs_per_client: &[usize],
     seed: u64,
 ) -> ServiceRow {
-    const REPS: usize = 5;
+    const REPS: usize = 9;
     let clients = jobs_per_client.len();
     let jobs: usize = jobs_per_client.iter().sum();
     let permuter = cgp_core::Permuter::new(procs).seed(seed);
-    let service = permuter.service_sized::<u64>(machines, clients.max(2 * machines));
+    let service = permuter.service_sized::<u64>(executors, clients.max(2 * executors));
     let handles: Vec<cgp_core::ServiceHandle<u64>> =
         (0..clients).map(|_| service.handle()).collect();
     let session = Mutex::new(permuter.session::<u64>());
@@ -711,60 +709,68 @@ fn service_cell(
         session.lock().permute_into(&mut data);
         data
     };
+    let on_reference = |client: usize, mut data: Vec<u64>| {
+        fisher_yates_shuffle(&mut Pcg64::seed_from_u64(client as u64), &mut data);
+        data
+    };
 
-    // Warm both substrates: pools spawn, scratches ratchet, every machine
-    // of the fleet serves at least once.
+    // Warm all three: threads spawn, scratches ratchet, every executor
+    // serves at least once.
     let warm: Vec<usize> = jobs_per_client.iter().map(|&j| j.min(2)).collect();
     drive_clients(&warm, n, &on_service);
     drive_clients(&warm, n, &on_serialized);
+    drive_clients(&warm, n, &on_reference);
 
     let mut service_times = Vec::with_capacity(REPS);
     let mut serialized_times = Vec::with_capacity(REPS);
+    let mut reference_times = Vec::with_capacity(REPS);
     for _ in 0..REPS {
         service_times.push(drive_clients(jobs_per_client, n, &on_service));
         serialized_times.push(drive_clients(jobs_per_client, n, &on_serialized));
+        reference_times.push(drive_clients(jobs_per_client, n, &on_reference));
     }
     let metrics = service.shutdown();
     assert_eq!(
         metrics.jobs_failed, 0,
         "benchmark jobs must not fail (scenario={scenario}, clients={clients}, \
-         machines={machines})"
+         executors={executors})"
     );
     ServiceRow {
         scenario,
         n,
         procs,
-        machines,
+        executors,
         clients,
         jobs,
-        speedup_vs_serialized_paired: median_ratio(&serialized_times, &service_times),
+        speedup_vs_serialized: median_ratio(&serialized_times, &service_times),
+        vs_seq_fy: median_ratio(&reference_times, &service_times),
         service_elapsed: median(service_times),
         serialized_elapsed: median(serialized_times),
+        reference_elapsed: median(reference_times),
     }
 }
 
-/// Measures the multi-tenant service against the serialized-session
-/// baseline for every `(clients, machines)` cell of the grid, with a
-/// **uniform** client population: `jobs_total` split evenly over the
-/// clients, so every cell serves the same number of jobs (see
-/// `service_cell` for the paired measurement protocol).
+/// Measures the multi-tenant service for every `(clients, executors)` cell
+/// of the grid, with a **uniform** client population: `jobs_total` split
+/// evenly over the clients, so every cell serves the same number of jobs
+/// (see `service_cell` for the paired measurement protocol).
 pub fn service(
     n: usize,
     procs: usize,
     clients_grid: &[usize],
-    machines_grid: &[usize],
+    executors_grid: &[usize],
     jobs_total: usize,
     seed: u64,
 ) -> Vec<ServiceRow> {
     let mut rows = Vec::new();
     for &clients in clients_grid {
         let jobs_per_client = vec![(jobs_total / clients).max(1); clients];
-        for &machines in machines_grid {
+        for &executors in executors_grid {
             rows.push(service_cell(
                 "uniform",
                 n,
                 procs,
-                machines,
+                executors,
                 &jobs_per_client,
                 seed,
             ));
@@ -774,24 +780,23 @@ pub fn service(
 }
 
 /// Payload size of the `"tiny"` scenario's jobs: small enough that the
-/// per-job dispatch overhead (wake, fence, completion rendezvous) dwarfs
-/// the permutation work, so throughput lives or dies on batch coalescing.
+/// per-job fixed cost (admission, executor wake, ticket completion) dwarfs
+/// the permutation work.
 pub const TINY_JOB_N: usize = 64;
 
 /// Measures the two scheduler-stress populations at the highest committed
-/// concurrency, for every fleet size of the grid:
+/// concurrency, for every executor count of the grid:
 ///
 /// * `"skewed"` — one tenant submits **half of all jobs** while the other
 ///   `clients - 1` split the rest: the fair-admission stress (a flooding
 ///   tenant must not collapse aggregate throughput).
 /// * `"tiny"` — a uniform population of [`TINY_JOB_N`]-item jobs: the
-///   coalescing showcase, where batching consecutive small jobs into one
-///   fenced pool submission is the only way to amortize dispatch overhead.
+///   small-job row, priced almost entirely by the per-job fixed cost.
 pub fn service_scenarios(
     n: usize,
     procs: usize,
     clients: usize,
-    machines_grid: &[usize],
+    executors_grid: &[usize],
     jobs_total: usize,
     seed: u64,
 ) -> Vec<ServiceRow> {
@@ -806,15 +811,15 @@ pub fn service_scenarios(
             *slot = rest;
         }
     }
-    for &machines in machines_grid {
-        rows.push(service_cell("skewed", n, procs, machines, &skewed, seed));
+    for &executors in executors_grid {
+        rows.push(service_cell("skewed", n, procs, executors, &skewed, seed));
     }
 
-    // Tiny: uniform population, coalescing-sized payloads.
+    // Tiny: uniform population, small payloads.
     let tiny = vec![(jobs_total / clients).max(1); clients];
-    for &machines in machines_grid {
+    for &executors in executors_grid {
         rows.push(service_cell(
-            "tiny", TINY_JOB_N, procs, machines, &tiny, seed,
+            "tiny", TINY_JOB_N, procs, executors, &tiny, seed,
         ));
     }
     rows
@@ -893,11 +898,11 @@ fn wire_row(transport: &'static str, n: usize, procs: usize, seed: u64) -> WireR
     use cgp_server::{Client, WireServer};
 
     let reps = wire_reps(n);
-    // One machine on both sides: the row prices the protocol, not a fleet
-    // imbalance.  Determinism makes the comparison honest — the wire job
+    // One executor on both sides: the row prices the protocol, not an
+    // executor imbalance.  Determinism makes the comparison honest — the wire job
     // and the in-process job compute the byte-identical permutation.
     let config = cgp_core::service::ServiceConfig::new(procs)
-        .machines(1)
+        .executors(1)
         .seed(seed);
     let options = PermuteOptions::default();
 
@@ -1068,8 +1073,10 @@ mod tests {
             assert!(r.jobs >= 6);
             assert!(r.service_elapsed > Duration::ZERO);
             assert!(r.serialized_elapsed > Duration::ZERO);
+            assert!(r.reference_elapsed > Duration::ZERO);
             assert!(r.throughput() > 0.0);
-            assert!(r.speedup_vs_serialized() > 0.0);
+            assert!(r.speedup_vs_serialized > 0.0);
+            assert!(r.vs_seq_fy > 0.0);
         }
     }
 

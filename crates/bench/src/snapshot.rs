@@ -21,11 +21,11 @@
 //! snapshot binary accepts `--check <committed.json>`, re-runs its
 //! experiment at the committed grid and fails (exit 1) only when a gated
 //! figure — a paired speedup or throughput measured back-to-back within
-//! one run, higher is better — regressed by more than
-//! [`CHECK_TOLERANCE`]× against the committed value.  The tolerance is
-//! deliberately generous: shared CI runners are noisy, and the gate exists
-//! to catch a PR that quietly *destroys* a won speedup, not to police
-//! percent-level drift.
+//! one run, higher is better — regressed by more than the bench's
+//! tolerance against the committed value ([`CHECK_TOLERANCE`]× unless the
+//! bench sets a tighter one).  The tolerance is deliberately generous:
+//! shared CI runners are noisy, and the gate exists to catch a PR that
+//! quietly *destroys* a won speedup, not to police percent-level drift.
 
 use std::fmt::Write as _;
 
@@ -40,7 +40,8 @@ use std::fmt::Write as _;
 pub const SCHEMA_VERSION: u64 = 2;
 
 /// How many times a committed paired ratio may shrink before the `--check`
-/// gate fails the run.
+/// gate fails the run, unless the bench passes its own tolerance to
+/// [`check_ratios`].
 pub const CHECK_TOLERANCE: f64 = 2.0;
 
 /// A flat row/metadata value: everything the snapshots need.
@@ -262,6 +263,8 @@ pub struct CheckOutcome {
     pub failures: Vec<String>,
     /// How many `(row, ratio key)` pairs were compared.
     pub compared: usize,
+    /// How many times a gated figure was allowed to shrink.
+    pub tolerance: f64,
 }
 
 impl CheckOutcome {
@@ -274,9 +277,9 @@ impl CheckOutcome {
     pub fn report(&self, bench: &str) -> i32 {
         if self.passed() {
             println!(
-                "--check PASS: {} gated figure(s) of '{bench}' within {CHECK_TOLERANCE}x \
+                "--check PASS: {} gated figure(s) of '{bench}' within {}x \
                  of the committed snapshot",
-                self.compared
+                self.compared, self.tolerance
             );
             0
         } else {
@@ -284,10 +287,11 @@ impl CheckOutcome {
                 println!("--check FAIL: {line}");
             }
             println!(
-                "--check FAIL: {}/{} comparison(s) regressed more than {CHECK_TOLERANCE}x \
+                "--check FAIL: {}/{} comparison(s) regressed more than {}x \
                  vs the committed '{bench}' snapshot",
                 self.failures.len(),
-                self.compared
+                self.compared,
+                self.tolerance
             );
             1
         }
@@ -298,8 +302,8 @@ impl CheckOutcome {
 /// better) of a fresh re-run against the committed snapshot.
 ///
 /// Rows are matched on `id_keys` (all must be equal); for each matched row
-/// every `ratio_keys` column must satisfy `fresh >= committed /`
-/// [`CHECK_TOLERANCE`].  A committed row with no matching fresh row is a
+/// every `ratio_keys` column must satisfy `fresh >= committed / tolerance`
+/// (most benches pass [`CHECK_TOLERANCE`]).  A committed row with no matching fresh row is a
 /// failure (the re-run must cover the committed grid); extra fresh rows are
 /// ignored.
 pub fn check_ratios(
@@ -307,6 +311,7 @@ pub fn check_ratios(
     fresh: &Snapshot,
     id_keys: &[&str],
     ratio_keys: &[&str],
+    tolerance: f64,
 ) -> CheckOutcome {
     let mut failures = Vec::new();
     let mut compared = 0usize;
@@ -343,16 +348,20 @@ pub fn check_ratios(
                 continue;
             };
             compared += 1;
-            if now < was / CHECK_TOLERANCE {
+            if now < was / tolerance {
                 failures.push(format!(
                     "[{}] {key} regressed {was:.3} -> {now:.3} (more than \
-                     {CHECK_TOLERANCE}x)",
+                     {tolerance}x)",
                     ident(crow)
                 ));
             }
         }
     }
-    CheckOutcome { failures, compared }
+    CheckOutcome {
+        failures,
+        compared,
+        tolerance,
+    }
 }
 
 /// Pulls a `--check <path>` pair out of a raw argument list, returning the
@@ -561,12 +570,24 @@ mod tests {
         let mut fresh = sample();
         // Halving exactly meets the 2x tolerance (>= committed / 2 passes).
         fresh.rows[0][2].1 = Value::Num(0.75);
-        let outcome = check_ratios(&committed, &fresh, &["payload", "n"], &["speedup"]);
+        let outcome = check_ratios(
+            &committed,
+            &fresh,
+            &["payload", "n"],
+            &["speedup"],
+            CHECK_TOLERANCE,
+        );
         assert!(outcome.passed(), "{:?}", outcome.failures);
         assert_eq!(outcome.compared, 2);
         // Beyond 2x fails and names the row.
         fresh.rows[0][2].1 = Value::Num(0.74);
-        let outcome = check_ratios(&committed, &fresh, &["payload", "n"], &["speedup"]);
+        let outcome = check_ratios(
+            &committed,
+            &fresh,
+            &["payload", "n"],
+            &["speedup"],
+            CHECK_TOLERANCE,
+        );
         assert!(!outcome.passed());
         assert!(outcome.failures[0].contains("payload=String"));
     }
@@ -576,7 +597,13 @@ mod tests {
         let committed = sample();
         let mut fresh = sample();
         fresh.rows.remove(1);
-        let outcome = check_ratios(&committed, &fresh, &["payload", "n"], &["speedup"]);
+        let outcome = check_ratios(
+            &committed,
+            &fresh,
+            &["payload", "n"],
+            &["speedup"],
+            CHECK_TOLERANCE,
+        );
         assert!(!outcome.passed());
         assert!(outcome.failures[0].contains("no fresh row"));
     }
@@ -588,7 +615,13 @@ mod tests {
             r.retain(|(k, _)| k != "speedup");
         }
         let fresh = sample();
-        let outcome = check_ratios(&committed, &fresh, &["payload", "n"], &["speedup"]);
+        let outcome = check_ratios(
+            &committed,
+            &fresh,
+            &["payload", "n"],
+            &["speedup"],
+            CHECK_TOLERANCE,
+        );
         assert!(outcome.passed());
         assert_eq!(outcome.compared, 0);
     }

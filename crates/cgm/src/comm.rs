@@ -65,6 +65,10 @@ pub struct Communicator<T> {
     generation: u64,
     barrier: Arc<SuperstepBarrier>,
     abort: Arc<AbortFlag>,
+    /// Set on a [`crate::LoopbackCgm`]'s contexts, which all run on one
+    /// thread: a receive never waits, and panics if its message has not
+    /// been sent yet.
+    loopback: bool,
     metrics: ProcMetrics,
 }
 
@@ -75,6 +79,7 @@ impl<T: Send> Communicator<T> {
         endpoint: Endpoint<T>,
         barrier: Arc<SuperstepBarrier>,
         abort: Arc<AbortFlag>,
+        loopback: bool,
     ) -> Self {
         Communicator {
             id,
@@ -85,6 +90,7 @@ impl<T: Send> Communicator<T> {
             generation: 0,
             barrier,
             abort,
+            loopback,
             metrics: ProcMetrics::default(),
         }
     }
@@ -96,12 +102,6 @@ impl<T: Send> Communicator<T> {
     /// thread touches those).  Stale envelopes still in flight on the
     /// channels are dropped lazily when a receive encounters them, so this
     /// costs `O(1)` when the previous job consumed everything.
-    ///
-    /// The generation is a coordinator *stamp*, not a local counter: after
-    /// an aborted batch the workers may have attempted different numbers of
-    /// sub-jobs, and counting `begin_job` calls locally would leave them
-    /// disagreeing on the generation forever — every later envelope dropped
-    /// by the fence, every receive parked with no abort raised.
     pub(crate) fn begin_job(&mut self, generation: u64) {
         self.generation = generation;
         for q in &mut self.mailbox {
@@ -200,8 +200,18 @@ impl<T: Send> Communicator<T> {
             if let Some(culprit) = self.abort.culprit() {
                 abort_unwind(culprit);
             }
-            let env = match self.endpoint.recv_timeout(ABORT_POLL) {
+            let wait = if self.loopback {
+                Duration::ZERO
+            } else {
+                ABORT_POLL
+            };
+            let env = match self.endpoint.recv_timeout(wait) {
                 Ok(env) => env,
+                Err(RecvTimeoutError::Timeout) if self.loopback => panic!(
+                    "processor {} received from {from} before {from} sent: a serial \
+                     replay must run each phase on the processors in id order",
+                    self.id
+                ),
                 Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => panic!(
                     "all peers terminated while processor {} waited for a message from {from}",
@@ -234,13 +244,25 @@ impl<T: Send> Communicator<T> {
             self.procs,
             "all_to_all needs one vector per processor"
         );
-        // Send phase: everything leaves before anything is awaited, so the
-        // exchange cannot deadlock regardless of processor ordering (the
-        // channels are unbounded, so sends never wait on receivers).
+        // Everything leaves before anything is awaited, so the exchange
+        // cannot deadlock regardless of processor ordering (the channels are
+        // unbounded, so sends never wait on receivers).
+        self.all_to_all_send(outgoing, tag);
+        self.all_to_all_recv(tag)
+    }
+
+    /// The send half of [`Communicator::all_to_all`]: `outgoing[j]` goes to
+    /// processor `j`.  A serial replay runs this half on every processor
+    /// before any runs [`Communicator::all_to_all_recv`].
+    pub fn all_to_all_send(&mut self, outgoing: Vec<Vec<T>>, tag: u64) {
         for (to, payload) in outgoing.into_iter().enumerate() {
             self.send(to, tag, payload);
         }
-        // Receive phase: collect one message from every peer.
+    }
+
+    /// The receive half of [`Communicator::all_to_all`]: one message from
+    /// every processor, indexed by sender.
+    pub fn all_to_all_recv(&mut self, tag: u64) -> Vec<Vec<T>> {
         (0..self.procs).map(|from| self.recv(from, tag)).collect()
     }
 

@@ -28,8 +28,10 @@
 //! by [`CgmExecutor`]): the one-shot [`CgmMachine`], which spawns its
 //! threads and channel fabric per `run` call, and the resident
 //! [`ResidentCgm`] worker pool, which spawns and wires up once and parks
-//! its workers between jobs — the substrate for steady-state services that
-//! run many jobs back to back (see the [`pool`] module docs).
+//! its workers between jobs — the substrate for steady-state callers that
+//! run many jobs back to back (see the [`pool`] module docs).  A third form,
+//! [`LoopbackCgm`], holds the `p` contexts on one thread for programs that
+//! replay their processors serially, phase by phase.
 //!
 //! Every fabric carries **two typed channel planes** over one barrier: the
 //! data plane (`Vec<T>` payloads, [`ProcCtx::comm_mut`]) and the word plane
@@ -73,7 +75,7 @@ pub use block::BlockDistribution;
 pub use comm::Communicator;
 pub use error::CgmError;
 pub use machine::{
-    BatchJobOutcome, CgmConfig, CgmExecutor, CgmMachine, MatrixCtx, ProcCtx, RunOutcome,
+    CgmConfig, CgmExecutor, CgmMachine, LoopbackCgm, MatrixCtx, ProcCtx, RunOutcome,
 };
 pub use metrics::{CostModel, MachineMetrics, ProcMetrics};
 pub use pool::ResidentCgm;

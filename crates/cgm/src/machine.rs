@@ -2,7 +2,7 @@
 //! the thread-per-processor runner.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::channel::open_plane;
 use crate::comm::Communicator;
@@ -218,12 +218,14 @@ pub(crate) struct Fabric<T> {
 }
 
 /// Opens both channel planes and wires them into the shared barrier/abort
-/// pair and one [`ProcCtx`] per processor.
-pub(crate) fn build_fabric<T: Send + 'static>(config: &CgmConfig) -> Fabric<T> {
+/// pair and one [`ProcCtx`] per processor.  A `loopback` fabric serves all
+/// `p` contexts from one thread (see [`LoopbackCgm`]): its barrier has a
+/// single party, so a barrier is metered and passes at once.
+pub(crate) fn build_fabric<T: Send + 'static>(config: &CgmConfig, loopback: bool) -> Fabric<T> {
     crate::diag::note_fabric_build();
     let p = config.procs;
     let seeds = SeedSequence::new(config.seed);
-    let barrier = Arc::new(SuperstepBarrier::new(p));
+    let barrier = Arc::new(SuperstepBarrier::new(if loopback { 1 } else { p }));
     let abort = Arc::new(AbortFlag::new());
 
     let contexts: Vec<ProcCtx<T>> = open_plane(p)
@@ -231,8 +233,22 @@ pub(crate) fn build_fabric<T: Send + 'static>(config: &CgmConfig) -> Fabric<T> {
         .zip(open_plane(p))
         .enumerate()
         .map(|(id, (data, words))| ProcCtx {
-            comm: Communicator::new(id, p, data, Arc::clone(&barrier), Arc::clone(&abort)),
-            words: Communicator::new(id, p, words, Arc::clone(&barrier), Arc::clone(&abort)),
+            comm: Communicator::new(
+                id,
+                p,
+                data,
+                Arc::clone(&barrier),
+                Arc::clone(&abort),
+                loopback,
+            ),
+            words: Communicator::new(
+                id,
+                p,
+                words,
+                Arc::clone(&barrier),
+                Arc::clone(&abort),
+                loopback,
+            ),
             rng: seeds.proc_stream(id),
             seeds,
         })
@@ -304,26 +320,6 @@ impl<R> RunOutcome<R> {
     }
 }
 
-/// What happened to one sub-job of a batched run
-/// ([`CgmExecutor::try_run_batch`]).
-///
-/// A batch stops at its first failure: the failing sub-job is reported as
-/// [`BatchJobOutcome::Failed`] and every later sub-job as
-/// [`BatchJobOutcome::Skipped`] — its closure was **never invoked**, so any
-/// state the caller staged for it (e.g. payload slots) is still intact and
-/// the sub-job can be resubmitted unchanged.
-#[derive(Debug)]
-pub enum BatchJobOutcome<R> {
-    /// The sub-job ran on every processor; results and per-sub-job metrics.
-    Done(RunOutcome<R>),
-    /// The sub-job panicked inside a virtual processor (the error names
-    /// it).  Its inputs are lost, exactly as with a failed
-    /// [`CgmExecutor::try_run_job`].
-    Failed(CgmError),
-    /// A preceding sub-job failed; this one was never started.
-    Skipped,
-}
-
 /// Anything that can run one CGM job — a closure executed on every virtual
 /// processor with [`ProcCtx`] semantics — and hand back the per-processor
 /// results plus the metered communication.
@@ -381,44 +377,6 @@ pub trait CgmExecutor<T: Send + 'static>: sealed::Sealed {
     where
         R: Send + 'static,
         F: Fn(&mut ProcCtx<T>) -> R + Send + Sync + 'static;
-
-    /// Runs a **batch** of jobs back to back, stopping at the first failure
-    /// (the failing sub-job is reported [`BatchJobOutcome::Failed`], every
-    /// later one [`BatchJobOutcome::Skipped`] with its closure never
-    /// invoked).  The default implementation loops
-    /// [`CgmExecutor::try_run_job`]; [`crate::ResidentCgm`] overrides it
-    /// with a fused dispatch that wakes its workers **once** for the whole
-    /// batch — the wake/fence amortization a job-coalescing scheduler needs.
-    ///
-    /// Semantics are identical either way: each sub-job starts a fresh
-    /// generation on the fabric, meters its own communication, and sees
-    /// exactly the context state a solo [`CgmExecutor::try_run_job`] run
-    /// would (derived random streams are per-call, so a batched sub-job
-    /// produces byte-identical results to a solo run).  The outer `Err` is
-    /// reserved for executor-level failures (e.g. a shut-down pool) where
-    /// no sub-job outcome exists at all.
-    fn try_run_batch<R, F>(&mut self, fs: Vec<F>) -> Result<Vec<BatchJobOutcome<R>>, CgmError>
-    where
-        R: Send + 'static,
-        F: Fn(&mut ProcCtx<T>) -> R + Send + Sync + 'static,
-    {
-        let mut outcomes = Vec::with_capacity(fs.len());
-        let mut failed = false;
-        for f in fs {
-            if failed {
-                outcomes.push(BatchJobOutcome::Skipped);
-                continue;
-            }
-            match self.try_run_job(f) {
-                Ok(out) => outcomes.push(BatchJobOutcome::Done(out)),
-                Err(e) => {
-                    failed = true;
-                    outcomes.push(BatchJobOutcome::Failed(e));
-                }
-            }
-        }
-        Ok(outcomes)
-    }
 }
 
 /// Seals [`CgmExecutor`] to this crate's two executors.
@@ -439,6 +397,100 @@ impl<T: Send + 'static> CgmExecutor<T> for CgmMachine {
         F: Fn(&mut ProcCtx<T>) -> R + Send + Sync + 'static,
     {
         self.try_run(f)
+    }
+}
+
+/// The `p` virtual processors of a machine as contexts on **one thread**: a
+/// loopback fabric for replaying a CGM program serially.
+///
+/// This is not a [`CgmExecutor`]: a closure that parks at a barrier until
+/// its peers arrive cannot run on one thread.  The caller instead drives
+/// the program **phase by phase**, running one phase on every context in
+/// id order before it starts the next.  Any program whose messages within
+/// a phase flow only from lower to higher ids (or to the sender itself)
+/// replays this way; an all-to-all is split into its send and receive
+/// halves ([`Communicator::all_to_all_send`] and
+/// [`Communicator::all_to_all_recv`]), one phase each.
+///
+/// The contexts keep the one-shot machine's semantics where a serial run
+/// can: the same seed sequence (so every derived stream is the same), the
+/// same metering, and a barrier that is metered but passes at once.  A
+/// receive never waits: it panics if its message was not sent yet, which
+/// is how a replay in the wrong order shows itself.
+///
+/// ```
+/// use cgp_cgm::{CgmConfig, LoopbackCgm};
+///
+/// // Processor 0 sends its id to everyone; each processor receives it.
+/// let mut machine: LoopbackCgm<u64> = LoopbackCgm::new(CgmConfig::new(3));
+/// let got: Vec<u64> = machine
+///     .contexts()
+///     .iter_mut()
+///     .map(|ctx| {
+///         if ctx.id() == 0 {
+///             for to in 0..ctx.procs() {
+///                 ctx.comm_mut().send(to, 0, vec![7]);
+///             }
+///         }
+///         ctx.comm_mut().recv(0, 0)[0]
+///     })
+///     .collect();
+/// assert_eq!(got, vec![7, 7, 7]);
+/// ```
+pub struct LoopbackCgm<T> {
+    config: CgmConfig,
+    contexts: Vec<ProcCtx<T>>,
+    recoveries: u64,
+}
+
+impl<T: Send + 'static> LoopbackCgm<T> {
+    /// Builds the contexts and the loopback fabric for `config`.
+    ///
+    /// # Panics
+    /// Panics if `config.procs == 0`.
+    pub fn new(config: CgmConfig) -> Self {
+        assert!(config.procs > 0, "{}", CgmError::NoProcessors);
+        LoopbackCgm {
+            config,
+            contexts: build_fabric(&config, true).contexts,
+            recoveries: 0,
+        }
+    }
+
+    /// The machine's configuration.
+    pub fn config(&self) -> CgmConfig {
+        self.config
+    }
+
+    /// The `p` processor contexts, indexed by id.
+    pub fn contexts(&mut self) -> &mut [ProcCtx<T>] {
+        &mut self.contexts
+    }
+
+    /// The metrics every context accumulated since the last take, reset —
+    /// one run's metering, with `elapsed` as its wall-clock.
+    pub fn take_metrics(&mut self, elapsed: Duration) -> MachineMetrics {
+        let (per_proc, matrix_plane) = self.contexts.iter_mut().map(ProcCtx::take_metrics).unzip();
+        MachineMetrics {
+            per_proc,
+            matrix_plane,
+            elapsed,
+        }
+    }
+
+    /// Readies the fabric after a failed run: drops every message the run
+    /// sent but did not receive, and its metering.
+    pub fn recover(&mut self) {
+        for ctx in &mut self.contexts {
+            ctx.clear_in_flight();
+            let _ = ctx.take_metrics();
+        }
+        self.recoveries += 1;
+    }
+
+    /// How many failed runs [`LoopbackCgm::recover`] cleaned up after.
+    pub fn recoveries(&self) -> u64 {
+        self.recoveries
     }
 }
 
@@ -509,7 +561,7 @@ impl CgmMachine {
             mut contexts,
             barrier,
             abort,
-        } = build_fabric::<T>(&self.config);
+        } = build_fabric::<T>(&self.config, false);
 
         // One processor's deposited outcome: the result plus the per-plane
         // metrics pair (data plane, word plane), or the panic payload.

@@ -31,10 +31,8 @@
 //!   job that legally completes without consuming everything sent to it
 //!   (the one-shot machine drops such envelopes with its fabric) therefore
 //!   cannot leak messages into the next job.  Generations are allocated by
-//!   the coordinator and carried on each command — never counted locally
-//!   on the workers — so the fences cannot drift apart even when an
-//!   aborted batch leaves the workers having attempted different numbers
-//!   of sub-jobs.
+//!   the coordinator and carried on each command, never counted locally
+//!   on the workers.
 //!
 //! # Panics do not poison the pool
 //!
@@ -77,12 +75,11 @@ use crossbeam_channel::{unbounded, Receiver, Sender};
 
 use crate::error::CgmError;
 use crate::machine::{
-    attribute_panics, build_fabric, raise_attributed_panic, BatchJobOutcome, CgmConfig,
-    CgmExecutor, Fabric, ProcCtx, RunOutcome,
+    attribute_panics, build_fabric, raise_attributed_panic, CgmConfig, CgmExecutor, Fabric,
+    ProcCtx, RunOutcome,
 };
 use crate::metrics::{MachineMetrics, ProcMetrics};
-use crate::sync::{AbortFlag, AbortPanic, BarrierWait, SuperstepBarrier};
-use std::time::Duration;
+use crate::sync::{AbortFlag, AbortPanic, SuperstepBarrier};
 
 /// A type-erased per-processor job: the pool wraps the caller's typed
 /// closure once and shares it with every worker through an `Arc`.
@@ -104,37 +101,10 @@ struct JobState {
     done: Sender<()>,
 }
 
-/// What one worker produced for one **sub-job** of a batch: the outcome of
-/// a solo job plus the worker's own wall-clock for the sub-job (the
-/// coordinator can only time the batch as a whole, so per-sub-job elapsed
-/// is the maximum of these self-timings).
-type SubJobOutcome = Result<
-    (
-        Box<dyn Any + Send>,
-        (ProcMetrics, ProcMetrics),
-        std::time::Duration,
-    ),
-    Box<dyn Any + Send>,
->;
-
-/// Per-batch rendezvous, mirroring [`JobState`]: every worker deposits the
-/// prefix of sub-job outcomes it attempted (shorter than the batch when it
-/// stopped at a failure), and the last worker to finish sends the single
-/// completion signal.
-struct BatchState {
-    slots: Vec<Mutex<Option<Vec<SubJobOutcome>>>>,
-    remaining: AtomicUsize,
-    done: Sender<()>,
-}
-
 enum Command<T> {
     /// Run this job on the resident context under the given generation
     /// stamp, deposit the outcome, park.
     Job(Arc<JobFn<T>>, Arc<JobState>, u64),
-    /// Run these jobs back to back (one wake for the whole batch; sub-job
-    /// `k` runs under generation `base + k`), deposit the attempted prefix
-    /// of outcomes, park.
-    Batch(Arc<Vec<Box<JobFn<T>>>>, Arc<BatchState>, u64),
     /// Recovery round after a panicked job: drain in-flight messages and
     /// acknowledge on the carried channel.
     Reset(Sender<usize>),
@@ -162,11 +132,7 @@ pub struct ResidentCgm<T: Send + 'static> {
     abort: Arc<AbortFlag>,
     recoveries: u64,
     /// Next generation stamp to hand out.  Generations are allocated here,
-    /// by the coordinator, and *set* (not counted) by the workers: after an
-    /// aborted batch the workers have attempted different numbers of
-    /// sub-jobs, so local counting would skew their fences apart for good —
-    /// the machine would then silently drop every envelope and wedge, with
-    /// no abort raised, on the next job that communicates.
+    /// by the coordinator, and *set* (not counted) by the workers.
     next_generation: u64,
 }
 
@@ -192,7 +158,7 @@ impl<T: Send + 'static> ResidentCgm<T> {
             contexts,
             barrier,
             abort,
-        } = build_fabric::<T>(&config);
+        } = build_fabric::<T>(&config, false);
         let (done_tx, done_rx) = unbounded();
         let mut commands = Vec::with_capacity(config.procs);
         let mut workers = Vec::with_capacity(config.procs);
@@ -348,143 +314,6 @@ impl<T: Send + 'static> ResidentCgm<T> {
         ))
     }
 
-    /// Fused batch run: wakes every worker **once** for the whole batch of
-    /// jobs, runs them back to back on the resident contexts, and collects
-    /// one [`BatchJobOutcome`] per sub-job — the batched entry point behind
-    /// [`CgmExecutor::try_run_batch`].
-    ///
-    /// Contract (identical to looping [`ResidentCgm::try_run`], minus `n-1`
-    /// wakes and coordinator round-trips):
-    ///
-    /// * each sub-job starts a fresh generation on both planes and meters
-    ///   its own communication, so results and metrics are exactly those of
-    ///   solo runs — workers fence on the machine barrier between sub-jobs,
-    ///   because a fast worker advancing its generation early would have
-    ///   its envelopes dropped by a peer still receiving in the previous
-    ///   sub-job;
-    /// * the batch stops at the first panicking sub-job: it is reported as
-    ///   [`BatchJobOutcome::Failed`] (the pool recovers before returning,
-    ///   as after a failed solo run) and every later sub-job as
-    ///   [`BatchJobOutcome::Skipped`] with its closure never invoked;
-    /// * per-sub-job [`MachineMetrics::elapsed`] is the maximum over
-    ///   workers of each worker's own sub-job wall-clock (the coordinator
-    ///   only observes the batch as a whole).
-    ///
-    /// As with [`ResidentCgm::try_run`], an outer [`CgmError::PoolShutDown`]
-    /// may leave workers still running a sub-job.
-    pub fn try_run_batch<R, F>(&mut self, fs: Vec<F>) -> Result<Vec<BatchJobOutcome<R>>, CgmError>
-    where
-        R: Send + 'static,
-        F: Fn(&mut ProcCtx<T>) -> R + Send + Sync + 'static,
-    {
-        let p = self.config.procs;
-        let n = fs.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let jobs: Arc<Vec<Box<JobFn<T>>>> = Arc::new(
-            fs.into_iter()
-                .map(|f| {
-                    Box::new(move |ctx: &mut ProcCtx<T>| Box::new(f(ctx)) as Box<dyn Any + Send>)
-                        as Box<JobFn<T>>
-                })
-                .collect(),
-        );
-        let state = Arc::new(BatchState {
-            slots: (0..p).map(|_| Mutex::new(None)).collect(),
-            remaining: AtomicUsize::new(p),
-            done: self.done_tx.clone(),
-        });
-        let base = self.next_generation;
-        self.next_generation += n as u64;
-        for tx in &self.commands {
-            tx.send(Command::Batch(Arc::clone(&jobs), Arc::clone(&state), base))
-                .map_err(|_| CgmError::PoolShutDown)?;
-        }
-        drop(jobs);
-        self.done_rx.recv().map_err(|_| CgmError::PoolShutDown)?;
-
-        // Every worker deposited the prefix of sub-jobs it attempted, in
-        // order; walk the prefixes in lockstep to assemble per-sub-job
-        // outcomes.
-        let mut per_worker: Vec<std::vec::IntoIter<SubJobOutcome>> = state
-            .slots
-            .iter()
-            .map(|slot| {
-                slot.lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .expect("every worker deposited exactly one outcome vector")
-                    .into_iter()
-            })
-            .collect();
-
-        let mut outcomes: Vec<BatchJobOutcome<R>> = Vec::with_capacity(n);
-        let mut failed = false;
-        for _ in 0..n {
-            if failed {
-                outcomes.push(BatchJobOutcome::Skipped);
-                continue;
-            }
-            let mut results = Vec::with_capacity(p);
-            let mut per_proc = Vec::with_capacity(p);
-            let mut matrix_plane = Vec::with_capacity(p);
-            let mut elapsed = Duration::ZERO;
-            let mut panics: Vec<(usize, Box<dyn Any + Send>)> = Vec::new();
-            let mut stopped = false;
-            for (id, worker) in per_worker.iter_mut().enumerate() {
-                match worker.next() {
-                    Some(Ok((value, (data, words), dur))) => {
-                        results.push(
-                            *value
-                                .downcast::<R>()
-                                .expect("a job closure returns the type it was submitted with"),
-                        );
-                        per_proc.push(data);
-                        matrix_plane.push(words);
-                        elapsed = elapsed.max(dur);
-                    }
-                    Some(Err(payload)) => panics.push((id, payload)),
-                    // The worker saw the poisoned inter-sub-job fence: a
-                    // peer's panic (collected above or below) stopped it
-                    // before this sub-job.
-                    None => stopped = true,
-                }
-            }
-            if panics.is_empty() && !stopped {
-                outcomes.push(BatchJobOutcome::Done(RunOutcome::from_parts(
-                    results,
-                    MachineMetrics {
-                        per_proc,
-                        matrix_plane,
-                        elapsed,
-                    },
-                )));
-            } else {
-                failed = true;
-                let error = if panics.is_empty() {
-                    // Defensive: a worker stopped here, but the panic that
-                    // poisoned the fence was deposited at this very index
-                    // by its own worker — so this branch is unreachable
-                    // unless the lockstep invariant breaks.
-                    debug_assert!(false, "batch stopped without a collected panic");
-                    CgmError::ProcessorPanicked {
-                        proc: 0,
-                        message: "the batch was aborted".to_string(),
-                    }
-                } else {
-                    let (proc, message) = attribute_panics(&panics);
-                    CgmError::ProcessorPanicked { proc, message }
-                };
-                outcomes.push(BatchJobOutcome::Failed(error));
-            }
-        }
-        if failed {
-            self.recover()?;
-        }
-        Ok(outcomes)
-    }
-
     /// Recovery round after a panicked job: every worker clears the dead
     /// job's in-flight messages, then the barrier and abort flag are
     /// re-armed.  Sound because all workers have deposited their outcome
@@ -569,14 +398,6 @@ impl<T: Send + 'static> CgmExecutor<T> for ResidentCgm<T> {
     {
         self.try_run(f)
     }
-
-    fn try_run_batch<R, F>(&mut self, fs: Vec<F>) -> Result<Vec<BatchJobOutcome<R>>, CgmError>
-    where
-        R: Send + 'static,
-        F: Fn(&mut ProcCtx<T>) -> R + Send + Sync + 'static,
-    {
-        ResidentCgm::try_run_batch(self, fs)
-    }
 }
 
 /// The body of one resident worker thread: park on the command channel,
@@ -626,57 +447,6 @@ fn worker_loop<T: Send>(
                     && state.done.send(()).is_err()
                 {
                     break; // pool dropped mid-job
-                }
-            }
-            Command::Batch(jobs, state, base) => {
-                let mut outcomes: Vec<SubJobOutcome> = Vec::with_capacity(jobs.len());
-                for (k, job) in jobs.iter().enumerate() {
-                    if k > 0 {
-                        // Fence between sub-jobs: every worker must finish
-                        // sub-job k-1 before any advances its generation —
-                        // the generation filter drops envelopes from *any*
-                        // other generation, so a fast worker's sub-job-k
-                        // sends would otherwise be dropped by a slow peer
-                        // still receiving in k-1.  The fence doubles as the
-                        // abort propagation point: a peer's panic poisons
-                        // it, stopping this worker's batch.  (A panic can
-                        // land in the narrow window after this worker's
-                        // cohort was released but before it returns — then
-                        // this worker breaks while the panicker attempted
-                        // sub-job k.  That ragged prefix is why generations
-                        // are coordinator stamps, not local counters.)
-                        if let BarrierWait::Poisoned(_) = barrier.wait() {
-                            break;
-                        }
-                    }
-                    ctx.begin_job(base + k as u64);
-                    let sub_started = Instant::now();
-                    let outcome =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(&mut ctx)));
-                    match outcome {
-                        Ok(value) => {
-                            outcomes.push(Ok((value, ctx.take_metrics(), sub_started.elapsed())));
-                        }
-                        Err(payload) => {
-                            if !payload.is::<AbortPanic>() {
-                                abort.trigger(id);
-                                barrier.poison(id);
-                            }
-                            let _ = ctx.take_metrics();
-                            outcomes.push(Err(payload));
-                            break;
-                        }
-                    }
-                }
-                // Release the batch closures before signalling, so the
-                // caller can reclaim `Arc`ed per-sub-job state (slots of
-                // sub-jobs that never ran) as soon as the batch completes.
-                drop(jobs);
-                *state.slots[id].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcomes);
-                if state.remaining.fetch_sub(1, Ordering::AcqRel) == 1
-                    && state.done.send(()).is_err()
-                {
-                    break; // pool dropped mid-batch
                 }
             }
             Command::Reset(ack) => {
@@ -892,160 +662,6 @@ mod tests {
             ResidentCgm::<u64>::try_new(config),
             Err(CgmError::NoProcessors)
         ));
-    }
-
-    #[test]
-    fn batched_jobs_match_back_to_back_solo_runs() {
-        // Communication-heavy sub-jobs: each sub-job sends around a ring and
-        // must receive its *own* generation's envelope (the inter-sub-job
-        // fence is what makes this safe).
-        let make_job = |round: u64| {
-            move |ctx: &mut ProcCtx<u64>| {
-                let id = ctx.id() as u64;
-                let next = (ctx.id() + 1) % ctx.procs();
-                let prev = (ctx.id() + ctx.procs() - 1) % ctx.procs();
-                ctx.comm_mut().send(next, round, vec![id * 100 + round]);
-                ctx.comm_mut().recv(prev, round)[0]
-            }
-        };
-        let mut solo: ResidentCgm<u64> = ResidentCgm::new(CgmConfig::new(4).with_seed(2));
-        let mut batched: ResidentCgm<u64> = ResidentCgm::new(CgmConfig::new(4).with_seed(2));
-        let solo_results: Vec<Vec<u64>> = (0..8)
-            .map(|r| solo.run(make_job(r)).into_results())
-            .collect();
-        let outcomes = batched
-            .try_run_batch((0..8).map(make_job).collect())
-            .unwrap();
-        assert_eq!(outcomes.len(), 8);
-        for (r, (outcome, solo_result)) in outcomes.into_iter().zip(solo_results).enumerate() {
-            match outcome {
-                BatchJobOutcome::Done(out) => {
-                    assert_eq!(out.into_results(), solo_result, "sub-job {r} diverged");
-                }
-                other => panic!("sub-job {r} did not complete: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn batched_metrics_meter_each_sub_job() {
-        let mut pool: ResidentCgm<u64> = ResidentCgm::new(CgmConfig::new(2));
-        let make_job = |words: usize| {
-            move |ctx: &mut ProcCtx<u64>| {
-                let other = 1 - ctx.id();
-                ctx.comm_mut().send(other, 0, vec![0u64; words]);
-                let _ = ctx.comm_mut().recv(other, 0);
-            }
-        };
-        let outcomes = pool.try_run_batch(vec![make_job(5), make_job(9)]).unwrap();
-        let expect = [5u64, 9u64];
-        for (k, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                BatchJobOutcome::Done(out) => {
-                    for m in &out.metrics().per_proc {
-                        assert_eq!(m.words_sent, expect[k], "sub-job {k} metrics leaked");
-                    }
-                }
-                other => panic!("sub-job {k} did not complete: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn a_mid_batch_panic_fails_that_sub_job_and_skips_the_rest() {
-        let mut pool: ResidentCgm<u64> = ResidentCgm::new(CgmConfig::new(3));
-        let clean = |_round: u64| {
-            |ctx: &mut ProcCtx<u64>| {
-                ctx.comm_mut().barrier();
-                ctx.id()
-            }
-        };
-        // Same closure type via a capture-driven branch: sub-job 1 panics on
-        // processor 2 while its peers park at the barrier.
-        let job = |bomb: bool| {
-            move |ctx: &mut ProcCtx<u64>| {
-                if bomb && ctx.id() == 2 {
-                    panic!("mid-batch boom");
-                }
-                ctx.comm_mut().barrier();
-                ctx.id()
-            }
-        };
-        let _ = clean;
-        let outcomes = pool
-            .try_run_batch(vec![job(false), job(true), job(false), job(false)])
-            .unwrap();
-        assert!(matches!(outcomes[0], BatchJobOutcome::Done(_)));
-        match &outcomes[1] {
-            BatchJobOutcome::Failed(CgmError::ProcessorPanicked { proc, message }) => {
-                assert_eq!(*proc, 2, "the root cause is blamed");
-                assert!(message.contains("mid-batch boom"));
-            }
-            other => panic!("unexpected outcome: {other:?}"),
-        }
-        assert!(matches!(outcomes[2], BatchJobOutcome::Skipped));
-        assert!(matches!(outcomes[3], BatchJobOutcome::Skipped));
-        assert_eq!(pool.recoveries(), 1, "the pool recovered once");
-        // The fabric is clean: the next batch completes.
-        let outcomes = pool.try_run_batch(vec![job(false), job(false)]).unwrap();
-        assert!(outcomes
-            .iter()
-            .all(|o| matches!(o, BatchJobOutcome::Done(_))));
-    }
-
-    #[test]
-    fn a_panic_racing_the_inter_sub_job_fence_does_not_wedge_the_pool() {
-        // The nasty schedule: every worker arrives at the fence before
-        // sub-job 1, the cohort is released, and the panicker — last to
-        // arrive, so first to run — dies before a released peer exits
-        // `wait()`.  That peer observes the poison, breaks, and never
-        // attempts sub-job 1, while the panicker did.  With locally
-        // *counted* generations the workers' fences would drift apart for
-        // good and the next communicating job would park forever with no
-        // abort raised (this test then hangs); coordinator-*stamped*
-        // generations keep the fences aligned no matter how ragged the
-        // attempted prefixes are.
-        let mut pool: ResidentCgm<u64> = ResidentCgm::new(CgmConfig::new(3));
-        let ring = |ctx: &mut ProcCtx<u64>| {
-            let id = ctx.id() as u64;
-            let next = (ctx.id() + 1) % ctx.procs();
-            let prev = (ctx.id() + ctx.procs() - 1) % ctx.procs();
-            ctx.comm_mut().send(next, 3, vec![id]);
-            ctx.comm_mut().recv(prev, 3)[0]
-        };
-        let job = |bomb: bool| {
-            move |ctx: &mut ProcCtx<u64>| {
-                // Panic immediately: the panicker must beat a released peer
-                // out of the fence for the race to fire, and on a few-core
-                // host an instant panic usually does.
-                if bomb && ctx.id() == 1 {
-                    panic!("fence-race boom");
-                }
-                ring(ctx)
-            }
-        };
-        for round in 0..100 {
-            let outcomes = pool.try_run_batch(vec![job(false), job(true)]).unwrap();
-            assert!(
-                matches!(outcomes[0], BatchJobOutcome::Done(_)),
-                "round {round}"
-            );
-            assert!(
-                matches!(outcomes[1], BatchJobOutcome::Failed(_)),
-                "round {round}"
-            );
-            let out = pool.run(ring);
-            assert_eq!(out.into_results(), vec![2, 0, 1], "round {round}");
-        }
-    }
-
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        let mut pool: ResidentCgm<u64> = ResidentCgm::new(CgmConfig::new(2));
-        let jobs: Vec<fn(&mut ProcCtx<u64>) -> usize> = Vec::new();
-        assert!(pool.try_run_batch(jobs).unwrap().is_empty());
-        // The pool still serves normal jobs afterwards.
-        assert_eq!(pool.run(|ctx| ctx.id()).into_results(), vec![0, 1]);
     }
 
     #[test]

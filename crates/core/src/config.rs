@@ -113,15 +113,15 @@ impl EngineFault {
 ///
 /// let engine = EngineConfig::new(4).seed(42);
 /// let one_shot = Permuter::from_engine(engine);       // one-shot / session
-/// let fleet = ServiceConfig::from_engine(engine);     // resident service
-/// assert_eq!(one_shot.engine(), fleet.engine);
+/// let service = ServiceConfig::from_engine(engine);   // multi-tenant service
+/// assert_eq!(one_shot.engine(), service.engine);
 /// ```
 ///
 /// The matrix backend and `keep_matrix` stay *outside* the engine config:
 /// they change cost and diagnostics, never which permutation a seed
 /// produces, so they remain per-surface options ([`PermuteOptions`]).  A
 /// job carries no seed or processor count of its own, which is what keeps
-/// a submitted job from silently disagreeing with the resident fleet it
+/// a submitted job from silently disagreeing with the service it
 /// runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
@@ -252,7 +252,7 @@ impl PermuteOptions {
     /// total item count `n`, reporting misuse as a descriptive message.
     /// This is the validation a multi-tenant service runs at admission, so
     /// one tenant's bad prescription is a rejected submission — never a
-    /// dead dispatcher.
+    /// dead executor.
     pub fn check_target_sizes(&self, p: usize, n: u64) -> Result<(), String> {
         if let Some(sizes) = &self.target_sizes {
             let total: u64 = sizes.iter().sum();

@@ -78,8 +78,7 @@ pub use cache_aware::{
 pub use config::{EngineConfig, EngineFault, FaultPhase, MatrixBackend, PermuteOptions};
 pub use parallel::{
     permute_blocks, permute_vec, permute_vec_into, permute_vec_into_with,
-    try_permute_batch_into_with, try_permute_vec_into_with, BatchOutcome, PermutationReport,
-    PermuteScratch,
+    try_permute_vec_into_with, PermutationReport, PermuteScratch,
 };
 pub use permuter::Permuter;
 pub use sequential::{
@@ -89,7 +88,6 @@ pub use sequential::{
 pub use service::{
     CompletionSet, JobTicket, LaneDepth, MachineUtilization, PermutationService, Priority,
     RejectedJob, ServiceConfig, ServiceError, ServiceHandle, ServiceMetrics, TenantMetrics,
-    DEFAULT_COALESCE_BUDGET,
 };
 pub use session::PermutationSession;
 

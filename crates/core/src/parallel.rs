@@ -60,6 +60,30 @@
 //! same seed (every random stream is derived from the machine seed per
 //! call).
 //!
+//! ## One program, two runners
+//!
+//! The program is a short list of **phases** per virtual processor
+//! (superstep-1 shuffle, matrix sampling, publishing the row of `A`, then
+//! the gather and superstep-3 shuffle — or on the one scatter level the
+//! column refinement, the scatter and the bucket shuffles), with a barrier
+//! after some of them.  Two runners play it:
+//!
+//! * **threaded** — on a [`CgmExecutor`], each virtual processor on its own
+//!   thread runs every phase and meets the others at the barriers.
+//!   Sessions and one-shot calls run this way.
+//! * **serial** — on a [`LoopbackCgm`], one thread runs each phase for
+//!   processor `0, 1, …, p − 1` before it moves to the next phase.  Each
+//!   processor keeps its own derived streams, and a phase reads another
+//!   processor's output only after a barrier, so the output and the
+//!   metered communication are the threaded run's, byte for byte.  The word
+//!   plane loops back: within a phase the matrix backends only send to
+//!   higher ids (`Sequential` and `Recursive` sample on processor 0 and
+//!   scatter the rows; `ParallelLog` and the rounds of `ParallelOptimal`
+//!   halve ranges downwards), and `ParallelOptimal`'s final all-to-all
+//!   receives in the next phase.  The service's executors run every job
+//!   this way: a small job on `p` threads pays a pool wake, barriers and a
+//!   completion rendezvous that dwarf its work.
+//!
 //! ## Backend selection at a glance
 //!
 //! The matrix phase only ever handles `O(p·p')` words, so at small `p` the
@@ -191,7 +215,9 @@
 //! can permute indices once with [`crate::Permuter::sample_permutation`] and
 //! gather locally with [`crate::apply_permutation`].
 
+use std::any::Any;
 use std::mem::ManuallyDrop;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -200,14 +226,14 @@ use crate::cache_aware::{default_bucket_items, effective_bucket_items};
 use crate::config::{EngineFault, FaultPhase, MatrixBackend, PermuteOptions};
 use crate::sequential::{fisher_yates_shuffle, fisher_yates_shuffle_warming};
 use cgp_cgm::{
-    BatchJobOutcome, BlockDistribution, CgmError, CgmExecutor, CgmMachine, MachineMetrics, ProcCtx,
+    BlockDistribution, CgmError, CgmExecutor, CgmMachine, LoopbackCgm, MachineMetrics, ProcCtx,
 };
 use cgp_hypergeom::multivariate_hypergeometric_into;
 use cgp_matrix::{
-    sample_parallel_log_ctx, sample_parallel_optimal_ctx, sample_recursive_ctx,
-    sample_sequential_ctx, CommMatrix,
+    sample_parallel_log_ctx, sample_parallel_optimal_recv_ctx, sample_parallel_optimal_send_ctx,
+    sample_recursive_ctx, sample_sequential_ctx, CommMatrix,
 };
-use cgp_rng::{Pcg64, SeedSequence};
+use cgp_rng::Pcg64;
 
 /// What happened during one parallel permutation: timings, per-phase
 /// metered communication, and (optionally) the sampled communication
@@ -219,13 +245,16 @@ use cgp_rng::{Pcg64, SeedSequence};
 /// superstep-1 shuffle of an idle worker proceeds while the head still
 /// samples.  [`PermutationReport::total_elapsed`] is therefore the
 /// *measured wall-clock of the whole run*, not the sum of the phase
-/// durations (which could double-count overlap).
+/// durations (which could double-count overlap).  On a serial run (a
+/// service job) the workers run one after another, so each phase timing
+/// is the **sum** over the workers.
 #[derive(Debug)]
 pub struct PermutationReport {
     /// Which matrix-sampling backend was used.
     pub backend: MatrixBackend,
-    /// In-run wall-clock time of the matrix phase: the maximum over
-    /// workers of the time spent inside the in-context sampler.
+    /// In-run wall-clock time of the matrix phase: the maximum (serial run:
+    /// the sum) over workers of the time spent inside the in-context
+    /// sampler.
     pub matrix_elapsed: Duration,
     /// In-run wall-clock time of the data phase: the maximum over workers
     /// of the time spent in the shuffle + gather + shuffle steps (on the one
@@ -402,23 +431,24 @@ const CLOSED: usize = 1 << (usize::BITS - 1);
 ///
 /// * **Done** — `output` becomes the caller's vector, `input` the empty
 ///   spare.
-/// * **Skipped** — the closure never ran; `input` comes back untouched and
-///   `output` as the empty spare.
 /// * **Failed** — [`Handoff::vacate`] closes the lease.  With no worker
 ///   inside, both allocations come back with length 0: an item may be in
 ///   `input`, in `output` or bitwise in both, so it is leaked (its
 ///   destructor never runs) rather than risk dropping it twice.  With a
 ///   worker possibly inside, both allocations are leaked whole.  That is
-///   the resident pool's early return: `ResidentCgm::try_run` and
-///   `try_run_batch` report `PoolShutDown` after a partial command send or
-///   a failed completion receive, while workers that did get the command
-///   may still be running and writing.
+///   the resident pool's early return: `ResidentCgm::try_run` reports
+///   `PoolShutDown` after a partial command send or a failed completion
+///   receive, while workers that did get the command may still be running
+///   and writing.
 ///
 /// The two executors run a job's closure at most once per processor, and
 /// never after the run returns — the [`CgmExecutor`] trait is sealed so no
 /// other executor can break that.  A worker that reaches
 /// [`Handoff::enter`] after the lease closed panics before touching
-/// anything.
+/// anything.  The serial runner ([`run_serial`]) takes one lease for the
+/// whole run and plays every worker's part on its own thread, in the same
+/// order: each phase on every worker before the next phase, so every
+/// barrier of the protocol holds with room to spare.
 struct Handoff<T> {
     input: *mut T,
     input_capacity: usize,
@@ -543,8 +573,6 @@ impl<T> Handoff<T> {
 enum RunEnd {
     /// Every worker completed: the output is whole.
     Done,
-    /// The closure never ran: the input is untouched.
-    Skipped,
     /// A worker panicked, or the executor failed as a whole.
     Failed,
 }
@@ -856,12 +884,11 @@ fn reclaim<T>(job: Arc<Job<T>>, end: RunEnd, data: &mut Vec<T>, scratch: &mut Pe
     // SAFETY: once the lease is vacant no worker is inside the run or can
     // enter it, and this consumes the job's only reclaim.  A completed run
     // left every item in `output` once and only moved-out bits in `input`;
-    // a skipped one touched nothing; after a failed one an item may be in
-    // either or both, so both come back with length 0 and leak their items.
+    // after a failed one an item may be in either or both, so both come
+    // back with length 0 and leak their items.
     let (caller, spare) = unsafe {
         match end {
             RunEnd::Done => (h.output_vec(h.len), h.input_vec(0)),
-            RunEnd::Skipped => (h.input_vec(h.len), h.output_vec(0)),
             RunEnd::Failed if vacant => (h.input_vec(0), h.output_vec(0)),
             // A worker may still be running and writing: leak both
             // allocations.
@@ -877,180 +904,340 @@ fn reclaim<T>(job: Arc<Job<T>>, end: RunEnd, data: &mut Vec<T>, scratch: &mut Pe
     }
 }
 
-/// Builds the per-processor job closure for a staged job — the whole of
-/// Algorithm 1 (in-context matrix sampling, local shuffles and direct
-/// placement, on the Fisher–Yates path or through the one scatter level) as
-/// one closure every virtual processor runs.
-///
-/// Every random stream the closure draws is derived from the machine's
-/// master seed *per call* (never from executor history), so the same job
-/// produces the byte-identical permutation whether it runs solo, inside a
-/// coalesced batch, or on a different fleet machine with the same seed.
-fn worker_closure<T: Send + 'static>(
-    job: &Arc<Job<T>>,
-) -> impl Fn(&mut ProcCtx<T>) -> ProcResult + Send + Sync + 'static {
-    let job = Arc::clone(job);
-    move |ctx| -> ProcResult {
-        let _inside = job.handoff.enter();
+/// One phase of the fused program.  Every virtual processor runs the
+/// phases of [`Job::program`] in order; a barrier follows where the program
+/// says so.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    /// Opens superstep 1.  On the Fisher–Yates path the processor shuffles
+    /// its own block in place; the one scatter level fuses that shuffle
+    /// into [`Phase::Scatter`].
+    ShuffleSource,
+    /// The matrix phase, in-context on the word plane, up to its last
+    /// sends.  Every backend but `ParallelOptimal` ends holding its row of
+    /// `A`.
+    Sample,
+    /// The rest of the matrix phase (`ParallelOptimal` receives its row),
+    /// then publishes the row into the job's table.  A barrier follows.
+    Publish,
+    /// Supersteps 2–3 on the Fisher–Yates path: gathers the own target
+    /// block from every source block and shuffles it.
+    Gather,
+    /// One scatter level: refines the own column of `A` over the buckets
+    /// of the own target block.  A barrier follows.
+    Refine,
+    /// One scatter level: supersteps 1 + 2, window by window.  A barrier
+    /// follows.
+    Scatter,
+    /// One scatter level: superstep 3, bucket by bucket.
+    ShuffleBuckets,
+}
+
+/// The Fisher–Yates path: each phase with whether a barrier follows it.
+const FISHER_YATES_PROGRAM: &[(Phase, bool)] = &[
+    (Phase::ShuffleSource, false),
+    (Phase::Sample, false),
+    (Phase::Publish, true),
+    (Phase::Gather, false),
+];
+
+/// The one scatter level: each phase with whether a barrier follows it.
+const SCATTER_PROGRAM: &[(Phase, bool)] = &[
+    (Phase::ShuffleSource, false),
+    (Phase::Sample, false),
+    (Phase::Publish, true),
+    (Phase::Refine, true),
+    (Phase::Scatter, true),
+    (Phase::ShuffleBuckets, false),
+];
+
+/// One virtual processor's state across the phases of a run: its local
+/// shuffle stream, its row of `A` and its phase clocks.
+struct Worker {
+    /// The per-processor local-shuffle stream.  The local shuffles must be
+    /// statistically independent of the sampled matrix, so they draw from
+    /// their own streams, derived from the master seed per call.
+    rng: Pcg64,
+    /// The processor's row of `A`: set by [`Phase::Sample`] (by
+    /// [`Phase::Publish`] for `ParallelOptimal`).
+    row: Option<Vec<u64>>,
+    matrix: Duration,
+    data: Duration,
+    shuffle: Duration,
+}
+
+impl Worker {
+    fn new<T: Send>(ctx: &ProcCtx<T>) -> Self {
+        Worker {
+            rng: ctx
+                .seeds()
+                .child_sequence(SHUFFLE_STREAMS)
+                .proc_stream(ctx.id()),
+            row: None,
+            matrix: Duration::ZERO,
+            data: Duration::ZERO,
+            shuffle: Duration::ZERO,
+        }
+    }
+
+    fn finish(self) -> ProcResult {
+        let row = self.row.expect("every program publishes the row");
+        (row, self.matrix, self.data, self.shuffle)
+    }
+}
+
+impl<T: Send> Job<T> {
+    /// The phases every virtual processor runs, in order.
+    fn program(&self) -> &'static [(Phase, bool)] {
+        match self.scatter {
+            None => FISHER_YATES_PROGRAM,
+            Some(_) => SCATTER_PROGRAM,
+        }
+    }
+
+    /// Runs `phase` of the program on virtual processor `ctx.id()`.
+    ///
+    /// Every random stream a phase draws is derived from the machine's
+    /// master seed per call (never from executor history), and a phase
+    /// reads another processor's output only after a barrier.  So the
+    /// output does not depend on how the processors are run: as threads
+    /// that meet at the barriers ([`worker_closure`]), or one after another
+    /// on one thread ([`run_serial`]).
+    ///
+    /// # Safety
+    /// The caller holds a lease on the job's [`Handoff`] and runs the
+    /// phases of [`Job::program`] in order, each phase on this processor
+    /// once.  Where the program puts a barrier, every processor finished
+    /// the phase before it before any starts the phase after it.
+    unsafe fn step(&self, phase: Phase, ctx: &mut ProcCtx<T>, worker: &mut Worker) {
         let id = ctx.id();
-        let p = ctx.procs();
-        let (source_start, source_len) = (job.source.offset(id), job.source.size(id));
-        let (target_start, target_len) = (job.target.offset(id), job.target.size(id));
-        // The in-context matrix samplers draw from their own per-call
-        // derived streams (`MatrixCtx::sampling_rng` / the named front-end
-        // stream); the local shuffles must be statistically independent of
-        // the sampled matrix, so this phase derives its own per-processor
-        // streams from the master seed.
-        let seeds: SeedSequence = *ctx.seeds();
-        let mut shuffle_rng = seeds.child_sequence(SHUFFLE_STREAMS).proc_stream(id);
-
-        // Superstep 1 on the Fisher–Yates path: local shuffle of the own
-        // block, in place in the caller's vector.  Independent of the
-        // matrix, so on workers that are not (yet) involved in a sampling
-        // round it overlaps the matrix phase instead of waiting for it.
-        // The one scatter level fuses it with superstep 2 instead.
-        ctx.superstep();
-        let mut first_shuffle = Duration::ZERO;
-        if job.scatter.is_none() {
-            let shuffle_started = Instant::now();
-            // SAFETY: protocol step 1 — this worker's own, initialized block.
-            let block = unsafe {
-                job.handoff
-                    .block(source_start as usize, source_len as usize)
-            };
-            fisher_yates_shuffle(&mut shuffle_rng, block);
-            first_shuffle = shuffle_started.elapsed();
-        }
-        let mut shuffle_elapsed = first_shuffle;
-
-        // Matrix phase, in-context on the word plane: this worker ends up
-        // holding its own row of `A`.
-        if let Some(f) = job.fault {
-            if f.proc == id && f.phase == FaultPhase::Matrix {
-                panic!("injected engine fault (matrix phase)");
-            }
-        }
-        let matrix_started = Instant::now();
-        let row: Vec<u64> = {
-            let mut mctx = ctx.matrix_ctx();
-            let (source, target) = (job.source.sizes(), job.target.sizes());
-            match job.backend {
-                MatrixBackend::Sequential => sample_sequential_ctx(&mut mctx, source, target),
-                MatrixBackend::Recursive => sample_recursive_ctx(&mut mctx, source, target),
-                MatrixBackend::ParallelLog => sample_parallel_log_ctx(&mut mctx, source, target),
-                MatrixBackend::ParallelOptimal => {
-                    sample_parallel_optimal_ctx(&mut mctx, source, target)
+        let started = Instant::now();
+        match phase {
+            Phase::ShuffleSource => {
+                ctx.superstep();
+                if self.scatter.is_none() {
+                    // SAFETY: protocol step 1 — this worker's own,
+                    // initialized block.
+                    let block = self.handoff.block(
+                        self.source.offset(id) as usize,
+                        self.source.size(id) as usize,
+                    );
+                    fisher_yates_shuffle(&mut worker.rng, block);
+                    worker.shuffle += started.elapsed();
                 }
             }
-        };
-        let matrix_elapsed = matrix_started.elapsed();
-        let data_started = Instant::now();
-
-        // Superstep 2: publish row `id` of A; past the barrier every worker
-        // can read the whole matrix.
-        ctx.superstep();
-        if let Some(f) = job.fault {
-            if f.proc == id && f.phase == FaultPhase::Exchange && job.scatter.is_none() {
-                panic!("injected engine fault (exchange phase)");
+            Phase::Sample => {
+                if let Some(f) = self.fault {
+                    if f.proc == id && f.phase == FaultPhase::Matrix {
+                        panic!("injected engine fault (matrix phase)");
+                    }
+                }
+                let mut mctx = ctx.matrix_ctx();
+                let (source, target) = (self.source.sizes(), self.target.sizes());
+                worker.row = match self.backend {
+                    MatrixBackend::Sequential => {
+                        Some(sample_sequential_ctx(&mut mctx, source, target))
+                    }
+                    MatrixBackend::Recursive => {
+                        Some(sample_recursive_ctx(&mut mctx, source, target))
+                    }
+                    MatrixBackend::ParallelLog => {
+                        Some(sample_parallel_log_ctx(&mut mctx, source, target))
+                    }
+                    MatrixBackend::ParallelOptimal => {
+                        sample_parallel_optimal_send_ctx(&mut mctx, source, target);
+                        None
+                    }
+                };
+                worker.matrix += started.elapsed();
+                return;
             }
-        }
-        debug_assert_eq!(row.len(), p, "resolve_target_sizes guarantees p' == p");
-        // Relaxed: the barrier's mutex orders these stores before every
-        // worker's loads in `gather` and `refine`.
-        for (cell, &a) in job.matrix[id * p..(id + 1) * p].iter().zip(&row) {
-            cell.store(a, Ordering::Relaxed);
-        }
-        ctx.comm_mut().barrier();
-        match &job.scatter {
-            None => {
-                // Gather target block `id` from every source block.  Because
-                // the blocks were just shuffled, taking consecutive runs of
-                // length a_ij is a uniformly random choice of which items go
-                // where; each run is copied once, straight to its final
-                // slot, by the worker that shuffles it next.
-                // SAFETY: this is worker `id`, inside the lease, past the
-                // barrier.
-                unsafe { job.gather(id) };
-                ctx.comm_mut().meter_all_to_all(source_len, target_len);
-
+            Phase::Publish => {
+                let p = self.source.procs();
+                let row = match worker.row.take() {
+                    Some(row) => row,
+                    None => sample_parallel_optimal_recv_ctx(&mut ctx.matrix_ctx(), p),
+                };
+                worker.matrix += started.elapsed();
+                let published = Instant::now();
+                ctx.superstep();
+                if let Some(f) = self.fault {
+                    if f.proc == id && f.phase == FaultPhase::Exchange && self.scatter.is_none() {
+                        panic!("injected engine fault (exchange phase)");
+                    }
+                }
+                debug_assert_eq!(row.len(), p, "resolve_target_sizes guarantees p' == p");
+                // Relaxed: the barrier that follows orders these stores
+                // before every worker's loads in `gather` and `refine`.
+                for (cell, &a) in self.matrix[id * p..(id + 1) * p].iter().zip(&row) {
+                    cell.store(a, Ordering::Relaxed);
+                }
+                worker.row = Some(row);
+                worker.data += published.elapsed();
+                return;
+            }
+            Phase::Gather => {
+                // Because the blocks were just shuffled, taking consecutive
+                // runs of length a_ij is a uniformly random choice of which
+                // items go where; each run is copied once, straight to its
+                // final slot, by the worker that shuffles it next.
+                self.gather(id);
+                ctx.comm_mut()
+                    .meter_all_to_all(self.source.size(id), self.target.size(id));
                 // Superstep 3: shuffle the now complete target block in
                 // place.
                 ctx.superstep();
                 let reshuffle_started = Instant::now();
                 // SAFETY: protocol step 3 — this worker just filled the
                 // whole block.
-                let block = unsafe {
-                    job.handoff
-                        .target_block(target_start as usize, target_len as usize)
-                };
-                fisher_yates_shuffle(&mut shuffle_rng, block);
-                shuffle_elapsed += reshuffle_started.elapsed();
+                let block = self.handoff.target_block(
+                    self.target.offset(id) as usize,
+                    self.target.size(id) as usize,
+                );
+                fisher_yates_shuffle(&mut worker.rng, block);
+                worker.shuffle += reshuffle_started.elapsed();
             }
-            Some(scatter) => {
-                // Refine column `id` over this target's buckets, then scatter
-                // the own block over every bucket of every target.
-                let mut refine_rng = seeds.child_sequence(REFINE_STREAMS).proc_stream(id);
-                job.refine(scatter, id, &mut refine_rng);
-                ctx.comm_mut().barrier();
-                // SAFETY: this is worker `id`, inside the lease, past the
-                // refinement barrier.
-                shuffle_elapsed += unsafe { job.scatter(scatter, id, &mut shuffle_rng) };
-                ctx.comm_mut().meter_all_to_all(source_len, target_len);
-                ctx.comm_mut().barrier();
-
-                // Superstep 3: shuffle each bucket of the now complete target
-                // block in place.
+            Phase::Refine => {
+                let scatter = self.scatter.as_ref().expect("a scatter phase");
+                let mut rng = ctx.seeds().child_sequence(REFINE_STREAMS).proc_stream(id);
+                self.refine(scatter, id, &mut rng);
+            }
+            Phase::Scatter => {
+                let scatter = self.scatter.as_ref().expect("a scatter phase");
+                worker.shuffle += self.scatter(scatter, id, &mut worker.rng);
+                ctx.comm_mut()
+                    .meter_all_to_all(self.source.size(id), self.target.size(id));
+            }
+            Phase::ShuffleBuckets => {
+                let scatter = self.scatter.as_ref().expect("a scatter phase");
                 ctx.superstep();
                 let reshuffle_started = Instant::now();
+                let target_start = self.target.offset(id);
                 debug_assert_eq!(scatter.starts[scatter.first[id]], target_start);
                 // SAFETY: protocol step 3 — every worker filled its slots of
                 // this block before the barrier.
-                let mut rest = unsafe {
-                    job.handoff
-                        .target_block(target_start as usize, target_len as usize)
-                };
+                let mut rest = self
+                    .handoff
+                    .target_block(target_start as usize, self.target.size(id) as usize);
                 for c in scatter.first[id]..scatter.first[id + 1] {
                     let len = (scatter.starts[c + 1] - scatter.starts[c]) as usize;
                     let (bucket, tail) = rest.split_at_mut(len);
                     // Warm the next bucket of this block, if any; it is no
                     // longer than this one.
                     fisher_yates_shuffle_warming(
-                        &mut shuffle_rng,
+                        &mut worker.rng,
                         bucket,
                         &tail[..len.min(tail.len())],
                     );
                     rest = tail;
                 }
-                shuffle_elapsed += reshuffle_started.elapsed();
+                worker.shuffle += reshuffle_started.elapsed();
             }
         }
-        // The data phase ran from the end of the matrix phase to here; a
-        // superstep-1 shuffle overlapped the matrix phase and is added on
-        // top.
-        let data_elapsed = first_shuffle + data_started.elapsed();
-        (row, matrix_elapsed, data_elapsed, shuffle_elapsed)
+        worker.data += started.elapsed();
     }
 }
 
-/// Assembles one job's per-processor results into the run report:
-/// max-over-workers phase timings and the (optionally kept) communication
-/// matrix.
+/// Builds the per-processor job closure for a staged job: the whole of
+/// Algorithm 1 as one closure every virtual processor runs on its own
+/// thread, the phases of [`Job::program`] with a barrier where the program
+/// puts one.  A barrier's wait counts as data-phase time.
+fn worker_closure<T: Send + 'static>(
+    job: &Arc<Job<T>>,
+) -> impl Fn(&mut ProcCtx<T>) -> ProcResult + Send + Sync + 'static {
+    let job = Arc::clone(job);
+    move |ctx| -> ProcResult {
+        let _inside = job.handoff.enter();
+        let mut worker = Worker::new(ctx);
+        for &(phase, barrier) in job.program() {
+            // SAFETY: this worker is inside the lease and runs the phases
+            // in order; the barrier below separates the phases the program
+            // separates.
+            unsafe { job.step(phase, ctx, &mut worker) };
+            if barrier {
+                let waiting = Instant::now();
+                ctx.comm_mut().barrier();
+                worker.data += waiting.elapsed();
+            }
+        }
+        worker.finish()
+    }
+}
+
+/// Runs a staged job on the calling thread: each phase of
+/// [`Job::program`] on every virtual processor, in id order, before the
+/// next phase.
+///
+/// The output is the threaded run's, byte for byte (see [`Job::step`]).
+/// Replaying in id order is what lets the word plane loop back: within a
+/// phase, every matrix backend sends only to higher ids or to itself, except
+/// `ParallelOptimal`'s final all-to-all, whose receives are the next phase.
+/// A panic in a phase stops the run and is reported as
+/// [`CgmError::ProcessorPanicked`] naming the processor.
+fn run_serial<T: Send + 'static>(
+    job: &Job<T>,
+    machine: &mut LoopbackCgm<T>,
+) -> Result<Vec<ProcResult>, CgmError> {
+    let _inside = job.handoff.enter();
+    let contexts = machine.contexts();
+    let mut workers: Vec<Worker> = contexts.iter().map(|ctx| Worker::new(ctx)).collect();
+    for &(phase, barrier) in job.program() {
+        for (ctx, worker) in contexts.iter_mut().zip(&mut workers) {
+            let proc = ctx.id();
+            // SAFETY: this thread holds the lease for every processor and
+            // runs each phase on all of them before the next phase.
+            let ran = std::panic::catch_unwind(AssertUnwindSafe(|| unsafe {
+                job.step(phase, ctx, worker)
+            }));
+            ran.map_err(|payload| CgmError::ProcessorPanicked {
+                proc,
+                message: panic_text(payload.as_ref()),
+            })?;
+        }
+        if barrier {
+            // Metered like the threaded run's; a loopback barrier never
+            // waits.
+            contexts.iter_mut().for_each(|ctx| ctx.comm_mut().barrier());
+        }
+    }
+    Ok(workers.into_iter().map(Worker::finish).collect())
+}
+
+/// The text of a caught panic payload.
+pub(crate) fn panic_text(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
+    }
+}
+
+/// Assembles one job's per-processor results into the run report: phase
+/// timings (the maximum over workers, or on a `serial` run their sum) and
+/// the (optionally kept) communication matrix.
 fn collect_report<T>(
     job: &Job<T>,
     results: Vec<ProcResult>,
     metrics: MachineMetrics,
     options: &PermuteOptions,
     total_elapsed: Duration,
+    serial: bool,
 ) -> PermutationReport {
+    // Threads overlap their phases, so a phase took as long as its slowest
+    // worker; a serial run does them one after another, so the times add
+    // up.
+    let combine = |a: Duration, b: Duration| if serial { a + b } else { a.max(b) };
     let mut rows = Vec::with_capacity(results.len());
     let mut matrix_elapsed = Duration::ZERO;
     let mut exchange_elapsed = Duration::ZERO;
     let mut shuffle_elapsed = Duration::ZERO;
     for (row, matrix_dur, data_dur, shuffle_dur) in results {
         rows.push(row);
-        matrix_elapsed = matrix_elapsed.max(matrix_dur);
-        exchange_elapsed = exchange_elapsed.max(data_dur);
-        shuffle_elapsed = shuffle_elapsed.max(shuffle_dur);
+        matrix_elapsed = combine(matrix_elapsed, matrix_dur);
+        exchange_elapsed = combine(exchange_elapsed, data_dur);
+        shuffle_elapsed = combine(shuffle_elapsed, shuffle_dur);
     }
 
     // The rows every worker brought back assemble into the sampled matrix;
@@ -1100,9 +1287,8 @@ fn distributions(
 
 /// The fused, direct-placement engine behind every entry point: stages a
 /// [`Job`], runs its [`worker_closure`] as **one job on one executor**, and
-/// hands the permuted items back in `data`.  The batched entry
-/// ([`try_permute_batch_into_with`]) shares all of its pieces, which is what
-/// makes a coalesced run byte-identical to a solo run by construction.
+/// hands the permuted items back in `data`.  The serial entry
+/// ([`try_permute_vec_serial`]) shares all of its pieces but the runner.
 ///
 /// Generic over the execution substrate: the same engine runs one-shot on a
 /// [`CgmMachine`] (threads spawned per call) or on a [`cgp_cgm::ResidentCgm`]
@@ -1128,7 +1314,7 @@ where
     match outcome {
         Ok(run) => {
             let (results, metrics) = run.into_parts();
-            let report = collect_report(&job, results, metrics, options, total_elapsed);
+            let report = collect_report(&job, results, metrics, options, total_elapsed, false);
             reclaim(job, RunEnd::Done, data, scratch);
             Ok(report)
         }
@@ -1273,135 +1459,42 @@ where
     try_permute_placed(exec, data, layout, options, scratch)
 }
 
-/// What happened to one job of a coalesced batch submitted through
-/// [`try_permute_batch_into_with`].
-#[derive(Debug)]
-pub enum BatchOutcome<T> {
-    /// The job ran to completion: the permuted items and its own report.
-    Done {
-        /// The permuted vector (same items as submitted, new order).
-        data: Vec<T>,
-        /// The per-job run report; phase timings are this sub-job's own.
-        /// Boxed to keep the outcome enum slim next to `Skipped`.
-        report: Box<PermutationReport>,
-    },
-    /// A worker panicked inside this job.  As with a failed solo run the
-    /// items are leaked; the executor has recovered and stays usable.
-    Failed(CgmError),
-    /// The job never started because an earlier job in the batch failed.
-    /// Its items were never touched, so the submitted vector is handed back
-    /// as it was — resubmit to run the job.
-    Skipped {
-        /// The submitted vector, in its original order.
-        data: Vec<T>,
-    },
-}
-
-/// Permutes a batch of jobs as **one** submission to the executor —
-/// the coalescing entry point behind the service scheduler.
+/// Serial counterpart of [`try_permute_vec_into_with`]: permutes `data` on
+/// one thread, replaying the `p` virtual processors of `machine` phase by
+/// phase (see [`LoopbackCgm`]) — the entry every executor of a
+/// [`crate::PermutationService`] runs its jobs through.
 ///
-/// On a [`cgp_cgm::ResidentCgm`] pool the whole batch costs a single
-/// worker wake-up and one completion rendezvous instead of one per job,
-/// which is what amortizes the fixed per-job overhead for small payloads.
-/// Each job still runs as its own fenced sub-job with its own
-/// [`PermuteOptions`] and its own seed-derived random streams, so **every
-/// job's output is byte-identical to what a solo
-/// [`try_permute_vec_into_with`] call would have produced** on the same
-/// executor — coalescing is invisible in the results (a property the
-/// scheduler's seed-equivalence tests pin down).
-///
-/// `scratches` plays the role of the solo entry's scratch, one per job
-/// (extended with cold scratches when shorter than `jobs`): warm capacity
-/// goes in, the recovered buffers come back out.
-///
-/// The outcomes are positional: `out[k]` describes `jobs[k]`.  A batch
-/// stops at the first failing job — later jobs come back as
-/// [`BatchOutcome::Skipped`] with their items intact (see
-/// [`BatchJobOutcome`] for the executor-level contract).
-///
-/// # Errors and data loss
-/// Misuse (a bad prescription on *any* job) panics on the calling thread
-/// before any item has moved, with every job's data untouched.  An
-/// executor-level error (`Err`) means the batch could not run or complete
-/// as a whole; as with a failed solo run, the items of every job are
-/// leaked.
-pub fn try_permute_batch_into_with<T, E>(
-    exec: &mut E,
-    jobs: Vec<(Vec<T>, PermuteOptions)>,
-    scratches: &mut Vec<PermuteScratch<T>>,
-) -> Result<Vec<BatchOutcome<T>>, CgmError>
-where
-    T: Send + 'static,
-    E: CgmExecutor<T>,
-{
-    let p = exec.procs();
-    // Resolve every job before moving a single item: a bad prescription
-    // anywhere in the batch must panic with all data untouched.
-    let layouts: Vec<_> = jobs
-        .iter()
-        .map(|(data, options)| {
-            distributions(p, BlockDistribution::even(data.len() as u64, p), options)
-        })
-        .collect();
-    if scratches.len() < jobs.len() {
-        scratches.resize_with(jobs.len(), PermuteScratch::new);
-    }
-
-    // Stage every job (handing its items to the run) and build the per-job
-    // closures the executor will run as fenced sub-jobs.
-    let mut staged = Vec::with_capacity(jobs.len());
-    let mut closures = Vec::with_capacity(jobs.len());
-    for (((mut data, options), (source, target)), scratch) in
-        jobs.into_iter().zip(layouts).zip(scratches.iter_mut())
-    {
-        let job = stage_job(&mut data, source, target, &options, scratch);
-        closures.push(worker_closure(&job));
-        staged.push((job, options));
-    }
-
+/// The permutation and the metered communication are byte-identical to a
+/// threaded run with the same configuration and options; the report's
+/// phase times are sums over the virtual processors.  A panic in a virtual
+/// processor comes back as [`CgmError::ProcessorPanicked`] with the items
+/// leaked, exactly as on the threaded path, and `machine` is ready for the
+/// next job.
+pub(crate) fn try_permute_vec_serial<T: Send + 'static>(
+    machine: &mut LoopbackCgm<T>,
+    data: &mut Vec<T>,
+    options: &PermuteOptions,
+    scratch: &mut PermuteScratch<T>,
+) -> Result<PermutationReport, CgmError> {
+    let p = machine.config().procs;
+    let (source, target) = distributions(p, BlockDistribution::even(data.len() as u64, p), options);
+    let job = stage_job(data, source, target, options, scratch);
     let run_started = Instant::now();
-    let outcomes = match exec.try_run_batch(closures) {
-        Ok(outcomes) => outcomes,
-        Err(e) => {
-            for ((job, _), scratch) in staged.into_iter().zip(scratches.iter_mut()) {
-                reclaim(job, RunEnd::Failed, &mut Vec::new(), scratch);
-            }
-            return Err(e);
-        }
-    };
+    let outcome = run_serial(&job, machine);
     let total_elapsed = run_started.elapsed();
-    debug_assert_eq!(outcomes.len(), staged.len());
-
-    let mut out = Vec::with_capacity(staged.len());
-    for ((outcome, (job, options)), scratch) in
-        outcomes.into_iter().zip(staged).zip(scratches.iter_mut())
-    {
-        let mut data = Vec::new();
-        out.push(match outcome {
-            BatchJobOutcome::Done(run) => {
-                // Each sub-job's report carries its own metered span (the
-                // max over its workers' in-run timings), not the whole
-                // batch's wall clock.
-                let sub_elapsed = run.metrics().elapsed.min(total_elapsed);
-                let (results, metrics) = run.into_parts();
-                let report = collect_report(&job, results, metrics, &options, sub_elapsed);
-                reclaim(job, RunEnd::Done, &mut data, scratch);
-                BatchOutcome::Done {
-                    data,
-                    report: Box::new(report),
-                }
-            }
-            BatchJobOutcome::Failed(e) => {
-                reclaim(job, RunEnd::Failed, &mut data, scratch);
-                BatchOutcome::Failed(e)
-            }
-            BatchJobOutcome::Skipped => {
-                reclaim(job, RunEnd::Skipped, &mut data, scratch);
-                BatchOutcome::Skipped { data }
-            }
-        });
+    match outcome {
+        Ok(results) => {
+            let metrics = machine.take_metrics(total_elapsed);
+            let report = collect_report(&job, results, metrics, options, total_elapsed, true);
+            reclaim(job, RunEnd::Done, data, scratch);
+            Ok(report)
+        }
+        Err(e) => {
+            machine.recover();
+            reclaim(job, RunEnd::Failed, data, scratch);
+            Err(e)
+        }
     }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -1679,144 +1772,5 @@ mod tests {
         let machine = CgmMachine::with_procs(2);
         let options = PermuteOptions::default().target_sizes(vec![1, 1, 1]);
         let _ = permute_blocks(&machine, vec![vec![1u64, 2], vec![3u64]], &options);
-    }
-
-    #[test]
-    fn batched_permutations_match_solo_runs_for_every_backend() {
-        use cgp_cgm::ResidentCgm;
-        // Coalescing must be invisible in the results: for every backend,
-        // a heterogeneous batch (mixed sizes, mixed options) produces
-        // byte-for-byte what the same jobs produce run solo, back to back,
-        // on an identically configured pool.
-        for backend in MatrixBackend::ALL {
-            let config = CgmConfig::new(4).with_seed(77);
-            let jobs: Vec<(Vec<u64>, PermuteOptions)> = vec![
-                ((0..128).collect(), PermuteOptions::with_backend(backend)),
-                ((0..37).collect(), PermuteOptions::with_backend(backend)),
-                (
-                    (0..200).collect(),
-                    PermuteOptions::with_backend(backend).target_sizes(vec![80, 40, 40, 40]),
-                ),
-                (Vec::new(), PermuteOptions::with_backend(backend)),
-            ];
-
-            let mut solo_pool: ResidentCgm<u64> = ResidentCgm::new(config);
-            let mut solo_scratch = PermuteScratch::new();
-            let mut solo_outputs = Vec::new();
-            for (data, options) in &jobs {
-                let mut data = data.clone();
-                try_permute_vec_into_with(&mut solo_pool, &mut data, options, &mut solo_scratch)
-                    .unwrap();
-                solo_outputs.push(data);
-            }
-
-            let mut batch_pool: ResidentCgm<u64> = ResidentCgm::new(config);
-            let mut scratches = Vec::new();
-            let outcomes = try_permute_batch_into_with(&mut batch_pool, jobs, &mut scratches)
-                .expect("the batch runs");
-            assert_eq!(outcomes.len(), solo_outputs.len());
-            for (k, (outcome, solo)) in outcomes.into_iter().zip(solo_outputs).enumerate() {
-                match outcome {
-                    BatchOutcome::Done { data, report } => {
-                        assert_eq!(data, solo, "{backend:?} job {k} diverged from solo");
-                        assert_eq!(report.backend, backend);
-                    }
-                    other => panic!("{backend:?} job {k}: unexpected outcome {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn a_mid_batch_fault_fails_only_that_job_and_hands_back_the_rest() {
-        use crate::config::EngineFault;
-        use cgp_cgm::ResidentCgm;
-        let config = CgmConfig::new(3).with_seed(13);
-        let mut pool: ResidentCgm<u64> = ResidentCgm::new(config);
-        let jobs: Vec<(Vec<u64>, PermuteOptions)> = vec![
-            ((0..60).collect(), PermuteOptions::default()),
-            (
-                (100..160).collect(),
-                PermuteOptions::default().inject_fault(EngineFault::exchange_phase(1)),
-            ),
-            ((200..260).collect(), PermuteOptions::default()),
-        ];
-        let mut scratches = Vec::new();
-        let outcomes = try_permute_batch_into_with(&mut pool, jobs, &mut scratches).unwrap();
-        assert_eq!(outcomes.len(), 3);
-        let skipped_data = match (&outcomes[0], &outcomes[1], &outcomes[2]) {
-            (
-                BatchOutcome::Done { data, .. },
-                BatchOutcome::Failed(CgmError::ProcessorPanicked { proc: 1, .. }),
-                BatchOutcome::Skipped { data: skipped },
-            ) => {
-                let mut sorted = data.clone();
-                sorted.sort_unstable();
-                assert_eq!(sorted, (0..60).collect::<Vec<u64>>());
-                skipped.clone()
-            }
-            other => panic!("unexpected outcome triple: {other:?}"),
-        };
-        // The skipped job comes back in its exact submitted order...
-        assert_eq!(skipped_data, (200..260).collect::<Vec<u64>>());
-        assert_eq!(pool.recoveries(), 1, "the pool recovered once");
-
-        // ...and resubmitting it (solo) yields what an untouched pool of the
-        // same configuration produces: being staged and handed back leaves
-        // no trace in the result.
-        let mut data = skipped_data;
-        let mut scratch = PermuteScratch::new();
-        try_permute_vec_into_with(
-            &mut pool,
-            &mut data,
-            &PermuteOptions::default(),
-            &mut scratch,
-        )
-        .unwrap();
-        let machine = CgmMachine::new(config);
-        let reference = permute_vec(&machine, (200..260).collect(), &PermuteOptions::default()).0;
-        assert_eq!(data, reference);
-    }
-
-    #[test]
-    fn batch_misuse_panics_before_any_item_moves() {
-        use cgp_cgm::ResidentCgm;
-        let mut pool: ResidentCgm<u64> = ResidentCgm::new(CgmConfig::new(2).with_seed(1));
-        let mut scratches = Vec::new();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // Job 1 carries a rectangular prescription: the batch must
-            // reject it on the calling thread before job 0 is staged.
-            let jobs: Vec<(Vec<u64>, PermuteOptions)> = vec![
-                ((0..10).collect(), PermuteOptions::default()),
-                (
-                    (0..10).collect(),
-                    PermuteOptions::default().target_sizes(vec![5, 2, 3]),
-                ),
-            ];
-            try_permute_batch_into_with(&mut pool, jobs, &mut scratches)
-        }));
-        assert!(outcome.is_err(), "rectangular prescription must panic");
-        // The pool saw nothing: a clean job still matches one-shot.
-        let mut data: Vec<u64> = (0..10).collect();
-        let mut scratch = PermuteScratch::new();
-        try_permute_vec_into_with(
-            &mut pool,
-            &mut data,
-            &PermuteOptions::default(),
-            &mut scratch,
-        )
-        .unwrap();
-        let machine = CgmMachine::new(CgmConfig::new(2).with_seed(1));
-        let reference = permute_vec(&machine, (0..10).collect(), &PermuteOptions::default()).0;
-        assert_eq!(data, reference);
-    }
-
-    #[test]
-    fn empty_batch_returns_no_outcomes() {
-        use cgp_cgm::ResidentCgm;
-        let mut pool: ResidentCgm<u64> = ResidentCgm::new(CgmConfig::new(2).with_seed(1));
-        let mut scratches = Vec::new();
-        let outcomes = try_permute_batch_into_with(&mut pool, Vec::new(), &mut scratches).unwrap();
-        assert!(outcomes.is_empty());
     }
 }

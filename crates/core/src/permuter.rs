@@ -134,8 +134,8 @@ impl Permuter {
     }
 
     /// Stands up a multi-tenant [`PermutationService`] for payload type
-    /// `T`: a fleet of resident machines (sized for this host — see
-    /// [`ServiceConfig::new`]) serving concurrent clients through cheap
+    /// `T`: one executor thread per host thread (see [`ServiceConfig::new`]),
+    /// each running whole jobs, serving concurrent clients through cheap
     /// cloneable handles, with a bounded admission queue and per-tenant
     /// metrics.  Every job produces exactly the permutation this
     /// permuter's one-shot methods produce — see the [`crate::service`]
@@ -144,31 +144,32 @@ impl Permuter {
         PermutationService::new(self.service_config(), self.options.clone())
     }
 
-    /// [`Permuter::service`] with an explicit fleet size and admission-queue
-    /// depth (processor count and seed still come from this permuter).
+    /// [`Permuter::service`] with an explicit executor count and
+    /// admission-queue depth (processor count and seed still come from this
+    /// permuter).
     pub fn service_sized<T: Send + 'static>(
         &self,
-        machines: usize,
+        executors: usize,
         queue_depth: usize,
     ) -> PermutationService<T> {
         PermutationService::new(
             self.service_config()
-                .machines(machines)
+                .executors(executors)
                 .queue_depth(queue_depth),
             self.options.clone(),
         )
     }
 
     /// Fallible variant of [`Permuter::service`]: reports
-    /// [`CgmError::WorkerSpawnFailed`] when the OS refuses a resident
-    /// worker or dispatcher thread instead of panicking.
+    /// [`CgmError::WorkerSpawnFailed`] when the OS refuses an executor
+    /// thread instead of panicking.
     pub fn try_service<T: Send + 'static>(&self) -> Result<PermutationService<T>, CgmError> {
         PermutationService::try_new(self.service_config(), self.options.clone())
     }
 
     /// The [`ServiceConfig`] this permuter's [`Permuter::service`] would
-    /// use — the starting point for custom sizing (tenant quotas, coalesce
-    /// budget, …) to pass to [`PermutationService::new`] directly.
+    /// use — the starting point for custom sizing (executors, tenant
+    /// quotas, …) to pass to [`PermutationService::new`] directly.
     pub fn service_config(&self) -> ServiceConfig {
         ServiceConfig::from_engine(self.engine)
     }

@@ -1,7 +1,7 @@
 //! The waker-based completion core behind [`JobTicket`].
 //!
 //! A submitted job and its ticket share one [`Completion`] cell.  The
-//! dispatcher that finishes the job **completes** the cell exactly once;
+//! executor that finishes the job **completes** the cell exactly once;
 //! the ticket side redeems it.  What makes the core *waker-based* is that
 //! the completing thread always knows who (if anyone) is waiting and wakes
 //! them directly — there is **no poll loop anywhere in the path**:
@@ -17,7 +17,7 @@
 //!   ready list and wakes the set's `Condvar` — one blocking wait
 //!   multiplexing any number of in-flight tickets, select-style.
 //!
-//! Dropping the producer half without completing (a dispatcher dying
+//! Dropping the producer half without completing (an executor dying
 //! abnormally mid-job) completes the cell with
 //! [`ServiceError::ShutDown`], so a ticket can never hang on a job the
 //! service will no longer serve — the same guarantee the old
@@ -186,7 +186,7 @@ impl<T> JobTicket<T> {
     /// [`ServiceError::ShutDown`] if the service died before serving the
     /// job (not reachable through a clean shutdown, which drains the queue
     /// first).  The wait parks on the completion cell's condition variable;
-    /// the completing dispatcher wakes it directly.
+    /// the completing executor wakes it directly.
     pub fn wait(self) -> Result<(Vec<T>, PermutationReport), ServiceError> {
         let mut st = self.cell.lock();
         while st.outcome.is_none() {
@@ -275,7 +275,7 @@ impl<T> JobTicket<T> {
     }
 
     /// Arms a completion callback, consuming the ticket: `callback` runs
-    /// with the job's outcome **on the completing dispatcher thread** when
+    /// with the job's outcome **on the completing executor thread** when
     /// the job finishes — or inline on the calling thread, if it already
     /// has.  This is the push-style (async) completion path: no thread
     /// blocks, results stream out the moment they exist (the wire server
@@ -350,7 +350,7 @@ impl SetShared {
 /// order.
 ///
 /// Each inserted ticket registers a waker on its completion cell; the
-/// completing dispatcher pushes the ticket's key onto the set's ready list
+/// completing executor pushes the ticket's key onto the set's ready list
 /// and wakes the set.  [`CompletionSet::wait_any`] therefore sleeps on a
 /// single condition variable however many jobs are outstanding — no
 /// polling, no per-ticket threads, no ordering assumption.

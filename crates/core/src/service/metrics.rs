@@ -1,13 +1,12 @@
-//! Metering for the service scheduler: per-tenant, per-machine, and
+//! Metering for the service scheduler: per-tenant, per-executor, and
 //! per-lane counters, and the snapshot type callers see.
 //!
-//! Every dispatcher bills into one shared [`MetricsInner`] behind a mutex;
+//! Every executor bills into one shared [`MetricsInner`] behind a mutex;
 //! [`ServiceMetrics`] is the immutable snapshot
 //! ([`crate::PermutationService::metrics`] live,
 //! [`crate::PermutationService::shutdown`] final).  Job-level quantities
-//! (served/failed, queue wait, run time) are split from machine-level
-//! quantities (busy wall-clock, steal and coalesce counts) so a coalesced
-//! batch bills its wall-clock once per machine but its wait/run per job.
+//! (served/failed, queue wait, run time) are kept per tenant, executor-level
+//! ones (busy wall-clock, recoveries) per executor.
 
 use std::time::Duration;
 
@@ -21,13 +20,13 @@ pub struct TenantMetrics {
     /// Jobs that failed (contained panics) for this tenant.
     pub jobs_failed: u64,
     /// [`crate::Priority::Deadline`] jobs shed unrun because their budget
-    /// expired before a machine could start them.  Shed jobs never ran, so
+    /// expired before an executor could start them.  Shed jobs never ran, so
     /// they are **not** counted in [`TenantMetrics::jobs_failed`].
     pub deadline_shed: u64,
     /// Total time this tenant's jobs spent waiting between admission and
-    /// the start of their (possibly coalesced) run.
+    /// the start of their run.
     pub queue_wait: Duration,
-    /// Total time this tenant's jobs spent running on a machine.
+    /// Total time this tenant's jobs spent running on an executor.
     pub run_time: Duration,
 }
 
@@ -49,26 +48,21 @@ impl LaneDepth {
     }
 }
 
-/// Rolling per-machine counters.
+/// Rolling per-executor counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MachineUtilization {
-    /// Jobs this machine completed (including failed ones — they occupied
-    /// it; excluding jobs it skipped and requeued).
+    /// Jobs this executor completed (including failed ones — they occupied
+    /// it).
     pub jobs: u64,
-    /// Total wall-clock this machine spent running jobs.
+    /// Total wall-clock this executor spent running jobs.
     pub busy: Duration,
-    /// Recovery rounds this machine's pool ran (one per contained panic).
+    /// Failed jobs this executor cleaned up after (one per contained
+    /// panic).
     pub recoveries: u64,
-    /// Jobs this machine **stole** from peers' deques while otherwise idle.
-    pub steals: u64,
-    /// Multi-job batches this machine ran (single-job runs don't count).
-    pub coalesced_batches: u64,
-    /// Jobs this machine completed inside multi-job batches.
-    pub coalesced_jobs: u64,
 }
 
 impl MachineUtilization {
-    /// Fraction of the service's uptime this machine spent busy.
+    /// Fraction of the service's uptime this executor spent busy.
     pub fn utilization(&self, uptime: Duration) -> f64 {
         if uptime.is_zero() {
             0.0
@@ -88,26 +82,28 @@ pub struct ServiceMetrics {
     /// Jobs that failed (contained panics), across all tenants.
     pub jobs_failed: u64,
     /// [`crate::Priority::Deadline`] jobs shed unrun (budget expired before
-    /// any machine could start them), across all tenants.  Not counted in
-    /// [`ServiceMetrics::jobs_failed`] — shed jobs never occupied a
-    /// machine.
+    /// any executor could start them), across all tenants.  Not counted in
+    /// [`ServiceMetrics::jobs_failed`] — shed jobs never occupied an
+    /// executor.
     pub deadline_shed: u64,
     /// Total queue wait across all jobs.
     pub queue_wait: Duration,
-    /// Total machine run time across all jobs.
+    /// Total executor run time across all jobs.
     pub run_time: Duration,
     /// Wall-clock since the service started (to the snapshot).
     pub uptime: Duration,
-    /// Jobs that reached their serving machine by work stealing (sum of
-    /// [`MachineUtilization::steals`]).
+    /// Always 0: every executor pulls its jobs straight from admission, so
+    /// no job is stolen.  Kept until the benchmark that reads it changes.
     pub steals: u64,
-    /// Multi-job coalesced batches run, fleet-wide.
+    /// Always 0: every job runs alone.  Kept until the benchmark that reads
+    /// it changes.
     pub coalesced_batches: u64,
-    /// Jobs completed inside coalesced batches, fleet-wide.
+    /// Always 0: every job runs alone.  Kept until the benchmark that reads
+    /// it changes.
     pub coalesced_jobs: u64,
     /// Admission-lane depths at the moment of the snapshot.
     pub lane_depth: LaneDepth,
-    /// Per-machine rollups, indexed by machine.
+    /// Per-executor rollups, indexed by executor.
     pub per_machine: Vec<MachineUtilization>,
     /// Per-tenant rollups, sorted by tenant id.
     pub per_tenant: Vec<TenantMetrics>,
@@ -129,7 +125,7 @@ impl ServiceMetrics {
         }
     }
 
-    /// Mean machine run time per completed job.
+    /// Mean executor run time per completed job.
     pub fn avg_run_time(&self) -> Duration {
         let jobs = self.jobs_total();
         if jobs == 0 {
@@ -150,7 +146,7 @@ impl ServiceMetrics {
     }
 }
 
-/// The dispatchers' shared ledger (behind `SchedShared::metrics`).
+/// The executors' shared ledger (behind `SchedShared::metrics`).
 #[derive(Default)]
 pub(crate) struct MetricsInner {
     pub(crate) jobs_served: u64,
@@ -165,9 +161,9 @@ pub(crate) struct MetricsInner {
 }
 
 impl MetricsInner {
-    pub(crate) fn new(machines: usize) -> Self {
+    pub(crate) fn new(executors: usize) -> Self {
         MetricsInner {
-            per_machine: vec![MachineUtilization::default(); machines],
+            per_machine: vec![MachineUtilization::default(); executors],
             ..MetricsInner::default()
         }
     }
@@ -196,18 +192,11 @@ impl MetricsInner {
         }
     }
 
-    /// Bills one (possibly coalesced) run to a machine: its busy
-    /// wall-clock once, the number of jobs it completed, and the pool's
-    /// recovery count (absolute, not a delta).
-    pub(crate) fn record_machine(
-        &mut self,
-        machine: usize,
-        busy: Duration,
-        jobs: u64,
-        recoveries: u64,
-    ) {
-        let slot = &mut self.per_machine[machine];
-        slot.jobs += jobs;
+    /// Bills one run to an executor: its busy wall-clock, the job, and the
+    /// executor's recovery count (absolute, not a delta).
+    pub(crate) fn record_executor(&mut self, executor: usize, busy: Duration, recoveries: u64) {
+        let slot = &mut self.per_machine[executor];
+        slot.jobs += 1;
         slot.busy += busy;
         slot.recoveries = recoveries;
     }
@@ -224,17 +213,5 @@ impl MetricsInner {
         let t = &mut self.per_tenant[tenant];
         t.tenant = tenant;
         t.deadline_shed += 1;
-    }
-
-    /// Records that `machine` stole `jobs` jobs from a peer's deque.
-    pub(crate) fn record_steal(&mut self, machine: usize, jobs: u64) {
-        self.per_machine[machine].steals += jobs;
-    }
-
-    /// Records that `machine` completed `jobs` jobs in one coalesced batch.
-    pub(crate) fn record_coalesce(&mut self, machine: usize, jobs: u64) {
-        let slot = &mut self.per_machine[machine];
-        slot.coalesced_batches += 1;
-        slot.coalesced_jobs += jobs;
     }
 }

@@ -1,36 +1,30 @@
 //! A multi-tenant permutation service: many concurrent clients, one shared
-//! fleet of resident machines, a real scheduler in between.
+//! set of executor threads, fair admission in between.
 //!
 //! A [`crate::PermutationSession`] owns its [`cgp_cgm::ResidentCgm`]
-//! exclusively — one caller, one machine.  A [`PermutationService`] is the
-//! server-shaped counterpart: it owns a configurable **fleet** of resident
-//! machines and multiplexes many independent permutation jobs over them,
-//! the work-scheduling shape parallel CP solvers (Bobpp) use to serve many
-//! clients from one fixed set of processing elements — per-worker queues
-//! with stealing behind fair admission.
+//! exclusively — one caller, one gang of `p` threads that meet at barriers.
+//! A [`PermutationService`] is the server-shaped counterpart: it
+//! multiplexes many independent jobs over `t` **executors**
+//! ([`ServiceConfig::executors`]), and each executor runs a whole job on
+//! its own thread.
 //!
-//! The scheduler has three moving parts (each in its own module):
+//! The scheduler has two moving parts:
 //!
 //! * **Fair-share admission** (`queue`): a bounded buffer
-//!   ([`ServiceConfig::queue_depth`]) where every tenant owns two lanes —
-//!   [`Priority::High`] and [`Priority::Normal`] — and a
-//!   deficit-round-robin weight ([`PermutationService::handle_weighted`]).
+//!   ([`ServiceConfig::queue_depth`]) where every tenant owns three lanes —
+//!   [`Priority::Deadline`], [`Priority::High`] and [`Priority::Normal`] —
+//!   and a deficit-round-robin weight ([`PermutationService::handle_weighted`]).
 //!   A per-tenant quota ([`ServiceConfig::tenant_quota`]) caps how much of
 //!   the buffer one tenant can occupy, so a flooding tenant backpressures
 //!   **itself** ([`ServiceError::QueueFull`]) while its neighbours keep
 //!   submitting.
-//! * **Per-machine deques with work stealing** ([`scheduler`]): each
-//!   dispatcher refills its own FIFO deque from admission when empty; an
-//!   idle dispatcher steals the back half of the most-loaded peer's deque
-//!   instead of parking.  Every machine shares the fleet seed and every
-//!   random stream is derived per call, so **which machine serves a job
-//!   never changes the result**.
-//! * **Small-job coalescing** ([`scheduler`]): consecutive compatible jobs
-//!   (same options, payload under [`ServiceConfig::coalesce_budget`])
-//!   batch into one fenced submission to the resident pool, amortizing the
-//!   per-job worker wake/rendezvous that dominates tiny payloads — with
-//!   each job keeping its own derived random streams, so a coalesced job's
-//!   output is byte-identical to a solo run.
+//! * **Serial executors** ([`scheduler`]): each executor pulls the next job
+//!   from admission and replays its `p` virtual processors phase by phase
+//!   on one thread.  In the paper's model the processors are virtual: a job
+//!   is defined by its `p` blocks and its per-processor random streams,
+//!   not by `p` threads, so the replay produces the byte-identical
+//!   permutation — without the pool wake, barriers and completion
+//!   rendezvous that dominate the small jobs a service sees.
 //!
 //! Clients hold cheap, cloneable [`ServiceHandle`]s and either
 //! [`ServiceHandle::submit`] (async, returns a [`JobTicket`] backed by the
@@ -41,39 +35,35 @@
 //! blocking [`CompletionSet::wait_any`]) or [`ServiceHandle::permute`]
 //! (blocking submit-and-wait).  Latency-bounded work rides the
 //! [`Priority::Deadline`] lane: deadline jobs drain before everything
-//! else, earliest expiry first, and a job whose deadline passes before a
-//! machine picks it up is **shed** —
+//! else, earliest expiry first, and a job whose deadline passes before an
+//! executor picks it up is **shed** —
 //! [`ServiceError::DeadlineExceeded`] on its ticket, a per-tenant
 //! [`TenantMetrics::deadline_shed`] count in the metrics — instead of
-//! wasting a machine on an answer nobody is still waiting for.  Malformed
+//! wasting an executor on an answer nobody is still waiting for.  Malformed
 //! per-job options are rejected at admission
 //! ([`ServiceError::InvalidJob`], payload handed back), so they never
-//! occupy a machine.  [`ServiceMetrics`] meters the whole operation: jobs
+//! occupy an executor.  [`ServiceMetrics`] meters the whole operation: jobs
 //! served and failed, queue-wait vs run time (aggregate and per tenant),
-//! steal and coalesce counts, admission-lane depths, and per-machine
-//! utilization.
+//! admission-lane depths, and per-executor utilization.
 //!
 //! # Fault isolation
 //!
 //! A job that panics inside a virtual processor is contained to its own
 //! ticket: [`JobTicket::wait`] returns
 //! [`ServiceError::JobFailed`]`(`[`CgmError::ProcessorPanicked`]`)` naming
-//! the processor, the machine recovers through the resident pool's existing
-//! recovery round, and the dispatcher returns it to rotation — one bad
-//! tenant cannot poison the service for the others.  (The failed job's
-//! items are lost: they had already been distributed into the machine.)
-//! In a coalesced batch the same holds per job: the faulting job's ticket
-//! fails, jobs queued behind it in the batch are requeued with their
-//! payloads intact and rerun.
+//! the processor, the executor clears its loopback fabric, and it serves the
+//! next job — one bad tenant cannot poison the service for the others.
+//! (The failed job's items are leaked: they were already spread over the
+//! engine's two buffers.)
 //!
 //! # Determinism
 //!
-//! Every machine in the fleet runs the same configuration (seed, processor
-//! count), and every random stream of Algorithm 1 is derived from that
-//! seed per call — so scheduling decisions (home machine, steal, coalesce)
-//! never change the result: a service permutation of `n` items equals the
-//! one-shot [`crate::Permuter::permute`] of the same permuter, exactly as
-//! sessions do.
+//! Every executor runs the same configuration (seed, processor count), and
+//! every random stream of Algorithm 1 is derived from that seed per call
+//! and per virtual processor — so neither the executor that serves a job
+//! nor the serial replay changes the result: a service permutation of `n`
+//! items equals the one-shot [`crate::Permuter::permute`] of the same
+//! permuter, exactly as sessions do.
 //!
 //! # One-shot vs. session vs. service
 //!
@@ -81,7 +71,7 @@
 //! |---|---|---|---|
 //! | [`crate::Permuter::permute`] | per call | caller-side | a handful of calls |
 //! | [`crate::Permuter::session`] | once | one caller | a steady single-caller loop |
-//! | [`crate::Permuter::service`] | once | many callers | concurrent clients share a fleet |
+//! | [`crate::Permuter::service`] | once | many callers | concurrent clients share the executors |
 //!
 //! ```
 //! use cgp_core::Permuter;
@@ -118,41 +108,29 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::config::{EngineConfig, PermuteOptions};
-use crate::parallel::PermutationReport;
-use cgp_cgm::{CgmError, ResidentCgm};
+use crate::parallel::{panic_text, PermutationReport};
+use cgp_cgm::CgmError;
 
 use metrics::MetricsInner;
-use queue::{Admission, Job, MachineQueue};
-use scheduler::{dispatcher_loop, SchedShared};
+use queue::{Admission, Job};
+use scheduler::{executor_loop, SchedShared};
 
-/// Default byte budget for one coalesced batch (256 KiB).
-///
-/// Coalescing exists to amortize the fixed per-job cost (worker wake-up,
-/// completion rendezvous, generation fences) across jobs whose *payload*
-/// work is smaller than that overhead.  256 KiB keeps a whole batch inside
-/// a typical per-core L2 slice — jobs big enough to stream through memory
-/// don't benefit from batching and shouldn't wait on each other — while
-/// still packing hundreds of the paper's small-`n` runs into one wake.
-pub const DEFAULT_COALESCE_BUDGET: usize = 256 * 1024;
-
-/// Sizing of a [`PermutationService`]: how many resident machines to run,
-/// how many virtual processors each gets, how deep and how fair the
-/// admission buffer is, and how aggressively small jobs coalesce.
+/// Sizing of a [`PermutationService`]: how many executors to run, how many
+/// virtual processors each job has, and how deep and how fair the
+/// admission buffer is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Number of resident machines in the fleet.  Defaults to one machine
-    /// per group of `procs` host threads (`available_parallelism / procs`,
-    /// at least one), so the fleet saturates the host without
-    /// oversubscribing it.
-    pub machines: usize,
+    /// Number of executor threads, each running one whole job at a time.
+    /// Defaults to the host's available parallelism.
+    pub executors: usize,
     /// The engine-selection core shared with every other front door of the
-    /// crate (see [`EngineConfig`]): virtual processors per machine, the
-    /// fleet-wide master seed every per-call random stream derives from
+    /// crate (see [`EngineConfig`]): virtual processors per job and the
+    /// service-wide master seed every per-call random stream derives from
     /// (which is what makes the service produce the same permutation
-    /// regardless of the serving machine).
+    /// whichever executor serves a job).
     pub engine: EngineConfig,
     /// Capacity of the bounded admission buffer (jobs accepted but not yet
-    /// moved to a machine deque).  `try_submit` reports
+    /// taken by an executor).  `try_submit` reports
     /// [`ServiceError::QueueFull`] when it is reached; blocking `submit`
     /// parks instead.  Values below 1 are treated as 1 (a zero-depth
     /// buffer could never admit anything).
@@ -161,41 +139,33 @@ pub struct ServiceConfig {
     /// is the same backpressure as a full buffer — but only for that
     /// tenant.  Defaults to `usize::MAX` (no quota).
     pub tenant_quota: usize,
-    /// Byte budget for one coalesced batch: consecutive compatible jobs
-    /// whose payloads sum to at most this many bytes run as a single
-    /// submission to the machine.  `0` disables coalescing.  Defaults to
-    /// [`DEFAULT_COALESCE_BUDGET`].
-    pub coalesce_budget: usize,
 }
 
 impl ServiceConfig {
-    /// A fleet sized for this host: `procs` virtual processors per machine,
-    /// one machine per `procs` host threads (at least one), and an
-    /// admission buffer twice the fleet size.
+    /// A service sized for this host: `procs` virtual processors per job,
+    /// one executor per host thread, and an admission buffer twice the
+    /// executor count.
     pub fn new(procs: usize) -> Self {
         ServiceConfig::from_engine(EngineConfig::new(procs))
     }
 
-    /// A fleet of machines all running `engine` — the bridge from the
-    /// shared [`EngineConfig`] front door (fleet sizing as in
-    /// [`ServiceConfig::new`]).
+    /// A service whose jobs all run `engine` — the bridge from the shared
+    /// [`EngineConfig`] front door (sizing as in [`ServiceConfig::new`]).
     pub fn from_engine(engine: EngineConfig) -> Self {
-        let host = std::thread::available_parallelism()
+        let executors = std::thread::available_parallelism()
             .map(|c| c.get())
             .unwrap_or(1);
-        let machines = (host / engine.procs.max(1)).max(1);
         ServiceConfig {
-            machines,
+            executors,
             engine,
-            queue_depth: 2 * machines,
+            queue_depth: 2 * executors,
             tenant_quota: usize::MAX,
-            coalesce_budget: DEFAULT_COALESCE_BUDGET,
         }
     }
 
-    /// Sets the fleet size.
-    pub fn machines(mut self, machines: usize) -> Self {
-        self.machines = machines;
+    /// Sets the number of executors.
+    pub fn executors(mut self, executors: usize) -> Self {
+        self.executors = executors;
         self
     }
 
@@ -211,13 +181,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the coalesced-batch byte budget (`0` disables coalescing).
-    pub fn coalesce_budget(mut self, bytes: usize) -> Self {
-        self.coalesce_budget = bytes;
-        self
-    }
-
-    /// Sets the fleet-wide master seed.
+    /// Sets the service-wide master seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.engine.seed = seed;
         self
@@ -235,11 +199,11 @@ impl ServiceConfig {
 /// `Deadline` sits **above** `High`: a deadline job must start within its
 /// budget or not at all.  Deadline lanes drain before everything else,
 /// earliest expiry first across tenants; a job whose deadline passes
-/// before a machine picks it up is shed with
+/// before an executor picks it up is shed with
 /// [`ServiceError::DeadlineExceeded`] (and counted in
 /// [`TenantMetrics::deadline_shed`]) rather than run late.  Shedding is a
-/// feature, not a failure mode: it keeps an overloaded fleet spending its
-/// machines on answers someone is still waiting for.
+/// feature, not a failure mode: it keeps an overloaded service spending
+/// its executors on answers someone is still waiting for.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
     /// The default lane: weighted deficit-round-robin across tenants.
@@ -264,14 +228,13 @@ pub enum ServiceError {
     /// The service has been shut down and accepts no further jobs.
     ShutDown,
     /// The submission was malformed (e.g. per-job `target_sizes` that do
-    /// not match the machine): rejected at admission with the payload
-    /// handed back, before anything ran.
+    /// not match the processor count): rejected at admission with the
+    /// payload handed back, before anything ran.
     InvalidJob(String),
     /// The job panicked inside a virtual processor; the error names it.
-    /// The machine it ran on was recovered and returned to rotation — only
-    /// this job is affected.
+    /// The executor it ran on serves on — only this job is affected.
     JobFailed(CgmError),
-    /// A [`Priority::Deadline`] job's budget expired before any machine
+    /// A [`Priority::Deadline`] job's budget expired before any executor
     /// could start it, so the service shed it without running (the items
     /// are dropped — by the job's own declaration, the answer is stale).
     /// Shed jobs are metered separately from failures
@@ -295,7 +258,7 @@ impl std::fmt::Display for ServiceError {
             ServiceError::DeadlineExceeded => {
                 write!(
                     f,
-                    "the job's deadline expired before a machine could start it"
+                    "the job's deadline expired before an executor could start it"
                 )
             }
         }
@@ -328,76 +291,63 @@ pub(crate) type JobOutcome<T> = Result<(Vec<T>, PermutationReport), ServiceError
 // The service
 // ---------------------------------------------------------------------------
 
-/// A multi-tenant permutation scheduler over a fleet of resident machines.
+/// A multi-tenant permutation scheduler over a set of serial executors.
 /// See the [module docs](self) for the full picture.
 pub struct PermutationService<T: Send + 'static> {
     shared: Arc<SchedShared<T>>,
-    dispatchers: Vec<Option<JoinHandle<()>>>,
+    executors: Vec<Option<JoinHandle<()>>>,
     config: ServiceConfig,
 }
 
 impl<T: Send + 'static> PermutationService<T> {
-    /// Builds the fleet and starts one dispatcher per machine.
+    /// Starts the executors.
     ///
     /// # Panics
-    /// Panics when the configuration is unservable (zero machines or zero
+    /// Panics when the configuration is unservable (zero executors or zero
     /// processors); [`PermutationService::try_new`] reports those as
     /// values.
     pub fn new(config: ServiceConfig, options: PermuteOptions) -> Self {
         PermutationService::try_new(config, options).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible constructor: spawns `machines` resident pools and their
-    /// dispatcher threads, or reports [`CgmError::NoProcessors`] for an
-    /// empty fleet / empty machines and [`CgmError::WorkerSpawnFailed`]
-    /// when the OS refuses a thread (already-started machines are shut
-    /// down and joined first).
+    /// Fallible constructor: spawns `executors` threads, or reports
+    /// [`CgmError::NoProcessors`] for zero executors or zero processors and
+    /// [`CgmError::WorkerSpawnFailed`] when the OS refuses a thread
+    /// (already-started executors are stopped and joined first).
     pub fn try_new(config: ServiceConfig, options: PermuteOptions) -> Result<Self, CgmError> {
-        if config.machines == 0 || config.engine.procs == 0 {
+        if config.executors == 0 {
             return Err(CgmError::NoProcessors);
         }
         let shared = Arc::new(SchedShared {
             admission: Admission::new(config.queue_depth, config.tenant_quota),
-            machines: (0..config.machines).map(|_| MachineQueue::new()).collect(),
-            metrics: Mutex::new(MetricsInner::new(config.machines)),
+            metrics: Mutex::new(MetricsInner::new(config.executors)),
             default_options: options,
-            procs: config.engine.procs,
-            coalesce_budget: config.coalesce_budget,
+            machine: config.engine.try_cgm_config()?,
             next_job: AtomicU64::new(0),
             started_at: Instant::now(),
         });
-        let machine_config = config.engine.try_cgm_config()?;
-        let mut dispatchers = Vec::with_capacity(config.machines);
-        for machine_idx in 0..config.machines {
-            // Spawn the pool on the service thread so spawn failures surface
-            // here, then move it into its dispatcher.
-            let pool = match ResidentCgm::<T>::try_new(machine_config) {
-                Ok(pool) => pool,
-                Err(e) => {
-                    drop(pool_teardown(&shared, &mut dispatchers));
-                    return Err(e);
-                }
-            };
-            let shared_ref = Arc::clone(&shared);
+        let mut service = PermutationService {
+            shared,
+            executors: Vec::with_capacity(config.executors),
+            config,
+        };
+        for executor in 0..config.executors {
+            let shared = Arc::clone(&service.shared);
             match std::thread::Builder::new()
-                .name(format!("cgp-dispatch-{machine_idx}"))
-                .spawn(move || dispatcher_loop(machine_idx, pool, shared_ref))
+                .name(format!("cgp-executor-{executor}"))
+                .spawn(move || executor_loop(executor, shared))
             {
-                Ok(handle) => dispatchers.push(Some(handle)),
+                Ok(handle) => service.executors.push(Some(handle)),
                 Err(e) => {
-                    drop(pool_teardown(&shared, &mut dispatchers));
+                    drop(service.close_and_join());
                     return Err(CgmError::WorkerSpawnFailed {
-                        proc: machine_idx,
+                        proc: executor,
                         message: e.to_string(),
                     });
                 }
             }
         }
-        Ok(PermutationService {
-            shared,
-            dispatchers,
-            config,
-        })
+        Ok(service)
     }
 
     /// The service's sizing.
@@ -405,12 +355,12 @@ impl<T: Send + 'static> PermutationService<T> {
         self.config
     }
 
-    /// Number of resident machines in the fleet.
-    pub fn machines(&self) -> usize {
-        self.config.machines
+    /// Number of executor threads.
+    pub fn executors(&self) -> usize {
+        self.config.executors
     }
 
-    /// Virtual processors per machine.
+    /// Virtual processors per job.
     pub fn procs(&self) -> usize {
         self.config.engine.procs
     }
@@ -434,14 +384,9 @@ impl<T: Send + 'static> PermutationService<T> {
         }
     }
 
-    /// Jobs currently queued: admitted but not yet started on a machine.
-    ///
-    /// This is a **point-in-time sum** over the admission lanes and every
-    /// per-machine deque, taken without a global lock — jobs in flight
-    /// between the two tiers (or just popped for execution) may be counted
-    /// in neither, so treat it as a load gauge, not an exact invariant.
+    /// Jobs currently queued: admitted but not yet taken by an executor.
     pub fn queued_jobs(&self) -> usize {
-        self.shared.admission.len() + self.shared.machines.iter().map(|m| m.len()).sum::<usize>()
+        self.shared.admission.len()
     }
 
     /// A live snapshot of the service's metrics.
@@ -450,24 +395,26 @@ impl<T: Send + 'static> PermutationService<T> {
     }
 
     /// Stops admission, **drains every already-accepted job**, joins the
-    /// dispatchers and their pools, and returns the final metrics.  Every
-    /// ticket issued before the shutdown still resolves.
+    /// executors, and returns the final metrics.  Every ticket issued
+    /// before the shutdown still resolves.
     pub fn shutdown(mut self) -> ServiceMetrics {
         let panics = self.close_and_join();
         let metrics = snapshot_metrics(&self.shared);
-        if let Some((machine, payload)) = panics.into_iter().next() {
+        if let Some((executor, payload)) = panics.into_iter().next() {
             panic!(
-                "service dispatcher {machine} died abnormally: {}",
+                "service executor {executor} died abnormally: {}",
                 panic_text(payload.as_ref())
             );
         }
         metrics
     }
 
+    /// Closes admission and joins every executor (they drain admission
+    /// first), collecting abnormal executor deaths.
     fn close_and_join(&mut self) -> Vec<(usize, Box<dyn Any + Send>)> {
         self.shared.admission.close();
         let mut panics = Vec::new();
-        for (idx, slot) in self.dispatchers.iter_mut().enumerate() {
+        for (idx, slot) in self.executors.iter_mut().enumerate() {
             if let Some(handle) = slot.take() {
                 if let Err(payload) = handle.join() {
                     panics.push((idx, payload));
@@ -481,42 +428,14 @@ impl<T: Send + 'static> PermutationService<T> {
 impl<T: Send + 'static> Drop for PermutationService<T> {
     fn drop(&mut self) {
         let panics = self.close_and_join();
-        if let Some((machine, payload)) = panics.into_iter().next() {
+        if let Some((executor, payload)) = panics.into_iter().next() {
             if !std::thread::panicking() {
                 panic!(
-                    "service dispatcher {machine} died abnormally: {}",
+                    "service executor {executor} died abnormally: {}",
                     panic_text(payload.as_ref())
                 );
             }
         }
-    }
-}
-
-/// Best-effort teardown of a partially-built fleet: close admission so the
-/// already-running dispatchers exit, then join them.
-fn pool_teardown<T: Send + 'static>(
-    shared: &Arc<SchedShared<T>>,
-    dispatchers: &mut [Option<JoinHandle<()>>],
-) -> Vec<(usize, Box<dyn Any + Send>)> {
-    shared.admission.close();
-    let mut panics = Vec::new();
-    for (idx, slot) in dispatchers.iter_mut().enumerate() {
-        if let Some(handle) = slot.take() {
-            if let Err(payload) = handle.join() {
-                panics.push((idx, payload));
-            }
-        }
-    }
-    panics
-}
-
-pub(crate) fn panic_text(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
     }
 }
 
@@ -531,9 +450,9 @@ fn snapshot_metrics<T>(shared: &SchedShared<T>) -> ServiceMetrics {
         queue_wait: inner.queue_wait,
         run_time: inner.run_time,
         uptime: shared.started_at.elapsed(),
-        steals: inner.per_machine.iter().map(|m| m.steals).sum(),
-        coalesced_batches: inner.per_machine.iter().map(|m| m.coalesced_batches).sum(),
-        coalesced_jobs: inner.per_machine.iter().map(|m| m.coalesced_jobs).sum(),
+        steals: 0,
+        coalesced_batches: 0,
+        coalesced_jobs: 0,
         lane_depth: shared.admission.lane_depth(),
         per_machine: inner.per_machine.clone(),
         per_tenant,
@@ -599,7 +518,9 @@ impl<T: Send + 'static> ServiceHandle<T> {
         priority: Priority,
         block: bool,
     ) -> Result<JobTicket<T>, RejectedJob<T>> {
-        if let Err(message) = options.check_target_sizes(self.shared.procs, data.len() as u64) {
+        if let Err(message) =
+            options.check_target_sizes(self.shared.machine.procs, data.len() as u64)
+        {
             return Err(RejectedJob {
                 error: ServiceError::InvalidJob(message),
                 data,
@@ -633,9 +554,9 @@ impl<T: Send + 'static> ServiceHandle<T> {
     /// one tenant can e.g. keep the sampled matrix while others do not.
     ///
     /// Malformed options (e.g. `target_sizes` that do not match the
-    /// machine) are rejected **at admission** as
+    /// processor count) are rejected **at admission** as
     /// [`ServiceError::InvalidJob`] with the payload handed back — a bad
-    /// submission never reaches (let alone kills) a dispatcher.
+    /// submission never reaches (let alone kills) an executor.
     pub fn submit_with(
         &self,
         data: Vec<T>,
@@ -784,7 +705,7 @@ mod tests {
         let permuter = Permuter::new(2).seed(23);
         let config = permuter
             .service_config()
-            .machines(1)
+            .executors(1)
             .queue_depth(16)
             .tenant_quota(3);
         let service: PermutationService<u64> =
@@ -816,7 +737,7 @@ mod tests {
     fn malformed_per_job_options_are_rejected_at_admission() {
         // Satellite of the fault-isolation story: a tenant's bad
         // prescription must be a rejected submission with the payload
-        // handed back — never a dead dispatcher (which would strand the
+        // handed back — never a dead executor (which would strand the
         // queue for every other tenant).
         let permuter = Permuter::new(2).seed(19);
         let service = permuter.service_sized::<u64>(1, 4);
@@ -1021,23 +942,16 @@ mod tests {
     }
 
     #[test]
-    fn zero_machines_or_procs_is_an_error_value() {
-        let cfg = ServiceConfig::new(2).machines(0);
-        assert!(matches!(
-            PermutationService::<u64>::try_new(cfg, PermuteOptions::default()),
-            Err(CgmError::NoProcessors)
-        ));
-        let cfg = ServiceConfig {
-            machines: 1,
-            engine: EngineConfig::new(0),
-            queue_depth: 1,
-            tenant_quota: usize::MAX,
-            coalesce_budget: DEFAULT_COALESCE_BUDGET,
-        };
-        assert!(matches!(
-            PermutationService::<u64>::try_new(cfg, PermuteOptions::default()),
-            Err(CgmError::NoProcessors)
-        ));
+    fn zero_executors_or_procs_is_an_error_value() {
+        for cfg in [
+            ServiceConfig::new(2).executors(0),
+            ServiceConfig::from_engine(EngineConfig::new(0)),
+        ] {
+            assert!(matches!(
+                PermutationService::<u64>::try_new(cfg, PermuteOptions::default()),
+                Err(CgmError::NoProcessors)
+            ));
+        }
     }
 
     #[test]

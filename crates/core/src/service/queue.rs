@@ -1,30 +1,25 @@
-//! The scheduler's two queue tiers: fair-share admission and per-machine
-//! deques.
+//! The scheduler's queue: fair-share admission.
 //!
-//! A job travels through **two** stages between submission and execution:
-//!
-//! 1. the **admission buffer** ([`Admission`]) — bounded
-//!    ([`crate::ServiceConfig::queue_depth`]) and fair: every tenant owns
-//!    three lanes ([`Priority::Deadline`] / [`Priority::High`] /
-//!    [`Priority::Normal`]) and a deficit-round-robin weight, and a
-//!    per-tenant quota caps how much of the buffer one tenant can occupy.
-//!    Deadline lanes are kept sorted by expiry and drain before everything
-//!    else (globally earliest-first across tenants); a job whose deadline
-//!    has already passed at refill time is **shed** instead of handed to a
-//!    machine;
-//! 2. a **per-machine deque** ([`MachineQueue`]) — the dispatcher's own
-//!    FIFO backlog, refilled from admission only when empty, coalesced from
-//!    the front ([`MachineQueue::take_batch`]), and stolen from the back by
-//!    idle peers ([`MachineQueue::steal_half`]).
+//! A job waits in the **admission buffer** ([`Admission`]) between
+//! submission and execution.  The buffer is bounded
+//! ([`crate::ServiceConfig::queue_depth`]) and fair: every tenant owns three
+//! lanes ([`Priority::Deadline`] / [`Priority::High`] /
+//! [`Priority::Normal`]) and a deficit-round-robin weight, and a per-tenant
+//! quota caps how much of the buffer one tenant can occupy.  Deadline lanes
+//! are kept sorted by expiry and drain before everything else (globally
+//! earliest-first across tenants); a job whose deadline has already passed
+//! when an executor asks for work is **shed** instead of run.  Executors
+//! pull one job at a time ([`Admission::refill_locked`] with `max = 1`); a
+//! sequence of such pulls hands out jobs in exactly the order one large
+//! pull would.
 //!
 //! Jobs are boxed end to end: the handback-by-value rejection paths
 //! (`Err(Box<Job>)`) then cost one pointer instead of the full job struct,
 //! which is what let the old `#[allow(clippy::result_large_err)]`
 //! suppressions be deleted rather than suppressed.
 
-// Boxed-job vectors are deliberate: a job hops queues several times
-// (admission lane → refill → deque → coalesce/steal → possibly requeue),
-// and each hop moves one pointer instead of the ~100-byte job struct.
+// Boxed-job vectors are deliberate: a job moves from its admission lane to
+// an executor as one pointer instead of the ~100-byte job struct.
 #![allow(clippy::vec_box)]
 
 use std::collections::VecDeque;
@@ -58,25 +53,6 @@ impl<T> std::fmt::Debug for Job<T> {
             .field("priority", &self.priority)
             .finish_non_exhaustive()
     }
-}
-
-/// Payload bytes a job occupies (the coalescing currency).
-fn job_bytes<T>(job: &Job<T>) -> usize {
-    job.data.len() * std::mem::size_of::<T>()
-}
-
-/// Whether two jobs may share a coalesced batch: same run-shaping options.
-/// The injected-fault field is deliberately ignored — a fault is a
-/// test-only property of one job, and the batched engine entry point keeps
-/// per-job options (and per-job failure) intact either way.  Deadline jobs
-/// never coalesce (checked in [`MachineQueue::take_batch`], not here):
-/// batching couples a latency-bounded job's start to its batchmates'
-/// payloads, exactly the coupling its deadline forbids.
-fn coalescible(a: &PermuteOptions, b: &PermuteOptions) -> bool {
-    a.backend == b.backend
-        && a.window_items == b.window_items
-        && a.keep_matrix == b.keep_matrix
-        && a.target_sizes == b.target_sizes
 }
 
 // ---------------------------------------------------------------------------
@@ -131,12 +107,16 @@ pub(crate) struct AdmissionState<T> {
     /// Jobs across all lanes (kept in sync so `len` is O(1)).
     total: usize,
     /// `false` once the service is shutting down: no further admissions;
-    /// dispatchers drain what is queued and then exit.
+    /// executors drain what is queued and then exit.
     open: bool,
     /// Round-robin position over tenants for the High lane.
     high_cursor: usize,
     /// Deficit-round-robin position over tenants for the Normal lane.
     drr_cursor: usize,
+    /// Whether the Normal lane at `drr_cursor` is mid-visit: it banked its
+    /// quantum, and a pull stopped at `max` before the visit ended.  The
+    /// next pull resumes the visit instead of banking again.
+    drr_visiting: bool,
 }
 
 impl<T> AdmissionState<T> {
@@ -144,7 +124,7 @@ impl<T> AdmissionState<T> {
         self.open
     }
 
-    /// Pops up to `max` jobs for one machine's deque, in scheduling order:
+    /// Pops up to `max` jobs, in scheduling order:
     /// the Deadline lanes drain first (globally earliest expiry across
     /// tenants; jobs already past their expiry go to `shed` instead of
     /// `out`), then the High lanes (strict priority, round-robin across
@@ -217,35 +197,45 @@ impl<T> AdmissionState<T> {
             }
         }
 
-        // Normal lanes: weighted deficit round-robin.
+        // Normal lanes: weighted deficit round-robin.  A visit that `max`
+        // cuts short resumes on the next pull, so pulling one job at a
+        // time serves the lanes in the same order as one large pull.
         while out.len() < max {
             if self.tenants.iter().all(|l| l.normal.is_empty()) {
                 break;
             }
             let t = self.drr_cursor % nt;
-            self.drr_cursor = (t + 1) % nt;
             let lane = &mut self.tenants[t];
-            if lane.normal.is_empty() {
-                // An empty lane banks nothing: deficits must not accrue
-                // while a tenant has no work, or it could later burst past
-                // its fair share.
-                lane.deficit = 0;
-                continue;
+            if !self.drr_visiting {
+                if lane.normal.is_empty() {
+                    // An empty lane banks nothing: deficits must not accrue
+                    // while a tenant has no work, or it could later burst
+                    // past its fair share.
+                    lane.deficit = 0;
+                    self.drr_cursor = (t + 1) % nt;
+                    continue;
+                }
+                lane.deficit = lane.deficit.saturating_add(DRR_QUANTUM * lane.weight);
+                self.drr_visiting = true;
             }
-            lane.deficit = lane.deficit.saturating_add(DRR_QUANTUM * lane.weight);
             while out.len() < max {
                 let Some(front) = lane.normal.front() else {
                     lane.deficit = 0;
+                    self.drr_visiting = false;
                     break;
                 };
                 let cost = (front.data.len() as u64).max(1);
                 if cost > lane.deficit {
+                    self.drr_visiting = false;
                     break;
                 }
                 lane.deficit -= cost;
                 let job = lane.normal.pop_front().expect("front() was Some");
                 self.total -= 1;
                 out.push(job);
+            }
+            if !self.drr_visiting {
+                self.drr_cursor = (t + 1) % nt;
             }
         }
         out
@@ -261,12 +251,12 @@ impl<T> AdmissionState<T> {
 }
 
 /// The bounded, fair admission buffer shared by every handle and
-/// dispatcher.
+/// executor.
 pub(crate) struct Admission<T> {
     state: Mutex<AdmissionState<T>>,
     depth: usize,
     quota: usize,
-    /// Dispatchers park here when there is nothing to run anywhere.
+    /// Executors park here when there is nothing to run.
     work: Condvar,
     /// Blocked submitters park here until admission space frees up.
     space: Condvar,
@@ -288,6 +278,7 @@ impl<T> Admission<T> {
                 open: true,
                 high_cursor: 0,
                 drr_cursor: 0,
+                drr_visiting: false,
             }),
             depth: depth.max(1),
             quota: quota.max(1),
@@ -332,7 +323,7 @@ impl<T> Admission<T> {
         }
     }
 
-    /// Locks the state for a dispatcher's refill/steal/park decision.
+    /// Locks the state for an executor's pull-or-park decision.
     pub(crate) fn lock(&self) -> MutexGuard<'_, AdmissionState<T>> {
         lock_state(self)
     }
@@ -353,7 +344,7 @@ impl<T> Admission<T> {
         jobs
     }
 
-    /// Parks a dispatcher until new work (or shutdown) is signalled.
+    /// Parks an executor until new work (or shutdown) is signalled.
     pub(crate) fn wait_work<'a>(
         &self,
         guard: MutexGuard<'a, AdmissionState<T>>,
@@ -361,19 +352,8 @@ impl<T> Admission<T> {
         self.work.wait(guard).unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Wakes one parked dispatcher (e.g. after a deque gained stealable
-    /// surplus).
-    pub(crate) fn notify_work(&self) {
-        self.work.notify_one();
-    }
-
-    /// Wakes every parked dispatcher (shutdown cascade).
-    pub(crate) fn notify_work_all(&self) {
-        self.work.notify_all();
-    }
-
-    /// Stops admission and wakes every parked client and dispatcher.
-    /// Already-queued jobs stay queued — dispatchers drain them.
+    /// Stops admission and wakes every parked client and executor.
+    /// Already-queued jobs stay queued — executors drain them.
     pub(crate) fn close(&self) {
         let mut st = lock_state(self);
         st.open = false;
@@ -382,7 +362,7 @@ impl<T> Admission<T> {
         self.space.notify_all();
     }
 
-    /// Jobs currently admitted but not yet moved to a machine deque.
+    /// Jobs currently admitted but not yet taken by an executor.
     pub(crate) fn len(&self) -> usize {
         lock_state(self).total
     }
@@ -390,99 +370,6 @@ impl<T> Admission<T> {
     /// Lane depths for the metrics snapshot.
     pub(crate) fn lane_depth(&self) -> LaneDepth {
         lock_state(self).lane_depth()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-machine deques
-// ---------------------------------------------------------------------------
-
-/// Upper bound on jobs per coalesced batch, independent of the byte
-/// budget: bounds the damage radius of a mid-batch failure (everything
-/// behind the faulting job is requeued) and the latency of the jobs
-/// waiting behind the batch.
-pub(crate) const COALESCE_MAX_JOBS: usize = 32;
-
-/// One machine's FIFO backlog.  Only its own dispatcher pops the front
-/// (and requeues skipped jobs there); idle peers steal from the back.
-pub(crate) struct MachineQueue<T> {
-    jobs: Mutex<VecDeque<Box<Job<T>>>>,
-}
-
-impl<T> MachineQueue<T> {
-    pub(crate) fn new() -> Self {
-        MachineQueue {
-            jobs: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, VecDeque<Box<Job<T>>>> {
-        self.jobs.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Appends refilled or stolen jobs, preserving their order.
-    pub(crate) fn push_back_many(&self, jobs: Vec<Box<Job<T>>>) {
-        let mut q = self.lock();
-        for job in jobs {
-            q.push_back(job);
-        }
-    }
-
-    /// Requeues skipped jobs at the **front**, preserving their order —
-    /// they were next in line before their batch aborted, and they keep
-    /// that place.
-    pub(crate) fn push_front_many(&self, jobs: Vec<Box<Job<T>>>) {
-        let mut q = self.lock();
-        for job in jobs.into_iter().rev() {
-            q.push_front(job);
-        }
-    }
-
-    /// Pops the front job plus every *consecutive* compatible follower
-    /// whose payload still fits the byte budget (and the
-    /// [`COALESCE_MAX_JOBS`] cap).  A zero budget disables coalescing
-    /// entirely: every batch is a single job.  Deadline jobs always run
-    /// solo — as the front they take no followers, as a follower they end
-    /// the batch — so a latency-bounded job never waits on batchmates.
-    pub(crate) fn take_batch(&self, budget_bytes: usize) -> Vec<Box<Job<T>>> {
-        let mut q = self.lock();
-        let Some(first) = q.pop_front() else {
-            return Vec::new();
-        };
-        let mut bytes = job_bytes(&first);
-        let solo = first.deadline.is_some();
-        let mut batch = vec![first];
-        if budget_bytes == 0 || solo {
-            return batch;
-        }
-        while batch.len() < COALESCE_MAX_JOBS {
-            let Some(next) = q.front() else { break };
-            if next.deadline.is_some()
-                || bytes + job_bytes(next) > budget_bytes
-                || !coalescible(&batch[0].options, &next.options)
-            {
-                break;
-            }
-            bytes += job_bytes(next);
-            batch.push(q.pop_front().expect("front() was Some"));
-        }
-        batch
-    }
-
-    /// Steals the back half (`⌈len/2⌉` jobs) for an idle peer, preserving
-    /// their relative order.  The victim keeps the front half — the oldest
-    /// jobs, which it serves next anyway.
-    pub(crate) fn steal_half(&self) -> Vec<Box<Job<T>>> {
-        let mut q = self.lock();
-        let n = q.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        q.split_off(n / 2).into_iter().collect()
     }
 }
 
@@ -579,6 +466,37 @@ mod tests {
     }
 
     #[test]
+    fn pulling_one_job_at_a_time_keeps_the_drr_order() {
+        // Executors pull one job per refill; a visit cut short by `max`
+        // must resume rather than bank a second quantum or skip ahead.
+        let fill = |admission: &Admission<u64>| {
+            let light = admission.register_tenant(1);
+            let heavy = admission.register_tenant(2);
+            for k in 0..12 {
+                for tenant in [light, heavy] {
+                    let items = 1000 + 300 * ((k + tenant) % 5);
+                    admission
+                        .push(job(tenant, Priority::Normal, items), false)
+                        .unwrap();
+                }
+            }
+        };
+        let (bulk, one_by_one) = (
+            Admission::new(64, usize::MAX),
+            Admission::new(64, usize::MAX),
+        );
+        fill(&bulk);
+        fill(&one_by_one);
+        let (all, _) = refill_all(&bulk, 24);
+        let singles: Vec<Box<Job<u64>>> =
+            (0..24).flat_map(|_| refill_all(&one_by_one, 1).0).collect();
+        let shape = |jobs: &[Box<Job<u64>>]| -> Vec<(usize, usize)> {
+            jobs.iter().map(|j| (j.tenant, j.data.len())).collect()
+        };
+        assert_eq!(shape(&singles), shape(&all));
+    }
+
+    #[test]
     fn per_tenant_quota_rejects_the_flooder_but_not_the_peer() {
         let admission: Admission<u64> = Admission::new(16, 3);
         let flooder = admission.register_tenant(1);
@@ -611,35 +529,6 @@ mod tests {
             .push(job(t, Priority::Normal, 1), true)
             .unwrap_err();
         assert!(!backpressure);
-    }
-
-    #[test]
-    fn take_batch_respects_budget_compatibility_and_cap() {
-        let q: MachineQueue<u64> = MachineQueue::new();
-        // 8-byte items; budget fits exactly three 4-item jobs (96 bytes).
-        let mut jobs: Vec<Box<Job<u64>>> = (0..4).map(|_| job(0, Priority::Normal, 4)).collect();
-        // Job 3 is incompatible (different backend).
-        jobs[3].options = PermuteOptions::with_backend(crate::MatrixBackend::ParallelOptimal);
-        q.push_back_many(jobs);
-        let batch = q.take_batch(96);
-        assert_eq!(batch.len(), 3, "budget cuts the batch at 96 bytes");
-        let batch = q.take_batch(96);
-        assert_eq!(batch.len(), 1, "the incompatible job runs alone");
-        assert!(q.take_batch(96).is_empty());
-
-        // A zero budget disables coalescing outright.
-        q.push_back_many((0..3).map(|_| job(0, Priority::Normal, 0)).collect());
-        assert_eq!(q.take_batch(0).len(), 1);
-
-        // The job cap holds even under an unlimited budget.
-        q.take_batch(0);
-        q.take_batch(0);
-        q.push_back_many(
-            (0..COALESCE_MAX_JOBS + 5)
-                .map(|_| job(0, Priority::Normal, 1))
-                .collect(),
-        );
-        assert_eq!(q.take_batch(usize::MAX).len(), COALESCE_MAX_JOBS);
     }
 
     #[test]
@@ -696,36 +585,5 @@ mod tests {
         assert!(matches!(jobs[0].priority, Priority::Deadline(_)));
         assert_eq!(jobs[1].priority, Priority::Normal);
         assert_eq!(admission.len(), 0);
-    }
-
-    #[test]
-    fn deadline_jobs_never_coalesce() {
-        use std::time::Duration;
-        let q: MachineQueue<u64> = MachineQueue::new();
-        q.push_back_many(vec![
-            job(0, Priority::Deadline(Duration::from_secs(60)), 1),
-            job(0, Priority::Normal, 1),
-            job(0, Priority::Normal, 1),
-            job(0, Priority::Deadline(Duration::from_secs(60)), 1),
-            job(0, Priority::Normal, 1),
-        ]);
-        // A deadline front takes no followers.
-        assert_eq!(q.take_batch(usize::MAX).len(), 1);
-        // A deadline follower ends the batch.
-        assert_eq!(q.take_batch(usize::MAX).len(), 2);
-        assert_eq!(q.take_batch(usize::MAX).len(), 1);
-        assert_eq!(q.take_batch(usize::MAX).len(), 1);
-    }
-
-    #[test]
-    fn steal_takes_the_back_half_in_order() {
-        let q: MachineQueue<u64> = MachineQueue::new();
-        q.push_back_many((0..5).map(|t| job(t, Priority::Normal, 1)).collect());
-        let stolen = q.steal_half();
-        assert_eq!(tenants_of(&stolen), vec![2, 3, 4]);
-        assert_eq!(q.len(), 2);
-        let rest = q.take_batch(usize::MAX);
-        assert_eq!(tenants_of(&rest), vec![0, 1]);
-        assert!(q.steal_half().is_empty());
     }
 }

@@ -1,35 +1,34 @@
-//! The dispatcher core of the [`PermutationService`](crate::PermutationService):
-//! per-machine deques, work stealing, and small-job coalescing.
+//! The executor core of the [`PermutationService`](crate::PermutationService):
+//! `t` threads, each running whole jobs on its own.
 //!
-//! Each fleet machine is driven by one dispatcher thread running
-//! `dispatcher_loop`.  A dispatcher's cycle:
+//! Each executor runs `executor_loop`.  Its cycle:
 //!
-//! 1. **Drain the own deque.**  `MachineQueue::take_batch` pops the front
-//!    job plus every consecutive compatible follower under the byte budget
-//!    ([`crate::ServiceConfig::coalesce_budget`]); a multi-job batch runs as
-//!    one fenced submission to the resident pool
-//!    ([`crate::parallel::try_permute_batch_into_with`]), amortizing the
-//!    per-job wake/rendezvous cost that dominates tiny payloads.
-//! 2. **Refill** from the fair-share admission buffer when the deque is
-//!    empty (High lanes first, then weighted deficit-round-robin — see the
-//!    queue module).
-//! 3. **Steal** the back half of the most-loaded peer's deque when
-//!    admission is empty too — an idle machine takes work instead of
-//!    parking while a neighbour has backlog.
-//! 4. **Park** (or exit, on shutdown) only when there is no work anywhere.
+//! 1. **Pull** the next job from the fair-share admission buffer (Deadline
+//!    lanes first, earliest expiry first; then High lanes round-robin; then
+//!    weighted deficit round-robin over the Normal lanes — see the queue
+//!    module).  A deadline job whose budget expired in the queue is shed
+//!    instead.
+//! 2. **Run** it on this thread: the executor replays the job's `p`
+//!    virtual processors phase by phase on a [`cgp_cgm::LoopbackCgm`] of
+//!    its own, with its own warm scratch.  The output is byte-identical to
+//!    the threaded run of a session or a one-shot call: every random
+//!    stream of a job is derived from the service seed per call, and each
+//!    virtual processor keeps its own.
+//! 3. **Complete** the ticket and bill the metrics.
+//! 4. **Park** when admission is empty, or exit once the service has shut
+//!    down and admission is drained.
 //!
-//! Stealing and coalescing are **invisible in the results**: every random
-//! stream of a job is derived from the fleet-wide seed per call, so a job
-//! produces the byte-identical permutation on its home machine, on a
-//! thief, inside a batch, or as a one-shot run.  What moves is only *when
-//! and where* the job runs — which the metrics meter
-//! ([`crate::ServiceMetrics::steals`],
-//! [`crate::ServiceMetrics::coalesced_jobs`]).
+//! In the paper's model the `p` processors of a job are virtual, so
+//! nothing requires `p` threads.  A job on `p` threads pays a pool wake,
+//! barriers and a completion rendezvous on every call, which dominates the
+//! small jobs a service sees; on one thread those costs vanish, and `t`
+//! executors keep `t` cores busy with independent jobs.  A caller who needs
+//! the latency of one large job on several cores uses a
+//! [`crate::PermutationSession`].
 //!
-//! A mid-batch panic is contained exactly like a solo panic: the faulting
-//! job's ticket fails, jobs behind it in the batch are requeued at the
-//! front of the deque (their items were never touched) and rerun, and the
-//! pool recovers once.
+//! A panic inside a virtual processor fails only its own ticket
+//! ([`crate::ServiceError::JobFailed`] naming the processor); the executor
+//! clears its loopback fabric and serves the next job.
 //!
 //! ```
 //! use cgp_core::{PermuteOptions, Permuter, Priority};
@@ -37,7 +36,7 @@
 //! let permuter = Permuter::new(2).seed(41);
 //! let service = permuter.service_sized::<u64>(2, 16);
 //! let handle = service.handle();
-//! // A High-priority job jumps every Normal backlog at refill time.
+//! // A High-priority job jumps every Normal backlog.
 //! let urgent = handle
 //!     .submit_with((0..64u64).collect(), PermuteOptions::default(), Priority::High)
 //!     .unwrap();
@@ -47,7 +46,7 @@
 //! let reference = permuter.permute((0..64u64).collect()).0;
 //! assert_eq!(urgent.wait().unwrap().0, reference);
 //! for ticket in routine {
-//!     // Scheduled, stolen, or coalesced: the permutation is the same.
+//!     // Whichever executor serves it, the permutation is the same.
 //!     assert_eq!(ticket.wait().unwrap().0, reference);
 //! }
 //! let metrics = service.shutdown();
@@ -57,36 +56,24 @@
 
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use super::metrics::MetricsInner;
-use super::queue::{Admission, Job, MachineQueue};
-use super::{panic_text, ServiceError};
+use super::queue::{Admission, Job};
+use super::ServiceError;
 use crate::config::PermuteOptions;
-use crate::parallel::{
-    try_permute_batch_into_with, try_permute_vec_into_with, BatchOutcome, PermuteScratch,
-};
-use cgp_cgm::ResidentCgm;
+use crate::parallel::{panic_text, try_permute_vec_serial, PermuteScratch};
+use cgp_cgm::{CgmConfig, LoopbackCgm};
 
-/// Most jobs one refill moves from admission to a machine's deque.  Far
-/// above any sensible batch size, so a refill rarely truncates; bounded so
-/// one machine cannot monopolize an enormous admission buffer in a single
-/// scan (peers steal the surplus anyway).
-const REFILL_MAX: usize = 64;
-
-/// Everything the handles and dispatchers share.
+/// Everything the handles and executors share.
 pub(crate) struct SchedShared<T> {
     pub(crate) admission: Admission<T>,
-    pub(crate) machines: Vec<MachineQueue<T>>,
     pub(crate) metrics: Mutex<MetricsInner>,
     /// The service-wide options (backend, …) jobs submitted without
     /// explicit options run with.
     pub(crate) default_options: PermuteOptions,
-    /// Virtual processors per machine — what admission-time validation of
-    /// per-job options checks against.
-    pub(crate) procs: usize,
-    /// Byte budget for one coalesced batch (0 disables coalescing).
-    pub(crate) coalesce_budget: usize,
+    /// The machine every job runs on: virtual processors and seed.
+    pub(crate) machine: CgmConfig,
     pub(crate) next_job: AtomicU64,
     pub(crate) started_at: Instant,
 }
@@ -95,251 +82,90 @@ pub(crate) fn lock_metrics<T>(shared: &SchedShared<T>) -> MutexGuard<'_, Metrics
     shared.metrics.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One dispatcher: owns a resident machine and its warm scratches, serves
-/// its deque in (coalesced) FIFO order, refills from admission, steals
-/// when idle, contains failures, meters everything.
-pub(crate) fn dispatcher_loop<T: Send + 'static>(
-    machine_idx: usize,
-    mut pool: ResidentCgm<T>,
-    shared: Arc<SchedShared<T>>,
-) {
-    let mut scratches: Vec<PermuteScratch<T>> = vec![PermuteScratch::new()];
-    'serve: loop {
-        // Drain the own deque first: the cheapest work source, and the one
-        // whose scratches are warm.
-        loop {
-            let batch = shared.machines[machine_idx].take_batch(shared.coalesce_budget);
-            if batch.is_empty() {
-                break;
-            }
-            run_batch(machine_idx, &mut pool, &shared, &mut scratches, batch);
-            // Peers parked before this work existed re-check for stealable
-            // surplus (and for the shutdown exit condition).
-            shared.admission.notify_work();
-        }
-
-        let mut st = shared.admission.lock();
-        loop {
-            // Refill from admission (fair-share order).  Deadline jobs
-            // whose budget expired while queued come back in `shed`.
-            let mut shed = Vec::new();
-            let refill = shared
-                .admission
-                .refill_locked(&mut st, REFILL_MAX, &mut shed);
-            if !refill.is_empty() || !shed.is_empty() {
-                drop(st);
-                // Resolve shed tickets outside the admission lock:
-                // completing a ticket may run a user `on_complete`
-                // callback, which must never execute under scheduler
-                // locks.
-                if !shed.is_empty() {
-                    let mut m = lock_metrics(&shared);
-                    for job in &shed {
-                        m.record_shed(job.tenant);
-                    }
-                    drop(m);
-                    for job in shed {
-                        job.reply.complete(Err(ServiceError::DeadlineExceeded));
-                    }
-                }
-                if refill.is_empty() {
-                    st = shared.admission.lock();
-                    continue;
-                }
-                shared.machines[machine_idx].push_back_many(refill);
-                // More than one batch may have landed: let an idle peer
-                // steal the surplus instead of waiting for admission.
-                shared.admission.notify_work();
-                continue 'serve;
-            }
-
-            // Admission is empty: steal the back half of the most-loaded
-            // peer's deque instead of parking.
-            let victim = (0..shared.machines.len())
-                .filter(|&i| i != machine_idx)
-                .map(|i| (shared.machines[i].len(), i))
-                .max()
-                .filter(|&(len, _)| len > 0)
-                .map(|(_, i)| i);
-            if let Some(victim) = victim {
-                let stolen = shared.machines[victim].steal_half();
-                if !stolen.is_empty() {
-                    lock_metrics(&shared).record_steal(machine_idx, stolen.len() as u64);
-                    drop(st);
-                    shared.machines[machine_idx].push_back_many(stolen);
-                    continue 'serve;
-                }
-            }
-
-            // Nothing anywhere: exit once the service closed and every
-            // deque is drained (in-flight batches are owned by their
-            // dispatchers, which drain their own requeues), else park.
-            if !st.is_open() && shared.machines.iter().all(|m| m.len() == 0) {
-                drop(st);
-                // Cascade: peers parked here must observe the same
-                // condition and exit too.
-                shared.admission.notify_work_all();
-                break 'serve;
-            }
-            st = shared.admission.wait_work(st);
-        }
-    }
-    pool.shutdown();
-}
-
-/// Runs one batch (possibly a single job) on this machine's pool and
-/// resolves the tickets.  Skipped jobs — staged behind a mid-batch failure
-/// — go back to the **front** of the deque with their payloads and
-/// admission timestamps intact.
-// Jobs stay boxed across every queue hop — see the `queue` module docs.
-#[allow(clippy::vec_box)]
-fn run_batch<T: Send + 'static>(
-    machine_idx: usize,
-    pool: &mut ResidentCgm<T>,
-    shared: &SchedShared<T>,
-    scratches: &mut Vec<PermuteScratch<T>>,
-    batch: Vec<Box<Job<T>>>,
-) {
-    let batch_started = Instant::now();
-
-    if batch.len() == 1 {
-        let mut job = batch.into_iter().next().expect("batch of one");
-        // Run-time shed: the deadline may have expired between refill (which
-        // checked it) and this machine reaching the job in its deque.
-        if let Some(deadline) = job.deadline {
-            if Instant::now() > deadline {
-                lock_metrics(shared).record_shed(job.tenant);
-                job.reply.complete(Err(ServiceError::DeadlineExceeded));
+/// One executor: pulls jobs from admission one at a time and runs each on
+/// this thread, until the service shuts down and admission is drained.
+pub(crate) fn executor_loop<T: Send + 'static>(executor: usize, shared: Arc<SchedShared<T>>) {
+    let mut machine = LoopbackCgm::new(shared.machine);
+    let mut scratch = PermuteScratch::new();
+    let mut st = shared.admission.lock();
+    loop {
+        // Deadline jobs whose budget expired while queued come back in
+        // `shed`.
+        let mut shed = Vec::new();
+        let next = shared.admission.refill_locked(&mut st, 1, &mut shed).pop();
+        if next.is_none() && shed.is_empty() {
+            if !st.is_open() {
                 return;
             }
+            st = shared.admission.wait_work(st);
+            continue;
         }
-        let wait = job.enqueued_at.elapsed();
-        // In-worker panics come back as clean Err values (the pool recovers
-        // itself); the catch_unwind is defense in depth against *dispatcher
-        // thread* panics — admission-time validation makes the known ones
-        // unreachable, but no conceivable engine panic may take a machine
-        // out of rotation and strand its deque.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            try_permute_vec_into_with(pool, &mut job.data, &job.options, &mut scratches[0])
-        }));
-        let run = batch_started.elapsed();
-        let ok = matches!(result, Ok(Ok(_)));
-        {
-            let mut m = lock_metrics(shared);
-            m.record_job(job.tenant, wait, run, ok);
-            m.record_machine(machine_idx, run, 1, pool.recoveries());
+        drop(st);
+        // Resolve tickets outside the admission lock: completing a ticket
+        // may run a user `on_complete` callback, which must never execute
+        // under scheduler locks.
+        if !shed.is_empty() {
+            let mut m = lock_metrics(&shared);
+            for job in &shed {
+                m.record_shed(job.tenant);
+            }
+            drop(m);
+            for job in shed {
+                job.reply.complete(Err(ServiceError::DeadlineExceeded));
+            }
         }
-        let outcome = match result {
-            Ok(Ok(report)) => Ok((std::mem::take(&mut job.data), report)),
-            Ok(Err(e)) => Err(ServiceError::JobFailed(e)),
-            Err(payload) => Err(ServiceError::InvalidJob(format!(
-                "the job was rejected by the engine: {}",
-                panic_text(payload.as_ref())
-            ))),
-        };
-        // A dropped ticket just abandons its result; keep serving.
-        job.reply.complete(outcome);
+        if let Some(job) = next {
+            serve(executor, &mut machine, &mut scratch, &shared, *job);
+            // The completed ticket woke its client.  When every core runs
+            // an executor, that client would otherwise wait for the end of
+            // an executor's time slice before it could take its result and
+            // submit more work; on a 2-vCPU host the `fleet` workload ran
+            // ~1.25x its parent's jobs/s without this yield and 1.5–1.8x
+            // with it.
+            std::thread::yield_now();
+        }
+        st = shared.admission.lock();
+    }
+}
+
+/// Runs one job on this executor's thread and resolves its ticket.
+fn serve<T: Send + 'static>(
+    executor: usize,
+    machine: &mut LoopbackCgm<T>,
+    scratch: &mut PermuteScratch<T>,
+    shared: &SchedShared<T>,
+    mut job: Job<T>,
+) {
+    let started = Instant::now();
+    // Run-time shed: the deadline may have expired between the pull (which
+    // checked it) and this point.
+    if job.deadline.is_some_and(|deadline| started > deadline) {
+        lock_metrics(shared).record_shed(job.tenant);
+        job.reply.complete(Err(ServiceError::DeadlineExceeded));
         return;
     }
-
-    // Coalesced path: one fenced submission for the whole batch.
-    let count = batch.len() as u32;
-    let mut metas = Vec::with_capacity(batch.len());
-    let mut inputs = Vec::with_capacity(batch.len());
-    for job in batch {
-        let job = *job;
-        // take_batch never coalesces deadline jobs, so every job here has
-        // `deadline: None`; threading it through keeps requeue faithful
-        // regardless.
-        metas.push((
-            job.tenant,
-            job.priority,
-            job.enqueued_at,
-            job.deadline,
-            job.options.clone(),
-            job.reply,
-        ));
-        inputs.push((job.data, job.options));
-    }
-    let waits: Vec<Duration> = metas.iter().map(|m| m.2.elapsed()).collect();
+    let wait = job.enqueued_at.elapsed();
+    // A panic in a virtual processor comes back as a clean Err value; the
+    // catch_unwind is defense in depth against a panic outside them —
+    // admission-time validation makes the known ones unreachable, but no
+    // engine panic may take an executor out of rotation.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        try_permute_batch_into_with(pool, inputs, scratches)
+        try_permute_vec_serial(machine, &mut job.data, &job.options, scratch)
     }));
-    let run = batch_started.elapsed();
-
-    // Ticket resolutions are staged and performed only after the metrics
-    // lock drops: completing a ticket may run a user `on_complete`
-    // callback, which must never execute under scheduler locks.
-    let mut resolutions = Vec::with_capacity(metas.len());
-    match result {
-        Ok(Ok(outcomes)) => {
-            debug_assert_eq!(outcomes.len(), metas.len());
-            let mut requeue = Vec::new();
-            let mut completed = 0u64;
-            let mut m = lock_metrics(shared);
-            for ((outcome, meta), wait) in outcomes.into_iter().zip(metas).zip(waits) {
-                let (tenant, priority, enqueued_at, deadline, options, reply) = meta;
-                match outcome {
-                    BatchOutcome::Done { data, report } => {
-                        completed += 1;
-                        m.record_job(tenant, wait, report.total_elapsed(), true);
-                        resolutions.push((reply, Ok((data, *report))));
-                    }
-                    BatchOutcome::Failed(e) => {
-                        completed += 1;
-                        m.record_job(tenant, wait, run / count, false);
-                        resolutions.push((reply, Err(ServiceError::JobFailed(e))));
-                    }
-                    BatchOutcome::Skipped { data } => {
-                        // Never ran: back to the head of the line, payload
-                        // and original admission timestamp intact.
-                        requeue.push(Box::new(Job {
-                            data,
-                            options,
-                            tenant,
-                            priority,
-                            enqueued_at,
-                            deadline,
-                            reply,
-                        }));
-                    }
-                }
-            }
-            m.record_machine(machine_idx, run, completed, pool.recoveries());
-            m.record_coalesce(machine_idx, completed);
-            drop(m);
-            if !requeue.is_empty() {
-                shared.machines[machine_idx].push_front_many(requeue);
-            }
-        }
-        Ok(Err(e)) => {
-            // Executor-level failure: the batch as a whole could not run;
-            // every ticket learns the same error.
-            let mut m = lock_metrics(shared);
-            for (meta, wait) in metas.into_iter().zip(waits) {
-                let (tenant, _, _, _, _, reply) = meta;
-                m.record_job(tenant, wait, run / count, false);
-                resolutions.push((reply, Err(ServiceError::JobFailed(e.clone()))));
-            }
-            m.record_machine(machine_idx, run, count as u64, pool.recoveries());
-        }
-        Err(payload) => {
-            let text = panic_text(payload.as_ref());
-            let mut m = lock_metrics(shared);
-            for (meta, wait) in metas.into_iter().zip(waits) {
-                let (tenant, _, _, _, _, reply) = meta;
-                m.record_job(tenant, wait, run / count, false);
-                resolutions.push((
-                    reply,
-                    Err(ServiceError::InvalidJob(format!(
-                        "the job was rejected by the engine: {text}"
-                    ))),
-                ));
-            }
-            m.record_machine(machine_idx, run, count as u64, pool.recoveries());
-        }
+    let run = started.elapsed();
+    {
+        let mut m = lock_metrics(shared);
+        m.record_job(job.tenant, wait, run, matches!(result, Ok(Ok(_))));
+        m.record_executor(executor, run, machine.recoveries());
     }
-    for (reply, outcome) in resolutions {
-        reply.complete(outcome);
-    }
+    let outcome = match result {
+        Ok(Ok(report)) => Ok((std::mem::take(&mut job.data), report)),
+        Ok(Err(e)) => Err(ServiceError::JobFailed(e)),
+        Err(payload) => Err(ServiceError::InvalidJob(format!(
+            "the job was rejected by the engine: {}",
+            panic_text(payload.as_ref())
+        ))),
+    };
+    // A dropped ticket just abandons its result; keep serving.
+    job.reply.complete(outcome);
 }

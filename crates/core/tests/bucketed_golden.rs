@@ -5,15 +5,12 @@
 //! windows, so neither ever takes the one scatter level.  This file pins
 //! it: 32-item windows (the hidden `window_items` override) over a grid of
 //! machine sizes, payload sizes and target distributions, checked one-shot,
-//! through a resident pool (cold and warm scratch), through a session and as
-//! sub-jobs of one coalesced batch.  Every surface must reproduce the
-//! recorded checksum exactly.
+//! through a resident pool (cold and warm scratch), through a session and
+//! through a service executor's serial replay.  Every surface must
+//! reproduce the recorded checksum exactly.
 
 use cgp_cgm::{CgmConfig, CgmMachine, ResidentCgm};
-use cgp_core::{
-    permute_vec, try_permute_batch_into_with, try_permute_vec_into_with, BatchOutcome,
-    PermuteOptions, PermuteScratch, Permuter,
-};
+use cgp_core::{permute_vec, try_permute_vec_into_with, PermuteOptions, PermuteScratch, Permuter};
 
 const SEED: u64 = 0x6B0C_4E7D;
 /// Window and bucket size in items; every block of more than one window
@@ -124,26 +121,19 @@ fn bucketed_pipeline_reproduces_golden_checksums_on_every_surface() {
             assert_eq!(session.permute(identity(n)).0, one_shot, "session: {case}");
         }
 
-        // The coalescing entry: the job twice inside one batch, next to a
-        // differently shaped neighbour.
-        let jobs = vec![
-            (identity(n), options.clone()),
-            (
-                identity(n / 2 + 3),
-                PermuteOptions::default().window_items(WINDOW),
-            ),
-            (identity(n), options.clone()),
-        ];
-        let mut scratches = Vec::new();
-        let outcomes = try_permute_batch_into_with(&mut pool, jobs, &mut scratches).unwrap();
-        for k in [0, 2] {
-            match &outcomes[k] {
-                BatchOutcome::Done { data, .. } => {
-                    assert_eq!(data, &one_shot, "batch job {k}: {case}")
-                }
-                other => panic!("batch job {k} did not run: {other:?} ({case})"),
-            }
+        // A service executor's serial replay, twice, next to a differently
+        // shaped neighbour.
+        let service = Permuter::new(p).seed(SEED).service_sized::<u64>(1, 4);
+        let handle = service.handle();
+        let neighbour = PermuteOptions::default().window_items(WINDOW);
+        for round in 0..2 {
+            let (out, _) = handle.permute_with(identity(n), options.clone()).unwrap();
+            assert_eq!(out, one_shot, "service round {round}: {case}");
+            handle
+                .permute_with(identity(n / 2 + 3), neighbour.clone())
+                .unwrap();
         }
+        service.shutdown();
     }
 }
 

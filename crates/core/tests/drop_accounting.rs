@@ -4,8 +4,8 @@
 //! spare buffer as raw storage (see the `parallel` module docs).  These
 //! tests permute a payload that records every drop per item and check the
 //! hand-off's contract: a completed permutation keeps every item alive
-//! exactly once; a failed one may leak items but never drops one twice; a
-//! skipped sub-job of a coalesced batch comes back intact and in order.
+//! exactly once; a failed one may leak items but never drops one twice —
+//! on the threaded path and on the serial replay a service executor runs.
 //! Jobs forced onto small windows run the one scatter level, where an
 //! exchange fault fires with the worker's first window already copied out, so its
 //! items sit bitwise in both buffers.
@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use cgp_cgm::{CgmConfig, CgmError, CgmMachine, ResidentCgm};
 use cgp_core::{
-    permute_vec, permute_vec_into, try_permute_batch_into_with, try_permute_vec_into_with,
-    BatchOutcome, EngineFault, PermuteOptions, PermuteScratch, Permuter,
+    permute_vec, permute_vec_into, try_permute_vec_into_with, EngineFault, PermuteOptions,
+    PermuteScratch, Permuter, Priority, ServiceError,
 };
 
 /// Live instances and per-item drop counts of one test's payload.
@@ -131,7 +131,7 @@ fn a_completed_permutation_keeps_every_item_alive_exactly_once() {
 }
 
 #[test]
-fn a_session_and_a_batch_keep_every_item_alive_exactly_once() {
+fn a_session_and_a_service_keep_every_item_alive_exactly_once() {
     let ledger = Ledger::new(900);
     let permuter = Permuter::new(3).seed(8).window_items(8);
     let mut session = permuter.session::<Counted>();
@@ -139,15 +139,16 @@ fn a_session_and_a_batch_keep_every_item_alive_exactly_once() {
     assert_eq!(sorted_ids(&out), (0..300).collect::<Vec<_>>());
     drop(session);
 
-    let mut pool: ResidentCgm<Counted> = ResidentCgm::new(CgmConfig::new(3).with_seed(8));
-    let jobs = vec![
-        (ledger.items(300..600), PermuteOptions::default()),
-        (ledger.items(600..900), PermuteOptions::default()),
-    ];
-    let outcomes = try_permute_batch_into_with(&mut pool, jobs, &mut Vec::new()).unwrap();
+    let service = permuter.service_sized::<Counted>(1, 4);
+    let handle = service.handle();
+    let served: Vec<Vec<Counted>> = [300..600, 600..900]
+        .into_iter()
+        .map(|ids| handle.permute(ledger.items(ids)).unwrap().0)
+        .collect();
+    drop(service.shutdown());
     assert_eq!(ledger.live(), 900);
     drop(out);
-    drop(outcomes);
+    drop(served);
     assert_eq!(ledger.live(), 0);
     (0..900).for_each(|id| assert_eq!(ledger.drops(id), 1));
 }
@@ -188,45 +189,6 @@ fn a_failed_permutation_never_drops_an_item_twice() {
             assert_eq!(fresh.live(), 0);
             (0..n).for_each(|id| assert_eq!(fresh.drops(id), 1));
         }
-    }
-}
-
-#[test]
-fn a_mid_batch_fault_hands_back_skipped_jobs_intact_and_in_order() {
-    let ledger = Ledger::new(400);
-    let mut pool: ResidentCgm<Counted> = ResidentCgm::new(CgmConfig::new(3).with_seed(13));
-    let options = PermuteOptions::default().window_items(8);
-    let jobs = vec![
-        (ledger.items(0..100), options.clone()),
-        (
-            ledger.items(100..200),
-            options.clone().inject_fault(EngineFault::exchange_phase(1)),
-        ),
-        (ledger.items(200..300), options.clone()),
-        (ledger.items(300..400), options.clone()),
-    ];
-    let outcomes = try_permute_batch_into_with(&mut pool, jobs, &mut Vec::new()).unwrap();
-    let mut outcomes = outcomes.into_iter();
-    match outcomes.next() {
-        Some(BatchOutcome::Done { data, .. }) => {
-            assert_eq!(sorted_ids(&data), (0..100).collect::<Vec<_>>());
-        }
-        other => panic!("job 0: {other:?}"),
-    }
-    assert!(matches!(outcomes.next(), Some(BatchOutcome::Failed(_))));
-    for (k, range) in [(2, 200..300), (3, 300..400)] {
-        match outcomes.next() {
-            Some(BatchOutcome::Skipped { data }) => {
-                let ids: Vec<usize> = data.iter().map(|c| c.id).collect();
-                assert_eq!(ids, range.collect::<Vec<_>>(), "job {k} in submitted order");
-            }
-            other => panic!("job {k}: {other:?}"),
-        }
-    }
-    drop(pool);
-    ledger.assert_never_dropped_twice();
-    for id in (0..100).chain(200..400) {
-        assert_eq!(ledger.drops(id), 1, "item {id} of a served or skipped job");
     }
 }
 
@@ -282,5 +244,59 @@ fn a_panic_mid_scatter_never_drops_an_item_twice() {
             assert_eq!(fresh.live(), 0, "{case}");
             (0..n).for_each(|id| assert_eq!(fresh.drops(id), 1, "{case}"));
         }
+    }
+}
+
+#[test]
+fn a_panic_mid_scatter_on_the_serial_path_never_drops_an_item_twice() {
+    let n = 500;
+    for p in [2usize, 3] {
+        let permuter = Permuter::new(p).seed(21).window_items(8);
+        let reference = permuter.permute((0..n as u64).collect()).0;
+        let service = permuter.service_sized::<Counted>(1, 4);
+        let handle = service.handle();
+        for proc in 0..p {
+            let case = format!("p = {p}, fault on {proc}");
+            let ledger = Ledger::new(n);
+            let faulty = PermuteOptions::default()
+                .window_items(8)
+                .inject_fault(EngineFault::exchange_phase(proc));
+            let ticket = handle
+                .submit_with(ledger.items(0..n), faulty, Priority::Normal)
+                .unwrap();
+            match ticket.wait() {
+                Err(ServiceError::JobFailed(CgmError::ProcessorPanicked {
+                    proc: blamed,
+                    ref message,
+                })) => {
+                    assert_eq!(blamed, proc, "{case}");
+                    assert!(message.contains("mid-scatter"), "{case}: {message}");
+                }
+                other => panic!("{case}: unexpected outcome {other:?}"),
+            }
+            ledger.assert_never_dropped_twice();
+
+            // The executor's next job succeeds, keeps every item alive
+            // exactly once and matches the one-shot run.
+            let fresh = Ledger::new(n);
+            let (data, _) = handle.permute(fresh.items(0..n)).unwrap();
+            assert_eq!(fresh.live(), n as i64, "{case}");
+            let ids: Vec<u64> = data.iter().map(|c| c.id as u64).collect();
+            assert_eq!(ids, reference, "{case}");
+            drop(data);
+            assert_eq!(fresh.live(), 0, "{case}");
+            (0..n).for_each(|id| assert_eq!(fresh.drops(id), 1, "{case}"));
+
+            // Leaked, not dropped: the failed job's items may stay live.
+            ledger.assert_never_dropped_twice();
+            assert_eq!(
+                ledger.live(),
+                (0..n).filter(|&id| ledger.drops(id) == 0).count() as i64,
+                "{case}"
+            );
+        }
+        let metrics = service.shutdown();
+        assert_eq!(metrics.jobs_failed, p as u64);
+        assert_eq!(metrics.per_machine[0].recoveries, p as u64);
     }
 }

@@ -31,7 +31,7 @@ fn every_surface_round_trips_the_same_engine_config() {
     assert_eq!(session.procs(), engine.procs);
 
     // Surface 3: the service fleet embeds it as a public field.
-    let config = ServiceConfig::from_engine(engine).machines(1);
+    let config = ServiceConfig::from_engine(engine).executors(1);
     assert_eq!(config.engine, engine);
     assert_eq!(permuter.service_config().engine, engine);
 

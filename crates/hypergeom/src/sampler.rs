@@ -3,9 +3,9 @@
 //! Two exact backends are available:
 //!
 //! * **Inversion** (`crate::inverse`) — one uniform draw, cost proportional
-//!   to the width of the distribution.  Ideal when the standard deviation is
-//!   small (which in the matrix-sampling workload is the common case for the
-//!   later, already-thinned splits).
+//!   to the distance from the support minimum to the mean.  Ideal when that
+//!   walk is short (which in the matrix-sampling workload is the common
+//!   case for the later, already-thinned splits).
 //! * **HRUA rejection** (`crate::hrua`) — a small constant number of
 //!   uniforms, constant expected cost, for wide distributions.
 //!
@@ -43,7 +43,10 @@ pub enum SamplerKind {
     Inverse,
     /// Always use HRUA ratio-of-uniforms rejection.
     Hrua,
-    /// Choose automatically from the distribution's standard deviation.
+    /// Choose automatically from the expected chop-down walk length
+    /// `mean − support_min`: inversion below [`INVERSION_WALK_CUTOFF`],
+    /// HRUA above it (see the module docs for why not the standard
+    /// deviation).
     Adaptive,
 }
 

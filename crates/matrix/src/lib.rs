@@ -51,6 +51,13 @@
 //! ([`cgp_cgm::MatrixCtx::sampling_rng`] / the `"communication-matrix"`
 //! named stream), so for a fixed seed every substrate — and the fused
 //! pipeline — samples the **identical** matrix.
+//!
+//! Every in-context core also replays **serially** on a
+//! [`cgp_cgm::LoopbackCgm`], one processor after another in id order: a
+//! processor only ever sends to itself or to higher ids, except in the
+//! final all-to-all of Algorithm 6, whose two halves
+//! ([`sample_parallel_optimal_send_ctx`], [`sample_parallel_optimal_recv_ctx`])
+//! run as two passes over the processors.
 
 pub mod comm_matrix;
 pub mod exact;
@@ -62,7 +69,10 @@ pub mod sequential;
 pub use comm_matrix::CommMatrix;
 pub use exact::{enumerate_matrices, exact_matrix_probabilities};
 pub use parallel_log::{sample_parallel_log, sample_parallel_log_ctx};
-pub use parallel_opt::{sample_parallel_optimal, sample_parallel_optimal_ctx};
+pub use parallel_opt::{
+    sample_parallel_optimal, sample_parallel_optimal_ctx, sample_parallel_optimal_recv_ctx,
+    sample_parallel_optimal_send_ctx,
+};
 pub use recursive::{sample_recursive, sample_recursive_ctx};
 pub use sequential::{sample_sequential, sample_sequential_ctx};
 

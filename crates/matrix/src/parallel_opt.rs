@@ -22,6 +22,10 @@ use crate::sequential::sample_sequential;
 use cgp_cgm::{CgmExecutor, MachineMetrics, MatrixCtx};
 use cgp_hypergeom::multivariate_hypergeometric;
 
+/// Word-plane tag of the final all-to-all that hands every processor its
+/// row.
+const ROW_TAG: u64 = u64::MAX;
+
 /// In-context core of Algorithm 6: runs **inside an already-running job**
 /// on the machine's word plane and returns this processor's row of the
 /// sampled matrix.
@@ -33,6 +37,12 @@ use cgp_hypergeom::multivariate_hypergeometric;
 /// the seed regardless of substrate (one-shot machine, resident pool, or a
 /// fused permutation job).
 ///
+/// The body is two halves, also callable on their own for a serial replay
+/// (see [`cgp_cgm::LoopbackCgm`]): [`sample_parallel_optimal_send_ctx`]
+/// runs the sampling rounds, in which a processor only ever sends to
+/// higher ids, and sends the pieces of the final all-to-all;
+/// [`sample_parallel_optimal_recv_ctx`] receives them.
+///
 /// # Panics
 /// Panics (on the worker running the job) if `source.len()` differs from
 /// the processor count or the totals disagree.
@@ -41,6 +51,14 @@ pub fn sample_parallel_optimal_ctx(
     source: &[u64],
     target: &[u64],
 ) -> Vec<u64> {
+    sample_parallel_optimal_send_ctx(ctx, source, target);
+    sample_parallel_optimal_recv_ctx(ctx, target.len())
+}
+
+/// Steps 1–3 of [`sample_parallel_optimal_ctx`] and the send half of step
+/// 4: after the sampling rounds, sends each row piece of this processor's
+/// sub-matrix to the processor that owns the row.
+pub fn sample_parallel_optimal_send_ctx(ctx: &mut MatrixCtx<'_>, source: &[u64], target: &[u64]) {
     let id = ctx.id();
     let p = ctx.procs();
     let p_prime = target.len();
@@ -124,7 +142,14 @@ pub fn sample_parallel_optimal_ctx(
             outgoing[global_row] = payload;
         }
     }
-    let incoming = ctx.comm_mut().all_to_all(outgoing, u64::MAX);
+    ctx.comm_mut().all_to_all_send(outgoing, ROW_TAG);
+}
+
+/// The receive half of step 4 of [`sample_parallel_optimal_ctx`]: collects
+/// the pieces of this processor's row (`p_prime` columns) from every
+/// processor and assembles it.
+pub fn sample_parallel_optimal_recv_ctx(ctx: &mut MatrixCtx<'_>, p_prime: usize) -> Vec<u64> {
+    let incoming = ctx.comm_mut().all_to_all_recv(ROW_TAG);
 
     // Assemble this processor's row of the full matrix.
     let mut row = vec![0u64; p_prime];

@@ -60,11 +60,11 @@ impl From<std::io::Error> for ClientError {
 pub struct ServerHello {
     /// The server's protocol version (the client requires an exact match).
     pub protocol_version: u32,
-    /// Virtual processors per CGM round on the fleet.
+    /// Virtual processors per job.
     pub procs: usize,
-    /// Dispatcher machines in the fleet.
-    pub machines: usize,
-    /// The fleet seed — two clients of the same server (or an in-process
+    /// Executor threads of the server's service.
+    pub executors: usize,
+    /// The service seed — two clients of the same server (or an in-process
     /// run with this seed) see byte-identical permutations.
     pub seed: u64,
     /// `std::any::type_name` of the server's payload type.
@@ -80,9 +80,10 @@ pub struct WireMetrics {
     pub jobs_failed: u64,
     /// Deadline jobs shed fleet-wide.
     pub deadline_shed: u64,
-    /// Jobs stolen between machines.
+    /// Always 0: the service steals no jobs (kept for the frame layout).
     pub steals: u64,
-    /// Jobs that ran inside a coalesced batch.
+    /// Always 0: the service runs every job alone (kept for the frame
+    /// layout).
     pub coalesced_jobs: u64,
     /// Fleet uptime in microseconds.
     pub uptime_micros: u64,
@@ -157,7 +158,7 @@ impl<T: Wire> Client<T> {
             Some(ServerHello {
                 protocol_version: frame.u32()?,
                 procs: frame.u32()? as usize,
-                machines: frame.u32()? as usize,
+                executors: frame.u32()? as usize,
                 seed: frame.u64()?,
                 payload_type: frame.string()?,
             })

@@ -31,7 +31,7 @@
 //! use cgp_core::{PermuteOptions, ServiceConfig};
 //! use cgp_server::{Client, WireServer};
 //!
-//! let config = ServiceConfig::new(2).machines(2).seed(7);
+//! let config = ServiceConfig::new(2).executors(2).seed(7);
 //! let server: WireServer<u64> =
 //!     WireServer::bind_tcp("127.0.0.1:0", config, PermuteOptions::default()).unwrap();
 //! let addr = server.local_addr().unwrap();

@@ -8,7 +8,7 @@
 //!
 //! | kind | dir | body layout after the kind byte |
 //! |------|-----|----------------------------------|
-//! | 0 `HELLO` | s→c | `version: u32, procs: u32, machines: u32, seed: u64`, payload type name (`len: u64` + UTF-8) |
+//! | 0 `HELLO` | s→c | `version: u32, procs: u32, executors: u32, seed: u64`, payload type name (`len: u64` + UTF-8) |
 //! | 1 `SUBMIT` | c→s | `request_id: u64, priority: u8, deadline_micros: u64`, payload bytes |
 //! | 2 `RESULT` | s→c | `request_id: u64`, payload bytes |
 //! | 3 `ERROR` | s→c | `request_id: u64` (`u64::MAX` = connection-level), `code: u8`, UTF-8 message |
@@ -66,7 +66,7 @@ pub enum ErrorCode {
     /// options) — distinct from [`ErrorCode::BadFrame`], which is a
     /// protocol-level parse failure.
     InvalidJob,
-    /// The job ran and failed (contained panic inside a machine).
+    /// The job ran and failed (contained panic inside a virtual processor).
     JobFailed,
     /// A deadline-lane job was shed unrun because its budget expired.
     DeadlineExceeded,

@@ -2,7 +2,7 @@
 //! thread plus one writer thread.  Results are streamed back through
 //! `JobTicket::on_complete`, which only **enqueues** the frame — socket
 //! I/O happens on the connection's writer thread, so a slow (or vanished)
-//! client can never wedge a dispatcher or stall another tenant.
+//! client can never wedge a executor or stall another tenant.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -151,7 +151,7 @@ impl<T: Wire> ServerInner<T> {
 /// with the frame protocol in [`crate::protocol`], and results stream back
 /// **in completion order** the moment each ticket resolves — the server
 /// never blocks a thread per in-flight job, it arms
-/// [`cgp_core::JobTicket::on_complete`] and lets the completing dispatcher
+/// [`cgp_core::JobTicket::on_complete`] and lets the completing executor
 /// hand the frame to the connection's writer queue.
 ///
 /// Every connection is its own tenant (fresh [`ServiceHandle`]), so the
@@ -229,7 +229,7 @@ impl<T: Wire> WireServer<T> {
         hello.push(KIND_HELLO);
         hello.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
         hello.extend_from_slice(&(service.procs() as u32).to_le_bytes());
-        hello.extend_from_slice(&(service.machines() as u32).to_le_bytes());
+        hello.extend_from_slice(&(service.executors() as u32).to_le_bytes());
         hello.extend_from_slice(&config.engine.seed.to_le_bytes());
         let ty = std::any::type_name::<T>();
         hello.extend_from_slice(&(ty.len() as u64).to_le_bytes());
@@ -486,7 +486,7 @@ fn serve_connection<T: Wire>(mut stream: Stream, conn_id: u64, inner: Arc<Server
                                     &e.to_string(),
                                 ),
                             };
-                            // Enqueue only: the dispatcher thread running
+                            // Enqueue only: the executor thread running
                             // this callback must never block on a socket.
                             let _ = tx.send(WriterMsg::Frame(body));
                         });

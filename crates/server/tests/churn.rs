@@ -36,7 +36,7 @@ fn connect(path: &Path) -> Client<u64> {
 fn closed_connections_release_their_writer_thread_and_socket() {
     let path = std::env::temp_dir().join(format!("cgp-churn-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let config = ServiceConfig::new(2).machines(1).seed(5);
+    let config = ServiceConfig::new(2).executors(1).seed(5);
     let server: WireServer<u64> =
         WireServer::bind_uds(&path, config, PermuteOptions::default()).unwrap();
     let data: Vec<u64> = (0..256).collect();

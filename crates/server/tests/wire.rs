@@ -19,7 +19,10 @@ fn fresh_socket_path() -> PathBuf {
 }
 
 fn test_config(seed: u64) -> ServiceConfig {
-    ServiceConfig::new(2).machines(2).queue_depth(16).seed(seed)
+    ServiceConfig::new(2)
+        .executors(2)
+        .queue_depth(16)
+        .seed(seed)
 }
 
 #[test]
@@ -43,7 +46,7 @@ fn wire_results_are_byte_identical_to_in_process_submission() {
     let server: WireServer<u64> = WireServer::bind_uds(&path, config, options.clone()).unwrap();
     let mut client: Client<u64> = Client::connect_uds(&path).unwrap();
     assert_eq!(client.hello().seed, 41);
-    assert_eq!(client.hello().machines, 2);
+    assert_eq!(client.hello().executors, 2);
     assert_eq!(client.permute(&data).unwrap(), reference);
     let high = client.submit_with(&data, Priority::High).unwrap();
     let roomy = client
@@ -272,7 +275,7 @@ fn wire_metrics_report_per_connection_tenants_and_backpressure_is_an_error_frame
     // One machine, a one-slot queue, and a tenant quota of one: easy to
     // overfill from the outside.
     let config = ServiceConfig::new(2)
-        .machines(1)
+        .executors(1)
         .queue_depth(1)
         .tenant_quota(1)
         .seed(23);

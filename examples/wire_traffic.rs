@@ -83,7 +83,7 @@ fn main() {
     let items: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(100_000);
 
     let config = ServiceConfig::new(2)
-        .machines(2)
+        .executors(2)
         .queue_depth(2 * clients)
         .seed(2024);
     let options = PermuteOptions::default();
