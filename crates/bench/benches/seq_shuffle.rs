@@ -5,8 +5,10 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
 
-use cgp_core::cache_aware::{bucketed_shuffle, default_bucket_items};
-use cgp_core::{fisher_yates_shuffle, fisher_yates_shuffle_warming};
+use cgp_core::{
+    default_bucket_items, fisher_yates_shuffle, fisher_yates_shuffle_warming, BucketScratch,
+    LocalShuffle,
+};
 use cgp_rng::{Pcg64, RandomExt};
 
 fn bench_seq_shuffle(c: &mut Criterion) {
@@ -47,13 +49,15 @@ fn bench_seq_shuffle(c: &mut Criterion) {
                 std::hint::black_box(acc)
             });
         });
-        // §6 outlook ablation: the bucketed two-phase shuffle derived from
-        // the coarse grained decomposition.
+        // §6 outlook ablation: the pipeline's one scatter level on one
+        // processor, with cache-sized buckets.
         group.bench_with_input(BenchmarkId::new("bucketed", n), &n, |b, &n| {
             let mut rng = Pcg64::seed_from_u64(2);
             let mut data: Vec<u64> = (0..n as u64).collect();
+            let mut scratch = BucketScratch::new();
+            let engine = LocalShuffle::bucketed_for::<u64>();
             b.iter(|| {
-                bucketed_shuffle(&mut rng, &mut data, default_bucket_items::<u64>());
+                engine.shuffle_vec_with(&mut rng, &mut data, &mut scratch);
                 std::hint::black_box(data.first().copied())
             });
         });

@@ -10,7 +10,7 @@
 //! cargo run --release -p cgp-bench --bin exp_scaling [n] [backend]
 //! ```
 
-use cgp_bench::experiments::scaling;
+use cgp_bench::experiments::{scaling, ScalingRow};
 use cgp_bench::{workload, Table};
 use cgp_core::MatrixBackend;
 
@@ -61,9 +61,98 @@ fn main() {
     println!("{table}");
     println!("shape checks against the paper:");
     println!(
-        "  * the p=3 run is slower than sequential (overhead factor 3-5): measured overhead {:.2}",
+        "  * the p=3 run is slower than sequential (overhead factor 3-5): {} (speedup {:.2}, overhead {:.2})",
+        verdict(rows[1].speedup < 1.0),
+        rows[1].speedup,
         rows[1].overhead_factor
     );
-    println!("  * speedup grows monotonically from p=3 to p=48");
-    println!("  * per-processor exchange volume is 2*n/p words (Theorem 1)");
+    let speedups: Vec<String> = rows
+        .iter()
+        .filter(|row| row.procs >= 3)
+        .map(|row| format!("{:.2}", row.speedup))
+        .collect();
+    println!(
+        "  * speedup grows monotonically from p=3 to p=48: {} (measured {})",
+        verdict(speedup_is_monotone(&rows)),
+        speedups.join(", ")
+    );
+    let off: Vec<String> = volume_mismatches(n, &rows)
+        .into_iter()
+        .map(|(p, words, expected)| format!("p={p}: {words} vs {expected}"))
+        .collect();
+    println!(
+        "  * per-processor exchange volume is 2*ceil(n/p) words (Theorem 1): {}{}",
+        verdict(off.is_empty()),
+        if off.is_empty() {
+            String::new()
+        } else {
+            format!(" ({})", off.join(", "))
+        }
+    );
+}
+
+fn verdict(held: bool) -> &'static str {
+    if held {
+        "held"
+    } else {
+        "NOT held"
+    }
+}
+
+/// Whether the speed-up strictly grows from one processor count to the
+/// next, over the rows with at least 3 processors.
+fn speedup_is_monotone(rows: &[ScalingRow]) -> bool {
+    let parallel: Vec<f64> = rows
+        .iter()
+        .filter(|row| row.procs >= 3)
+        .map(|row| row.speedup)
+        .collect();
+    parallel.windows(2).all(|pair| pair[1] > pair[0])
+}
+
+/// The parallel rows whose largest per-processor exchange volume is not
+/// `2 · ceil(n / p)` words (the largest even block, sent and received):
+/// `(p, measured, expected)`.
+fn volume_mismatches(n: usize, rows: &[ScalingRow]) -> Vec<(usize, u64, u64)> {
+    rows.iter()
+        .filter(|row| row.procs > 1)
+        .map(|row| {
+            (
+                row.procs,
+                row.max_comm_volume,
+                2 * n.div_ceil(row.procs) as u64,
+            )
+        })
+        .filter(|&(_, words, expected)| words != expected)
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    fn row(procs: usize, speedup: f64, max_comm_volume: u64) -> ScalingRow {
+        ScalingRow {
+            procs,
+            elapsed: Duration::ZERO,
+            speedup,
+            overhead_factor: 0.0,
+            max_comm_volume,
+        }
+    }
+
+    #[test]
+    fn the_verdicts_read_the_rows() {
+        let rising = [row(1, 1.0, 0), row(3, 0.5, 8), row(6, 0.9, 4)];
+        assert!(speedup_is_monotone(&rising));
+        assert!(volume_mismatches(12, &rising).is_empty());
+
+        // A dip at p = 6 and an exchange heavier than 2 * ceil(n/p).
+        let dipping = [row(1, 1.0, 0), row(3, 0.9, 8), row(6, 0.8, 6)];
+        assert!(!speedup_is_monotone(&dipping));
+        assert_eq!(volume_mismatches(12, &dipping), vec![(6, 6, 4)]);
+        // Uneven blocks: the largest of 3 blocks over 10 items holds 4.
+        assert!(volume_mismatches(10, &[row(3, 1.0, 8)]).is_empty());
+    }
 }

@@ -222,6 +222,10 @@ impl PermuteOptions {
     /// windows and buckets at tiny `n`, and pin either path at any size.
     /// The output is as uniform as under the default rule, but a different
     /// permutation of the seed.
+    ///
+    /// Outside the tests its one caller is the sequential API:
+    /// [`crate::LocalShuffle::Bucketed`] runs the pipeline on one
+    /// processor with its bucket size as the window.
     #[doc(hidden)]
     pub fn window_items(mut self, items: usize) -> Self {
         self.window_items = Some(items);

@@ -71,9 +71,8 @@ pub mod session;
 pub mod uniformity;
 
 pub use cache_aware::{
-    bucketed_index_permutation, bucketed_shuffle, bucketed_shuffle_with, default_bucket_items,
-    BucketScratch, LocalShuffle, AUTO_CROSSOVER_BYTES, AUTO_MAX_ITEM_BYTES, BUCKET_L2_BUDGET_BYTES,
-    DEFAULT_BUCKET_ITEMS, MAX_SCATTER_BUCKETS,
+    default_bucket_items, BucketScratch, LocalShuffle, AUTO_CROSSOVER_BYTES, AUTO_MAX_ITEM_BYTES,
+    BUCKET_L2_BUDGET_BYTES, MAX_SCATTER_BUCKETS,
 };
 pub use config::{EngineConfig, EngineFault, FaultPhase, MatrixBackend, PermuteOptions};
 pub use parallel::{

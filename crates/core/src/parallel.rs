@@ -49,9 +49,8 @@
 //! No second machine is ever built: on a [`cgp_cgm::ResidentCgm`]-backed
 //! [`crate::PermutationSession`] a steady-state permutation therefore makes
 //! **zero thread spawns and zero channel-fabric constructions** for *every*
-//! backend, including `ParallelLog`/`ParallelOptimal` (which previously
-//! sampled on a freshly spawned one-shot machine per call).  The phases
-//! stay separately metered: [`PermutationReport::matrix_metrics`] carries
+//! backend, `ParallelLog`/`ParallelOptimal` included.  The phases stay
+//! separately metered: [`PermutationReport::matrix_metrics`] carries
 //! the word-plane (matrix) traffic, [`PermutationReport::exchange_metrics`]
 //! the payload exchange.
 //!
@@ -82,7 +81,8 @@
 //!   halve ranges downwards), and `ParallelOptimal`'s final all-to-all
 //!   receives in the next phase.  The service's executors run every job
 //!   this way: a small job on `p` threads pays a pool wake, barriers and a
-//!   completion rendezvous that dwarf its work.
+//!   completion rendezvous that dwarf its work.  So does the sequential
+//!   [`crate::LocalShuffle::Bucketed`] shuffle, on one processor.
 //!
 //! ## Backend selection at a glance
 //!
@@ -1462,7 +1462,8 @@ where
 /// Serial counterpart of [`try_permute_vec_into_with`]: permutes `data` on
 /// one thread, replaying the `p` virtual processors of `machine` phase by
 /// phase (see [`LoopbackCgm`]) — the entry every executor of a
-/// [`crate::PermutationService`] runs its jobs through.
+/// [`crate::PermutationService`] runs its jobs through, and the engine of
+/// the sequential [`crate::LocalShuffle::Bucketed`] shuffle.
 ///
 /// The permutation and the metered communication are byte-identical to a
 /// threaded run with the same configuration and options; the report's

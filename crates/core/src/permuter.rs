@@ -216,13 +216,6 @@ impl Permuter {
     pub fn sample_permutation(&self, n: usize) -> Vec<u64> {
         self.permute((0..n as u64).collect()).0
     }
-
-    /// Generates a uniformly random permutation of `0..n` (as indices).
-    ///
-    /// Alias of [`Permuter::sample_permutation`], kept for discoverability.
-    pub fn index_permutation(&self, n: usize) -> Vec<u64> {
-        self.sample_permutation(n)
-    }
 }
 
 #[cfg(test)]
@@ -243,15 +236,15 @@ mod tests {
 
     #[test]
     fn same_seed_same_result() {
-        let a = Permuter::new(4).seed(1).index_permutation(200);
-        let b = Permuter::new(4).seed(1).index_permutation(200);
+        let a = Permuter::new(4).seed(1).sample_permutation(200);
+        let b = Permuter::new(4).seed(1).sample_permutation(200);
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_seed_different_result() {
-        let a = Permuter::new(4).seed(1).index_permutation(200);
-        let b = Permuter::new(4).seed(2).index_permutation(200);
+        let a = Permuter::new(4).seed(1).sample_permutation(200);
+        let b = Permuter::new(4).seed(2).sample_permutation(200);
         assert_ne!(a, b);
     }
 

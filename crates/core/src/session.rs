@@ -43,10 +43,9 @@
 //! word plane of the same resident workers that shuffle and exchange the
 //! data (see the [`crate::parallel`] module docs), so a steady-state
 //! session permutation makes zero thread spawns and zero channel-fabric
-//! constructions for *all four* matrix backends — including
-//! `ParallelLog`/`ParallelOptimal`, which used to sample on a freshly
-//! spawned one-shot machine per call.  The `cgp_cgm::diag` startup
-//! counters make this assertable in tests.
+//! constructions for *all four* matrix backends, `ParallelLog` and
+//! `ParallelOptimal` included.  The `cgp_cgm::diag` startup counters make
+//! this assertable in tests.
 
 use crate::config::{EngineConfig, PermuteOptions};
 use crate::parallel::{permute_vec_into_with, PermutationReport, PermuteScratch};

@@ -5,7 +5,8 @@
 //! tests permute a payload that records every drop per item and check the
 //! hand-off's contract: a completed permutation keeps every item alive
 //! exactly once; a failed one may leak items but never drops one twice —
-//! on the threaded path and on the serial replay a service executor runs.
+//! on the threaded path and on the serial replay a service executor and
+//! the sequential bucketed shuffle run.
 //! Jobs forced onto small windows run the one scatter level, where an
 //! exchange fault fires with the worker's first window already copied out, so its
 //! items sit bitwise in both buffers.
@@ -15,9 +16,10 @@ use std::sync::Arc;
 
 use cgp_cgm::{CgmConfig, CgmError, CgmMachine, ResidentCgm};
 use cgp_core::{
-    permute_vec, permute_vec_into, try_permute_vec_into_with, EngineFault, PermuteOptions,
-    PermuteScratch, Permuter, Priority, ServiceError,
+    permute_vec, permute_vec_into, try_permute_vec_into_with, BucketScratch, EngineFault,
+    LocalShuffle, PermuteOptions, PermuteScratch, Permuter, Priority, ServiceError,
 };
+use cgp_rng::Pcg64;
 
 /// Live instances and per-item drop counts of one test's payload.
 struct Ledger {
@@ -127,6 +129,31 @@ fn a_completed_permutation_keeps_every_item_alive_exactly_once() {
             assert_eq!(ledger.live(), 0, "{case}");
             (0..n).for_each(|id| assert_eq!(ledger.drops(id), 1, "{case}"));
         }
+    }
+}
+
+#[test]
+fn a_sequential_bucketed_shuffle_keeps_every_item_alive_exactly_once() {
+    // 8-item buckets: one bucket (plain Fisher–Yates), one item past it,
+    // an uneven last bucket, and more than 256 buckets.
+    let engine = LocalShuffle::Bucketed { bucket_items: 8 };
+    for n in [0usize, 8, 9, 61, 3_000] {
+        let ledger = Ledger::new(n);
+        let mut rng = Pcg64::seed_from_u64(n as u64);
+        let mut scratch = BucketScratch::new();
+        let mut data = ledger.items(0..n);
+        // A cold scratch, then a warm one.
+        for _ in 0..2 {
+            engine.shuffle_vec_with(&mut rng, &mut data, &mut scratch);
+            assert_eq!(ledger.live(), n as i64, "n = {n}");
+            assert_eq!(sorted_ids(&data), (0..n).collect::<Vec<_>>(), "n = {n}");
+        }
+        // The spare holds no items: dropping it drops nothing.
+        drop(scratch);
+        (0..n).for_each(|id| assert_eq!(ledger.drops(id), 0, "n = {n}"));
+        drop(data);
+        assert_eq!(ledger.live(), 0, "n = {n}");
+        (0..n).for_each(|id| assert_eq!(ledger.drops(id), 1, "n = {n}"));
     }
 }
 

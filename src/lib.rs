@@ -47,13 +47,12 @@ pub use cgp_cgm::{
     ResidentCgm,
 };
 pub use cgp_core::{
-    apply_permutation, bucketed_index_permutation, bucketed_shuffle, bucketed_shuffle_with,
-    default_bucket_items, fisher_yates_shuffle, permute_blocks, permute_vec, permute_vec_into,
-    permute_vec_into_with, sequential_random_permutation, try_permute_vec_into_with, BucketScratch,
-    CompletionSet, EngineConfig, JobTicket, LaneDepth, LocalShuffle, MatrixBackend,
-    PermutationReport, PermutationService, PermutationSession, PermuteOptions, PermuteScratch,
-    Permuter, Priority, RejectedJob, ServiceConfig, ServiceError, ServiceHandle, ServiceMetrics,
-    TenantMetrics,
+    apply_permutation, default_bucket_items, fisher_yates_shuffle, permute_blocks, permute_vec,
+    permute_vec_into, permute_vec_into_with, sequential_random_permutation,
+    try_permute_vec_into_with, BucketScratch, CompletionSet, EngineConfig, JobTicket, LaneDepth,
+    LocalShuffle, MatrixBackend, PermutationReport, PermutationService, PermutationSession,
+    PermuteOptions, PermuteScratch, Permuter, Priority, RejectedJob, ServiceConfig, ServiceError,
+    ServiceHandle, ServiceMetrics, TenantMetrics,
 };
 pub use cgp_hypergeom::Hypergeometric;
 pub use cgp_matrix::{
