@@ -1,6 +1,7 @@
 //! Criterion bench for experiment E2: throughput and draw cost of the
 //! hypergeometric samplers (inversion vs HRUA vs adaptive), including the
-//! crossover-threshold ablation of DESIGN.md.
+//! crossover-threshold ablation of DESIGN.md, and the window splits of one
+//! worker of the pipeline's scatter.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -71,5 +72,46 @@ fn bench_multivariate(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_samplers, bench_multivariate);
+/// The window splits of one worker of a 2^24-item `u64` job at p = 2: 255
+/// windows of 2^15 items (the 256th split is forced and draws nothing), each
+/// split by Algorithm 2 over the K virtual targets against the worker's
+/// remaining demand, `2^23 / K` items per target at the start.  K = 512 is
+/// the layout of one-window buckets, K = 128 that of the run-length floor;
+/// an iteration costs `255 · (K − 1)` univariate draws.
+fn bench_window_splits(c: &mut Criterion) {
+    const WINDOW: u64 = 1 << 15;
+    const BLOCK: u64 = 1 << 23;
+    let mut group = c.benchmark_group("scatter_window_splits");
+    group.sample_size(10);
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(2));
+    for k in [512usize, 128] {
+        let row = vec![BLOCK / k as u64; k];
+        group.bench_with_input(BenchmarkId::new("bulk_worker_k", k), &k, |b, _| {
+            let mut rng = Pcg64::seed_from_u64(5);
+            let mut demand = row.clone();
+            let mut split = vec![0; k];
+            b.iter(|| {
+                demand.copy_from_slice(&row);
+                for _ in 1..BLOCK / WINDOW {
+                    cgp_hypergeom::multivariate_hypergeometric_into(
+                        &mut rng, WINDOW, &demand, &mut split,
+                    );
+                    for (d, &x) in demand.iter_mut().zip(&split) {
+                        *d -= x;
+                    }
+                }
+                std::hint::black_box(&demand);
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_samplers,
+    bench_multivariate,
+    bench_window_splits
+);
 criterion_main!(benches);

@@ -36,10 +36,12 @@ use crate::sequential::fisher_yates_shuffle;
 /// runs against fast cache instead of main memory.
 ///
 /// 256 KiB: comfortably inside a typical L2 (2 MiB of L2 and 48 KiB of L1d
-/// on the calibration host; a quarter-megabyte bucket leaves room for the
-/// scatter chunk, the draw buffer and the bucket cursors next to it).  It
-/// is a constant, never read from the host, so a seed maps to the same
-/// permutation on every machine.
+/// on the calibration host), with room next to it for the window or bucket
+/// that the pass warms ahead.  The pipeline's windows are this size; its
+/// buckets start at it and may grow to four times it where runs would
+/// otherwise be short (see the `parallel` module docs).  It is a constant,
+/// never read from the host, so a seed maps to the same permutation on
+/// every machine.
 pub const BUCKET_L2_BUDGET_BYTES: usize = 256 * 1024;
 
 /// Payload size (bytes of `n · size_of::<T>()`) past which the sequential
@@ -71,16 +73,18 @@ pub const AUTO_CROSSOVER_BYTES: usize = 64 * 1024 * 1024;
 /// record).
 pub const AUTO_MAX_ITEM_BYTES: usize = 16;
 
-/// Upper bound on the number of buckets one scatter pass fans out to.
+/// Upper bound on the number of windows of one source block, and on the
+/// number of buckets of one target block, in the one scatter level.
 ///
-/// Bounding the fan-out keeps the per-window bookkeeping (the
-/// hypergeometric row, the sinks' headers and cursors) cache-resident and
-/// the total row-sampling work at `O(k²) ≤ 64k` draws per pass.  For
-/// payloads beyond `256 · BUCKET_L2_BUDGET_BYTES` (64 MiB at the default
-/// budget) buckets therefore grow past the L2 budget to `total / 256` —
-/// still two orders of magnitude below the working set, so the
-/// cache-residency argument degrades gracefully instead of the bookkeeping
-/// blowing up.
+/// Every window is split over all `K` virtual targets of the job, `K − 1`
+/// hypergeometric draws per window, and the worker keeps one demand, one
+/// cursor and one split entry per target.  Bounding windows and buckets per
+/// block bounds both: a worker draws at most `255 · (K − 1)` times.  For
+/// blocks beyond `256 · BUCKET_L2_BUDGET_BYTES` (64 MiB at the default
+/// budget) windows and buckets therefore grow past the L2 budget to
+/// `m / 256` items — still two orders of magnitude below the working set,
+/// so the cache-residency argument degrades gracefully instead of the
+/// split cost growing with `n`.
 pub const MAX_SCATTER_BUCKETS: usize = 256;
 
 /// Number of items of type `T` that fit the [`BUCKET_L2_BUDGET_BYTES`]

@@ -133,10 +133,11 @@
 //! single-level form of Sanders' hierarchical scatter (*Random permutations
 //! on distributed, external and hierarchical memory*, IPL 1998).  Target
 //! block `j` is cut into `k_j` buckets of
-//! `effective_bucket_items(m'_j, window)` items (so
+//! `effective_bucket_items(m'_j, bucket)` items (so
 //! `k_j ≤ MAX_SCATTER_BUCKETS`), `K = Σ_j k_j` virtual targets in all, laid
 //! out in output order: bucket `c` is `starts[c] .. starts[c + 1]`.  The
-//! run takes three barriers:
+//! bucket size is chosen from the job's run length (see *Bucket size*
+//! below).  The run takes three barriers:
 //!
 //! 1. **Matrix.**  Algorithms 3–6 sample `A` as on the Fisher–Yates path;
 //!    each worker publishes its row into the job's `p × p` table.
@@ -182,6 +183,29 @@
 //! Fisher–Yates path.  The rule is per block, not per job total, and
 //! ignores the item width: see `SCATTER_MIN_WINDOWS` for the measurements
 //! behind it.
+//!
+//! **Bucket size.**  Each window costs `K − 1` hypergeometric draws and
+//! one copy per run, and its runs average `window / K` items.  Buckets of
+//! one window would make `K` grow with `n` while the window stays fixed:
+//! at 2^24 `u64` and p = 2, 512 targets, runs of ~64 items and ~130k draws
+//! per worker.  So buckets start at one window and grow until the job has
+//! at most `⌊w / MIN_RUN_ITEMS⌋` virtual targets (`w` the smallest window
+//! of a non-empty source block, `MIN_RUN_ITEMS` = 256), but never past
+//! `MAX_BUCKET_BYTES` (1 MiB) unless the `MAX_SCATTER_BUCKETS` fan-out cap
+//! already made them larger.  The rule reads only the block sizes, the
+//! window and the item width.  For `u64` at p = 2 it changes the layout
+//! from 2^23 to 2^25 items (at 2^24: 128 targets of 1 MiB, runs of ~256
+//! items); smaller jobs already meet the floor and larger ones are set by
+//! the fan-out cap.  Records of 512 bytes at 64 MiB go from 256 targets
+//! (runs of ~2 items) to 64 (runs of ~8), held back by the byte cap.
+//!
+//! On a 2-vCPU host at 2^24 `u64`, p = 2, the splits and run copies fell
+//! by 27–31 ms per call and the bucket pass, on buckets four times the L2
+//! budget, rose by 9–16 ms (three traced pairs); the benchmark's `bulk`
+//! workload permuted 1.31x the items per second at the median of ten
+//! pairs.  Quadrupling every bucket instead lost 0.87–0.92x at
+//! 2^20–2^21, which is why the rule keys on run length.  The hidden
+//! [`PermuteOptions::window_items`] override keeps buckets of one window.
 //!
 //! **Warm ahead.**  A window or bucket is too large for the hardware
 //! prefetcher to follow the shuffle's random accesses, so each pass would
@@ -605,11 +629,27 @@ const REFINE_STREAMS: u64 = 0x5EF1_0C01;
 /// the service workloads onto the scatter and cost them ~9% throughput.
 const SCATTER_MIN_WINDOWS: usize = 4;
 
+/// The shortest expected run the default layout aims for: buckets grow
+/// until a job has at most `⌊w / MIN_RUN_ITEMS⌋` virtual targets, where `w`
+/// is the smallest window of a non-empty source block, so each window is
+/// split into runs of at least this many items on average.  Each window
+/// costs `K − 1` hypergeometric draws and one copy per run (see *Bucket
+/// size* in the module docs for the measurements).
+const MIN_RUN_ITEMS: usize = 256;
+
+/// The largest bucket the run-length floor may grow to, in bytes: four
+/// times [`BUCKET_L2_BUDGET_BYTES`](crate::cache_aware::BUCKET_L2_BUDGET_BYTES),
+/// still inside the 2 MiB L2 of the calibration host, though a pass over
+/// it is slower than over one window.  Buckets that the
+/// `MAX_SCATTER_BUCKETS` fan-out cap already made larger keep their size.
+const MAX_BUCKET_BYTES: usize = 4 * crate::cache_aware::BUCKET_L2_BUDGET_BYTES;
+
 /// The layout of the one scatter level: its virtual targets — every bucket
 /// of every target block, in output order — and the refined `p × K`
 /// matrix that splits `A` over them.
 struct Scatter {
-    /// Requested window and bucket size in items (at least 1).
+    /// Requested window size in items (at least 1), raised per source block
+    /// by `effective_bucket_items`.
     window: usize,
     /// `first[j]` is the index of target block `j`'s first bucket;
     /// `first[p] = K`.
@@ -624,15 +664,48 @@ struct Scatter {
 }
 
 impl Scatter {
+    /// The layout of a job of `T` items, or `None` when every source and
+    /// target block fits `SCATTER_MIN_WINDOWS` windows of
+    /// [`default_bucket_items`] items (one window of the override's size
+    /// when `window_items` is set) and the job keeps the Fisher–Yates path.
+    ///
+    /// By default the buckets are as small as the run-length floor allows
+    /// (see [`bucket_for_runs`]); the override makes every window and
+    /// bucket `window_items` items.
+    fn plan<T>(
+        source: &BlockDistribution,
+        target: &BlockDistribution,
+        window_items: Option<usize>,
+    ) -> Option<Self> {
+        let fits = |largest: usize| {
+            [source, target]
+                .iter()
+                .all(|d| d.sizes().iter().all(|&m| m <= largest as u64))
+        };
+        match window_items {
+            Some(items) => {
+                let window = items.max(1);
+                (!fits(window)).then(|| Scatter::new(target, window, window))
+            }
+            None => {
+                let window = default_bucket_items::<T>();
+                (!fits(SCATTER_MIN_WINDOWS * window)).then(|| {
+                    Scatter::new(target, window, bucket_for_runs::<T>(source, target, window))
+                })
+            }
+        }
+    }
+
     /// The scatter over `target`'s blocks, each cut into buckets of
-    /// `effective_bucket_items(m'_j, window)` items (so at most
-    /// `MAX_SCATTER_BUCKETS` per block).
-    fn new(target: &BlockDistribution, window: usize) -> Self {
+    /// `effective_bucket_items(m'_j, bucket)` items (so at most
+    /// `MAX_SCATTER_BUCKETS` per block), with source windows of `window`
+    /// items.
+    fn new(target: &BlockDistribution, window: usize, bucket: usize) -> Self {
         let mut first = vec![0];
         let mut starts = Vec::new();
         for j in 0..target.procs() {
             let (offset, size) = (target.offset(j), target.size(j));
-            let bucket = effective_bucket_items(size as usize, window) as u64;
+            let bucket = effective_bucket_items(size as usize, bucket) as u64;
             starts.extend((0..size).step_by(bucket as usize).map(|b| offset + b));
             first.push(starts.len());
         }
@@ -657,6 +730,53 @@ impl Scatter {
     fn refined(&self, i: usize, c: usize) -> u64 {
         self.refined[i * self.targets() + c].load(Ordering::Relaxed)
     }
+}
+
+/// The bucket size of a default-layout scatter: the smallest size from
+/// `window` up to [`MAX_BUCKET_BYTES`] at which the job has at most
+/// `⌊w / MIN_RUN_ITEMS⌋` virtual targets, `w` being the smallest
+/// effective window over the non-empty source blocks; the byte cap when
+/// even that size leaves more targets.
+///
+/// Each target block `j` then gets buckets of
+/// `effective_bucket_items(m'_j, bucket)` items: never fewer than with
+/// buckets of one window, and more than the byte cap only where the
+/// `MAX_SCATTER_BUCKETS` fan-out cap already asked for it.
+fn bucket_for_runs<T>(
+    source: &BlockDistribution,
+    target: &BlockDistribution,
+    window: usize,
+) -> usize {
+    let smallest_window = source
+        .sizes()
+        .iter()
+        .filter(|&&m| m > 0)
+        .map(|&m| effective_bucket_items(m as usize, window))
+        .min()
+        .unwrap_or(window);
+    let most = smallest_window / MIN_RUN_ITEMS;
+    let targets = |bucket: usize| -> usize {
+        target
+            .sizes()
+            .iter()
+            .map(|&m| (m as usize).div_ceil(effective_bucket_items(m as usize, bucket)))
+            .sum()
+    };
+    // `targets` never grows with the bucket size: search for the smallest
+    // size that meets the floor.
+    let (mut low, mut high) = (
+        window,
+        (MAX_BUCKET_BYTES / std::mem::size_of::<T>().max(1)).max(window),
+    );
+    while low < high {
+        let mid = low + (high - low) / 2;
+        if targets(mid) <= most {
+            high = mid;
+        } else {
+            low = mid + 1;
+        }
+    }
+    low
 }
 
 /// One permutation job, staged and ready to run on an executor, shared by
@@ -833,8 +953,9 @@ impl<T> Job<T> {
 
 /// Stages one job: lays out the one scatter level when some block exceeds
 /// `SCATTER_MIN_WINDOWS` windows (one window of the test override's size
-/// when [`PermuteOptions::window_items`] is set), and takes the caller's
-/// items and the scratch's spare into a [`Handoff`].
+/// when [`PermuteOptions::window_items`] is set; see [`Scatter::plan`]),
+/// and takes the caller's items and the scratch's spare into a
+/// [`Handoff`].
 ///
 /// The distributions must already be validated (see
 /// [`PermuteOptions::resolve_target_sizes`]): all misuse is rejected before
@@ -852,15 +973,7 @@ fn stage_job<T: Send>(
         source.total() == data.len() as u64 && target.total() == data.len() as u64,
         "the block distributions must cover the payload exactly"
     );
-    let (window, largest) = match options.window_items {
-        Some(items) => (items.max(1), items.max(1)),
-        None => {
-            let window = default_bucket_items::<T>();
-            (window, SCATTER_MIN_WINDOWS * window)
-        }
-    };
-    let fits = |d: &BlockDistribution| d.sizes().iter().all(|&m| m <= largest as u64);
-    let scatter = (!(fits(&source) && fits(&target))).then(|| Scatter::new(&target, window));
+    let scatter = Scatter::plan::<T>(&source, &target, options.window_items);
     Arc::new(Job {
         handoff: Handoff::new(std::mem::take(data), std::mem::take(&mut scratch.spare)),
         source,
@@ -1512,6 +1625,133 @@ mod tests {
             seen[x as usize] = true;
         }
         true
+    }
+
+    /// `K` and the bucket sizes of each target block of a layout.
+    fn buckets(scatter: &Scatter) -> (usize, Vec<Vec<u64>>) {
+        let blocks = (0..scatter.first.len() - 1)
+            .map(|j| {
+                (scatter.first[j]..scatter.first[j + 1])
+                    .map(|c| scatter.starts[c + 1] - scatter.starts[c])
+                    .collect()
+            })
+            .collect();
+        (scatter.targets(), blocks)
+    }
+
+    /// The layout of a job whose blocks have the given sizes.
+    fn plan<T>(source: &[u64], target: &[u64], window_items: Option<usize>) -> Option<Scatter> {
+        Scatter::plan::<T>(
+            &BlockDistribution::from_sizes(source.to_vec()),
+            &BlockDistribution::from_sizes(target.to_vec()),
+            window_items,
+        )
+    }
+
+    #[test]
+    fn buckets_grow_until_runs_reach_the_floor() {
+        const M: u64 = 1 << 20;
+        // (source blocks, target blocks, K, bucket size of each block): K
+        // is at most ⌊w / MIN_RUN_ITEMS⌋ where the 1 MiB cap allows it.
+        type Shape = (&'static [u64], &'static [u64], usize, &'static [u64]);
+        let u64_shapes: [Shape; 8] = [
+            // p = 2, n = 2^22: one-window buckets already meet the floor.
+            (&[2 * M, 2 * M], &[2 * M, 2 * M], 128, &[1 << 15, 1 << 15]),
+            // n = 2^23 and 2^24: 256 and 512 targets shrink to 128.
+            (&[4 * M, 4 * M], &[4 * M, 4 * M], 128, &[1 << 16, 1 << 16]),
+            (&[8 * M, 8 * M], &[8 * M, 8 * M], 128, &[1 << 17, 1 << 17]),
+            // n = 2^25: the fan-out cap doubles the window to 2^16 items,
+            // so the floor allows 256 targets.
+            (
+                &[16 * M, 16 * M],
+                &[16 * M, 16 * M],
+                256,
+                &[1 << 17, 1 << 17],
+            ),
+            // n = 2^26: the fan-out cap alone already meets the floor.
+            (
+                &[32 * M, 32 * M],
+                &[32 * M, 32 * M],
+                512,
+                &[1 << 17, 1 << 17],
+            ),
+            // p = 1, n = 2^23.
+            (&[8 * M], &[8 * M], 128, &[1 << 16]),
+            // Uneven targets: one size fits both blocks.
+            (&[4 * M, 4 * M], &[2 * M, 6 * M], 128, &[1 << 16, 1 << 16]),
+            // Uneven sources, one empty: the smallest non-empty window
+            // sets the floor, and the byte cap stops the growth short of it.
+            (
+                &[0, 8 * M, 24 * M],
+                &[16 * M, 0, 16 * M],
+                256,
+                &[1 << 17, 0, 1 << 17],
+            ),
+        ];
+        for (source, target, k, sizes) in u64_shapes {
+            let scatter = plan::<u64>(source, target, None).expect("a scatter");
+            let (targets, blocks) = buckets(&scatter);
+            assert_eq!(targets, k, "{source:?} -> {target:?}");
+            for ((block, &size), &m) in blocks.iter().zip(sizes).zip(target) {
+                assert_eq!(block.iter().sum::<u64>(), m, "{source:?} -> {target:?}");
+                assert!(
+                    block.iter().all(|&b| b == size),
+                    "{source:?} -> {target:?}: {block:?}"
+                );
+            }
+        }
+        // 512-byte records at 64 MiB, p = 2: windows of 512 items allow
+        // just 2 targets, so the 1 MiB cap (2048 items) binds: 64 targets,
+        // runs of ~8 items instead of 256 targets and ~2 items.
+        let scatter = plan::<[u64; 64]>(&[1 << 16, 1 << 16], &[1 << 16, 1 << 16], None);
+        let (targets, blocks) = buckets(&scatter.expect("a scatter"));
+        assert_eq!(targets, 64);
+        assert!(blocks.iter().flatten().all(|&b| b == 2048));
+    }
+
+    #[test]
+    fn the_window_override_keeps_one_window_buckets() {
+        // The override makes every bucket one window, raised only by the
+        // fan-out cap, whatever the run length: the sequential engine and
+        // the override-based golden pins depend on it.
+        const M: u64 = 1 << 20;
+        for (source, target) in [
+            (&[8 * M, 8 * M][..], &[8 * M, 8 * M][..]),
+            (&[16 * M, 16 * M], &[16 * M, 16 * M]),
+            (&[4 * M, 4 * M], &[2 * M, 6 * M]),
+            (&[100, 4000], &[3000, 1100]),
+        ] {
+            for window in [1, 16, 1 << 15] {
+                let scatter = plan::<u64>(source, target, Some(window));
+                if source.iter().chain(target).all(|&m| m <= window as u64) {
+                    assert!(
+                        scatter.is_none(),
+                        "{source:?} -> {target:?}, window {window}"
+                    );
+                    continue;
+                }
+                let scatter = scatter.expect("a scatter");
+                let (targets, blocks) = buckets(&scatter);
+                let one_window: Vec<Vec<u64>> = target
+                    .iter()
+                    .map(|&m| {
+                        let bucket = effective_bucket_items(m as usize, window) as u64;
+                        (0..m.div_ceil(bucket))
+                            .map(|b| bucket.min(m - b * bucket))
+                            .collect()
+                    })
+                    .collect();
+                assert_eq!(
+                    blocks, one_window,
+                    "{source:?} -> {target:?}, window {window}"
+                );
+                assert_eq!(targets, one_window.iter().map(Vec::len).sum::<usize>());
+                assert_eq!(scatter.window, window);
+            }
+        }
+        // Small blocks keep the Fisher–Yates path, with or without it.
+        assert!(plan::<u64>(&[1 << 17, 1 << 17], &[1 << 17, 1 << 17], None).is_none());
+        assert!(plan::<u64>(&[16, 16], &[16, 16], Some(16)).is_none());
     }
 
     #[test]

@@ -32,14 +32,16 @@ fn checksum(items: &[u64]) -> u64 {
     })
 }
 
-/// A 4 KiB record, so a window holds only 64 of them and the boundary is
-/// cheap to reach in a debug build.
-type Wide = [u64; 512];
+/// A 64-byte record, so a window holds 4096 of them and the boundary (2 MiB
+/// at p = 2) is cheap to reach in a debug build.  The records are no wider
+/// so that the default buckets there are still one window: the run-length
+/// floor allows `4096 / 256 = 16` virtual targets and the job has 10.
+type Wide = [u64; 8];
 
 /// Permutes `n` wide records, each filled with its index, and returns the
 /// indices in output order (checking every record arrived whole).
 fn wide_order(permuter: &Permuter, n: usize) -> Vec<u64> {
-    let items: Vec<Wide> = (0..n as u64).map(|i| [i; 512]).collect();
+    let items: Vec<Wide> = (0..n as u64).map(|i| [i; 8]).collect();
     let out = permuter.permute(items).0;
     assert!(out.iter().all(|r| r.iter().all(|&w| w == r[0])));
     out.iter().map(|r| r[0]).collect()
@@ -51,7 +53,7 @@ fn wide_order(permuter: &Permuter, n: usize) -> Vec<u64> {
 #[test]
 fn the_rule_scatters_exactly_past_four_windows_per_block() {
     let window = default_bucket_items::<Wide>();
-    assert_eq!(window, 64);
+    assert_eq!(window, 4096);
     let (p, seed) = (2, 0xB0_0D);
 
     let block = 4 * window;

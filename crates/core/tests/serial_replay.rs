@@ -9,7 +9,9 @@
 //! processors, one per processor, odd and larger), every matrix backend,
 //! even and uneven target blocks, both layouts (the Fisher–Yates path and
 //! the one scatter level, forced at small `n` through tiny windows), and
-//! two item types: `u64`, and an item that counts its drops.
+//! two item types: `u64`, and an item that counts its drops.  One
+//! release-only case runs the default layout at 2^24 items, where the
+//! scatter's buckets grow past one window.
 //!
 //! A replay that visits the processors in any other order than by id
 //! cannot pass: the word plane loops back, and a processor that receives
@@ -159,4 +161,39 @@ fn drop_counting_items_replay_like_u64() {
         }
         service.shutdown();
     }
+}
+
+/// The default layout at 2^24 `u64` and p = 2, where buckets grow past one
+/// window to keep runs long (128 virtual targets of 2^17 items): a threaded
+/// one-shot run, a session and the serial replay agree byte for byte, and
+/// the output is a permutation.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "2^24 items: run it in a release build")]
+fn the_default_layout_at_scale_replays_like_threads() {
+    const N: u64 = 1 << 24;
+    let permuter = Permuter::new(2).seed(SEED);
+    let (threaded, _) = permuter.permute((0..N).collect::<Vec<u64>>());
+    let mut seen = vec![false; N as usize];
+    for &x in &threaded {
+        assert!(!std::mem::replace(&mut seen[x as usize], true), "{x} twice");
+    }
+    drop(seen);
+
+    let mut session = permuter.session::<u64>();
+    let mut data: Vec<u64> = (0..N).collect();
+    session.permute_into(&mut data);
+    session.shutdown();
+    assert!(
+        data == threaded,
+        "the session differs from the one-shot run"
+    );
+    drop(data);
+
+    let service = permuter.service_sized::<u64>(1, 1);
+    let (serial, _) = service.handle().permute((0..N).collect()).unwrap();
+    service.shutdown();
+    assert!(
+        serial == threaded,
+        "the serial replay differs from the one-shot run"
+    );
 }

@@ -19,9 +19,9 @@
 //! and performs exactly `k − support_min` multiply-adds, so its expected cost
 //! is the distance from `support_min` to the mean, not the width of the
 //! distribution.  A narrow target far from its support minimum (small sd,
-//! large mean — exactly the splits produced by the bucketed scatter-shuffle
-//! of `cgp-core::cache_aware`) walked hundreds of states per draw under the
-//! sd rule while HRUA would have sampled it at constant cost.
+//! large mean — exactly the window splits of the one scatter level in
+//! `cgp-core::parallel`) walked hundreds of states per draw under the sd
+//! rule while HRUA would have sampled it at constant cost.
 
 use crate::hrua::sample_hrua;
 use crate::inverse::sample_inverse;
