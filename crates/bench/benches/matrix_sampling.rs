@@ -41,14 +41,12 @@ fn bench_parallel_backends(c: &mut Criterion) {
         let source = vec![M; p];
         let target = vec![M; p];
         group.bench_with_input(BenchmarkId::new("alg5_parallel_log", p), &p, |b, &p| {
-            let mut machine = CgmMachine::new(CgmConfig::new(p).with_seed(3));
-            b.iter(|| std::hint::black_box(sample_parallel_log(&mut machine, &source, &target).0));
+            let machine = CgmMachine::new(CgmConfig::new(p).with_seed(3));
+            b.iter(|| std::hint::black_box(sample_parallel_log(&machine, &source, &target).0));
         });
         group.bench_with_input(BenchmarkId::new("alg6_parallel_optimal", p), &p, |b, &p| {
-            let mut machine = CgmMachine::new(CgmConfig::new(p).with_seed(3));
-            b.iter(|| {
-                std::hint::black_box(sample_parallel_optimal(&mut machine, &source, &target).0)
-            });
+            let machine = CgmMachine::new(CgmConfig::new(p).with_seed(3));
+            b.iter(|| std::hint::black_box(sample_parallel_optimal(&machine, &source, &target).0));
         });
     }
     group.finish();

@@ -265,11 +265,11 @@ pub fn matrix_cost(procs: &[usize], m: u64, seed: u64) -> Vec<MatrixCostRow> {
         }
 
         for backend in [MatrixBackend::ParallelLog, MatrixBackend::ParallelOptimal] {
-            let mut machine = CgmMachine::new(CgmConfig::new(p).with_seed(seed));
+            let machine = CgmMachine::new(CgmConfig::new(p).with_seed(seed));
             let started = Instant::now();
             let (matrix, metrics) = match backend {
-                MatrixBackend::ParallelLog => sample_parallel_log(&mut machine, &source, &target),
-                _ => sample_parallel_optimal(&mut machine, &source, &target),
+                MatrixBackend::ParallelLog => sample_parallel_log(&machine, &source, &target),
+                _ => sample_parallel_optimal(&machine, &source, &target),
             };
             let elapsed = started.elapsed();
             std::hint::black_box(&matrix);

@@ -7,10 +7,9 @@
 //! 1. **Matrix phase** — the front-end backends sampled on the calling
 //!    thread from the `"communication-matrix"` named stream; the parallel
 //!    backends ran Algorithms 5/6 as their own job on a **freshly spawned
-//!    one-shot machine**, even when the exchange itself ran on a resident
-//!    pool.
-//! 2. **Data phase** — a second job (machine run or pool job) shuffled,
-//!    cut along the now-known matrix, exchanged and re-shuffled.
+//!    one-shot machine**.
+//! 2. **Data phase** — a second job on a one-shot machine shuffled, cut
+//!    along the now-known matrix, exchanged and re-shuffled.
 //!
 //! Every random stream below is derived exactly as the old engine derived
 //! it, so for the same machine seed this produces the **identical**
@@ -21,12 +20,11 @@
 //! today's dual-plane fabric (every machine carries the word plane whether
 //! or not a job samples on it).
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use cgp_cgm::{BlockDistribution, CgmConfig, CgmExecutor, CgmMachine, ProcCtx, ResidentCgm};
+use cgp_cgm::{BlockDistribution, CgmConfig, CgmMachine, ProcCtx};
 use cgp_core::{fisher_yates_shuffle, MatrixBackend, PermuteOptions};
 use cgp_matrix::{sample_recursive, sample_sequential, CommMatrix};
 use cgp_rng::SeedSequence;
@@ -49,12 +47,12 @@ pub fn staged_sample_matrix(
         }
         MatrixBackend::Recursive => sample_recursive(&mut matrix_rng, source_sizes, &target_sizes),
         MatrixBackend::ParallelLog => {
-            let mut machine = CgmMachine::new(*config);
-            cgp_matrix::sample_parallel_log(&mut machine, source_sizes, &target_sizes).0
+            let machine = CgmMachine::new(*config);
+            cgp_matrix::sample_parallel_log(&machine, source_sizes, &target_sizes).0
         }
         MatrixBackend::ParallelOptimal => {
-            let mut machine = CgmMachine::new(*config);
-            cgp_matrix::sample_parallel_optimal(&mut machine, source_sizes, &target_sizes).0
+            let machine = CgmMachine::new(*config);
+            cgp_matrix::sample_parallel_optimal(&machine, source_sizes, &target_sizes).0
         }
     };
     (target_sizes, matrix)
@@ -81,32 +79,24 @@ impl<T> StagedScratch<T> {
 /// Stage 2 of the staged pipeline: the move-based shuffle / cut / exchange
 /// / shuffle job, running against an *already sampled* matrix.  Verbatim
 /// the data phase of the pre-fusion engine.
-fn staged_exchange<T, E>(
-    exec: &mut E,
+fn staged_exchange<T: Send + 'static>(
+    machine: &CgmMachine,
     blocks: Vec<Vec<T>>,
     mut outgoing_scratch: Vec<Vec<Vec<T>>>,
     matrix: CommMatrix,
     target_sizes: Vec<u64>,
-) -> (Vec<Vec<T>>, Vec<Vec<Vec<T>>>)
-where
-    T: Send + 'static,
-    E: CgmExecutor<T>,
-{
+) -> (Vec<Vec<T>>, Vec<Vec<Vec<T>>>) {
     // One processor's hand-off: its block plus recycled outgoing buffers.
-    type Slots<T> = Arc<Vec<Mutex<Option<(Vec<T>, Vec<Vec<T>>)>>>>;
-    let p = exec.procs();
+    type Slots<T> = Vec<Mutex<Option<(Vec<T>, Vec<Vec<T>>)>>>;
+    let p = machine.procs();
     outgoing_scratch.resize_with(p, Vec::new);
-    let slots: Slots<T> = Arc::new(
-        blocks
-            .into_iter()
-            .zip(outgoing_scratch)
-            .map(|pair| Mutex::new(Some(pair)))
-            .collect(),
-    );
-    let matrix = Arc::new(matrix);
-    let target_sizes = Arc::new(target_sizes);
+    let slots: Slots<T> = blocks
+        .into_iter()
+        .zip(outgoing_scratch)
+        .map(|pair| Mutex::new(Some(pair)))
+        .collect();
 
-    let outcome = exec.run_job(move |ctx: &mut ProcCtx<T>| {
+    let outcome = machine.run(|ctx: &mut ProcCtx<T>| {
         let id = ctx.id();
         let p = ctx.procs();
         let mut shuffle_rng = ctx.seeds().child_sequence(0x5AFE_B10C).proc_stream(id);
@@ -156,22 +146,18 @@ where
     (new_blocks, shells)
 }
 
-/// The staged counterpart of `cgp_core::permute_vec_into_with`: matrix
-/// sampled up front (stage 1), then the data exchange as a second job on
-/// `exec` (stage 2), recycling buffers through `scratch`.  Returns the
-/// wall-clock split `(matrix_elapsed, exchange_elapsed)`.
-pub fn staged_permute_vec_into_with<T, E>(
-    exec: &mut E,
+/// The staged counterpart of `cgp_core::permute_vec_into`: matrix sampled
+/// up front (stage 1), then the data exchange as a second job on `machine`
+/// (stage 2), recycling buffers through `scratch`.  Returns the wall-clock
+/// split `(matrix_elapsed, exchange_elapsed)`.
+pub fn staged_permute_vec_into<T: Send + 'static>(
+    machine: &CgmMachine,
     data: &mut Vec<T>,
     options: &PermuteOptions,
     scratch: &mut StagedScratch<T>,
-) -> (std::time::Duration, std::time::Duration)
-where
-    T: Send + 'static,
-    E: CgmExecutor<T>,
-{
-    let p = exec.procs();
-    let config = exec.config();
+) -> (std::time::Duration, std::time::Duration) {
+    let p = machine.procs();
+    let config = *machine.config();
     let dist = BlockDistribution::even(data.len() as u64, p);
     options.validate_target_sizes(p, data.len() as u64);
     let mut options = options.clone();
@@ -191,7 +177,7 @@ where
 
     let exchange_started = Instant::now();
     let outgoing = std::mem::take(&mut scratch.outgoing);
-    let (mut new_blocks, shells) = staged_exchange(exec, blocks, outgoing, matrix, target_sizes);
+    let (mut new_blocks, shells) = staged_exchange(machine, blocks, outgoing, matrix, target_sizes);
     let exchange_elapsed = exchange_started.elapsed();
 
     out_dist.concat_vec_into(&mut new_blocks, data);
@@ -207,34 +193,34 @@ pub fn staged_permute_vec<T: Send + 'static>(
     mut data: Vec<T>,
     options: &PermuteOptions,
 ) -> Vec<T> {
-    let mut exec = machine.clone();
     let mut scratch = StagedScratch::new();
-    staged_permute_vec_into_with(&mut exec, &mut data, options, &mut scratch);
+    staged_permute_vec_into(machine, &mut data, options, &mut scratch);
     data
 }
 
-/// A staged **session**: a resident pool for the data phase plus a
-/// recycled scratch — exactly what `PermutationSession` was before the
-/// fusion, including the per-call one-shot matrix machine of the parallel
-/// backends.
+/// A staged **session**: a machine for the data phase plus a recycled
+/// scratch — the shape `PermutationSession` had before the fusion, kept as
+/// the equivalence oracle of today's session.  Its data phase runs on a
+/// one-shot [`CgmMachine`], which spawns its threads per call; the
+/// permutation does not depend on that.
 pub struct StagedSession<T: Send + 'static> {
-    pool: ResidentCgm<T>,
+    machine: CgmMachine,
     scratch: StagedScratch<T>,
     options: PermuteOptions,
 }
 
 impl<T: Send + 'static> StagedSession<T> {
-    /// Spawns the resident workers for the staged data phase.
+    /// A staged session over `config`.
     pub fn new(config: CgmConfig, options: PermuteOptions) -> Self {
         StagedSession {
-            pool: ResidentCgm::new(config),
+            machine: CgmMachine::new(config),
             scratch: StagedScratch::new(),
             options,
         }
     }
 
-    /// Permutes `data` in place: matrix up front, data phase on the pool.
+    /// Permutes `data` in place: matrix up front, then the data phase.
     pub fn permute_into(&mut self, data: &mut Vec<T>) {
-        staged_permute_vec_into_with(&mut self.pool, data, &self.options, &mut self.scratch);
+        staged_permute_vec_into(&self.machine, data, &self.options, &mut self.scratch);
     }
 }

@@ -15,31 +15,18 @@
 //!   an all-to-all exchange can send everything before receiving anything.
 //! * **Drain** — after [`Endpoint::drain`] returns, no envelope sent to
 //!   this endpoint *before* the call will ever be received from it;
-//!   envelopes sent after the drain are unaffected.  Only sound while all
-//!   peers are parked (the pool's recovery round guarantees that).
-//!
-//! The [`Envelope::generation`] stamp travels unmodified; dropping stale
-//! generations is the communicator's job (the resident pool's fence).
+//!   envelopes sent after the drain are unaffected.  Only sound while no
+//!   peer is sending (a [`crate::LoopbackCgm`] recovers on its one thread).
 
-use std::time::Duration;
-
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{unbounded, Receiver, RecvError, Sender, TryRecvError};
 
 /// A message in flight between two virtual processors.
-///
-/// The `generation` stamp is the **fence** of the resident pool: outgoing
-/// envelopes carry the sending job's generation, and receives drop
-/// envelopes from earlier jobs (sent but legally never received there)
-/// instead of delivering them into the wrong job.
 #[derive(Debug)]
 pub(crate) struct Envelope<T> {
     /// Sending virtual processor.
     pub(crate) from: usize,
     /// Message tag (matched by [`crate::Communicator::recv`]).
     pub(crate) tag: u64,
-    /// Job generation of the sender; always `0` on the one-shot machine,
-    /// whose fabric lives for exactly one job.
-    pub(crate) generation: u64,
     /// The payload, moved to the peer.
     pub(crate) payload: Vec<T>,
 }
@@ -52,7 +39,7 @@ pub(crate) struct Endpoint<T> {
 
 /// Builds one plane of `procs` endpoints, indexed by processor id.  Not
 /// holding a self-sender is what lets a channel disconnect — and
-/// [`Endpoint::recv_timeout`] report it — once every peer is gone.
+/// [`Endpoint::recv`] report it — once every peer is gone.
 pub(crate) fn open_plane<T>(procs: usize) -> Vec<Endpoint<T>> {
     let (senders, receivers): (Vec<_>, Vec<_>) = (0..procs).map(|_| unbounded()).unzip();
     receivers
@@ -84,11 +71,16 @@ impl<T> Endpoint<T> {
             .map_err(|e| e.0)
     }
 
-    /// Receives the next envelope addressed to this endpoint, waiting at
-    /// most `timeout`.  [`RecvTimeoutError::Disconnected`] means every peer
-    /// is gone and nothing will ever arrive again.
-    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<Envelope<T>, RecvTimeoutError> {
-        self.receiver.recv_timeout(timeout)
+    /// Receives the next envelope addressed to this endpoint, blocking
+    /// until one arrives.  `Err` means every peer is gone and nothing will
+    /// ever arrive again.
+    pub(crate) fn recv(&self) -> Result<Envelope<T>, RecvError> {
+        self.receiver.recv()
+    }
+
+    /// The next envelope addressed to this endpoint, if one is waiting.
+    pub(crate) fn try_recv(&self) -> Result<Envelope<T>, TryRecvError> {
+        self.receiver.try_recv()
     }
 
     /// Discards everything in flight towards this endpoint.
@@ -101,59 +93,43 @@ impl<T> Endpoint<T> {
 mod tests {
     use super::*;
 
-    fn envelope(from: usize, tag: u64, generation: u64, payload: Vec<u64>) -> Envelope<u64> {
-        Envelope {
-            from,
-            tag,
-            generation,
-            payload,
-        }
+    fn envelope(from: usize, tag: u64, payload: Vec<u64>) -> Envelope<u64> {
+        Envelope { from, tag, payload }
     }
-
-    const ARRIVAL: Duration = Duration::from_secs(10);
 
     #[test]
     fn envelopes_arrive_with_headers_intact() {
         let plane = open_plane::<u64>(3);
-        plane[0].send(2, envelope(0, 11, 5, vec![1, 2, 3])).unwrap();
-        let env = plane[2].recv_timeout(ARRIVAL).unwrap();
-        assert_eq!(
-            (env.from, env.tag, env.generation, env.payload),
-            (0, 11, 5, vec![1, 2, 3])
-        );
+        plane[0].send(2, envelope(0, 11, vec![1, 2, 3])).unwrap();
+        let env = plane[2].recv().unwrap();
+        assert_eq!((env.from, env.tag, env.payload), (0, 11, vec![1, 2, 3]));
     }
 
     #[test]
     fn per_pair_delivery_is_fifo() {
         let plane = open_plane::<u64>(2);
         for tag in 0..64 {
-            plane[0].send(1, envelope(0, tag, 0, vec![tag])).unwrap();
+            plane[0].send(1, envelope(0, tag, vec![tag])).unwrap();
         }
         for tag in 0..64 {
-            assert_eq!(plane[1].recv_timeout(ARRIVAL).unwrap().tag, tag);
+            assert_eq!(plane[1].recv().unwrap().tag, tag);
         }
     }
 
     #[test]
-    fn idle_receive_times_out() {
+    fn idle_endpoint_has_nothing_waiting() {
         let plane = open_plane::<u64>(2);
-        assert!(matches!(
-            plane[0].recv_timeout(Duration::from_millis(5)),
-            Err(RecvTimeoutError::Timeout)
-        ));
+        assert!(matches!(plane[0].try_recv(), Err(TryRecvError::Empty)));
     }
 
     #[test]
     fn drain_discards_only_prior_envelopes() {
         let plane = open_plane::<u64>(2);
-        plane[0].send(1, envelope(0, 1, 0, vec![1])).unwrap();
+        plane[0].send(1, envelope(0, 1, vec![1])).unwrap();
         plane[1].drain();
-        assert!(matches!(
-            plane[1].recv_timeout(Duration::from_millis(10)),
-            Err(RecvTimeoutError::Timeout)
-        ));
-        plane[0].send(1, envelope(0, 2, 0, vec![2])).unwrap();
-        assert_eq!(plane[1].recv_timeout(ARRIVAL).unwrap().tag, 2);
+        assert!(matches!(plane[1].try_recv(), Err(TryRecvError::Empty)));
+        plane[0].send(1, envelope(0, 2, vec![2])).unwrap();
+        assert_eq!(plane[1].recv().unwrap().tag, 2);
     }
 
     #[test]
@@ -161,11 +137,8 @@ mod tests {
         let mut plane = open_plane::<u64>(2);
         let keep = plane.remove(1);
         drop(plane); // endpoint 0 (and its senders) gone
-        assert!(matches!(
-            keep.recv_timeout(Duration::from_millis(5)),
-            Err(RecvTimeoutError::Disconnected)
-        ));
+        assert!(keep.recv().is_err());
         // The peer's receiver is gone too: sends hand the envelope back.
-        assert!(keep.send(0, envelope(1, 0, 0, vec![9])).is_err());
+        assert!(keep.send(0, envelope(1, 0, vec![9])).is_err());
     }
 }

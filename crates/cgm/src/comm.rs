@@ -23,26 +23,13 @@
 //! (`words_sent`/`words_received` are payload lengths), which is what makes
 //! the simulator's volume figures comparable to the paper's bandwidth
 //! accounting.
-//!
-//! The communicator is also where the resident pool's **generation fence**
-//! lives: outgoing envelopes are stamped, incoming envelopes from an older
-//! job are dropped.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
-
-use crossbeam_channel::RecvTimeoutError;
 
 use crate::channel::{Endpoint, Envelope};
 use crate::metrics::ProcMetrics;
 use crate::sync::{abort_unwind, AbortFlag, BarrierWait, SuperstepBarrier};
-
-/// How often a blocked receive re-checks the machine's abort flag.  A
-/// message arriving during the wait wakes the receiver immediately — the
-/// interval only bounds how long a processor keeps sleeping after a *peer*
-/// panicked, so it trades shutdown latency (not throughput) for wakeups.
-const ABORT_POLL: Duration = Duration::from_millis(1);
 
 /// The per-processor communication endpoint.
 pub struct Communicator<T> {
@@ -56,13 +43,6 @@ pub struct Communicator<T> {
     mailbox: Vec<VecDeque<Envelope<T>>>,
     /// Payloads this processor sent to itself, by tag order.
     self_queue: VecDeque<Envelope<T>>,
-    /// Current job generation (resident pool): outgoing envelopes are
-    /// stamped with it and incoming envelopes from an older generation —
-    /// sent during an earlier job but never received, which is legal there —
-    /// are dropped instead of being delivered into the wrong job.  The
-    /// one-shot machine stays at generation `0` for its whole (single-job)
-    /// lifetime, so the stamp never changes behaviour there.
-    generation: u64,
     barrier: Arc<SuperstepBarrier>,
     abort: Arc<AbortFlag>,
     /// Set on a [`crate::LoopbackCgm`]'s contexts, which all run on one
@@ -87,27 +67,11 @@ impl<T: Send> Communicator<T> {
             endpoint,
             mailbox: (0..procs).map(|_| VecDeque::new()).collect(),
             self_queue: VecDeque::new(),
-            generation: 0,
             barrier,
             abort,
             loopback,
             metrics: ProcMetrics::default(),
         }
-    }
-
-    /// Starts a new job on this endpoint (resident pool): moves to the
-    /// coordinator-assigned `generation` so envelopes a finished job sent
-    /// but never received cannot be mistaken for this job's messages, and
-    /// discards the local leftovers (mailbox and self-queue — only this
-    /// thread touches those).  Stale envelopes still in flight on the
-    /// channels are dropped lazily when a receive encounters them, so this
-    /// costs `O(1)` when the previous job consumed everything.
-    pub(crate) fn begin_job(&mut self, generation: u64) {
-        self.generation = generation;
-        for q in &mut self.mailbox {
-            q.clear();
-        }
-        self.self_queue.clear();
     }
 
     /// This processor's id in `0..p`.
@@ -137,7 +101,6 @@ impl<T: Send> Communicator<T> {
             self.self_queue.push_back(Envelope {
                 from: self.id,
                 tag,
-                generation: self.generation,
                 payload,
             });
             return;
@@ -149,7 +112,6 @@ impl<T: Send> Communicator<T> {
                 Envelope {
                     from: self.id,
                     tag,
-                    generation: self.generation,
                     payload,
                 },
             )
@@ -188,45 +150,58 @@ impl<T: Send> Communicator<T> {
 
     /// Pulls messages off the endpoint until one from `from` is available.
     ///
-    /// The wait is abort-aware: if a peer panics while this processor is
-    /// parked, the machine's abort flag is raised and this receive unwinds
-    /// (with the secondary [`crate::sync::AbortPanic`] payload) instead of
-    /// sleeping forever on a message that will never be sent.
+    /// The wait blocks, and an abort wakes it: a processor whose code
+    /// panics on a [`crate::CgmMachine`] raises the machine's abort flag and
+    /// then sends every peer an empty envelope ([`Communicator::wake_peers`]).
+    /// Whatever arrives, this receive checks the flag first and unwinds
+    /// (with the secondary [`crate::sync::AbortPanic`] payload) once it is
+    /// raised, instead of sleeping forever on a message that will never be
+    /// sent.
     fn take_from(&mut self, from: usize) -> Envelope<T> {
         if let Some(env) = self.mailbox[from].pop_front() {
             return env;
         }
         loop {
+            let env = if self.loopback {
+                self.endpoint.try_recv().unwrap_or_else(|_| {
+                    panic!(
+                        "processor {} received from {from} before {from} sent: a serial \
+                         replay must run each phase on the processors in id order",
+                        self.id
+                    )
+                })
+            } else {
+                self.endpoint.recv().unwrap_or_else(|_| {
+                    panic!(
+                        "all peers terminated while processor {} waited for a message from {from}",
+                        self.id
+                    )
+                })
+            };
             if let Some(culprit) = self.abort.culprit() {
                 abort_unwind(culprit);
-            }
-            let wait = if self.loopback {
-                Duration::ZERO
-            } else {
-                ABORT_POLL
-            };
-            let env = match self.endpoint.recv_timeout(wait) {
-                Ok(env) => env,
-                Err(RecvTimeoutError::Timeout) if self.loopback => panic!(
-                    "processor {} received from {from} before {from} sent: a serial \
-                     replay must run each phase on the processors in id order",
-                    self.id
-                ),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => panic!(
-                    "all peers terminated while processor {} waited for a message from {from}",
-                    self.id
-                ),
-            };
-            if env.generation != self.generation {
-                // Sent during an earlier job of the resident pool and never
-                // received there; it must not leak into this job.
-                continue;
             }
             if env.from == from {
                 return env;
             }
             self.mailbox[env.from].push_back(env);
+        }
+    }
+
+    /// Wakes every peer blocked in a receive on this plane: sends each one
+    /// an empty envelope, which the peer reads as an abort once the
+    /// machine's abort flag is raised (see [`Communicator::take_from`]).  A
+    /// peer that has already finished is skipped.
+    pub(crate) fn wake_peers(&self) {
+        for to in (0..self.procs).filter(|&to| to != self.id) {
+            let _ = self.endpoint.send(
+                to,
+                Envelope {
+                    from: self.id,
+                    tag: 0,
+                    payload: Vec::new(),
+                },
+            );
         }
     }
 
@@ -309,17 +284,16 @@ impl<T: Send> Communicator<T> {
     }
 
     /// Hands out the metrics accumulated since the last take, resetting the
-    /// counters — the per-job metering of the resident pool.
+    /// counters — the per-run metering of a [`crate::LoopbackCgm`].
     pub(crate) fn take_metrics(&mut self) -> ProcMetrics {
         std::mem::take(&mut self.metrics)
     }
 
     /// Clears every buffered message (mailbox, self-queue and anything still
-    /// in flight on the channels).  Resident-pool recovery: after a job
-    /// panics, partially-delivered envelopes of the dead job must not leak
-    /// into the next one.  Only sound while all peers are parked between
-    /// jobs — which is exactly the precondition of the endpoint's drain
-    /// contract.
+    /// in flight on the channels).  [`crate::LoopbackCgm::recover`] calls
+    /// it after a failed run, so partially delivered envelopes of that run
+    /// cannot leak into the next one; no peer is sending then, which is the
+    /// precondition of the endpoint's drain contract.
     pub(crate) fn clear_in_flight(&mut self) {
         for q in &mut self.mailbox {
             q.clear();

@@ -35,12 +35,10 @@ pub enum CgmError {
         /// The textual panic message, if it was a string.
         message: String,
     },
-    /// The resident worker pool has lost its worker threads (they were shut
-    /// down or died abnormally) and can run no further jobs.
-    PoolShutDown,
-    /// The operating system refused to spawn a resident worker thread.
+    /// The operating system refused to spawn a worker thread.
     WorkerSpawnFailed {
-        /// The virtual processor whose worker could not be spawned.
+        /// The virtual processor (or service executor) whose thread could
+        /// not be spawned.
         proc: usize,
         /// The OS error message.
         message: String,
@@ -73,17 +71,10 @@ impl fmt::Display for CgmError {
             CgmError::ProcessorPanicked { proc, message } => {
                 write!(f, "virtual processor {proc} panicked: {message}")
             }
-            CgmError::PoolShutDown => {
-                write!(
-                    f,
-                    "the resident CGM worker pool is shut down and can run no further jobs"
-                )
-            }
             CgmError::WorkerSpawnFailed { proc, message } => {
                 write!(
                     f,
-                    "could not spawn the resident worker thread for virtual processor \
-                     {proc}: {message}"
+                    "could not spawn the worker thread for virtual processor {proc}: {message}"
                 )
             }
         }

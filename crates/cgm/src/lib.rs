@@ -24,21 +24,21 @@
 //! observable too (experiment E3), but the *primary* reproduction currency is
 //! the metered work/communication per processor, which is exact.
 //!
-//! Two execution substrates share the same [`ProcCtx`] semantics (abstracted
-//! by [`CgmExecutor`]): the one-shot [`CgmMachine`], which spawns its
-//! threads and channel fabric per `run` call, and the resident
-//! [`ResidentCgm`] worker pool, which spawns and wires up once and parks
-//! its workers between jobs — the substrate for steady-state callers that
-//! run many jobs back to back (see the [`pool`] module docs).  A third form,
-//! [`LoopbackCgm`], holds the `p` contexts on one thread for programs that
-//! replay their processors serially, phase by phase.
+//! Two forms share the same [`ProcCtx`] semantics.  The one-shot
+//! [`CgmMachine`] spawns one thread per processor and builds its channel
+//! fabric per `run` call; a processor blocks in a receive or at a barrier
+//! until its peers catch up.  [`LoopbackCgm`] holds the `p` contexts of
+//! one fabric for a caller that plays the processors itself, phase by
+//! phase: Algorithm 1 in `cgp-core` plays them on `t ≤ p` threads that way
+//! (see its `parallel` module docs), since nothing in a CGM program
+//! requires one thread per processor.
 //!
 //! Every fabric carries **two typed channel planes** over one barrier: the
 //! data plane (`Vec<T>` payloads, [`ProcCtx::comm_mut`]) and the word plane
 //! (`Vec<u64>` envelopes, [`ProcCtx::matrix_ctx`] → [`MatrixCtx`]).  The
 //! word plane is what lets a single job fuse the `O(p)`-sized
 //! communication-matrix phase of Algorithm 1 with its `O(m)` data exchange
-//! — one run, one executor, still separately metered per phase
+//! — one run, still separately metered per phase
 //! ([`MachineMetrics::matrix_plane`]).  Whether any of that startup happens
 //! at all is observable through the [`diag`] counters.
 //!
@@ -68,14 +68,10 @@ pub mod diag;
 pub mod error;
 pub mod machine;
 pub mod metrics;
-pub mod pool;
 mod sync;
 
 pub use block::BlockDistribution;
 pub use comm::Communicator;
 pub use error::CgmError;
-pub use machine::{
-    CgmConfig, CgmExecutor, CgmMachine, LoopbackCgm, MatrixCtx, ProcCtx, RunOutcome,
-};
+pub use machine::{CgmConfig, CgmMachine, LoopbackCgm, MatrixCtx, ProcCtx, RunOutcome};
 pub use metrics::{CostModel, MachineMetrics, ProcMetrics};
-pub use pool::ResidentCgm;

@@ -125,31 +125,30 @@ impl<T: Send> ProcCtx<T> {
         }
     }
 
-    /// Starts a new job on both planes (resident pool): moves both
-    /// generation fences to the coordinator-assigned stamp and discards
-    /// local leftovers.
-    pub(crate) fn begin_job(&mut self, generation: u64) {
-        self.comm.begin_job(generation);
-        self.words.begin_job(generation);
-    }
-
-    /// Per-job metrics of both planes (data plane, word plane), taken and
-    /// reset — the resident pool's per-job metering.
-    pub(crate) fn take_metrics(&mut self) -> (ProcMetrics, ProcMetrics) {
+    /// Metrics of both planes (data plane, word plane), taken and reset —
+    /// the per-run metering of a [`LoopbackCgm`].
+    fn take_metrics(&mut self) -> (ProcMetrics, ProcMetrics) {
         (self.comm.take_metrics(), self.words.take_metrics())
     }
 
     /// Consumes the context, returning the metrics of both planes (data
     /// plane, word plane) — the one-shot machine's end-of-run collection.
-    pub(crate) fn into_metrics(self) -> (ProcMetrics, ProcMetrics) {
+    fn into_metrics(self) -> (ProcMetrics, ProcMetrics) {
         (self.comm.into_metrics(), self.words.into_metrics())
     }
 
-    /// Clears every buffered message on both planes (pool recovery after a
-    /// panicked job).
-    pub(crate) fn clear_in_flight(&mut self) {
+    /// Clears every buffered message on both planes ([`LoopbackCgm::recover`]
+    /// after a failed run).
+    fn clear_in_flight(&mut self) {
         self.comm.clear_in_flight();
         self.words.clear_in_flight();
+    }
+
+    /// Wakes every peer blocked in a receive on either plane (the abort of
+    /// [`CgmMachine::try_run`]; see `Communicator::wake_peers`).
+    fn wake_peers(&self) {
+        self.comm.wake_peers();
+        self.words.wake_peers();
     }
 }
 
@@ -200,7 +199,7 @@ impl MatrixCtx<'_> {
     /// This processor's matrix-sampling stream, derived **fresh from the
     /// machine seed** on every call (`proc_stream(id)` — exactly the stream
     /// a one-shot machine hands the processor as its default).  Deriving
-    /// per call rather than using the resident context's advancing
+    /// per call rather than using a reused context's advancing
     /// [`ProcCtx::rng`] is what makes a sampled matrix a pure function of
     /// the machine seed on *every* substrate.
     pub fn sampling_rng(&self) -> Pcg64 {
@@ -210,18 +209,18 @@ impl MatrixCtx<'_> {
 
 /// The channel fabric and per-processor contexts of one machine:
 /// everything that is built once per `CgmMachine::run` call, and once per
-/// *lifetime* for a [`crate::ResidentCgm`] worker pool.
-pub(crate) struct Fabric<T> {
-    pub(crate) contexts: Vec<ProcCtx<T>>,
-    pub(crate) barrier: Arc<SuperstepBarrier>,
-    pub(crate) abort: Arc<AbortFlag>,
+/// *lifetime* for a [`LoopbackCgm`].
+struct Fabric<T> {
+    contexts: Vec<ProcCtx<T>>,
+    barrier: Arc<SuperstepBarrier>,
+    abort: Arc<AbortFlag>,
 }
 
 /// Opens both channel planes and wires them into the shared barrier/abort
 /// pair and one [`ProcCtx`] per processor.  A `loopback` fabric serves all
 /// `p` contexts from one thread (see [`LoopbackCgm`]): its barrier has a
 /// single party, so a barrier is metered and passes at once.
-pub(crate) fn build_fabric<T: Send + 'static>(config: &CgmConfig, loopback: bool) -> Fabric<T> {
+fn build_fabric<T: Send + 'static>(config: &CgmConfig, loopback: bool) -> Fabric<T> {
     crate::diag::note_fabric_build();
     let p = config.procs;
     let seeds = SeedSequence::new(config.seed);
@@ -262,11 +261,9 @@ pub(crate) fn build_fabric<T: Send + 'static>(config: &CgmConfig, loopback: bool
 }
 
 /// Attributes a run's panics to the virtual processor that caused them and
-/// re-raises a single panic naming it.  Secondary unwinds (processors the
+/// returns it with its panic message.  Secondary unwinds (processors the
 /// abort protocol woke up) are skipped: only the root cause is reported.
-pub(crate) fn attribute_panics(
-    panics: &[(usize, Box<dyn std::any::Any + Send>)],
-) -> (usize, String) {
+fn attribute_panics(panics: &[(usize, Box<dyn std::any::Any + Send>)]) -> (usize, String) {
     match panics.iter().find(|(_, p)| !p.is::<AbortPanic>()) {
         Some((proc, payload)) => (*proc, panic_message(payload.as_ref())),
         // Only secondary unwinds were collected (the primary processor's own
@@ -279,11 +276,6 @@ pub(crate) fn attribute_panics(
             (culprit, panic_message(payload.as_ref()))
         }
     }
-}
-
-pub(crate) fn raise_attributed_panic(panics: Vec<(usize, Box<dyn std::any::Any + Send>)>) -> ! {
-    let (proc, message) = attribute_panics(&panics);
-    panic!("virtual processor {proc} panicked: {message}");
 }
 
 /// The result of running an algorithm on the machine: per-processor return
@@ -314,99 +306,18 @@ impl<R> RunOutcome<R> {
     pub fn into_parts(self) -> (Vec<R>, MachineMetrics) {
         (self.results, self.metrics)
     }
-
-    pub(crate) fn from_parts(results: Vec<R>, metrics: MachineMetrics) -> Self {
-        RunOutcome { results, metrics }
-    }
 }
 
-/// Anything that can run one CGM job — a closure executed on every virtual
-/// processor with [`ProcCtx`] semantics — and hand back the per-processor
-/// results plus the metered communication.
+/// The `p` virtual processors of a machine as contexts on a loopback
+/// fabric, for a caller that plays a CGM program itself.
 ///
-/// Two implementations exist: [`CgmMachine`] (one-shot: spawns `p` OS
-/// threads and builds the channel fabric *per call*) and
-/// [`crate::ResidentCgm`] (a resident worker pool that spawns and wires up
-/// once, then parks between jobs).  Algorithms written against this trait —
-/// like the permutation engine in `cgp-core` — run unchanged on either,
-/// which is what lets a session amortize startup across repeated calls
-/// without forking the algorithm code.
-///
-/// Job closures must be `'static` (the resident pool hands them to
-/// long-lived threads); shared inputs travel in `Arc`s, per-processor
-/// inputs in `Arc<[Mutex<Option<_>>]>` slot vectors taken by id.
-///
-/// The trait is **sealed**.  Callers may rely on both implementations
-/// running a job's closure at most once per processor, on the contexts of
-/// one fabric, and never after the run has returned — except that a
-/// [`crate::ResidentCgm`] returning [`CgmError::PoolShutDown`] may leave
-/// workers that already received the job still running it.  The
-/// permutation engine in `cgp-core` hands its workers raw access to the
-/// caller's buffers on exactly these terms.
-pub trait CgmExecutor<T: Send + 'static>: sealed::Sealed {
-    /// The machine configuration (processor count and master seed).
-    fn config(&self) -> CgmConfig;
-
-    /// Number of virtual processors.
-    fn procs(&self) -> usize {
-        self.config().procs
-    }
-
-    /// Runs `f` on every virtual processor and collects results (indexed by
-    /// processor id) and metrics.  Panics inside a processor are propagated
-    /// as a panic naming the processor that failed.
-    fn run_job<R, F>(&mut self, f: F) -> RunOutcome<R>
-    where
-        R: Send + 'static,
-        F: Fn(&mut ProcCtx<T>) -> R + Send + Sync + 'static,
-    {
-        match self.try_run_job(f) {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fail-fast variant of [`CgmExecutor::run_job`]: a panicking job is
-    /// reported as [`CgmError::ProcessorPanicked`] (naming the virtual
-    /// processor whose code failed) instead of unwinding the caller.  On a
-    /// [`crate::ResidentCgm`] the pool recovers its fabric before this
-    /// returns, so the executor stays usable for subsequent jobs — the hook
-    /// a multi-tenant scheduler needs to contain one bad job without losing
-    /// the machine it ran on.
-    fn try_run_job<R, F>(&mut self, f: F) -> Result<RunOutcome<R>, CgmError>
-    where
-        R: Send + 'static,
-        F: Fn(&mut ProcCtx<T>) -> R + Send + Sync + 'static;
-}
-
-/// Seals [`CgmExecutor`] to this crate's two executors.
-pub(crate) mod sealed {
-    pub trait Sealed {}
-}
-
-impl sealed::Sealed for CgmMachine {}
-
-impl<T: Send + 'static> CgmExecutor<T> for CgmMachine {
-    fn config(&self) -> CgmConfig {
-        self.config
-    }
-
-    fn try_run_job<R, F>(&mut self, f: F) -> Result<RunOutcome<R>, CgmError>
-    where
-        R: Send + 'static,
-        F: Fn(&mut ProcCtx<T>) -> R + Send + Sync + 'static,
-    {
-        self.try_run(f)
-    }
-}
-
-/// The `p` virtual processors of a machine as contexts on **one thread**: a
-/// loopback fabric for replaying a CGM program serially.
-///
-/// This is not a [`CgmExecutor`]: a closure that parks at a barrier until
-/// its peers arrive cannot run on one thread.  The caller instead drives
-/// the program **phase by phase**, running one phase on every context in
-/// id order before it starts the next.  Any program whose messages within
+/// Nothing here runs a closure per processor: one that parks at a barrier
+/// until its peers arrive could not share a thread with them.  The caller
+/// instead drives the program **phase by phase**, running one phase on
+/// every context in id order before it starts the next.  A phase that
+/// sends nothing may also run its contexts on several threads at once: the
+/// contexts are `Send`, and Algorithm 1 in `cgp-core` splits them into
+/// contiguous id ranges that way.  Any program whose messages within
 /// a phase flow only from lower to higher ids (or to the sender itself)
 /// replays this way; an all-to-all is split into its send and receive
 /// halves ([`Communicator::all_to_all_send`] and
@@ -529,7 +440,8 @@ impl CgmMachine {
     /// results (indexed by processor id) and the metered communication.
     ///
     /// If any virtual processor panics, every peer is woken (the barrier is
-    /// poisoned and blocked receives abort), all threads are joined, and a
+    /// poisoned, and every blocked receive gets an abort envelope), all
+    /// threads are joined, and a
     /// single panic naming the processor that failed — `virtual processor i
     /// panicked: <message>` — is raised on the caller.  Peers that unwound
     /// only because the dying processor aborted them are not blamed.
@@ -584,12 +496,15 @@ impl CgmMachine {
                         match outcome {
                             Ok(result) => (result, ctx.into_metrics()),
                             Err(payload) => {
-                                // Root-cause panic: wake peers parked at the
-                                // barrier or in a receive, then unwind this
-                                // thread with the original payload.
+                                // Root-cause panic: raise the abort flag,
+                                // then wake the peers parked at the barrier
+                                // or in a receive on either plane, then
+                                // unwind this thread with the original
+                                // payload.
                                 if !payload.is::<AbortPanic>() {
                                     abort.trigger(id);
                                     barrier.poison(id);
+                                    ctx.wake_peers();
                                 }
                                 std::panic::resume_unwind(payload);
                             }
@@ -784,8 +699,8 @@ mod tests {
             if ctx.id() == 0 {
                 panic!("root cause");
             }
-            // Processor 0 never sends; without the abort flag this receive
-            // would wait forever on the open channel.
+            // Processor 0 never sends; without the abort envelope this
+            // receive would wait forever on the open channel.
             let _ = ctx.comm_mut().recv(0, 0);
         });
     }

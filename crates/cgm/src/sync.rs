@@ -2,20 +2,19 @@
 //! the abort flag that lets a panicking virtual processor wake its peers.
 //!
 //! `std::sync::Barrier` has no failure story: if one processor panics while
-//! its peers are already parked in `wait()`, those peers sleep forever.  The
-//! one-shot machine mostly got away with that because a dying thread closes
-//! its channel endpoints, but a resident worker pool cannot — its channels
-//! stay open across jobs, so a panicked job must *actively* wake everything
-//! that is blocked.  Two pieces cooperate:
+//! its peers are already parked in `wait()`, those peers sleep forever, and
+//! so does a peer blocked in a receive while the others keep its channel
+//! open.  A panicking processor of a [`crate::CgmMachine`] therefore
+//! *actively* wakes everything that is blocked.  Two pieces cooperate:
 //!
 //! * [`SuperstepBarrier`] — a generation-counting barrier that can be
 //!   **poisoned**: `poison(culprit)` wakes every current and future waiter,
 //!   which then unwind with an [`AbortPanic`] payload instead of blocking.
-//!   After the fabric has been drained, `reset()` arms it for the next job.
 //! * [`AbortFlag`] — a machine-wide flag recording which processor panicked
-//!   first.  Blocking receives poll it (see `Communicator::recv`) so a
-//!   processor waiting for a message its dead peer will never send also
-//!   unwinds promptly.
+//!   first.  The culprit raises it and then sends every peer an abort
+//!   envelope on both planes; a receive that wakes checks the flag (see
+//!   `Communicator::recv`), so a processor waiting for a message its dead
+//!   peer will never send unwinds at once.
 //!
 //! Panics caused by the abort protocol carry the [`AbortPanic`] payload so
 //! the machine can tell the *root cause* (the processor whose own code
@@ -81,12 +80,6 @@ impl AbortFlag {
             n => Some(n - 1),
         }
     }
-
-    /// Re-arms the flag for the next job (resident pool only; called once
-    /// every worker is parked again).
-    pub(crate) fn clear(&self) {
-        self.state.store(0, Ordering::Release);
-    }
 }
 
 #[derive(Debug, Default)]
@@ -97,7 +90,7 @@ struct BarrierState {
     /// off it to tell "my cohort released" from a spurious wakeup.
     generation: u64,
     /// `Some(culprit)` once poisoned; every current and future waiter
-    /// returns [`BarrierWait::Poisoned`] until `reset()`.
+    /// returns [`BarrierWait::Poisoned`].
     poisoned: Option<usize>,
 }
 
@@ -155,21 +148,13 @@ impl SuperstepBarrier {
 
     /// Poisons the barrier on behalf of `culprit`: every parked waiter wakes
     /// with [`BarrierWait::Poisoned`] and every later `wait()` returns it
-    /// immediately, until [`SuperstepBarrier::reset`].
+    /// immediately.
     pub(crate) fn poison(&self, culprit: usize) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if state.poisoned.is_none() {
             state.poisoned = Some(culprit);
         }
         self.cvar.notify_all();
-    }
-
-    /// Clears poison and arrival state (resident pool recovery; only sound
-    /// once no processor is inside `wait()`).
-    pub(crate) fn reset(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.arrived = 0;
-        state.poisoned = None;
     }
 }
 
@@ -211,15 +196,9 @@ mod tests {
         for w in waiters {
             assert_eq!(w.join().unwrap(), BarrierWait::Poisoned(7));
         }
-        // Still poisoned for late arrivals …
-        assert_eq!(barrier.wait(), BarrierWait::Poisoned(7));
-        // … until reset re-arms it.
-        barrier.reset();
-        let b = Arc::clone(&barrier);
-        let late = std::thread::spawn(move || b.wait());
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        // Still poisoned for late arrivals, under the first culprit.
         barrier.poison(1);
-        assert_eq!(late.join().unwrap(), BarrierWait::Poisoned(1));
+        assert_eq!(barrier.wait(), BarrierWait::Poisoned(7));
     }
 
     #[test]
@@ -229,9 +208,5 @@ mod tests {
         flag.trigger(3);
         flag.trigger(5);
         assert_eq!(flag.culprit(), Some(3));
-        flag.clear();
-        assert_eq!(flag.culprit(), None);
-        flag.trigger(0);
-        assert_eq!(flag.culprit(), Some(0));
     }
 }

@@ -13,9 +13,9 @@
 //! Algorithm 1, the single-level form of Sanders' hierarchical scatter (see
 //! the `parallel` module docs).  The sequential engine is that same
 //! program with one processor.  [`LocalShuffle::Bucketed`] draws one word
-//! from the caller's generator, seeds a one-processor
-//! [`cgp_cgm::LoopbackCgm`] with it and runs the pipeline's serial replay
-//! on the calling thread, with windows and buckets of `bucket_items` items.
+//! from the caller's generator, seeds a one-processor machine with it and
+//! runs the pipeline's runner on the calling thread alone, with windows
+//! and buckets of `bucket_items` items.
 //! No thread is spawned, each item gets two in-cache Fisher–Yates passes
 //! and one copy, and uniformity is the pipeline's (Propositions 1–2 over
 //! the buckets).  A call of at most one bucket skips the machinery: it is
@@ -25,11 +25,11 @@
 //! single-thread shuffles.  The parallel pipeline takes no such choice: it
 //! picks its layout from the block sizes.
 
-use cgp_cgm::{CgmConfig, LoopbackCgm};
+use cgp_cgm::CgmConfig;
 use cgp_rng::RandomSource;
 
 use crate::config::PermuteOptions;
-use crate::parallel::{try_permute_vec_serial, PermuteScratch};
+use crate::parallel::{try_permute_vec_on, PermuteScratch, Runner};
 use crate::sequential::fisher_yates_shuffle;
 
 /// Byte budget one bucket may occupy, sized so that the shuffle of a bucket
@@ -179,9 +179,9 @@ impl LocalShuffle {
     ) {
         match self.resolve_for::<T>(data.len()) {
             LocalShuffle::Bucketed { bucket_items } if data.len() > bucket_items => {
-                let mut machine = LoopbackCgm::new(CgmConfig::new(1).with_seed(rng.next_u64()));
+                let mut runner = Runner::serial(CgmConfig::new(1).with_seed(rng.next_u64()));
                 let options = PermuteOptions::new().window_items(bucket_items);
-                try_permute_vec_serial(&mut machine, data, &options, &mut scratch.0)
+                try_permute_vec_on(&mut runner, data, &options, &mut scratch.0)
                     .unwrap_or_else(|e| panic!("{e}"));
             }
             // One bucket: the scatter would only add a copy.

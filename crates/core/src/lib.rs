@@ -51,10 +51,10 @@
 //! 2. [`permute_vec_into`] + [`PermuteScratch`] — recycles the spare buffer
 //!    across calls (steady-state loops ping-pong between two allocations);
 //! 3. [`Permuter::session`] / [`PermutationSession`] — the steady-state
-//!    tier: a **resident worker pool** plus a scratch, so repeated
-//!    permutations also skip the per-call thread spawns and channel
-//!    construction (see the [`session`] module docs for the one-shot vs.
-//!    session guide);
+//!    tier: a machine with its **parked helper threads** plus a scratch,
+//!    so repeated permutations also skip the per-call thread spawns and
+//!    channel construction (see the [`session`] module docs for the
+//!    one-shot vs. session guide);
 //! 4. [`Permuter::sample_permutation`] + [`apply_permutation`] — the index
 //!    fast path for payloads that are not `Send` or too heavy to ship:
 //!    permute `0..n` once in parallel, then gather locally by moves (no
@@ -63,6 +63,7 @@
 pub mod baselines;
 pub mod cache_aware;
 pub mod config;
+mod crew;
 pub mod parallel;
 pub mod permuter;
 pub mod sequential;
@@ -76,8 +77,7 @@ pub use cache_aware::{
 };
 pub use config::{EngineConfig, EngineFault, FaultPhase, MatrixBackend, PermuteOptions};
 pub use parallel::{
-    permute_blocks, permute_vec, permute_vec_into, permute_vec_into_with,
-    try_permute_vec_into_with, PermutationReport, PermuteScratch,
+    permute_blocks, permute_vec, permute_vec_into, PermutationReport, PermuteScratch,
 };
 pub use permuter::Permuter;
 pub use sequential::{

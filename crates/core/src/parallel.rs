@@ -25,18 +25,17 @@
 //!
 //! In the paper Algorithm 1 is *one* CGM program: the same `p` processors
 //! shuffle, sample the communication matrix (Algorithms 3–6), exchange, and
-//! shuffle again.  This engine runs it the same way: a **single**
-//! [`CgmExecutor::run_job`] in which every worker
+//! shuffle again.  This engine runs it the same way, as **one run** in
+//! which every virtual processor
 //!
 //! 1. shuffles its own block (superstep 1) — the shuffle is independent of
-//!    the matrix, so on the workers that are not (yet) involved in matrix
-//!    rounds it *overlaps* the sampling instead of serializing behind it;
+//!    the matrix;
 //! 2. participates in **in-context matrix sampling** on the machine's word
 //!    plane ([`cgp_cgm::MatrixCtx`]): the two front-end backends
 //!    (`Sequential`/`Recursive`) sample the full matrix on processor 0 and
 //!    scatter the rows, as the paper prescribes; the parallel backends run
-//!    Algorithms 5/6 across all workers — each worker ends up holding its
-//!    own row of `A`;
+//!    Algorithms 5/6 across all processors — each ends up holding its own
+//!    row of `A`;
 //! 3. copies each run of its shuffled block straight to the run's final
 //!    slot in the output and re-shuffles its target block (supersteps 2–3;
 //!    see the direct-placement exchange below).
@@ -46,50 +45,54 @@
 //! below): the same program over every cache-sized bucket of every target
 //! block.  Nothing else decides the layout.
 //!
-//! No second machine is ever built: on a [`cgp_cgm::ResidentCgm`]-backed
-//! [`crate::PermutationSession`] a steady-state permutation therefore makes
-//! **zero thread spawns and zero channel-fabric constructions** for *every*
-//! backend, `ParallelLog`/`ParallelOptimal` included.  The phases stay
-//! separately metered: [`PermutationReport::matrix_metrics`] carries
+//! No second machine is ever built: a [`crate::PermutationSession`] builds
+//! its fabric and its helper threads once, so a steady-state permutation
+//! makes **zero thread spawns and zero channel-fabric constructions** for
+//! *every* backend, `ParallelLog`/`ParallelOptimal` included.  The phases
+//! stay separately metered: [`PermutationReport::matrix_metrics`] carries
 //! the word-plane (matrix) traffic, [`PermutationReport::exchange_metrics`]
 //! the payload exchange.
 //!
-//! The engine speaks only through [`CgmExecutor`], so the one-shot machine
-//! and the resident pool produce the byte-identical permutation for the
-//! same seed (every random stream is derived from the machine seed per
-//! call).
-//!
-//! ## One program, two runners
+//! ## One program, one runner
 //!
 //! The program is a short list of **phases** per virtual processor
 //! (superstep-1 shuffle, matrix sampling, publishing the row of `A`, then
 //! the gather and superstep-3 shuffle — or on the one scatter level the
 //! column refinement, the scatter and the bucket shuffles), with a barrier
-//! after some of them.  Two runners play it:
+//! after some of them.  A CGM's processors are virtual, and nothing in the
+//! program needs one thread per processor, so one runner plays every job's
+//! `p` processors on `t ≤ p` threads over a [`LoopbackCgm`], one phase at
+//! a time: every processor finishes a phase before any starts the next.
 //!
-//! * **threaded** — on a [`CgmExecutor`], each virtual processor on its own
-//!   thread runs every phase and meets the others at the barriers.
-//!   Sessions and one-shot calls run this way.
-//! * **serial** — on a [`LoopbackCgm`], one thread runs each phase for
-//!   processor `0, 1, …, p − 1` before it moves to the next phase.  Each
-//!   processor keeps its own derived streams, and a phase reads another
-//!   processor's output only after a barrier, so the output and the
-//!   metered communication are the threaded run's, byte for byte.  The word
-//!   plane loops back: within a phase the matrix backends only send to
-//!   higher ids (`Sequential` and `Recursive` sample on processor 0 and
-//!   scatter the rows; `ParallelLog` and the rounds of `ParallelOptimal`
-//!   halve ranges downwards), and `ParallelOptimal`'s final all-to-all
-//!   receives in the next phase.  The service's executors run every job
-//!   this way: a small job on `p` threads pays a pool wake, barriers and a
-//!   completion rendezvous that dwarf its work.  So does the sequential
-//!   [`crate::LocalShuffle::Bucketed`] shuffle, on one processor.
+//! * **Matrix phases** (sampling and publishing the row) replay in id
+//!   order on the calling thread.  The word plane loops back: within a
+//!   phase the matrix backends only send to higher ids (`Sequential` and
+//!   `Recursive` sample on processor 0 and scatter the rows; `ParallelLog`
+//!   and the rounds of `ParallelOptimal` halve ranges downwards), and
+//!   `ParallelOptimal`'s final all-to-all receives in the next phase.  They
+//!   carry `O(p²)` words, and their metering is exact.
+//! * **Data phases** never talk to a peer inside the phase: they meter,
+//!   and read what other processors published only in a later phase.  The
+//!   runner splits the processors into `t` contiguous id ranges; the
+//!   calling thread plays the first and `t − 1` parked helper threads play
+//!   the others, each range in id order.  The phase ends when every thread
+//!   is done.
+//!
+//! Each processor keeps its own derived streams, so the output and the
+//! metered communication do not depend on `t`, byte for byte.  Sessions and
+//! one-shot calls run on `t = min(p, cores)` threads; a session holds its
+//! `t − 1` helpers for its lifetime, a one-shot call spawns and joins them.
+//! The service's executors run every job on `t = 1` — each executor is
+//! already one of the cores — and so does the sequential
+//! [`crate::LocalShuffle::Bucketed`] shuffle, on one processor; on one
+//! thread the runner spawns nothing and hands nothing off.
 //!
 //! ## Backend selection at a glance
 //!
 //! The matrix phase only ever handles `O(p·p')` words, so at small `p` the
 //! default `Sequential` backend (what the paper's own experiments used) is
-//! usually fastest: one worker samples a tiny matrix while the others
-//! overlap their superstep-1 shuffle, and no matrix-phase envelopes beyond
+//! usually fastest: one processor samples a tiny matrix, and no
+//! matrix-phase envelopes beyond
 //! the row scatter are exchanged.  The parallel backends pay `⌈log₂ p⌉`
 //! word-plane rounds of latency to cut the *head's* work from `O(p²)`
 //! (`Sequential`) to `Θ(p log p)` (`ParallelLog`, Algorithm 5) or the
@@ -228,9 +231,7 @@
 //! destructors never run), `data` comes back empty, and the scratch may
 //! come back cold.  On the one scatter level a panic can strike
 //! mid-scatter, with some of a worker's runs already copied into other
-//! workers' target blocks; the same contract covers it.  If a worker may
-//! still be running when the executor returns — a resident pool that shut
-//! down mid-dispatch — both allocations are leaked as well.  Plain-data
+//! workers' target blocks; the same contract covers it.  Plain-data
 //! payloads lose nothing but the failed job's items.
 //!
 //! Callers that permute repeatedly recycle the spare across calls with
@@ -241,16 +242,19 @@
 
 use std::any::Any;
 use std::mem::ManuallyDrop;
+use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::cache_aware::{default_bucket_items, effective_bucket_items};
 use crate::config::{EngineFault, FaultPhase, MatrixBackend, PermuteOptions};
+use crate::crew::Crew;
 use crate::sequential::{fisher_yates_shuffle, fisher_yates_shuffle_warming};
 use cgp_cgm::{
-    BlockDistribution, CgmError, CgmExecutor, CgmMachine, LoopbackCgm, MachineMetrics, ProcCtx,
+    BlockDistribution, CgmConfig, CgmError, CgmMachine, LoopbackCgm, MachineMetrics, ProcCtx,
 };
 use cgp_hypergeom::multivariate_hypergeometric_into;
 use cgp_matrix::{
@@ -263,36 +267,34 @@ use cgp_rng::Pcg64;
 /// metered communication, and (optionally) the sampled communication
 /// matrix.
 ///
-/// Since the pipeline is fused into one run, the phase timings are
-/// measured **in-run** (each worker clocks its own phases; the report
-/// carries the maximum over workers) and the phases can overlap — the
-/// superstep-1 shuffle of an idle worker proceeds while the head still
-/// samples.  [`PermutationReport::total_elapsed`] is therefore the
-/// *measured wall-clock of the whole run*, not the sum of the phase
-/// durations (which could double-count overlap).  On a serial run (a
-/// service job) the workers run one after another, so each phase timing
-/// is the **sum** over the workers.
+/// The phase timings are measured **in-run**: each virtual processor
+/// clocks its own phases, a thread of the run plays its processors one
+/// after another, and the threads run side by side.  So each phase timing
+/// is the **maximum over the run's threads** of each thread's sum over its
+/// own processors: on `t = p` threads the maximum over processors, on one
+/// thread (a service job) their sum.
+/// [`PermutationReport::total_elapsed`] is the *measured wall-clock of the
+/// whole run*.
 #[derive(Debug)]
 pub struct PermutationReport {
     /// Which matrix-sampling backend was used.
     pub backend: MatrixBackend,
-    /// In-run wall-clock time of the matrix phase: the maximum (serial run:
-    /// the sum) over workers of the time spent inside the in-context
-    /// sampler.
+    /// In-run wall-clock time of the matrix phase: the time spent inside
+    /// the in-context sampler, combined over processors as described
+    /// above.
     pub matrix_elapsed: Duration,
-    /// In-run wall-clock time of the data phase: the maximum over workers
-    /// of the time spent in the shuffle + gather + shuffle steps (on the one
-    /// scatter level: column refinement, scatter and bucket shuffles,
-    /// barrier waits included).
+    /// In-run wall-clock time of the data phase: the time spent in the
+    /// shuffle + gather + shuffle steps (on the one scatter level: column
+    /// refinement, scatter and bucket shuffles), combined over processors
+    /// as described above.
     pub exchange_elapsed: Duration,
-    /// In-run wall-clock time of the local shuffles alone: the maximum
-    /// over workers of the time spent in Fisher–Yates passes — superstep 1
-    /// and superstep 3, or on the one scatter level the window and bucket
-    /// shuffles.  This is a *subset* of
+    /// In-run wall-clock time of the local shuffles alone: the time spent
+    /// in Fisher–Yates passes — superstep 1 and superstep 3, or on the one
+    /// scatter level the window and bucket shuffles.  This is a *subset* of
     /// [`PermutationReport::exchange_elapsed`], split out so benches can
     /// attribute engine wins per phase; the rest of the data phase is the
-    /// copies and waits, and on the one scatter level also the column
-    /// refinement and the window splits.
+    /// copies, and on the one scatter level also the column refinement and
+    /// the window splits.
     pub shuffle_elapsed: Duration,
     /// Metered word-plane communication of the matrix phase.  Every
     /// backend gets a meter: the parallel backends record their
@@ -311,10 +313,8 @@ pub struct PermutationReport {
 }
 
 impl PermutationReport {
-    /// Measured wall-clock time of the whole permutation, caller to
-    /// caller.  Because the fused phases overlap, this is at least
-    /// `max(matrix_elapsed, exchange_elapsed)` but may be **less than
-    /// their sum**.
+    /// Measured wall-clock time of the whole run, at least
+    /// `max(matrix_elapsed, exchange_elapsed)`.
     pub fn total_elapsed(&self) -> Duration {
         self.total_elapsed
     }
@@ -459,20 +459,17 @@ const CLOSED: usize = 1 << (usize::BITS - 1);
 ///   inside, both allocations come back with length 0: an item may be in
 ///   `input`, in `output` or bitwise in both, so it is leaked (its
 ///   destructor never runs) rather than risk dropping it twice.  With a
-///   worker possibly inside, both allocations are leaked whole.  That is
-///   the resident pool's early return: `ResidentCgm::try_run` reports
-///   `PoolShutDown` after a partial command send or a failed completion
-///   receive, while workers that did get the command may still be running
-///   and writing.
+///   worker possibly inside, both allocations are leaked whole: a runner
+///   that returned while a thread of the run might still be writing.
 ///
-/// The two executors run a job's closure at most once per processor, and
-/// never after the run returns — the [`CgmExecutor`] trait is sealed so no
-/// other executor can break that.  A worker that reaches
-/// [`Handoff::enter`] after the lease closed panics before touching
-/// anything.  The serial runner ([`run_serial`]) takes one lease for the
-/// whole run and plays every worker's part on its own thread, in the same
-/// order: each phase on every worker before the next phase, so every
-/// barrier of the protocol holds with room to spare.
+/// The runner ([`Runner::play`]) takes one lease for the whole run on the
+/// calling thread and plays every worker's part phase by phase: each phase
+/// on every worker before the next phase, so every barrier of the protocol
+/// holds with room to spare.  Its helper threads touch the storage only
+/// inside a data phase that the calling thread waits on, so they act
+/// within its lease, and never after the run returns.  A worker that
+/// reaches [`Handoff::enter`] after the lease closed panics before touching
+/// anything.
 struct Handoff<T> {
     input: *mut T,
     input_capacity: usize,
@@ -597,7 +594,7 @@ impl<T> Handoff<T> {
 enum RunEnd {
     /// Every worker completed: the output is whole.
     Done,
-    /// A worker panicked, or the executor failed as a whole.
+    /// A worker panicked.
     Failed,
 }
 
@@ -779,8 +776,8 @@ fn bucket_for_runs<T>(
     low
 }
 
-/// One permutation job, staged and ready to run on an executor, shared by
-/// the caller and every worker of the run.
+/// One permutation job, staged and ready to run, shared by the caller and
+/// every thread of the run.
 struct Job<T> {
     handoff: Handoff<T>,
     source: BlockDistribution,
@@ -851,7 +848,8 @@ impl<T> Job<T> {
             let row = &scatter.refined[i * k + buckets.start..i * k + buckets.end];
             for ((cell, &x), room) in row.iter().zip(&split).zip(&mut capacity) {
                 *room -= x;
-                // Relaxed: the barrier's mutex orders these stores before
+                // Relaxed: the end of the phase (the crew's join, or
+                // program order on one thread) orders these stores before
                 // every worker's loads in `scatter`.
                 cell.store(x, Ordering::Relaxed);
             }
@@ -966,7 +964,7 @@ fn stage_job<T: Send>(
     target: BlockDistribution,
     options: &PermuteOptions,
     scratch: &mut PermuteScratch<T>,
-) -> Arc<Job<T>> {
+) -> Job<T> {
     let p = source.procs();
     // The protocol's block ranges come from these distributions.
     assert!(
@@ -974,7 +972,7 @@ fn stage_job<T: Send>(
         "the block distributions must cover the payload exactly"
     );
     let scatter = Scatter::plan::<T>(&source, &target, options.window_items);
-    Arc::new(Job {
+    Job {
         handoff: Handoff::new(std::mem::take(data), std::mem::take(&mut scratch.spare)),
         source,
         target,
@@ -982,12 +980,12 @@ fn stage_job<T: Send>(
         scatter,
         backend: options.backend,
         fault: options.fault,
-    })
+    }
 }
 
 /// Hands the storage of a finished run back to the caller — the one place
 /// the [`Handoff`] is undone (see its safety protocol).
-fn reclaim<T>(job: Arc<Job<T>>, end: RunEnd, data: &mut Vec<T>, scratch: &mut PermuteScratch<T>) {
+fn reclaim<T>(job: Job<T>, end: RunEnd, data: &mut Vec<T>, scratch: &mut PermuteScratch<T>) {
     let h = &job.handoff;
     let vacant = h.vacate();
     assert!(
@@ -1113,9 +1111,8 @@ impl<T: Send> Job<T> {
     /// Every random stream a phase draws is derived from the machine's
     /// master seed per call (never from executor history), and a phase
     /// reads another processor's output only after a barrier.  So the
-    /// output does not depend on how the processors are run: as threads
-    /// that meet at the barriers ([`worker_closure`]), or one after another
-    /// on one thread ([`run_serial`]).
+    /// output does not depend on how [`Runner::play`] spreads the
+    /// processors over its threads.
     ///
     /// # Safety
     /// The caller holds a lease on the job's [`Handoff`] and runs the
@@ -1180,8 +1177,8 @@ impl<T: Send> Job<T> {
                     }
                 }
                 debug_assert_eq!(row.len(), p, "resolve_target_sizes guarantees p' == p");
-                // Relaxed: the barrier that follows orders these stores
-                // before every worker's loads in `gather` and `refine`.
+                // Relaxed: the end of the phase orders these stores before
+                // every worker's loads in `gather` and `refine`.
                 for (cell, &a) in self.matrix[id * p..(id + 1) * p].iter().zip(&row) {
                     cell.store(a, Ordering::Relaxed);
                 }
@@ -1251,69 +1248,175 @@ impl<T: Send> Job<T> {
     }
 }
 
-/// Builds the per-processor job closure for a staged job: the whole of
-/// Algorithm 1 as one closure every virtual processor runs on its own
-/// thread, the phases of [`Job::program`] with a barrier where the program
-/// puts one.  A barrier's wait counts as data-phase time.
-fn worker_closure<T: Send + 'static>(
-    job: &Arc<Job<T>>,
-) -> impl Fn(&mut ProcCtx<T>) -> ProcResult + Send + Sync + 'static {
-    let job = Arc::clone(job);
-    move |ctx| -> ProcResult {
-        let _inside = job.handoff.enter();
-        let mut worker = Worker::new(ctx);
-        for &(phase, barrier) in job.program() {
-            // SAFETY: this worker is inside the lease and runs the phases
-            // in order; the barrier below separates the phases the program
-            // separates.
-            unsafe { job.step(phase, ctx, &mut worker) };
-            if barrier {
-                let waiting = Instant::now();
-                ctx.comm_mut().barrier();
-                worker.data += waiting.elapsed();
-            }
-        }
-        worker.finish()
+impl Phase {
+    /// The matrix phases talk to their peers on the word plane, so they
+    /// replay in id order on the calling thread; the others are data
+    /// phases.
+    fn is_matrix(self) -> bool {
+        matches!(self, Phase::Sample | Phase::Publish)
     }
 }
 
-/// Runs a staged job on the calling thread: each phase of
-/// [`Job::program`] on every virtual processor, in id order, before the
-/// next phase.
-///
-/// The output is the threaded run's, byte for byte (see [`Job::step`]).
-/// Replaying in id order is what lets the word plane loop back: within a
-/// phase, every matrix backend sends only to higher ids or to itself, except
-/// `ParallelOptimal`'s final all-to-all, whose receives are the next phase.
-/// A panic in a phase stops the run and is reported as
-/// [`CgmError::ProcessorPanicked`] naming the processor.
-fn run_serial<T: Send + 'static>(
-    job: &Job<T>,
-    machine: &mut LoopbackCgm<T>,
-) -> Result<Vec<ProcResult>, CgmError> {
-    let _inside = job.handoff.enter();
-    let contexts = machine.contexts();
-    let mut workers: Vec<Worker> = contexts.iter().map(|ctx| Worker::new(ctx)).collect();
-    for &(phase, barrier) in job.program() {
-        for (ctx, worker) in contexts.iter_mut().zip(&mut workers) {
-            let proc = ctx.id();
-            // SAFETY: this thread holds the lease for every processor and
-            // runs each phase on all of them before the next phase.
-            let ran = std::panic::catch_unwind(AssertUnwindSafe(|| unsafe {
-                job.step(phase, ctx, worker)
-            }));
-            ran.map_err(|payload| CgmError::ProcessorPanicked {
-                proc,
-                message: panic_text(payload.as_ref()),
-            })?;
-        }
-        if barrier {
-            // Metered like the threaded run's; a loopback barrier never
-            // waits.
-            contexts.iter_mut().for_each(|ctx| ctx.comm_mut().barrier());
-        }
+/// The processors thread `k` of `t` plays: contiguous, in id order, the
+/// sizes of the `t` parts differing by at most one.
+fn part(p: usize, t: usize, k: usize) -> Range<usize> {
+    k * p / t..(k + 1) * p / t
+}
+
+/// The host's hardware threads, read once.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// What a run plays on: the contexts of the `p` virtual processors over
+/// one loopback fabric, and the crew whose `t` threads play the data
+/// phases (see *One program, one runner* in the module docs).
+pub(crate) struct Runner<T> {
+    machine: LoopbackCgm<T>,
+    crew: Crew,
+}
+
+impl<T: Send + 'static> Runner<T> {
+    /// A runner for `config` on `threads` threads, at least one and at
+    /// most `p`: builds the fabric and spawns `t − 1` helpers.
+    pub(crate) fn new(config: CgmConfig, threads: usize) -> Result<Self, CgmError> {
+        let machine = LoopbackCgm::new(config);
+        let threads = threads.min(config.procs).max(1);
+        Ok(Runner {
+            machine,
+            crew: Crew::new(threads, config.procs)?,
+        })
     }
-    Ok(workers.into_iter().map(Worker::finish).collect())
+
+    /// The runner of a session or a one-shot call: `t = min(p, cores)`.
+    pub(crate) fn for_caller(config: CgmConfig) -> Result<Self, CgmError> {
+        Runner::new(config, cores())
+    }
+
+    /// The runner of a service executor, which is already one of the
+    /// cores: `t = 1`, so it spawns nothing.
+    pub(crate) fn serial(config: CgmConfig) -> Self {
+        Runner::new(config, 1).expect("one thread spawns no helper")
+    }
+
+    /// Number of virtual processors.
+    pub(crate) fn procs(&self) -> usize {
+        self.machine.config().procs
+    }
+
+    /// How many failed runs this runner cleaned up after.
+    pub(crate) fn recoveries(&self) -> u64 {
+        self.machine.recoveries()
+    }
+
+    /// Plays a staged job: each phase of [`Job::program`] on every virtual
+    /// processor before the next phase — a matrix phase in id order on the
+    /// calling thread, a data phase over the crew's threads
+    /// ([`play_parts`]).  A barrier is metered where the program puts one.
+    ///
+    /// Replaying the matrix phases in id order is what lets the word plane
+    /// loop back: within a phase, every matrix backend sends only to higher
+    /// ids or to itself, except `ParallelOptimal`'s final all-to-all, whose
+    /// receives are the next phase.  A panic ends the run — at once on the
+    /// calling thread, once every thread is done on the crew — and comes
+    /// back as [`CgmError::ProcessorPanicked`] naming the lowest processor
+    /// that panicked.
+    fn play(&mut self, job: &Job<T>) -> Result<Vec<ProcResult>, CgmError> {
+        let _inside = job.handoff.enter();
+        let crew = &self.crew;
+        let contexts = self.machine.contexts();
+        let mut workers: Vec<Worker> = contexts.iter().map(|ctx| Worker::new(ctx)).collect();
+        for &(phase, barrier) in job.program() {
+            // SAFETY: this thread holds the lease for the whole run, and
+            // each phase runs on every processor once, before the next
+            // phase starts.
+            unsafe {
+                if phase.is_matrix() || crew.threads() == 1 {
+                    for (ctx, worker) in contexts.iter_mut().zip(&mut workers) {
+                        try_step(job, phase, ctx, worker)?;
+                    }
+                } else {
+                    play_parts(crew, job, phase, contexts, &mut workers)?;
+                }
+            }
+            if barrier {
+                // Metered only: every processor has finished the phase, so
+                // a loopback barrier never waits.
+                contexts.iter_mut().for_each(|ctx| ctx.comm_mut().barrier());
+            }
+        }
+        Ok(workers.into_iter().map(Worker::finish).collect())
+    }
+}
+
+/// Runs `phase` of `job` on one virtual processor; a panic comes back as
+/// the error that names it.
+///
+/// # Safety
+/// As for [`Job::step`].
+unsafe fn try_step<T: Send>(
+    job: &Job<T>,
+    phase: Phase,
+    ctx: &mut ProcCtx<T>,
+    worker: &mut Worker,
+) -> Result<(), CgmError> {
+    let proc = ctx.id();
+    // SAFETY: forwarded from the caller.
+    std::panic::catch_unwind(AssertUnwindSafe(|| unsafe { job.step(phase, ctx, worker) })).map_err(
+        |payload| CgmError::ProcessorPanicked {
+            proc,
+            message: panic_text(payload.as_ref()),
+        },
+    )
+}
+
+/// Plays one data phase on every thread of `crew`: thread `k` plays the
+/// processors of `part(p, t, k)` in id order and stops at its first panic.
+/// Returns when every thread is done, with the failure of the lowest
+/// processor that panicked.
+///
+/// # Safety
+/// As for [`Job::step`]; `phase` talks to no peer.
+unsafe fn play_parts<T: Send>(
+    crew: &Crew,
+    job: &Job<T>,
+    phase: Phase,
+    mut contexts: &mut [ProcCtx<T>],
+    mut workers: &mut [Worker],
+) -> Result<(), CgmError> {
+    let (p, t) = (contexts.len(), crew.threads());
+    let mut parts = Vec::with_capacity(t);
+    for k in 0..t {
+        let len = part(p, t, k).len();
+        let (own, rest) = std::mem::take(&mut contexts).split_at_mut(len);
+        let (own_workers, rest_workers) = std::mem::take(&mut workers).split_at_mut(len);
+        parts.push(Mutex::new((own, own_workers, None)));
+        (contexts, workers) = (rest, rest_workers);
+    }
+    crew.run(&|k| {
+        // A part's outcome stays `None` unless its thread finished it, so
+        // a poisoned lock leaves nothing half-reported.
+        let mut part = parts[k].lock().unwrap_or_else(PoisonError::into_inner);
+        let (contexts, workers, outcome) = &mut *part;
+        *outcome = Some(
+            contexts
+                .iter_mut()
+                .zip(workers.iter_mut())
+                // SAFETY: forwarded from the caller; the parts are disjoint.
+                .try_for_each(|(ctx, worker)| unsafe { try_step(job, phase, ctx, worker) }),
+        );
+    });
+    // The parts are in id order: the first failure is the lowest id.
+    parts.into_iter().enumerate().try_for_each(|(k, played)| {
+        let (.., outcome) = played.into_inner().unwrap_or_else(PoisonError::into_inner);
+        outcome.unwrap_or_else(|| {
+            Err(CgmError::ProcessorPanicked {
+                proc: part(p, t, k).start,
+                message: "its thread stopped before the end of the phase".to_string(),
+            })
+        })
+    })
 }
 
 /// The text of a caught panic payload.
@@ -1328,30 +1431,30 @@ pub(crate) fn panic_text(payload: &(dyn Any + Send)) -> String {
 }
 
 /// Assembles one job's per-processor results into the run report: phase
-/// timings (the maximum over workers, or on a `serial` run their sum) and
-/// the (optionally kept) communication matrix.
+/// timings (per phase, the maximum over the run's `threads` of each
+/// thread's sum over its processors) and the (optionally kept)
+/// communication matrix.
 fn collect_report<T>(
     job: &Job<T>,
     results: Vec<ProcResult>,
     metrics: MachineMetrics,
     options: &PermuteOptions,
     total_elapsed: Duration,
-    serial: bool,
+    threads: usize,
 ) -> PermutationReport {
-    // Threads overlap their phases, so a phase took as long as its slowest
-    // worker; a serial run does them one after another, so the times add
-    // up.
-    let combine = |a: Duration, b: Duration| if serial { a + b } else { a.max(b) };
-    let mut rows = Vec::with_capacity(results.len());
+    // A thread plays its processors one after another, and the threads run
+    // side by side: a phase took as long as the slowest thread's sum.
+    let p = results.len();
     let mut matrix_elapsed = Duration::ZERO;
     let mut exchange_elapsed = Duration::ZERO;
     let mut shuffle_elapsed = Duration::ZERO;
-    for (row, matrix_dur, data_dur, shuffle_dur) in results {
-        rows.push(row);
-        matrix_elapsed = combine(matrix_elapsed, matrix_dur);
-        exchange_elapsed = combine(exchange_elapsed, data_dur);
-        shuffle_elapsed = combine(shuffle_elapsed, shuffle_dur);
+    for k in 0..threads {
+        let own = &results[part(p, threads, k)];
+        matrix_elapsed = matrix_elapsed.max(own.iter().map(|r| r.1).sum());
+        exchange_elapsed = exchange_elapsed.max(own.iter().map(|r| r.2).sum());
+        shuffle_elapsed = shuffle_elapsed.max(own.iter().map(|r| r.3).sum());
     }
+    let rows: Vec<Vec<u64>> = results.into_iter().map(|r| r.0).collect();
 
     // The rows every worker brought back assemble into the sampled matrix;
     // in debug builds verify its marginals unconditionally, in release only
@@ -1399,39 +1502,31 @@ fn distributions(
 }
 
 /// The fused, direct-placement engine behind every entry point: stages a
-/// [`Job`], runs its [`worker_closure`] as **one job on one executor**, and
-/// hands the permuted items back in `data`.  The serial entry
-/// ([`try_permute_vec_serial`]) shares all of its pieces but the runner.
-///
-/// Generic over the execution substrate: the same engine runs one-shot on a
-/// [`CgmMachine`] (threads spawned per call) or on a [`cgp_cgm::ResidentCgm`]
-/// worker pool (threads spawned once, per the session API) — shared state
-/// travels in an `Arc` so the job closure is `'static` either way.  No
-/// second machine is built for the matrix phase; the samplers run
-/// in-context on the word plane of the same workers (see the module docs).
-fn try_permute_placed<T, E>(
-    exec: &mut E,
+/// [`Job`], plays it on `runner`, and hands the permuted items back in
+/// `data`.  No second machine is built for the matrix phase; the samplers
+/// run in-context on the word plane of the same contexts (see the module
+/// docs).
+fn try_permute_placed<T: Send + 'static>(
+    runner: &mut Runner<T>,
     data: &mut Vec<T>,
     (source, target): (BlockDistribution, BlockDistribution),
     options: &PermuteOptions,
     scratch: &mut PermuteScratch<T>,
-) -> Result<PermutationReport, CgmError>
-where
-    T: Send + 'static,
-    E: CgmExecutor<T>,
-{
+) -> Result<PermutationReport, CgmError> {
     let job = stage_job(data, source, target, options, scratch);
     let run_started = Instant::now();
-    let outcome = exec.try_run_job(worker_closure(&job));
+    let outcome = runner.play(&job);
     let total_elapsed = run_started.elapsed();
     match outcome {
-        Ok(run) => {
-            let (results, metrics) = run.into_parts();
-            let report = collect_report(&job, results, metrics, options, total_elapsed, false);
+        Ok(results) => {
+            let metrics = runner.machine.take_metrics(total_elapsed);
+            let threads = runner.crew.threads();
+            let report = collect_report(&job, results, metrics, options, total_elapsed, threads);
             reclaim(job, RunEnd::Done, data, scratch);
             Ok(report)
         }
         Err(e) => {
+            runner.machine.recover();
             reclaim(job, RunEnd::Failed, data, scratch);
             Err(e)
         }
@@ -1472,8 +1567,9 @@ pub fn permute_blocks<T: Send + 'static>(
     for block in blocks {
         data.extend(block);
     }
+    let mut runner = Runner::for_caller(*machine.config()).unwrap_or_else(|e| panic!("{e}"));
     let report = try_permute_placed(
-        &mut machine.clone(),
+        &mut runner,
         &mut data,
         (source, target),
         options,
@@ -1506,115 +1602,51 @@ pub fn permute_vec<T: Send + 'static>(
 /// for steady-state callers that permute many same-shaped vectors — once the
 /// scratch is warm no per-item allocation remains.
 ///
-/// To also amortize the machine startup itself (thread spawns, channel
-/// fabric), pair a scratch with a resident pool via
-/// [`permute_vec_into_with`] — or use the bundled session API,
-/// [`crate::Permuter::session`].
+/// To also amortize the machine startup itself (helper threads, channel
+/// fabric), use the session API, [`crate::Permuter::session`].
 pub fn permute_vec_into<T: Send + 'static>(
     machine: &CgmMachine,
     data: &mut Vec<T>,
     options: &PermuteOptions,
     scratch: &mut PermuteScratch<T>,
 ) -> PermutationReport {
-    let mut exec = machine.clone();
-    permute_vec_into_with(&mut exec, data, options, scratch)
+    let mut runner = Runner::for_caller(*machine.config()).unwrap_or_else(|e| panic!("{e}"));
+    try_permute_vec_on(&mut runner, data, options, scratch).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Executor-generic core of [`permute_vec_into`]: permutes `data` on any
-/// [`CgmExecutor`] — the one-shot [`CgmMachine`] or a resident
-/// [`cgp_cgm::ResidentCgm`] pool.
+/// Permutes `data`, split evenly over the runner's processors — the entry
+/// that sessions, one-shot calls, the service's executors and the
+/// sequential [`crate::LocalShuffle::Bucketed`] shuffle share.
 ///
-/// For a fixed configuration (processor count, seed, options) every
-/// substrate produces the **identical** permutation: all random streams are
-/// derived from the machine seed per call, never from substrate state.
-pub fn permute_vec_into_with<T, E>(
-    exec: &mut E,
-    data: &mut Vec<T>,
-    options: &PermuteOptions,
-    scratch: &mut PermuteScratch<T>,
-) -> PermutationReport
-where
-    T: Send + 'static,
-    E: CgmExecutor<T>,
-{
-    try_permute_vec_into_with(exec, data, options, scratch).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fail-fast variant of [`permute_vec_into_with`]: a job that panics inside
-/// a virtual processor is reported as [`CgmError::ProcessorPanicked`]
-/// (naming the processor, exactly as the panic of the infallible variant
-/// would) instead of unwinding the caller.
-///
-/// On a [`cgp_cgm::ResidentCgm`] the pool recovers its fabric before this
-/// returns, so the executor stays usable for further jobs — this is the
-/// engine entry a multi-tenant [`crate::PermutationService`] dispatches
-/// through, where one tenant's failure must be contained to its own ticket.
+/// For a fixed configuration (processor count, seed, options) the
+/// permutation and the metered communication are the same whatever the
+/// runner's thread count: all random streams are derived from the machine
+/// seed per call, never from runner state.  A panic in a virtual processor
+/// comes back as [`CgmError::ProcessorPanicked`] naming it, and the runner
+/// is ready for the next job.
 ///
 /// # Data loss on failure
 /// By the time a worker panics the items are spread over the input and
 /// output buffers, so on `Err` they are leaked — never dropped twice (see
 /// the module docs): `data` is left empty and the scratch possibly cold.
 /// Misuse that is detected *before* any item moves (bad prescriptions, see
-/// [`PermuteOptions::validate_target_sizes`]) still panics on the calling
-/// thread with `data` untouched, as in the infallible variant.
-pub fn try_permute_vec_into_with<T, E>(
-    exec: &mut E,
-    data: &mut Vec<T>,
-    options: &PermuteOptions,
-    scratch: &mut PermuteScratch<T>,
-) -> Result<PermutationReport, CgmError>
-where
-    T: Send + 'static,
-    E: CgmExecutor<T>,
-{
-    let p = exec.procs();
-    let layout = distributions(p, BlockDistribution::even(data.len() as u64, p), options);
-    try_permute_placed(exec, data, layout, options, scratch)
-}
-
-/// Serial counterpart of [`try_permute_vec_into_with`]: permutes `data` on
-/// one thread, replaying the `p` virtual processors of `machine` phase by
-/// phase (see [`LoopbackCgm`]) — the entry every executor of a
-/// [`crate::PermutationService`] runs its jobs through, and the engine of
-/// the sequential [`crate::LocalShuffle::Bucketed`] shuffle.
-///
-/// The permutation and the metered communication are byte-identical to a
-/// threaded run with the same configuration and options; the report's
-/// phase times are sums over the virtual processors.  A panic in a virtual
-/// processor comes back as [`CgmError::ProcessorPanicked`] with the items
-/// leaked, exactly as on the threaded path, and `machine` is ready for the
-/// next job.
-pub(crate) fn try_permute_vec_serial<T: Send + 'static>(
-    machine: &mut LoopbackCgm<T>,
+/// [`PermuteOptions::validate_target_sizes`]) panics on the calling thread
+/// with `data` untouched.
+pub(crate) fn try_permute_vec_on<T: Send + 'static>(
+    runner: &mut Runner<T>,
     data: &mut Vec<T>,
     options: &PermuteOptions,
     scratch: &mut PermuteScratch<T>,
 ) -> Result<PermutationReport, CgmError> {
-    let p = machine.config().procs;
-    let (source, target) = distributions(p, BlockDistribution::even(data.len() as u64, p), options);
-    let job = stage_job(data, source, target, options, scratch);
-    let run_started = Instant::now();
-    let outcome = run_serial(&job, machine);
-    let total_elapsed = run_started.elapsed();
-    match outcome {
-        Ok(results) => {
-            let metrics = machine.take_metrics(total_elapsed);
-            let report = collect_report(&job, results, metrics, options, total_elapsed, true);
-            reclaim(job, RunEnd::Done, data, scratch);
-            Ok(report)
-        }
-        Err(e) => {
-            machine.recover();
-            reclaim(job, RunEnd::Failed, data, scratch);
-            Err(e)
-        }
-    }
+    let p = runner.procs();
+    let layout = distributions(p, BlockDistribution::even(data.len() as u64, p), options);
+    try_permute_placed(runner, data, layout, options, scratch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgp_cgm::CgmConfig;
+    use std::sync::Arc;
 
     fn is_permutation_of_identity(v: &[u64]) -> bool {
         let mut seen = vec![false; v.len()];
@@ -1895,8 +1927,8 @@ mod tests {
 
     #[test]
     fn the_lease_reports_workers_inside_and_bars_late_entry() {
-        // The resident pool's early `PoolShutDown` return: a worker may
-        // still be inside the run when the caller gives up on it.
+        // A caller that gives up on a run while a worker may still be
+        // inside it must not reclaim the storage.
         let handoff = Handoff::new(vec![1u64, 2, 3], Vec::new());
         let inside = handoff.enter();
         assert!(!handoff.vacate(), "a worker inside keeps the storage");
@@ -1944,17 +1976,15 @@ mod tests {
     #[test]
     fn injected_faults_surface_as_attributed_errors() {
         use crate::config::EngineFault;
-        use cgp_cgm::ResidentCgm;
-        let mut pool: ResidentCgm<u64> = ResidentCgm::new(CgmConfig::new(4).with_seed(5));
+        let permuter = crate::Permuter::new(4).seed(5);
+        let mut session = permuter.session::<u64>();
         for (fault, phase_word) in [
             (EngineFault::matrix_phase(2), "matrix"),
             (EngineFault::exchange_phase(1), "exchange"),
         ] {
-            let mut scratch = PermuteScratch::new();
             let mut data: Vec<u64> = (0..200).collect();
             let options = PermuteOptions::default().inject_fault(fault);
-            let err = try_permute_vec_into_with(&mut pool, &mut data, &options, &mut scratch)
-                .unwrap_err();
+            let err = session.try_permute_with(&mut data, &options).unwrap_err();
             match err {
                 CgmError::ProcessorPanicked { proc, ref message } => {
                     assert_eq!(proc, fault.proc, "the injecting processor is blamed");
@@ -1964,15 +1994,145 @@ mod tests {
             }
             assert!(data.is_empty(), "the input was consumed by the failed job");
         }
-        // The pool recovered both times; a clean job still matches one-shot.
-        let mut scratch = PermuteScratch::new();
-        let mut data: Vec<u64> = (0..200).collect();
-        let options = PermuteOptions::default();
-        try_permute_vec_into_with(&mut pool, &mut data, &options, &mut scratch).unwrap();
-        let machine = CgmMachine::new(CgmConfig::new(4).with_seed(5));
-        let reference = permute_vec(&machine, (0..200u64).collect(), &options).0;
-        assert_eq!(data, reference);
-        assert_eq!(pool.recoveries(), 2);
+        // The session recovered both times; a clean job still matches
+        // one-shot.
+        let (data, _) = session.permute((0..200).collect());
+        assert_eq!(data, permuter.permute((0..200u64).collect()).0);
+    }
+
+    const SEED: u64 = 0x5E71_A1ED;
+
+    /// Even blocks, or uneven ones: half of block 0 moved to the last block.
+    fn uneven_targets(n: usize, p: usize) -> Vec<u64> {
+        let mut sizes = BlockDistribution::even(n as u64, p).sizes().to_vec();
+        let moved = sizes[0] / 2;
+        sizes[0] -= moved;
+        sizes[p - 1] += moved;
+        sizes
+    }
+
+    #[test]
+    fn every_thread_count_plays_the_same_permutation_and_metering() {
+        for p in [1usize, 2, 3, 5, 8] {
+            let config = CgmConfig::new(p).with_seed(SEED);
+            let mut runners: Vec<Runner<u64>> = [1, 2, 3, p]
+                .into_iter()
+                .map(|t| Runner::new(config, t).unwrap())
+                .collect();
+            for n in [0, 1, p - 1, p, 257, 4099] {
+                for backend in MatrixBackend::ALL {
+                    // `None` keeps the Fisher–Yates path at these sizes;
+                    // the small windows force the one scatter level.
+                    for window in [None, Some(1), Some(16)] {
+                        for uneven in [false, true] {
+                            let mut options = PermuteOptions::with_backend(backend);
+                            if let Some(items) = window {
+                                options = options.window_items(items);
+                            }
+                            if uneven && p > 1 {
+                                options = options.target_sizes(uneven_targets(n, p));
+                            }
+                            let mut reference = None;
+                            for runner in &mut runners {
+                                let case = format!(
+                                    "p = {p}, t = {}, n = {n}, {backend:?}, window {window:?}, \
+                                     uneven {uneven}",
+                                    runner.crew.threads()
+                                );
+                                let mut data: Vec<u64> = (0..n as u64).collect();
+                                let mut scratch = PermuteScratch::new();
+                                let report =
+                                    try_permute_vec_on(runner, &mut data, &options, &mut scratch)
+                                        .unwrap();
+                                let played = (
+                                    data,
+                                    report.exchange_metrics.per_proc,
+                                    report.matrix_metrics.per_proc,
+                                );
+                                match &reference {
+                                    None => reference = Some(played),
+                                    Some(first) => assert!(played == *first, "{case}"),
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// An item that records its drops, so a doubly dropped item shows.
+    struct Counted {
+        id: usize,
+        drops: Arc<Vec<AtomicUsize>>,
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.drops[self.id].fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn counted(n: usize) -> (Vec<Counted>, Arc<Vec<AtomicUsize>>) {
+        let drops: Arc<Vec<AtomicUsize>> = Arc::new((0..n).map(|_| AtomicUsize::new(0)).collect());
+        let items = (0..n)
+            .map(|id| Counted {
+                id,
+                drops: Arc::clone(&drops),
+            })
+            .collect();
+        (items, drops)
+    }
+
+    #[test]
+    fn a_fault_on_a_helper_thread_names_its_processor_and_drops_nothing_twice() {
+        // p = 4 on two threads: the helper plays processors 2 and 3.
+        let (p, n) = (4, 500);
+        let config = CgmConfig::new(p).with_seed(SEED);
+        let mid_scatter = PermuteOptions::default().window_items(8);
+        for (clean, fault, phase_word) in [
+            (mid_scatter, EngineFault::exchange_phase(3), "mid-scatter"),
+            (
+                PermuteOptions::default(),
+                EngineFault::matrix_phase(3),
+                "matrix",
+            ),
+            (
+                PermuteOptions::default(),
+                EngineFault::exchange_phase(2),
+                "exchange",
+            ),
+        ] {
+            let mut runner: Runner<Counted> = Runner::new(config, 2).unwrap();
+            assert!(part(p, runner.crew.threads(), 1).contains(&fault.proc));
+            let mut scratch = PermuteScratch::new();
+            let (mut data, drops) = counted(n);
+            let faulty = clean.clone().inject_fault(fault);
+            let err =
+                try_permute_vec_on(&mut runner, &mut data, &faulty, &mut scratch).unwrap_err();
+            match err {
+                CgmError::ProcessorPanicked { proc, ref message } => {
+                    assert_eq!(proc, fault.proc);
+                    assert!(message.contains(phase_word), "got: {message}");
+                }
+                other => panic!("unexpected error: {other}"),
+            }
+            assert!(data.is_empty());
+            assert!(drops.iter().all(|d| d.load(Ordering::SeqCst) <= 1));
+
+            // The next call on the same runner matches a fresh one-shot run.
+            let (mut data, fresh) = counted(n);
+            try_permute_vec_on(&mut runner, &mut data, &clean, &mut scratch).unwrap();
+            let ids: Vec<u64> = data.iter().map(|c| c.id as u64).collect();
+            let machine = CgmMachine::new(config);
+            assert_eq!(
+                ids,
+                permute_vec(&machine, (0..n as u64).collect(), &clean).0
+            );
+            drop((data, scratch, runner));
+            assert!(drops.iter().all(|d| d.load(Ordering::SeqCst) <= 1));
+            assert!(fresh.iter().all(|d| d.load(Ordering::SeqCst) == 1));
+        }
     }
 
     #[test]

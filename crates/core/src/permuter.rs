@@ -115,12 +115,15 @@ impl Permuter {
         CgmMachine::new(self.engine.cgm_config())
     }
 
-    /// Opens a steady-state [`PermutationSession`] for payload type `T`: a
-    /// resident worker pool plus recycled buffers, so repeated permutations
-    /// make no thread spawns, no channel construction and (once warm) no
-    /// per-item allocations.  The session produces exactly the permutations
-    /// this permuter's one-shot methods produce — see the
-    /// [`crate::session`] module docs for the one-shot vs. session guide.
+    /// Opens a steady-state [`PermutationSession`] for payload type `T`:
+    /// the machine's fabric, `t − 1` parked helper threads and recycled
+    /// buffers, where `t = min(p, cores)` is the number of threads each
+    /// call plays the `p` virtual processors on (the caller's among them).
+    /// Repeated permutations then make no thread spawns, no channel
+    /// construction and (once warm) no per-item allocations.  The session
+    /// produces exactly the permutations this permuter's one-shot methods
+    /// produce — see the [`crate::session`] module docs for the one-shot
+    /// vs. session guide.
     pub fn session<T: Send + 'static>(&self) -> PermutationSession<T> {
         self.try_session().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -128,7 +131,7 @@ impl Permuter {
     /// Fallible variant of [`Permuter::session`].  With a `Permuter` built
     /// through its constructors the processor count is already validated,
     /// so the remaining failure is [`CgmError::WorkerSpawnFailed`] — the OS
-    /// refusing a resident worker thread (e.g. under thread exhaustion).
+    /// refusing a helper thread (e.g. under thread exhaustion).
     pub fn try_session<T: Send + 'static>(&self) -> Result<PermutationSession<T>, CgmError> {
         PermutationSession::create(self.engine, self.options.clone())
     }

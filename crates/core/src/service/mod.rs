@@ -1,9 +1,10 @@
 //! A multi-tenant permutation service: many concurrent clients, one shared
 //! set of executor threads, fair admission in between.
 //!
-//! A [`crate::PermutationSession`] owns its [`cgp_cgm::ResidentCgm`]
-//! exclusively — one caller, one gang of `p` threads that meet at barriers.
-//! A [`PermutationService`] is the server-shaped counterpart: it
+//! A [`crate::PermutationSession`] serves one caller: it plays each job's
+//! `p` virtual processors on `min(p, cores)` threads, the caller's and its
+//! own parked helpers.  A [`PermutationService`] is the server-shaped
+//! counterpart: it
 //! multiplexes many independent jobs over `t` **executors**
 //! ([`ServiceConfig::executors`]), and each executor runs a whole job on
 //! its own thread.
@@ -23,8 +24,8 @@
 //!   on one thread.  In the paper's model the processors are virtual: a job
 //!   is defined by its `p` blocks and its per-processor random streams,
 //!   not by `p` threads, so the replay produces the byte-identical
-//!   permutation — without the pool wake, barriers and completion
-//!   rendezvous that dominate the small jobs a service sees.
+//!   permutation — without the helper wakes and joins that dominate the
+//!   small jobs a service sees.
 //!
 //! Clients hold cheap, cloneable [`ServiceHandle`]s and either
 //! [`ServiceHandle::submit`] (async, returns a [`JobTicket`] backed by the

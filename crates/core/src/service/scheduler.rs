@@ -8,27 +8,27 @@
 //!    weighted deficit round-robin over the Normal lanes — see the queue
 //!    module).  A deadline job whose budget expired in the queue is shed
 //!    instead.
-//! 2. **Run** it on this thread: the executor replays the job's `p`
-//!    virtual processors phase by phase on a [`cgp_cgm::LoopbackCgm`] of
-//!    its own, with its own warm scratch.  The output is byte-identical to
-//!    the threaded run of a session or a one-shot call: every random
-//!    stream of a job is derived from the service seed per call, and each
-//!    virtual processor keeps its own.
+//! 2. **Run** it on this thread: the executor plays the job's `p` virtual
+//!    processors phase by phase on a runner of its own with `t = 1` (see
+//!    the `parallel` module docs), with its own warm scratch.  The output
+//!    is byte-identical to a session's or a one-shot call's, which play the
+//!    same program on `min(p, cores)` threads: every random stream of a job
+//!    is derived from the service seed per call, and each virtual processor
+//!    keeps its own.
 //! 3. **Complete** the ticket and bill the metrics.
 //! 4. **Park** when admission is empty, or exit once the service has shut
 //!    down and admission is drained.
 //!
 //! In the paper's model the `p` processors of a job are virtual, so
-//! nothing requires `p` threads.  A job on `p` threads pays a pool wake,
-//! barriers and a completion rendezvous on every call, which dominates the
-//! small jobs a service sees; on one thread those costs vanish, and `t`
-//! executors keep `t` cores busy with independent jobs.  A caller who needs
-//! the latency of one large job on several cores uses a
-//! [`crate::PermutationSession`].
+//! nothing requires `p` threads.  Handing a phase to helper threads costs a
+//! wake and a join, which dominates the small jobs a service sees; on one
+//! thread those costs vanish, and `t` executors keep `t` cores busy with
+//! independent jobs.  A caller who needs the latency of one large job on
+//! several cores uses a [`crate::PermutationSession`].
 //!
 //! A panic inside a virtual processor fails only its own ticket
 //! ([`crate::ServiceError::JobFailed`] naming the processor); the executor
-//! clears its loopback fabric and serves the next job.
+//! clears its fabric and serves the next job.
 //!
 //! ```
 //! use cgp_core::{PermuteOptions, Permuter, Priority};
@@ -62,8 +62,8 @@ use super::metrics::MetricsInner;
 use super::queue::{Admission, Job};
 use super::ServiceError;
 use crate::config::PermuteOptions;
-use crate::parallel::{panic_text, try_permute_vec_serial, PermuteScratch};
-use cgp_cgm::{CgmConfig, LoopbackCgm};
+use crate::parallel::{panic_text, try_permute_vec_on, PermuteScratch, Runner};
+use cgp_cgm::CgmConfig;
 
 /// Everything the handles and executors share.
 pub(crate) struct SchedShared<T> {
@@ -85,7 +85,7 @@ pub(crate) fn lock_metrics<T>(shared: &SchedShared<T>) -> MutexGuard<'_, Metrics
 /// One executor: pulls jobs from admission one at a time and runs each on
 /// this thread, until the service shuts down and admission is drained.
 pub(crate) fn executor_loop<T: Send + 'static>(executor: usize, shared: Arc<SchedShared<T>>) {
-    let mut machine = LoopbackCgm::new(shared.machine);
+    let mut runner = Runner::serial(shared.machine);
     let mut scratch = PermuteScratch::new();
     let mut st = shared.admission.lock();
     loop {
@@ -115,7 +115,7 @@ pub(crate) fn executor_loop<T: Send + 'static>(executor: usize, shared: Arc<Sche
             }
         }
         if let Some(job) = next {
-            serve(executor, &mut machine, &mut scratch, &shared, *job);
+            serve(executor, &mut runner, &mut scratch, &shared, *job);
             // The completed ticket woke a thread: the client, or on the
             // wire the connection's writer.  When every core runs an
             // executor, that thread would otherwise wait for the end of
@@ -133,7 +133,7 @@ pub(crate) fn executor_loop<T: Send + 'static>(executor: usize, shared: Arc<Sche
 /// Runs one job on this executor's thread and resolves its ticket.
 fn serve<T: Send + 'static>(
     executor: usize,
-    machine: &mut LoopbackCgm<T>,
+    runner: &mut Runner<T>,
     scratch: &mut PermuteScratch<T>,
     shared: &SchedShared<T>,
     mut job: Job<T>,
@@ -152,13 +152,13 @@ fn serve<T: Send + 'static>(
     // admission-time validation makes the known ones unreachable, but no
     // engine panic may take an executor out of rotation.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        try_permute_vec_serial(machine, &mut job.data, &job.options, scratch)
+        try_permute_vec_on(runner, &mut job.data, &job.options, scratch)
     }));
     let run = started.elapsed();
     {
         let mut m = lock_metrics(shared);
         m.record_job(job.tenant, wait, run, matches!(result, Ok(Ok(_))));
-        m.record_executor(executor, run, machine.recoveries());
+        m.record_executor(executor, run, runner.recoveries());
     }
     let outcome = match result {
         Ok(Ok(report)) => Ok((std::mem::take(&mut job.data), report)),

@@ -1,19 +1,20 @@
-//! Steady-state permutation sessions over a resident CGM worker pool.
+//! Steady-state permutation sessions.
 //!
 //! A [`crate::Permuter`] is a *configuration*; every call to its one-shot
-//! methods builds a fresh [`cgp_cgm::CgmMachine`], which spawns `p` OS
-//! threads and wires up the `p²` channel fabric per call.  A
-//! [`PermutationSession`] is the *steady-state* counterpart: it owns a
-//! [`ResidentCgm`] (threads spawned once, parked between jobs) **and** a
-//! [`PermuteScratch`] (spare buffer recycled across calls), so repeated
-//! permutations make
+//! methods builds a fresh machine: the channel fabric of its `p` virtual
+//! processors and `t − 1` helper threads, where `t = min(p, cores)` is the
+//! number of threads a run plays its processors on (see the
+//! [`crate::parallel`] module docs).  A [`PermutationSession`] is the
+//! *steady-state* counterpart: it owns the fabric, its `t − 1` parked
+//! helper threads **and** a [`PermuteScratch`] (spare buffer recycled
+//! across calls), so repeated permutations make
 //!
 //! * no thread spawns,
 //! * no channel construction, and
 //! * no per-item allocations once the scratch is warm —
 //!
 //! only the `O(p²)` bookkeeping and the sampled `p × p` matrix of each call
-//! remain.
+//! remain.  The calling thread plays the first range of processors itself.
 //!
 //! # When to use one-shot vs. session
 //!
@@ -22,37 +23,37 @@
 //!   startup cost is paid per call but nothing stays resident.
 //! * **Session** ([`crate::Permuter::session`]): a loop or service that
 //!   permutes many vectors of one payload type.  Startup is paid once;
-//!   per-call latency drops accordingly.  The pool's worker threads stay parked (blocking
-//!   channel receives, no spin) between calls, so an idle session costs no
-//!   CPU.
+//!   per-call latency drops accordingly.  The helper threads stay parked
+//!   (blocking channel receives, no spin) between calls, so an idle session
+//!   costs no CPU.
 //!
 //! # Determinism
 //!
 //! A session produces **exactly** the permutations the one-shot path
 //! produces for the same configuration: every random stream of Algorithm 1
-//! is derived from the machine seed per call, never from pool state.  (The
-//! resident workers' private `ctx.rng()` streams do advance across jobs,
-//! but the permutation engine deliberately draws from per-call derived
-//! streams — see `worker_closure` and `MatrixCtx::sampling_rng` —
-//! precisely so substrate and history cannot change the sampled
-//! permutation.)
+//! is derived from the machine seed per call, never from session state.
+//! (The contexts' private `ctx.rng()` streams do advance across calls, but
+//! the permutation engine draws only from per-call derived streams — see
+//! `Worker::new` in the `parallel` module and `MatrixCtx::sampling_rng` —
+//! precisely so the thread count and the history cannot change the
+//! sampled permutation.)
 //!
-//! # One job, zero spawns — for every backend
+//! # One run, zero spawns — for every backend
 //!
 //! Algorithm 1 runs **fused**: matrix sampling happens in-context on the
-//! word plane of the same resident workers that shuffle and exchange the
-//! data (see the [`crate::parallel`] module docs), so a steady-state
-//! session permutation makes zero thread spawns and zero channel-fabric
+//! word plane of the same contexts that shuffle and exchange the data (see
+//! the [`crate::parallel`] module docs), so a steady-state session
+//! permutation makes zero thread spawns and zero channel-fabric
 //! constructions for *all four* matrix backends, `ParallelLog` and
 //! `ParallelOptimal` included.  The `cgp_cgm::diag` startup counters make
 //! this assertable in tests.
 
 use crate::config::{EngineConfig, PermuteOptions};
-use crate::parallel::{permute_vec_into_with, PermutationReport, PermuteScratch};
-use cgp_cgm::{CgmError, ResidentCgm};
+use crate::parallel::{try_permute_vec_on, PermutationReport, PermuteScratch, Runner};
+use cgp_cgm::CgmError;
 
-/// A resident permutation session: a worker pool plus recycled buffers,
-/// produced by [`crate::Permuter::session`].
+/// A permutation session: a machine with its parked helper threads plus
+/// recycled buffers, produced by [`crate::Permuter::session`].
 ///
 /// ```
 /// use cgp_core::Permuter;
@@ -68,28 +69,29 @@ use cgp_cgm::{CgmError, ResidentCgm};
 /// }
 /// ```
 pub struct PermutationSession<T: Send + 'static> {
-    pool: ResidentCgm<T>,
+    runner: Runner<T>,
     scratch: PermuteScratch<T>,
     options: PermuteOptions,
     engine: EngineConfig,
 }
 
 impl<T: Send + 'static> PermutationSession<T> {
-    /// Builds a session: spawns the resident workers for `engine` (or
-    /// reports [`CgmError::NoProcessors`]) and starts with a cold scratch.
+    /// Builds a session: builds the fabric for `engine` and spawns its
+    /// `min(p, cores) − 1` helper threads (or reports
+    /// [`CgmError::NoProcessors`]), and starts with a cold scratch.
     /// `options` carries the per-surface extras (matrix backend,
     /// `keep_matrix`).
     pub(crate) fn create(engine: EngineConfig, options: PermuteOptions) -> Result<Self, CgmError> {
         Ok(PermutationSession {
-            pool: ResidentCgm::try_new(engine.try_cgm_config()?)?,
+            runner: Runner::for_caller(engine.try_cgm_config()?)?,
             scratch: PermuteScratch::new(),
             options,
             engine,
         })
     }
 
-    /// The engine-selection core this session's pool was opened with —
-    /// push it through [`crate::Permuter::from_engine`] or
+    /// The engine-selection core this session was opened with — push it
+    /// through [`crate::Permuter::from_engine`] or
     /// [`crate::service::ServiceConfig::from_engine`] to stand up another
     /// surface producing the identical permutations.
     pub fn engine(&self) -> EngineConfig {
@@ -98,7 +100,7 @@ impl<T: Send + 'static> PermutationSession<T> {
 
     /// Number of virtual processors.
     pub fn procs(&self) -> usize {
-        self.pool.procs()
+        self.runner.procs()
     }
 
     /// The master seed every per-call random stream is derived from.
@@ -106,11 +108,35 @@ impl<T: Send + 'static> PermutationSession<T> {
         self.engine.seed
     }
 
-    /// Uniformly permutes `data` in place on the resident pool, recycling
-    /// the session's buffers.  Produces exactly the same permutation as
+    /// Uniformly permutes `data` in place, recycling the session's buffers.
+    /// Produces exactly the same permutation as
     /// [`crate::Permuter::permute`] for the same configuration.
+    ///
+    /// # Panics
+    /// Panics naming the virtual processor if one panics (see
+    /// [`PermutationSession::try_permute_with`]).
     pub fn permute_into(&mut self, data: &mut Vec<T>) -> PermutationReport {
-        permute_vec_into_with(&mut self.pool, data, &self.options, &mut self.scratch)
+        try_permute_vec_on(&mut self.runner, data, &self.options, &mut self.scratch)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fail-fast variant of [`PermutationSession::permute_into`] with
+    /// per-call options (as [`crate::ServiceHandle::permute_with`] takes
+    /// them): a job that panics inside a virtual processor comes back as
+    /// [`CgmError::ProcessorPanicked`] naming the processor, and the session
+    /// stays ready for the next call.
+    ///
+    /// On `Err` the job's items are leaked — never dropped twice — so
+    /// `data` comes back empty (see the [`crate::parallel`] module docs).
+    /// Misuse detected before any item moves (bad prescriptions, see
+    /// [`PermuteOptions::validate_target_sizes`]) panics on the calling
+    /// thread with `data` untouched.
+    pub fn try_permute_with(
+        &mut self,
+        data: &mut Vec<T>,
+        options: &PermuteOptions,
+    ) -> Result<PermutationReport, CgmError> {
+        try_permute_vec_on(&mut self.runner, data, options, &mut self.scratch)
     }
 
     /// Owned-vector convenience over [`PermutationSession::permute_into`].
@@ -125,16 +151,16 @@ impl<T: Send + 'static> PermutationSession<T> {
         self.scratch.retained_capacity()
     }
 
-    /// Shuts the resident pool down, joining every worker thread (also
-    /// happens on drop; this form makes the join point explicit).
+    /// Closes the session, joining its helper threads (also happens on
+    /// drop; this form makes the join point explicit).
     pub fn shutdown(self) {
-        self.pool.shutdown();
+        drop(self);
     }
 }
 
 impl PermutationSession<u64> {
-    /// Generates a uniformly random permutation of `0..n` (as indices) on
-    /// the resident pool — the session counterpart of
+    /// Generates a uniformly random permutation of `0..n` (as indices) —
+    /// the session counterpart of
     /// [`crate::Permuter::sample_permutation`], producing the identical
     /// permutation for the same configuration.  Pair with
     /// [`crate::apply_permutation`] to rearrange non-`Send` payloads.
@@ -154,7 +180,7 @@ impl PermutationSession<u64> {
     pub fn sample_permutation_into(&mut self, n: usize, out: &mut Vec<u64>) {
         out.clear();
         out.extend(0..n as u64);
-        permute_vec_into_with(&mut self.pool, out, &self.options, &mut self.scratch);
+        self.permute_into(out);
     }
 }
 
@@ -234,6 +260,17 @@ mod tests {
                 "per-job metrics must not accumulate across session calls"
             );
         }
+    }
+
+    #[test]
+    fn a_session_moves_to_another_thread() {
+        let permuter = Permuter::new(3).seed(2);
+        let reference = permuter.permute((0..500u64).collect()).0;
+        let mut session = permuter.session::<u64>();
+        let out = std::thread::spawn(move || session.permute((0..500u64).collect()).0)
+            .join()
+            .expect("the session's call does not panic");
+        assert_eq!(out, reference);
     }
 
     #[test]

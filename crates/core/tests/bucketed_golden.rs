@@ -5,12 +5,12 @@
 //! windows, so neither ever takes the one scatter level.  This file pins
 //! it: 32-item windows (the hidden `window_items` override) over a grid of
 //! machine sizes, payload sizes and target distributions, checked one-shot,
-//! through a resident pool (cold and warm scratch), through a session and
-//! through a service executor's serial replay.  Every surface must
+//! through a session's per-call options (cold and warm scratch), through a
+//! session's own options and through a service executor's serial replay.  Every surface must
 //! reproduce the recorded checksum exactly.
 
-use cgp_cgm::{CgmConfig, CgmMachine, ResidentCgm};
-use cgp_core::{permute_vec, try_permute_vec_into_with, PermuteOptions, PermuteScratch, Permuter};
+use cgp_cgm::{CgmConfig, CgmMachine};
+use cgp_core::{permute_vec, PermuteOptions, Permuter};
 
 const SEED: u64 = 0x6B0C_4E7D;
 /// Window and bucket size in items; every block of more than one window
@@ -102,17 +102,17 @@ fn bucketed_pipeline_reproduces_golden_checksums_on_every_surface() {
         let (one_shot, _) = permute_vec(&CgmMachine::new(config), identity(n), &options);
         assert_eq!(checksum(&one_shot), expected, "one-shot: {case}");
 
-        // A resident pool, twice through one scratch (cold, then warm).
-        let mut pool: ResidentCgm<u64> = ResidentCgm::new(config);
-        let mut scratch = PermuteScratch::new();
+        // A session with per-call options, twice through its scratch
+        // (cold, then warm).
+        let mut session = Permuter::new(p).seed(SEED).session::<u64>();
         for round in 0..2 {
             let mut data = identity(n);
-            try_permute_vec_into_with(&mut pool, &mut data, &options, &mut scratch).unwrap();
-            assert_eq!(data, one_shot, "pool round {round}: {case}");
+            session.try_permute_with(&mut data, &options).unwrap();
+            assert_eq!(data, one_shot, "session round {round}: {case}");
         }
 
-        // The session surface (even targets only: it carries no per-call
-        // prescription).
+        // A session's own options (even targets only: a permuter carries
+        // no prescription).
         if !uneven {
             let mut session = Permuter::new(p)
                 .seed(SEED)

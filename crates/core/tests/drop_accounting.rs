@@ -5,8 +5,8 @@
 //! tests permute a payload that records every drop per item and check the
 //! hand-off's contract: a completed permutation keeps every item alive
 //! exactly once; a failed one may leak items but never drops one twice —
-//! on the threaded path and on the serial replay a service executor and
-//! the sequential bucketed shuffle run.
+//! in a session, on a service executor and in the sequential bucketed
+//! shuffle.
 //! Jobs forced onto small windows run the one scatter level, where an
 //! exchange fault fires with the worker's first window already copied out, so its
 //! items sit bitwise in both buffers.
@@ -14,10 +14,10 @@
 use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
 use std::sync::Arc;
 
-use cgp_cgm::{CgmConfig, CgmError, CgmMachine, ResidentCgm};
+use cgp_cgm::{CgmConfig, CgmError, CgmMachine};
 use cgp_core::{
-    permute_vec, permute_vec_into, try_permute_vec_into_with, BucketScratch, EngineFault,
-    LocalShuffle, PermuteOptions, PermuteScratch, Permuter, Priority, ServiceError,
+    permute_vec, permute_vec_into, BucketScratch, EngineFault, LocalShuffle, PermuteOptions,
+    PermuteScratch, Permuter, Priority, ServiceError,
 };
 use cgp_rng::Pcg64;
 
@@ -108,20 +108,20 @@ fn a_completed_permutation_keeps_every_item_alive_exactly_once() {
             let ledger = Ledger::new(n);
             let options = layout(window);
 
-            // One-shot, then twice through a warm pool scratch.
+            // One-shot, then twice through a session (cold, then warm).
             let machine = CgmMachine::new(CgmConfig::new(p).with_seed(3));
             let mut data = ledger.items(0..n);
             let mut scratch = PermuteScratch::new();
             permute_vec_into(&machine, &mut data, &options, &mut scratch);
-            let mut pool: ResidentCgm<Counted> = ResidentCgm::new(CgmConfig::new(p).with_seed(3));
+            let mut session = Permuter::new(p).seed(3).session::<Counted>();
             for _ in 0..2 {
-                try_permute_vec_into_with(&mut pool, &mut data, &options, &mut scratch).unwrap();
+                session.try_permute_with(&mut data, &options).unwrap();
                 assert_eq!(ledger.live(), n as i64, "{case}");
                 assert_eq!(sorted_ids(&data), (0..n).collect::<Vec<_>>(), "{case}");
             }
-            // The spare holds no items: dropping it drops nothing.
+            // The spares hold no items: dropping them drops nothing.
             drop(scratch);
-            drop(pool);
+            drop(session);
             assert_eq!(ledger.live(), n as i64, "{case}");
             (0..n).for_each(|id| assert_eq!(ledger.drops(id), 0, "{case}"));
 
@@ -187,11 +187,9 @@ fn a_failed_permutation_never_drops_an_item_twice() {
             let n = 600;
             let ledger = Ledger::new(n);
             let options = layout(window).inject_fault(fault);
-            let mut pool: ResidentCgm<Counted> = ResidentCgm::new(CgmConfig::new(3).with_seed(4));
-            let mut scratch = PermuteScratch::new();
+            let mut session = Permuter::new(3).seed(4).session::<Counted>();
             let mut data = ledger.items(0..n);
-            let err = try_permute_vec_into_with(&mut pool, &mut data, &options, &mut scratch)
-                .unwrap_err();
+            let err = session.try_permute_with(&mut data, &options).unwrap_err();
             assert!(matches!(err, CgmError::ProcessorPanicked { .. }), "{err}");
             assert!(
                 data.is_empty(),
@@ -199,14 +197,14 @@ fn a_failed_permutation_never_drops_an_item_twice() {
             );
             ledger.assert_never_dropped_twice();
 
-            // The pool and scratch go on to serve a clean job.
+            // The session goes on to serve a clean job.
             let clean = layout(window);
             let fresh = Ledger::new(n);
             let mut data = fresh.items(0..n);
-            try_permute_vec_into_with(&mut pool, &mut data, &clean, &mut scratch).unwrap();
+            session.try_permute_with(&mut data, &clean).unwrap();
             assert_eq!(sorted_ids(&data), (0..n).collect::<Vec<_>>());
 
-            drop((data, scratch, pool));
+            drop((data, session));
             // Leaked, not dropped: the failed job's items may stay live.
             ledger.assert_never_dropped_twice();
             assert_eq!(
@@ -228,14 +226,12 @@ fn a_panic_mid_scatter_never_drops_an_item_twice() {
             let case = format!("p = {p}, fault on {proc}");
             let config = CgmConfig::new(p).with_seed(21);
             let ledger = Ledger::new(n);
-            let mut pool: ResidentCgm<Counted> = ResidentCgm::new(config);
-            let mut scratch = PermuteScratch::new();
+            let mut session = Permuter::new(p).seed(21).session::<Counted>();
             let mut data = ledger.items(0..n);
             let faulty = options
                 .clone()
                 .inject_fault(EngineFault::exchange_phase(proc));
-            let err =
-                try_permute_vec_into_with(&mut pool, &mut data, &faulty, &mut scratch).unwrap_err();
+            let err = session.try_permute_with(&mut data, &faulty).unwrap_err();
             match err {
                 CgmError::ProcessorPanicked {
                     proc: blamed,
@@ -249,18 +245,18 @@ fn a_panic_mid_scatter_never_drops_an_item_twice() {
             assert!(data.is_empty(), "{case}");
             ledger.assert_never_dropped_twice();
 
-            // The pool's next job succeeds, keeps every item alive exactly
-            // once and matches a fresh one-shot run.
+            // The session's next job succeeds, keeps every item alive
+            // exactly once and matches a fresh one-shot run.
             let fresh = Ledger::new(n);
             let mut data = fresh.items(0..n);
-            try_permute_vec_into_with(&mut pool, &mut data, &options, &mut scratch).unwrap();
+            session.try_permute_with(&mut data, &options).unwrap();
             assert_eq!(fresh.live(), n as i64, "{case}");
             let reference =
                 permute_vec(&CgmMachine::new(config), (0..n as u64).collect(), &options).0;
             let ids: Vec<u64> = data.iter().map(|c| c.id as u64).collect();
             assert_eq!(ids, reference, "{case}");
 
-            drop((data, scratch, pool));
+            drop((data, session));
             // Leaked, not dropped: the failed job's items may stay live.
             ledger.assert_never_dropped_twice();
             assert_eq!(

@@ -1,15 +1,19 @@
 //! Integration tests of the fused single-job pipeline: statistical
-//! uniformity, matrix-phase panic recovery on the resident pool, and the
-//! zero-startup steady-state property.
+//! uniformity, matrix-phase panic recovery in a session, the word-plane
+//! abort of the one-shot machine, and the zero-startup steady-state
+//! property.
 
-use std::sync::Arc;
-
-use cgp_cgm::{diag, CgmConfig, CgmError, CgmMachine, ProcCtx, ResidentCgm};
+use cgp_cgm::{diag, CgmConfig, CgmError, CgmMachine, ProcCtx};
 use cgp_core::uniformity::{recommended_samples, test_uniformity};
-use cgp_core::{
-    permute_vec, permute_vec_into_with, MatrixBackend, PermuteOptions, PermuteScratch, Permuter,
-};
+use cgp_core::{EngineFault, MatrixBackend, PermuteOptions, Permuter};
 use cgp_matrix::sample_parallel_log_ctx;
+
+/// `t = min(p, cores)`: the threads a session or a one-shot call plays its
+/// `p` virtual processors on.
+fn threads(p: usize) -> u64 {
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    p.min(cores) as u64
+}
 
 /// Exhaustive chi-square uniformity of the fused path at `n = 4` for all
 /// four matrix backends: every one of the `4! = 24` permutations must
@@ -37,21 +41,18 @@ fn fused_path_is_uniform_for_every_backend() {
     }
 }
 
-/// A worker panicking **during the matrix phase** of a fused pool job must
-/// poison the job (waking peers parked in word-plane receives) and leave
-/// the pool recovered — exactly the contract exchange-phase panics have.
+/// A processor panicking **during the matrix phase** of a one-shot machine
+/// job must wake its peers blocked in word-plane receives (each gets an
+/// abort envelope) and be blamed as the root cause.
 #[test]
-fn matrix_phase_panic_poisons_and_recovers_the_pool() {
-    let config = CgmConfig::new(4).with_seed(11);
-    let mut pool: ResidentCgm<u64> = ResidentCgm::new(config);
-
+fn a_matrix_phase_panic_wakes_word_plane_receives() {
+    let machine = CgmMachine::new(CgmConfig::new(4).with_seed(11));
     // Processor 0 is the head of every first-round range of Algorithm 5:
     // killing it strands its peers in blocked word-plane receives, so this
-    // exercises the abort protocol on the matrix plane specifically.
-    let source: Arc<Vec<u64>> = Arc::new(vec![25; 4]);
-    let target = Arc::clone(&source);
-    let err = pool
-        .try_run(move |ctx: &mut ProcCtx<u64>| {
+    // exercises the abort on the matrix plane specifically.
+    let (source, target) = (vec![25; 4], vec![25; 4]);
+    let err = machine
+        .try_run(|ctx: &mut ProcCtx<u64>| {
             if ctx.id() == 0 {
                 panic!("matrix-phase boom");
             }
@@ -65,16 +66,29 @@ fn matrix_phase_panic_poisons_and_recovers_the_pool() {
         }
         other => panic!("unexpected error: {other}"),
     }
+}
 
-    // The pool is not poisoned: a full fused permutation (matrix phase
-    // included) runs clean on it and matches the one-shot path exactly.
-    let options = PermuteOptions::with_backend(MatrixBackend::ParallelLog);
-    let machine = CgmMachine::new(config);
-    let reference = permute_vec(&machine, (0..400u64).collect(), &options).0;
-    let mut scratch = PermuteScratch::new();
+/// A fused session job that panics in its matrix phase fails alone: the
+/// next call on the same session runs clean, matrix phase included, and
+/// matches the one-shot path exactly.
+#[test]
+fn a_matrix_phase_panic_fails_one_session_call() {
+    let permuter = Permuter::new(4)
+        .seed(11)
+        .backend(MatrixBackend::ParallelLog);
+    let mut session = permuter.session::<u64>();
+    let faulty = PermuteOptions::with_backend(MatrixBackend::ParallelLog)
+        .inject_fault(EngineFault::matrix_phase(0));
     let mut data: Vec<u64> = (0..400).collect();
-    let report = permute_vec_into_with(&mut pool, &mut data, &options, &mut scratch);
-    assert_eq!(data, reference, "post-recovery permutation diverged");
+    let err = session.try_permute_with(&mut data, &faulty).unwrap_err();
+    assert!(
+        matches!(err, CgmError::ProcessorPanicked { proc: 0, .. }),
+        "{err}"
+    );
+
+    let reference = permuter.permute((0..400u64).collect()).0;
+    let (out, report) = session.permute((0..400u64).collect());
+    assert_eq!(out, reference, "post-recovery permutation diverged");
     assert!(
         report.matrix_metrics.total_words_sent() > 0,
         "the recovered job's matrix phase was metered"
@@ -84,16 +98,21 @@ fn matrix_phase_panic_poisons_and_recovers_the_pool() {
 /// Acceptance criterion of the fusion: at steady state, a fused
 /// `ParallelOptimal` permutation on a session performs **zero thread
 /// spawns and zero channel-fabric constructions** — the parallel matrix
-/// backends no longer build a one-shot machine per call.
+/// backends no longer build a one-shot machine per call.  Opening the
+/// session builds one fabric and spawns `t − 1` helpers, not `p` threads.
 #[test]
 fn steady_state_session_makes_zero_spawns_and_zero_fabrics() {
     let permuter = Permuter::new(4)
         .seed(99)
         .backend(MatrixBackend::ParallelOptimal);
-    // The one-shot reference (which *does* spawn) and the session build
-    // both happen before the baseline snapshot.
+    // The one-shot reference and the session build both happen before the
+    // baseline snapshot.
     let reference = permuter.permute((0..2_000u64).collect()).0;
+    let opened = diag::startup_counters();
     let mut session = permuter.session::<u64>();
+    let built = diag::startup_counters();
+    assert_eq!(built.fabric_builds, opened.fabric_builds + 1);
+    assert_eq!(built.thread_spawns, opened.thread_spawns + threads(4) - 1);
     let (warmup, _) = session.permute((0..2_000u64).collect());
     assert_eq!(warmup, reference);
 
@@ -101,7 +120,7 @@ fn steady_state_session_makes_zero_spawns_and_zero_fabrics() {
     for round in 0..5 {
         let (out, report) = session.permute((0..2_000u64).collect());
         assert_eq!(out, reference, "round {round} diverged");
-        // The in-context matrix phase really ran on the pool's workers …
+        // The in-context matrix phase really ran …
         assert!(report.matrix_metrics.total_words_sent() > 0);
         assert!(report.matrix_rounds() > 0);
         // … and per-job metering still isolates each call.
@@ -117,12 +136,12 @@ fn steady_state_session_makes_zero_spawns_and_zero_fabrics() {
         "steady-state fused permutations must build no channel fabrics"
     );
 
-    // Control: the same permutation one-shot pays one fabric and p spawns,
-    // which is exactly what the counters measure.
+    // Control: the same permutation one-shot pays one fabric and t − 1
+    // spawns, which is exactly what the counters measure.
     let _ = permuter.permute((0..2_000u64).collect());
     let control = diag::startup_counters();
     assert_eq!(control.fabric_builds, after.fabric_builds + 1);
-    assert_eq!(control.thread_spawns, after.thread_spawns + 4);
+    assert_eq!(control.thread_spawns, after.thread_spawns + threads(4) - 1);
 }
 
 /// The fused report's phase attribution: every backend gets a matrix-phase

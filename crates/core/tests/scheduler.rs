@@ -7,7 +7,7 @@
 //! that quotas isolate tenants, and that a panic in any phase of any
 //! virtual processor of a serially replayed job fails exactly its own
 //! ticket while the executor keeps serving.  CI runs it under `--release`
-//! as well (same policy as the pool and session suites).
+//! as well (same policy as the runner and session suites).
 
 use cgp_cgm::CgmError;
 use cgp_core::{

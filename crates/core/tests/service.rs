@@ -5,7 +5,7 @@
 //! hammering the shared admission queue while machines serve, fail and
 //! recover — so CI also runs this file under `--release`, where thread
 //! timings are tight enough to reproduce dispatch races that debug builds
-//! never hit (same policy as the pool and session suites).
+//! never hit (same policy as the runner and session suites).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,18 +1,18 @@
-//! Session-layer integration tests: the resident-machine soak and the
+//! Session-layer integration tests: the steady-state soak and the
 //! session ↔ one-shot equivalence properties.
 //!
 //! The soak drives hundreds of back-to-back permutations through one
 //! [`cgp_core::PermutationSession`] — the steady-state shape a service
-//! runs — and asserts the two load-bearing invariants of the resident
+//! runs — and asserts the two load-bearing invariants of the session
 //! design: the scratch's retained capacity *converges* (steady state
 //! allocates nothing new) and the produced permutation sequence is
 //! *deterministic*, byte-for-byte equal to the one-shot path under the
-//! same seed (resident contexts carry state across jobs, but the engine
+//! same seed (a session's contexts carry state across jobs, but the engine
 //! derives every stream it uses from the machine seed per call).
 //!
-//! CI runs this file under `--release` on every push, so the pool's
-//! dispatch, recovery and shutdown paths get exercised at optimized
-//! thread timings too.
+//! CI runs this file under `--release` on every push, so the session's
+//! helper hand-offs and shutdown get exercised at optimized thread timings
+//! too.
 
 use proptest::prelude::*;
 

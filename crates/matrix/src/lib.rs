@@ -42,10 +42,9 @@
 //! * a **standalone wrapper** with the historical name
 //!   ([`sample_sequential`] and [`sample_recursive`] take an `rng` and run
 //!   on the calling thread; [`sample_parallel_log`] and
-//!   [`sample_parallel_optimal`] take `&mut impl CgmExecutor<u64>` — the
-//!   one-shot [`cgp_cgm::CgmMachine`] *or* a resident
-//!   [`cgp_cgm::ResidentCgm`] pool — and run the core as one job,
-//!   returning the assembled matrix plus the word-plane metrics).
+//!   [`sample_parallel_optimal`] take a one-shot [`cgp_cgm::CgmMachine`]
+//!   and run the core as one job on its threads, returning the assembled
+//!   matrix plus the word-plane metrics).
 //!
 //! All in-context draws derive from the machine seed per call
 //! ([`cgp_cgm::MatrixCtx::sampling_rng`] / the `"communication-matrix"`

@@ -14,11 +14,9 @@
 //! volume (Proposition 8) — a log factor off optimal, removed by
 //! Algorithm 6 ([`crate::parallel_opt`]).
 
-use std::sync::Arc;
-
 use crate::check_sampler_inputs;
 use crate::comm_matrix::CommMatrix;
-use cgp_cgm::{CgmExecutor, MachineMetrics, MatrixCtx};
+use cgp_cgm::{CgmMachine, MachineMetrics, MatrixCtx, ProcCtx};
 use cgp_hypergeom::multivariate_hypergeometric;
 
 /// In-context core of Algorithm 5: runs **inside an already-running job**
@@ -29,8 +27,8 @@ use cgp_hypergeom::multivariate_hypergeometric;
 /// block size per processor) and `target` (the column sums, any length).
 /// Random draws come from [`MatrixCtx::sampling_rng`] — derived fresh from
 /// the machine seed per call — so the sampled matrix is a pure function of
-/// the seed regardless of substrate (one-shot machine, resident pool, or a
-/// fused permutation job).
+/// the seed regardless of substrate (a one-shot machine, or a fused
+/// permutation job on any number of threads).
 ///
 /// # Panics
 /// Panics (on the worker running the job) if `source.len()` differs from
@@ -74,8 +72,7 @@ pub fn sample_parallel_log_ctx(
     beta
 }
 
-/// Runs Algorithm 5 as one job on the given executor — the one-shot
-/// [`cgp_cgm::CgmMachine`] or a resident [`cgp_cgm::ResidentCgm`] pool
+/// Runs Algorithm 5 as one job on a one-shot [`CgmMachine`]
 /// (thin wrapper around [`sample_parallel_log_ctx`]).
 ///
 /// `source[i]` is the block size `m_i` of (and the row belonging to)
@@ -84,18 +81,17 @@ pub fn sample_parallel_log_ctx(
 /// communication of the sampling job.
 ///
 /// # Panics
-/// Panics if `source.len()` differs from the executor's processor count or
+/// Panics if `source.len()` differs from the machine's processor count or
 /// the totals disagree.
 pub fn sample_parallel_log(
-    exec: &mut impl CgmExecutor<u64>,
+    machine: &CgmMachine,
     source: &[u64],
     target: &[u64],
 ) -> (CommMatrix, MachineMetrics) {
-    check_sampler_inputs(exec.procs(), source, target);
-    let source: Arc<[u64]> = source.into();
-    let target: Arc<[u64]> = target.into();
-    let outcome =
-        exec.run_job(move |ctx| sample_parallel_log_ctx(&mut ctx.matrix_ctx(), &source, &target));
+    check_sampler_inputs(machine.procs(), source, target);
+    let outcome = machine.run(|ctx: &mut ProcCtx<u64>| {
+        sample_parallel_log_ctx(&mut ctx.matrix_ctx(), source, target)
+    });
     let (rows, metrics) = outcome.into_parts();
     (CommMatrix::from_rows(rows), metrics.matrix_phase())
 }
@@ -109,11 +105,11 @@ mod tests {
     #[test]
     fn marginals_hold_for_various_machine_sizes() {
         for p in [1usize, 2, 3, 5, 8, 16] {
-            let mut machine = CgmMachine::new(CgmConfig::new(p).with_seed(1));
+            let machine = CgmMachine::new(CgmConfig::new(p).with_seed(1));
             let source: Vec<u64> = (0..p as u64).map(|i| 10 + i).collect();
             let total: u64 = source.iter().sum();
             let target = vec![total / 4, total / 4, total / 4, total - 3 * (total / 4)];
-            let (matrix, _) = sample_parallel_log(&mut machine, &source, &target);
+            let (matrix, _) = sample_parallel_log(&machine, &source, &target);
             matrix.check_marginals(&source, &target).unwrap();
         }
     }
@@ -129,8 +125,8 @@ mod tests {
         let reps = 4_000u64;
         let mut sums = vec![0u64; p * p];
         for rep in 0..reps {
-            let mut machine = CgmMachine::new(CgmConfig::new(p).with_seed(rep));
-            let (matrix, _) = sample_parallel_log(&mut machine, &source, &target);
+            let machine = CgmMachine::new(CgmConfig::new(p).with_seed(rep));
+            let (matrix, _) = sample_parallel_log(&machine, &source, &target);
             for i in 0..p {
                 for j in 0..p {
                     sums[i * p + j] += matrix.get(i, j);
@@ -157,8 +153,8 @@ mod tests {
         let source = vec![20u64; p];
         let target = vec![20u64; p];
         let run = || {
-            let mut machine = CgmMachine::new(CgmConfig::new(p).with_seed(99));
-            sample_parallel_log(&mut machine, &source, &target).0
+            let machine = CgmMachine::new(CgmConfig::new(p).with_seed(99));
+            sample_parallel_log(&machine, &source, &target).0
         };
         assert_eq!(run(), run());
     }
@@ -172,8 +168,8 @@ mod tests {
         let m = 100u64;
         let source = vec![m; p];
         let target = vec![m; p];
-        let mut machine = CgmMachine::new(CgmConfig::new(p).with_seed(5));
-        let (_, metrics) = sample_parallel_log(&mut machine, &source, &target);
+        let machine = CgmMachine::new(CgmConfig::new(p).with_seed(5));
+        let (_, metrics) = sample_parallel_log(&machine, &source, &target);
         let sent0 = metrics.per_proc[0].words_sent;
         let rounds = (p as f64).log2().ceil() as u64;
         assert!(sent0 >= p as u64, "head sent only {sent0} words");
@@ -190,8 +186,8 @@ mod tests {
 
     #[test]
     fn single_processor_degenerates_to_the_target_vector() {
-        let mut machine = CgmMachine::new(CgmConfig::new(1).with_seed(3));
-        let (matrix, metrics) = sample_parallel_log(&mut machine, &[10], &[4, 6]);
+        let machine = CgmMachine::new(CgmConfig::new(1).with_seed(3));
+        let (matrix, metrics) = sample_parallel_log(&machine, &[10], &[4, 6]);
         assert_eq!(matrix.row(0), &[4, 6]);
         assert_eq!(metrics.total_messages(), 0);
     }
@@ -199,7 +195,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one source block per processor")]
     fn wrong_source_length_panics() {
-        let mut machine = CgmMachine::with_procs(4);
-        let _ = sample_parallel_log(&mut machine, &[1, 2], &[1, 2]);
+        let machine = CgmMachine::with_procs(4);
+        let _ = sample_parallel_log(&machine, &[1, 2], &[1, 2]);
     }
 }

@@ -14,12 +14,10 @@
 //! Per-processor cost: `Θ(p)` time, hypergeometric draws and communication
 //! volume; `Θ(p²)` total — the optimal grain of Theorem 2 (Proposition 9).
 
-use std::sync::Arc;
-
 use crate::check_sampler_inputs;
 use crate::comm_matrix::CommMatrix;
 use crate::sequential::sample_sequential;
-use cgp_cgm::{CgmExecutor, MachineMetrics, MatrixCtx};
+use cgp_cgm::{CgmMachine, MachineMetrics, MatrixCtx, ProcCtx};
 use cgp_hypergeom::multivariate_hypergeometric;
 
 /// Word-plane tag of the final all-to-all that hands every processor its
@@ -34,8 +32,8 @@ const ROW_TAG: u64 = u64::MAX;
 /// block size per processor) and `target` (the column sums, any length).
 /// Random draws come from [`MatrixCtx::sampling_rng`] — derived fresh from
 /// the machine seed per call — so the sampled matrix is a pure function of
-/// the seed regardless of substrate (one-shot machine, resident pool, or a
-/// fused permutation job).
+/// the seed regardless of substrate (a one-shot machine, or a fused
+/// permutation job on any number of threads).
 ///
 /// The body is two halves, also callable on their own for a serial replay
 /// (see [`cgp_cgm::LoopbackCgm`]): [`sample_parallel_optimal_send_ctx`]
@@ -165,8 +163,7 @@ pub fn sample_parallel_optimal_recv_ctx(ctx: &mut MatrixCtx<'_>, p_prime: usize)
     row
 }
 
-/// Runs Algorithm 6 as one job on the given executor — the one-shot
-/// [`cgp_cgm::CgmMachine`] or a resident [`cgp_cgm::ResidentCgm`] pool
+/// Runs Algorithm 6 as one job on a one-shot [`CgmMachine`]
 /// (thin wrapper around [`sample_parallel_optimal_ctx`]).
 ///
 /// `source[i]` is the block size `m_i` of (and the row belonging to)
@@ -175,18 +172,17 @@ pub fn sample_parallel_optimal_recv_ctx(ctx: &mut MatrixCtx<'_>, p_prime: usize)
 /// communication of the sampling job.
 ///
 /// # Panics
-/// Panics if `source.len()` differs from the executor's processor count or
+/// Panics if `source.len()` differs from the machine's processor count or
 /// the totals disagree.
 pub fn sample_parallel_optimal(
-    exec: &mut impl CgmExecutor<u64>,
+    machine: &CgmMachine,
     source: &[u64],
     target: &[u64],
 ) -> (CommMatrix, MachineMetrics) {
-    check_sampler_inputs(exec.procs(), source, target);
-    let source: Arc<[u64]> = source.into();
-    let target: Arc<[u64]> = target.into();
-    let outcome = exec
-        .run_job(move |ctx| sample_parallel_optimal_ctx(&mut ctx.matrix_ctx(), &source, &target));
+    check_sampler_inputs(machine.procs(), source, target);
+    let outcome = machine.run(|ctx: &mut ProcCtx<u64>| {
+        sample_parallel_optimal_ctx(&mut ctx.matrix_ctx(), source, target)
+    });
     let (rows, metrics) = outcome.into_parts();
     (CommMatrix::from_rows(rows), metrics.matrix_phase())
 }
@@ -200,13 +196,13 @@ mod tests {
     #[test]
     fn marginals_hold_for_various_machine_sizes() {
         for p in [1usize, 2, 3, 4, 6, 8, 16, 32] {
-            let mut machine = CgmMachine::new(CgmConfig::new(p).with_seed(p as u64));
+            let machine = CgmMachine::new(CgmConfig::new(p).with_seed(p as u64));
             let source: Vec<u64> = (0..p as u64).map(|i| 7 + (i % 5)).collect();
             let total: u64 = source.iter().sum();
             // Uneven target with the same total.
             let mut target = vec![total / 3, total / 3];
             target.push(total - target.iter().sum::<u64>());
-            let (matrix, _) = sample_parallel_optimal(&mut machine, &source, &target);
+            let (matrix, _) = sample_parallel_optimal(&machine, &source, &target);
             matrix.check_marginals(&source, &target).unwrap();
         }
     }
@@ -221,8 +217,8 @@ mod tests {
         let reps = 4_000u64;
         let mut sums = vec![0u64; p * p];
         for rep in 0..reps {
-            let mut machine = CgmMachine::new(CgmConfig::new(p).with_seed(1_000 + rep));
-            let (matrix, _) = sample_parallel_optimal(&mut machine, &source, &target);
+            let machine = CgmMachine::new(CgmConfig::new(p).with_seed(1_000 + rep));
+            let (matrix, _) = sample_parallel_optimal(&machine, &source, &target);
             for i in 0..p {
                 for j in 0..p {
                     sums[i * p + j] += matrix.get(i, j);
@@ -249,8 +245,8 @@ mod tests {
         let source = vec![25u64; p];
         let target = vec![25u64; p];
         let run = || {
-            let mut machine = CgmMachine::new(CgmConfig::new(p).with_seed(123));
-            sample_parallel_optimal(&mut machine, &source, &target).0
+            let machine = CgmMachine::new(CgmConfig::new(p).with_seed(123));
+            sample_parallel_optimal(&machine, &source, &target).0
         };
         assert_eq!(run(), run());
     }
@@ -266,9 +262,9 @@ mod tests {
             let m = 50u64;
             let source = vec![m; p];
             let target = vec![m; p];
-            let mut machine = CgmMachine::new(CgmConfig::new(p).with_seed(7));
-            let (_, opt_metrics) = sample_parallel_optimal(&mut machine, &source, &target);
-            let (_, log_metrics) = sample_parallel_log(&mut machine, &source, &target);
+            let machine = CgmMachine::new(CgmConfig::new(p).with_seed(7));
+            let (_, opt_metrics) = sample_parallel_optimal(&machine, &source, &target);
+            let (_, log_metrics) = sample_parallel_log(&machine, &source, &target);
             (opt_metrics.max_comm_volume(), log_metrics.max_comm_volume())
         };
         let (opt16, log16) = volumes(16);
@@ -301,8 +297,8 @@ mod tests {
 
     #[test]
     fn single_processor_degenerates_to_the_target_vector() {
-        let mut machine = CgmMachine::new(CgmConfig::new(1).with_seed(3));
-        let (matrix, _) = sample_parallel_optimal(&mut machine, &[12], &[3, 4, 5]);
+        let machine = CgmMachine::new(CgmConfig::new(1).with_seed(3));
+        let (matrix, _) = sample_parallel_optimal(&machine, &[12], &[3, 4, 5]);
         assert_eq!(matrix.row(0), &[3, 4, 5]);
     }
 
@@ -317,8 +313,8 @@ mod tests {
         let reps = 20_000u64;
         let mut counts = vec![0u64; (h.support_max() + 1) as usize];
         for rep in 0..reps {
-            let mut machine = CgmMachine::new(CgmConfig::new(2).with_seed(50_000 + rep));
-            let (matrix, _) = sample_parallel_optimal(&mut machine, &[m1, m2], &[m1, m2]);
+            let machine = CgmMachine::new(CgmConfig::new(2).with_seed(50_000 + rep));
+            let (matrix, _) = sample_parallel_optimal(&machine, &[m1, m2], &[m1, m2]);
             counts[matrix.get(0, 0) as usize] += 1;
         }
         let expected: Vec<f64> = (0..counts.len() as u64)
@@ -334,7 +330,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "same total number of items")]
     fn mismatched_totals_panic() {
-        let mut machine = CgmMachine::with_procs(2);
-        let _ = sample_parallel_optimal(&mut machine, &[2, 2], &[3, 2]);
+        let machine = CgmMachine::with_procs(2);
+        let _ = sample_parallel_optimal(&machine, &[2, 2], &[3, 2]);
     }
 }

@@ -51,10 +51,10 @@ proptest! {
     ) {
         let source = vec![m; p];
         let target = vec![m; p];
-        let mut machine = CgmMachine::new(CgmConfig::new(p).with_seed(seed));
-        let (a, _) = sample_parallel_log(&mut machine, &source, &target);
+        let machine = CgmMachine::new(CgmConfig::new(p).with_seed(seed));
+        let (a, _) = sample_parallel_log(&machine, &source, &target);
         prop_assert!(a.check_marginals(&source, &target).is_ok());
-        let (b, _) = sample_parallel_optimal(&mut machine, &source, &target);
+        let (b, _) = sample_parallel_optimal(&machine, &source, &target);
         prop_assert!(b.check_marginals(&source, &target).is_ok());
     }
 
@@ -132,8 +132,8 @@ fn parallel_and_sequential_have_the_same_first_moment_small_case() {
     let reps = 600u64;
     let mut total = 0u64;
     for seed in 0..reps {
-        let mut machine = CgmMachine::new(CgmConfig::new(p).with_seed(seed));
-        let (a, _) = sample_parallel_optimal(&mut machine, &vec![m; p], &vec![m; p]);
+        let machine = CgmMachine::new(CgmConfig::new(p).with_seed(seed));
+        let (a, _) = sample_parallel_optimal(&machine, &vec![m; p], &vec![m; p]);
         total += a.get(0, 0);
     }
     let mean = total as f64 / reps as f64;

@@ -55,8 +55,8 @@ fn main() {
         (
             "Algorithm 5 (parallel, log factor)",
             Box::new(move |seed| {
-                let mut machine = CgmMachine::new(CgmConfig::new(p).with_seed(seed));
-                sample_parallel_log(&mut machine, &vec![m; p], &vec![m; p])
+                let machine = CgmMachine::new(CgmConfig::new(p).with_seed(seed));
+                sample_parallel_log(&machine, &vec![m; p], &vec![m; p])
                     .0
                     .get(0, 0)
             }),
@@ -64,8 +64,8 @@ fn main() {
         (
             "Algorithm 6 (parallel, cost-optimal)",
             Box::new(move |seed| {
-                let mut machine = CgmMachine::new(CgmConfig::new(p).with_seed(seed));
-                sample_parallel_optimal(&mut machine, &vec![m; p], &vec![m; p])
+                let machine = CgmMachine::new(CgmConfig::new(p).with_seed(seed));
+                sample_parallel_optimal(&machine, &vec![m; p], &vec![m; p])
                     .0
                     .get(0, 0)
             }),

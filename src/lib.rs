@@ -42,17 +42,13 @@ pub use cgp_rng as rng;
 pub use cgp_server as wire;
 pub use cgp_stats as stats;
 
-pub use cgp_cgm::{
-    diag, BlockDistribution, CgmConfig, CgmError, CgmExecutor, CgmMachine, CostModel, MatrixCtx,
-    ResidentCgm,
-};
+pub use cgp_cgm::{diag, BlockDistribution, CgmConfig, CgmError, CgmMachine, CostModel, MatrixCtx};
 pub use cgp_core::{
     apply_permutation, default_bucket_items, fisher_yates_shuffle, permute_blocks, permute_vec,
-    permute_vec_into, permute_vec_into_with, sequential_random_permutation,
-    try_permute_vec_into_with, BucketScratch, CompletionSet, EngineConfig, JobTicket, LaneDepth,
-    LocalShuffle, MatrixBackend, PermutationReport, PermutationService, PermutationSession,
-    PermuteOptions, PermuteScratch, Permuter, Priority, RejectedJob, ServiceConfig, ServiceError,
-    ServiceHandle, ServiceMetrics, TenantMetrics,
+    permute_vec_into, sequential_random_permutation, BucketScratch, CompletionSet, EngineConfig,
+    JobTicket, LaneDepth, LocalShuffle, MatrixBackend, PermutationReport, PermutationService,
+    PermutationSession, PermuteOptions, PermuteScratch, Permuter, Priority, RejectedJob,
+    ServiceConfig, ServiceError, ServiceHandle, ServiceMetrics, TenantMetrics,
 };
 pub use cgp_hypergeom::Hypergeometric;
 pub use cgp_matrix::{

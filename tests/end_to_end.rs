@@ -90,11 +90,11 @@ fn parallel_matrix_backends_agree_with_sequential_marginals() {
     let reps = 300u64;
     let mut total_a00 = [0u64; 2];
     for rep in 0..reps {
-        let mut machine = CgmMachine::new(CgmConfig::new(p).with_seed(rep));
-        let (a, _) = cgp::sample_parallel_log(&mut machine, &source, &target);
+        let machine = CgmMachine::new(CgmConfig::new(p).with_seed(rep));
+        let (a, _) = cgp::sample_parallel_log(&machine, &source, &target);
         a.check_marginals(&source, &target).unwrap();
         total_a00[0] += a.get(0, 0);
-        let (b, _) = cgp::sample_parallel_optimal(&mut machine, &source, &target);
+        let (b, _) = cgp::sample_parallel_optimal(&machine, &source, &target);
         b.check_marginals(&source, &target).unwrap();
         total_a00[1] += b.get(0, 0);
     }

@@ -4,8 +4,8 @@
 //! together correctly.
 
 use cgp::{
-    apply_permutation, permute_vec, CgmConfig, CgmMachine, MatrixBackend, PermuteOptions,
-    PermuteScratch, Permuter, ResidentCgm,
+    apply_permutation, permute_vec, CgmConfig, CgmError, CgmMachine, MatrixBackend, PermuteOptions,
+    PermuteScratch, Permuter,
 };
 
 #[test]
@@ -64,7 +64,8 @@ fn exchange_is_move_based_so_clone_is_not_required() {
 
 #[test]
 fn resident_session_matches_the_one_shot_path_and_recovers_from_panics() {
-    // The steady-state tier: a resident worker pool + recycled buffers.
+    // The steady-state tier: a machine with parked helpers + recycled
+    // buffers.
     let permuter = Permuter::new(4).seed(2024);
     let reference = permuter.permute((0..2_000u64).collect()).0;
     let mut session = permuter.session::<u64>();
@@ -73,21 +74,19 @@ fn resident_session_matches_the_one_shot_path_and_recovers_from_panics() {
         assert_eq!(out, reference, "round {round} diverged from one-shot");
         assert!(report.max_exchange_volume() <= 2 * 2_000 / 4);
     }
-    session.shutdown();
 
-    // The pool underneath survives a panicking job and names the culprit.
-    let mut pool: ResidentCgm<u64> = ResidentCgm::new(CgmConfig::new(3).with_seed(1));
-    let err = pool
-        .try_run(|ctx| {
-            if ctx.id() == 1 {
-                panic!("smoke-test failure injection");
-            }
-            ctx.comm_mut().barrier();
-        })
-        .unwrap_err();
+    // The session survives a panicking job and names the culprit.
+    let faulty = PermuteOptions::default().inject_fault(cgp::core::EngineFault::exchange_phase(1));
+    let mut data: Vec<u64> = (0..2_000).collect();
+    let err = session.try_permute_with(&mut data, &faulty).unwrap_err();
+    assert!(
+        matches!(err, CgmError::ProcessorPanicked { proc: 1, .. }),
+        "{err}"
+    );
     assert!(err.to_string().contains("virtual processor 1"));
-    let ok = pool.run(|ctx| ctx.id() as u64).into_results();
-    assert_eq!(ok, vec![0, 1, 2], "the pool is usable after a panicked job");
+    let (out, _) = session.permute((0..2_000u64).collect());
+    assert_eq!(out, reference, "the session is usable after a panicked job");
+    session.shutdown();
 }
 
 #[test]

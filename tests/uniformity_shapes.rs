@@ -12,7 +12,10 @@
 //!   prescribed uneven targets, spread over all four matrix backends.
 //! * **Statistics at `n = 2^12`** with 16-item buckets, `p ∈ {2, 3, 8}` and
 //!   uneven targets: position occupancy (input item → output position,
-//!   64 × 64 bins) and the inversion count as a z-score.
+//!   64 × 64 bins), the inversion count as a z-score, the number of fixed
+//!   points against Poisson(1), and the cycle count (mean `H_n`) as a
+//!   z-score.  Sattolo's algorithm, whose permutations are single cycles
+//!   without fixed points, is the negative control of the last two.
 //! * **Negative controls**, each rejected by a check the engine passes:
 //!   a model of the one-level scatter pipeline that skips the superstep-3
 //!   shuffle of one bucket, the same model with two workers on one random
@@ -29,9 +32,10 @@ use cgp::core::uniformity::{recommended_samples, test_uniformity, UniformityRepo
 use cgp::hypergeom::multivariate_hypergeometric_into;
 use cgp::stats::chi_square_test;
 use cgp::stats::lehmer::inversions;
+use cgp::stats::ChiSquareOutcome;
 use cgp::{
     fisher_yates_shuffle, permute_vec, sample_sequential, CgmConfig, CgmMachine, MatrixBackend,
-    Pcg64, PermuteOptions, Permuter, SeedSequence,
+    Pcg64, PermuteOptions, Permuter, RandomExt, SeedSequence,
 };
 
 /// Significance level of every check in this file.
@@ -135,7 +139,76 @@ fn the_engine_is_uniform_over_small_windows_buckets_and_workers() {
     }
 }
 
-/// Position occupancy and inversions of the engine at `n = 2^12`.
+/// The fixed points and the cycles of a permutation of `0..n`.
+fn fixed_points_and_cycles(permutation: &[u64]) -> (usize, usize) {
+    let fixed = permutation
+        .iter()
+        .enumerate()
+        .filter(|&(i, &x)| i as u64 == x)
+        .count();
+    let mut seen = vec![false; permutation.len()];
+    let mut cycles = 0;
+    for start in 0..permutation.len() {
+        if !seen[start] {
+            cycles += 1;
+            let mut at = start;
+            while !seen[at] {
+                seen[at] = true;
+                at = permutation[at] as usize;
+            }
+        }
+    }
+    (fixed, cycles)
+}
+
+/// The fixed points and cycles of many permutations of `0..n`: how many
+/// had 0, 1, 2 and at least 3 fixed points, and the total cycle count.
+#[derive(Debug, Default)]
+struct CycleTally {
+    fixed: [u64; 4],
+    cycles: u64,
+    samples: u64,
+}
+
+impl CycleTally {
+    fn add(&mut self, permutation: &[u64]) {
+        let (fixed, cycles) = fixed_points_and_cycles(permutation);
+        self.fixed[fixed.min(3)] += 1;
+        self.cycles += cycles as u64;
+        self.samples += 1;
+    }
+
+    /// The fixed points of a uniform permutation of a large `n` follow
+    /// Poisson(1) (the exact law differs by less than `1/n!`).
+    fn fixed_points(&self) -> ChiSquareOutcome {
+        let e = (-1.0f64).exp();
+        let law = [e, e, e / 2.0, 1.0 - 2.5 * e];
+        let expected: Vec<f64> = law.iter().map(|q| q * self.samples as f64).collect();
+        chi_square_test(&self.fixed, &expected, 0)
+    }
+
+    /// The z-score of the cycle count: a uniform permutation of `n` items
+    /// has `H_n` cycles on average, with variance `H_n − H_n^(2)`.
+    fn cycles_z(&self, n: usize) -> f64 {
+        let harmonic: f64 = (1..=n).map(|k| 1.0 / k as f64).sum();
+        let squares: f64 = (1..=n).map(|k| 1.0 / (k * k) as f64).sum();
+        let s = self.samples as f64;
+        (self.cycles as f64 - s * harmonic) / (s * (harmonic - squares)).sqrt()
+    }
+}
+
+/// Sattolo's algorithm: a uniform *cyclic* permutation — one `n`-cycle,
+/// no fixed point — so a sound permutation generator never looks like it.
+fn sattolo(rng: &mut Pcg64, n: usize) -> Vec<u64> {
+    let mut out: Vec<u64> = (0..n as u64).collect();
+    for i in (1..n).rev() {
+        out.swap(i, rng.gen_index(i));
+    }
+    out
+}
+
+/// Position occupancy, inversions, fixed points and cycles of the engine
+/// at `n = 2^12`.
 #[test]
 fn the_engine_is_uniform_at_scale_over_many_windows_and_buckets() {
     const N: usize = 1 << 12;
@@ -153,6 +226,7 @@ fn the_engine_is_uniform_at_scale_over_many_windows_and_buckets() {
             .target_sizes(uneven_targets(N, p));
         let mut occupancy = vec![0u64; BINS * BINS];
         let mut inversion_sum = 0u64;
+        let mut tally = CycleTally::default();
         for rep in 0..SAMPLES {
             let machine = CgmMachine::new(CgmConfig::new(p).with_seed(0x5CA1_E000 + rep));
             let out = permute_vec(&machine, (0..N as u64).collect(), &options).0;
@@ -161,6 +235,7 @@ fn the_engine_is_uniform_at_scale_over_many_windows_and_buckets() {
             }
             let as_u32: Vec<u32> = out.iter().map(|&x| x as u32).collect();
             inversion_sum += inversions(&as_u32);
+            tally.add(&out);
         }
         // Each sample puts `width` items of every input bin into `width`
         // positions of every output bin in expectation; row and column sums
@@ -172,7 +247,28 @@ fn the_engine_is_uniform_at_scale_over_many_windows_and_buckets() {
         let s = SAMPLES as f64;
         let z = (inversion_sum as f64 - s * mean) / (s * variance).sqrt();
         assert!(z.abs() < 4.0, "p = {p}: inversion z-score {z}");
+
+        let fixed = tally.fixed_points();
+        assert!(
+            fixed.is_consistent_at(ALPHA),
+            "p = {p}: {tally:?} {fixed:?}"
+        );
+        let z = tally.cycles_z(N);
+        assert!(z.abs() < 4.0, "p = {p}: {tally:?}, cycle z-score {z}");
     }
+
+    // Negative control: the same checks reject Sattolo's cyclic
+    // permutations.
+    let mut rng = Pcg64::seed_from_u64(0x5A77_0010);
+    let mut cyclic = CycleTally::default();
+    for _ in 0..SAMPLES {
+        cyclic.add(&sattolo(&mut rng, N));
+    }
+    assert_eq!((cyclic.fixed[0], cyclic.cycles), (SAMPLES, SAMPLES));
+    let fixed = cyclic.fixed_points();
+    assert!(!fixed.is_consistent_at(ALPHA), "Sattolo: {fixed:?}");
+    let z = cyclic.cycles_z(N);
+    assert!(z.abs() >= 4.0, "Sattolo: cycle z-score {z}");
 }
 
 /// A defect planted in [`model`].
