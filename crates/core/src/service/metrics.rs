@@ -10,7 +10,9 @@
 
 use std::time::Duration;
 
-/// Rolling per-tenant counters (one slot per handle lineage).
+/// Rolling per-tenant counters (one slot per handle lineage, kept while the
+/// tenant lives: until its last handle is dropped and its last job is
+/// done).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantMetrics {
     /// The tenant id (as reported by [`crate::ServiceHandle::tenant`]).
@@ -105,7 +107,10 @@ pub struct ServiceMetrics {
     pub lane_depth: LaneDepth,
     /// Per-executor rollups, indexed by executor.
     pub per_machine: Vec<MachineUtilization>,
-    /// Per-tenant rollups, sorted by tenant id.
+    /// Per-tenant rollups of the live tenants that have completed a job,
+    /// sorted by tenant id.  A tenant's slot goes once its last handle is
+    /// dropped and its last job is done; the service-wide counters above
+    /// keep what it did.
     pub per_tenant: Vec<TenantMetrics>,
 }
 
@@ -155,8 +160,8 @@ pub(crate) struct MetricsInner {
     pub(crate) queue_wait: Duration,
     pub(crate) run_time: Duration,
     pub(crate) per_machine: Vec<MachineUtilization>,
-    /// Sparse per-tenant slots: tenants are created in order, so a Vec
-    /// indexed by tenant id stays dense in practice.
+    /// The live tenants' slots, sorted by tenant id: one is made by the
+    /// tenant's first completed job and dropped by [`MetricsInner::retire`].
     pub(crate) per_tenant: Vec<TenantMetrics>,
 }
 
@@ -177,12 +182,7 @@ impl MetricsInner {
         } else {
             self.jobs_failed += 1;
         }
-        if tenant >= self.per_tenant.len() {
-            self.per_tenant
-                .resize_with(tenant + 1, TenantMetrics::default);
-        }
-        let t = &mut self.per_tenant[tenant];
-        t.tenant = tenant;
+        let t = self.tenant_slot(tenant);
         t.queue_wait += wait;
         t.run_time += run;
         if ok {
@@ -206,12 +206,29 @@ impl MetricsInner {
     /// never ran).
     pub(crate) fn record_shed(&mut self, tenant: usize) {
         self.deadline_shed += 1;
-        if tenant >= self.per_tenant.len() {
-            self.per_tenant
-                .resize_with(tenant + 1, TenantMetrics::default);
+        self.tenant_slot(tenant).deadline_shed += 1;
+    }
+
+    /// The tenant's slot, made on first use.
+    fn tenant_slot(&mut self, tenant: usize) -> &mut TenantMetrics {
+        let i = match self.per_tenant.binary_search_by_key(&tenant, |t| t.tenant) {
+            Ok(i) => i,
+            Err(i) => {
+                let slot = TenantMetrics {
+                    tenant,
+                    ..TenantMetrics::default()
+                };
+                self.per_tenant.insert(i, slot);
+                i
+            }
+        };
+        &mut self.per_tenant[i]
+    }
+
+    /// Drops a retired tenant's slot.
+    pub(crate) fn retire(&mut self, tenant: usize) {
+        if let Ok(i) = self.per_tenant.binary_search_by_key(&tenant, |t| t.tenant) {
+            self.per_tenant.remove(i);
         }
-        let t = &mut self.per_tenant[tenant];
-        t.tenant = tenant;
-        t.deadline_shed += 1;
     }
 }

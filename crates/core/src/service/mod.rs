@@ -104,7 +104,7 @@ pub use metrics::{LaneDepth, MachineUtilization, ServiceMetrics, TenantMetrics};
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -369,7 +369,10 @@ impl<T: Send + 'static> PermutationService<T> {
     /// Opens a client handle under a **fresh tenant id** (with DRR
     /// weight 1) — per-tenant metrics accrue to it.  Clone the handle to
     /// share one tenant's identity across threads; call `handle()` again
-    /// for a separate tenant.
+    /// for a separate tenant.  The tenant lives until its last handle is
+    /// dropped and its last job is done; then its admission lanes and its
+    /// metrics slot go, so a server minting a tenant per connection holds
+    /// state only for the connections it has.
     pub fn handle(&self) -> ServiceHandle<T> {
         self.handle_weighted(1)
     }
@@ -380,7 +383,10 @@ impl<T: Send + 'static> PermutationService<T> {
     /// treated as 1.
     pub fn handle_weighted(&self, weight: u64) -> ServiceHandle<T> {
         ServiceHandle {
-            tenant: self.shared.admission.register_tenant(weight),
+            lease: Arc::new(TenantLease {
+                tenant: self.shared.admission.register_tenant(weight),
+                shared: Arc::downgrade(&self.shared),
+            }),
             shared: Arc::clone(&self.shared),
         }
     }
@@ -442,8 +448,6 @@ impl<T: Send + 'static> Drop for PermutationService<T> {
 
 fn snapshot_metrics<T>(shared: &SchedShared<T>) -> ServiceMetrics {
     let inner = shared.metrics.lock().unwrap_or_else(|e| e.into_inner());
-    let mut per_tenant = inner.per_tenant.clone();
-    per_tenant.retain(|t| t.jobs_served + t.jobs_failed + t.deadline_shed > 0);
     ServiceMetrics {
         jobs_served: inner.jobs_served,
         jobs_failed: inner.jobs_failed,
@@ -456,7 +460,7 @@ fn snapshot_metrics<T>(shared: &SchedShared<T>) -> ServiceMetrics {
         coalesced_jobs: 0,
         lane_depth: shared.admission.lane_depth(),
         per_machine: inner.per_machine.clone(),
-        per_tenant,
+        per_tenant: inner.per_tenant.clone(),
     }
 }
 
@@ -466,17 +470,39 @@ fn snapshot_metrics<T>(shared: &SchedShared<T>) -> ServiceMetrics {
 ///
 /// A handle carries a **tenant id**: clones share it (and its metrics
 /// slot, quota, and DRR weight); [`PermutationService::handle`] mints
-/// fresh ones.
+/// fresh ones.  Dropping the last clone retires the tenant once its jobs
+/// are done.
 pub struct ServiceHandle<T: Send + 'static> {
+    lease: Arc<TenantLease<T>>,
     shared: Arc<SchedShared<T>>,
+}
+
+/// A tenant's registration, shared by its handles and by its admitted
+/// jobs: when the last of them drops, the tenant's admission lanes and
+/// metrics slot go.  It holds the service weakly, since queued jobs live
+/// inside it.
+pub(crate) struct TenantLease<T> {
     tenant: usize,
+    shared: Weak<SchedShared<T>>,
+}
+
+impl<T> Drop for TenantLease<T> {
+    fn drop(&mut self) {
+        // No lease drops under an admission or metrics lock: executors
+        // drop jobs after releasing both, and a service that is itself
+        // being dropped no longer upgrades.
+        if let Some(shared) = self.shared.upgrade() {
+            shared.admission.retire_tenant(self.tenant);
+            scheduler::lock_metrics(&shared).retire(self.tenant);
+        }
+    }
 }
 
 impl<T: Send + 'static> Clone for ServiceHandle<T> {
     fn clone(&self) -> Self {
         ServiceHandle {
+            lease: Arc::clone(&self.lease),
             shared: Arc::clone(&self.shared),
-            tenant: self.tenant,
         }
     }
 }
@@ -484,7 +510,7 @@ impl<T: Send + 'static> Clone for ServiceHandle<T> {
 impl<T: Send + 'static> ServiceHandle<T> {
     /// This handle's tenant id (shared by its clones).
     pub fn tenant(&self) -> usize {
-        self.tenant
+        self.lease.tenant
     }
 
     fn make_job(
@@ -494,7 +520,7 @@ impl<T: Send + 'static> ServiceHandle<T> {
         priority: Priority,
     ) -> (Box<Job<T>>, JobTicket<T>) {
         let job_id = self.shared.next_job.fetch_add(1, Ordering::Relaxed);
-        let (reply, ticket) = completion::completion_pair(job_id, self.tenant);
+        let (reply, ticket) = completion::completion_pair(job_id, self.tenant());
         let enqueued_at = Instant::now();
         let deadline = match priority {
             Priority::Deadline(budget) => Some(enqueued_at + budget),
@@ -503,7 +529,7 @@ impl<T: Send + 'static> ServiceHandle<T> {
         let job = Box::new(Job {
             data,
             options,
-            tenant: self.tenant,
+            lease: Arc::clone(&self.lease),
             priority,
             enqueued_at,
             deadline,
@@ -848,6 +874,34 @@ mod tests {
         assert!(metrics.queue_wait >= slot(alice.tenant()).queue_wait);
         let total_machine_jobs: u64 = metrics.per_machine.iter().map(|m| m.jobs).sum();
         assert_eq!(total_machine_jobs, 5);
+    }
+
+    #[test]
+    fn a_tenant_is_retired_after_its_last_handle_and_job() {
+        let permuter = Permuter::new(2).seed(5);
+        let service = permuter.service_sized::<u64>(1, 8);
+        let keeper = service.handle();
+        for _ in 0..100 {
+            let handle = service.handle();
+            let twin = handle.clone();
+            handle.permute((0..64u64).collect()).unwrap();
+            drop(handle);
+            // A job admitted through the last handle keeps the tenant.
+            let ticket = twin.submit((0..64u64).collect()).unwrap();
+            drop(twin);
+            ticket.wait().unwrap();
+        }
+        keeper.permute((0..64u64).collect()).unwrap();
+        // The last job's tenant retires just after its ticket resolves.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while service.shared.admission.tenants() > 1 {
+            assert!(Instant::now() < deadline, "retired tenants linger");
+            std::thread::yield_now();
+        }
+        let metrics = service.shutdown();
+        assert_eq!(metrics.jobs_served, 201);
+        let tenants: Vec<usize> = metrics.per_tenant.iter().map(|t| t.tenant).collect();
+        assert_eq!(tenants, vec![keeper.tenant()]);
     }
 
     #[test]

@@ -23,19 +23,21 @@
 #![allow(clippy::vec_box)]
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use super::completion::CompletionHandle;
 use super::metrics::LaneDepth;
-use super::Priority;
+use super::{Priority, TenantLease};
 use crate::config::PermuteOptions;
 
 /// One queued unit of work.
 pub(crate) struct Job<T> {
     pub(crate) data: Vec<T>,
     pub(crate) options: PermuteOptions,
-    pub(crate) tenant: usize,
+    /// The submitting tenant's registration: a queued or running job keeps
+    /// its tenant alive after the tenant's last handle is dropped.
+    pub(crate) lease: Arc<TenantLease<T>>,
     pub(crate) priority: Priority,
     pub(crate) enqueued_at: Instant,
     /// Absolute expiry for [`Priority::Deadline`] jobs (admission time plus
@@ -44,12 +46,19 @@ pub(crate) struct Job<T> {
     pub(crate) reply: CompletionHandle<T>,
 }
 
+impl<T> Job<T> {
+    /// The submitting tenant's id.
+    pub(crate) fn tenant(&self) -> usize {
+        self.lease.tenant
+    }
+}
+
 // Manual impl so `T` need not be `Debug` (the payload is elided anyway).
 impl<T> std::fmt::Debug for Job<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Job")
             .field("items", &self.data.len())
-            .field("tenant", &self.tenant)
+            .field("tenant", &self.tenant())
             .field("priority", &self.priority)
             .finish_non_exhaustive()
     }
@@ -67,6 +76,8 @@ const DRR_QUANTUM: u64 = 4096;
 
 /// One tenant's admission lanes plus its scheduling state.
 struct TenantLanes<T> {
+    /// The tenant id ([`crate::ServiceHandle::tenant`]).
+    id: usize,
     /// Kept sorted by expiry (earliest first) — admission inserts by
     /// binary search, so refill only ever inspects the front.
     deadline: VecDeque<Box<Job<T>>>,
@@ -77,8 +88,9 @@ struct TenantLanes<T> {
 }
 
 impl<T> TenantLanes<T> {
-    fn new(weight: u64) -> Self {
+    fn new(id: usize, weight: u64) -> Self {
         TenantLanes {
+            id,
             deadline: VecDeque::new(),
             high: VecDeque::new(),
             normal: VecDeque::new(),
@@ -103,7 +115,13 @@ impl<T> TenantLanes<T> {
 }
 
 pub(crate) struct AdmissionState<T> {
+    /// The live tenants, sorted by id.  A tenant leaves once its last
+    /// handle and its last job are dropped ([`Admission::retire_tenant`]),
+    /// so the scans below walk the tenants that exist, not every tenant
+    /// ever seen.
     tenants: Vec<TenantLanes<T>>,
+    /// The id the next registered tenant gets (ids are never reused).
+    next_tenant: usize,
     /// Jobs across all lanes (kept in sync so `len` is O(1)).
     total: usize,
     /// `false` once the service is shutting down: no further admissions;
@@ -122,6 +140,13 @@ pub(crate) struct AdmissionState<T> {
 impl<T> AdmissionState<T> {
     pub(crate) fn is_open(&self) -> bool {
         self.open
+    }
+
+    /// The index of tenant `id` in `tenants`.
+    fn slot(&self, id: usize) -> Option<usize> {
+        self.tenants
+            .binary_search_by_key(&id, |lanes| lanes.id)
+            .ok()
     }
 
     /// Pops up to `max` jobs, in scheduling order:
@@ -274,6 +299,7 @@ impl<T> Admission<T> {
         Admission {
             state: Mutex::new(AdmissionState {
                 tenants: Vec::new(),
+                next_tenant: 0,
                 total: 0,
                 open: true,
                 high_cursor: 0,
@@ -290,8 +316,41 @@ impl<T> Admission<T> {
     /// Registers a new tenant with the given DRR weight; returns its id.
     pub(crate) fn register_tenant(&self, weight: u64) -> usize {
         let mut st = lock_state(self);
-        st.tenants.push(TenantLanes::new(weight));
-        st.tenants.len() - 1
+        let id = st.next_tenant;
+        st.next_tenant += 1;
+        st.tenants.push(TenantLanes::new(id, weight));
+        id
+    }
+
+    /// Removes a tenant whose last handle and last job are gone, so its
+    /// lanes are empty.  The round-robin cursors keep pointing at the same
+    /// tenants, and a visit to the removed one ends.
+    pub(crate) fn retire_tenant(&self, tenant: usize) {
+        let mut guard = lock_state(self);
+        let st = &mut *guard;
+        let Some(i) = st.slot(tenant) else {
+            return;
+        };
+        debug_assert_eq!(st.tenants[i].queued(), 0, "queued jobs hold a lease");
+        st.tenants.remove(i);
+        if st.drr_cursor == i {
+            st.drr_visiting = false;
+        }
+        let n = st.tenants.len();
+        for cursor in [&mut st.high_cursor, &mut st.drr_cursor] {
+            if *cursor > i {
+                *cursor -= 1;
+            }
+            if *cursor >= n {
+                *cursor = 0;
+            }
+        }
+    }
+
+    /// Tenants currently registered.
+    #[cfg(test)]
+    pub(crate) fn tenants(&self) -> usize {
+        lock_state(self).tenants.len()
     }
 
     /// Admits a job into its tenant's lane.  `Err((job, true))` means
@@ -304,9 +363,11 @@ impl<T> Admission<T> {
             if !st.open {
                 return Err((job, false));
             }
-            let queued = st.tenants[job.tenant].queued();
-            if st.total < self.depth && queued < self.quota {
-                let lanes = &mut st.tenants[job.tenant];
+            let t = st
+                .slot(job.tenant())
+                .expect("a tenant with a live lease is registered");
+            if st.total < self.depth && st.tenants[t].queued() < self.quota {
+                let lanes = &mut st.tenants[t];
                 match job.priority {
                     Priority::Deadline(_) => lanes.insert_by_expiry(job),
                     Priority::High => lanes.high.push_back(job),
@@ -376,6 +437,7 @@ impl<T> Admission<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Weak;
     use std::time::Instant;
 
     fn job(tenant: usize, priority: Priority, items: usize) -> Box<Job<u64>> {
@@ -390,7 +452,12 @@ mod tests {
         Box::new(Job {
             data: vec![0u64; items],
             options: PermuteOptions::default(),
-            tenant,
+            // A lease of no service: dropping it retires nothing, so these
+            // tests retire tenants by hand.
+            lease: Arc::new(TenantLease {
+                tenant,
+                shared: Weak::new(),
+            }),
             priority,
             enqueued_at,
             deadline,
@@ -399,7 +466,7 @@ mod tests {
     }
 
     fn tenants_of(jobs: &[Box<Job<u64>>]) -> Vec<usize> {
-        jobs.iter().map(|j| j.tenant).collect()
+        jobs.iter().map(|j| j.tenant()).collect()
     }
 
     type Jobs = Vec<Box<Job<u64>>>;
@@ -455,8 +522,8 @@ mod tests {
                 .unwrap();
         }
         let (jobs, _) = refill_all(&admission, 12);
-        let heavy_count = jobs.iter().filter(|j| j.tenant == heavy).count();
-        let light_count = jobs.iter().filter(|j| j.tenant == light).count();
+        let heavy_count = jobs.iter().filter(|j| j.tenant() == heavy).count();
+        let light_count = jobs.iter().filter(|j| j.tenant() == light).count();
         assert_eq!(jobs.len(), 12);
         assert_eq!(
             heavy_count,
@@ -491,7 +558,7 @@ mod tests {
         let singles: Vec<Box<Job<u64>>> =
             (0..24).flat_map(|_| refill_all(&one_by_one, 1).0).collect();
         let shape = |jobs: &[Box<Job<u64>>]| -> Vec<(usize, usize)> {
-            jobs.iter().map(|j| (j.tenant, j.data.len())).collect()
+            jobs.iter().map(|j| (j.tenant(), j.data.len())).collect()
         };
         assert_eq!(shape(&singles), shape(&all));
     }
@@ -518,6 +585,43 @@ mod tests {
             .push(job(peer, Priority::Normal, 1), false)
             .unwrap();
         assert_eq!(admission.len(), 4);
+    }
+
+    #[test]
+    fn a_retired_tenant_leaves_and_its_id_is_not_reused() {
+        let admission: Admission<u64> = Admission::new(16, usize::MAX);
+        let a = admission.register_tenant(1);
+        let b = admission.register_tenant(1);
+        admission.push(job(b, Priority::Normal, 1), false).unwrap();
+        admission.retire_tenant(a);
+        assert_eq!(admission.tenants(), 1);
+        let (jobs, _) = refill_all(&admission, 16);
+        assert_eq!(tenants_of(&jobs), vec![b]);
+        admission.retire_tenant(b);
+        assert_eq!(admission.tenants(), 0);
+        assert_eq!(admission.register_tenant(1), 2);
+    }
+
+    #[test]
+    fn retiring_a_tenant_keeps_the_round_robin_on_the_others() {
+        // Tenant 0's job is pulled first, then tenant 0 retires while a
+        // lane's cursor points at or past it: the rest of the rotation
+        // still runs 1, 2 — on the High lane's cursor, and on a Normal-lane
+        // visit that the retirement cuts short.
+        for priority in [Priority::High, Priority::Normal] {
+            let admission: Admission<u64> = Admission::new(16, usize::MAX);
+            let ids: Vec<usize> = (0..3).map(|_| admission.register_tenant(1)).collect();
+            for &t in &ids {
+                admission
+                    .push(job(t, priority, DRR_QUANTUM as usize), false)
+                    .unwrap();
+            }
+            let (first, _) = refill_all(&admission, 1);
+            assert_eq!(tenants_of(&first), vec![ids[0]], "{priority:?}");
+            admission.retire_tenant(ids[0]);
+            let (rest, _) = refill_all(&admission, 16);
+            assert_eq!(tenants_of(&rest), vec![ids[1], ids[2]], "{priority:?}");
+        }
     }
 
     #[test]

@@ -107,7 +107,7 @@ pub(crate) fn executor_loop<T: Send + 'static>(executor: usize, shared: Arc<Sche
         if !shed.is_empty() {
             let mut m = lock_metrics(&shared);
             for job in &shed {
-                m.record_shed(job.tenant);
+                m.record_shed(job.tenant());
             }
             drop(m);
             for job in shed {
@@ -142,7 +142,7 @@ fn serve<T: Send + 'static>(
     // Run-time shed: the deadline may have expired between the pull (which
     // checked it) and this point.
     if job.deadline.is_some_and(|deadline| started > deadline) {
-        lock_metrics(shared).record_shed(job.tenant);
+        lock_metrics(shared).record_shed(job.tenant());
         job.reply.complete(Err(ServiceError::DeadlineExceeded));
         return;
     }
@@ -157,7 +157,7 @@ fn serve<T: Send + 'static>(
     let run = started.elapsed();
     {
         let mut m = lock_metrics(shared);
-        m.record_job(job.tenant, wait, run, matches!(result, Ok(Ok(_))));
+        m.record_job(job.tenant(), wait, run, matches!(result, Ok(Ok(_))));
         m.record_executor(executor, run, runner.recoveries());
     }
     let outcome = match result {

@@ -42,6 +42,9 @@ fn a_flooding_tenant_cannot_starve_quotad_peers() {
 
     std::thread::scope(|scope| {
         let flood_reference = &flood_reference;
+        // Borrowed, not moved: a tenant whose last handle is dropped
+        // retires with its metrics slot, and the billing is read below.
+        let flooder = &flooder;
         scope.spawn(move || {
             for round in 0..FLOOD_JOBS {
                 let (out, _) = flooder.permute(identity(2000)).unwrap();

@@ -2,6 +2,7 @@
 //! results (in any order), poll metrics, and trigger a server drain.
 
 use std::collections::HashMap;
+use std::io::Read;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -202,13 +203,12 @@ impl<T: Wire> Client<T> {
         let request_id = self.next_request;
         self.next_request += 1;
         let (lane, deadline_micros) = encode_priority(priority);
-        let mut body = Vec::with_capacity(18 + data.len() * 8);
-        body.push(KIND_SUBMIT);
-        body.extend_from_slice(&request_id.to_le_bytes());
-        body.push(lane);
-        body.extend_from_slice(&deadline_micros.to_le_bytes());
-        T::encode_into(data, &mut body);
-        write_frame(&mut self.stream, &body)?;
+        let mut header = [0u8; SUBMIT_HEADER];
+        header[0] = KIND_SUBMIT;
+        header[1..9].copy_from_slice(&request_id.to_le_bytes());
+        header[9] = lane;
+        header[10..].copy_from_slice(&deadline_micros.to_le_bytes());
+        write_payload_frame(&mut self.stream, &header, &T::wire_bytes(data))?;
         Ok(request_id)
     }
 
@@ -282,27 +282,33 @@ impl<T: Wire> Client<T> {
     /// drain; any still unclaimed here are discarded.
     pub fn shutdown(mut self) -> Result<(), ClientError> {
         write_frame(&mut self.stream, &[KIND_SHUTDOWN])?;
-        loop {
-            match read_frame(&mut self.stream) {
-                Ok(Some(_)) => continue,
-                Ok(None) => return Ok(()),
-                Err(e) => return Err(ClientError::Io(e)),
-            }
+        while let Some(len) = read_frame_len(&mut self.stream)? {
+            skip_bytes(&mut self.stream, len)?;
         }
+        Ok(())
     }
 
+    /// Reads the next frame.  A result's payload is read straight into
+    /// its `Vec<T>` ([`Wire::read_payload`]); only the other, small frames
+    /// are read into a body buffer.
     fn read_incoming(&mut self) -> Result<Incoming<T>, ClientError> {
-        let body = read_frame(&mut self.stream)?
+        let len = read_frame_len(&mut self.stream)?
             .ok_or_else(|| ClientError::Protocol("server closed the connection mid-wait".into()))?;
+        let (head, read) = read_head::<RESULT_HEADER>(&mut self.stream, len)?;
+        if read > 0 && head[0] == KIND_RESULT {
+            if read < RESULT_HEADER {
+                return Err(ClientError::Protocol("result frame truncated".into()));
+            }
+            let request_id = u64::from_le_bytes(head[1..].try_into().expect("8 bytes"));
+            let data = T::read_payload(&mut self.stream, len - RESULT_HEADER)?
+                .map_err(|e| ClientError::Protocol(e.message))?;
+            return Ok(Incoming::Result { request_id, data });
+        }
+        let mut body = head[..read].to_vec();
+        body.resize(len, 0);
+        self.stream.read_exact(&mut body[read..])?;
         let mut frame = FrameReader::new(&body);
         match frame.u8() {
-            Some(KIND_RESULT) => {
-                let request_id = frame
-                    .u64()
-                    .ok_or_else(|| ClientError::Protocol("result frame truncated".into()))?;
-                let data = T::decode(frame.tail()).map_err(|e| ClientError::Protocol(e.message))?;
-                Ok(Incoming::Result { request_id, data })
-            }
             Some(KIND_ERROR) => {
                 let (request_id, code, message) = parse_error(frame)?;
                 Ok(Incoming::Error {

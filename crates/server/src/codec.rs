@@ -8,6 +8,21 @@
 //! codec is a compile error, and a custom type opts in by implementing the
 //! trait.
 //!
+//! **Borrowed bytes.**  The frame code never encodes or decodes item by
+//! item when it does not have to.  It sends a payload with
+//! [`Wire::wire_bytes`] and receives one with [`Wire::read_payload`].  For
+//! the numeric types — `u8`…`u128`, `i8`…`i128`, `f32`, `f64`, and
+//! `usize`/`isize` on 64-bit hosts — on a little-endian host the in-memory
+//! layout *is* the wire layout.  There `wire_bytes` borrows the slice's
+//! own bytes, and `read_payload` reads the socket straight into the
+//! `Vec<T>` it returns: one allocation, no body buffer, no per-item pass.
+//! On a big-endian host, and for every other type (`bool` and `char`,
+//! whose bit patterns are not all valid, `String`, and custom types), the
+//! provided defaults run [`Wire::encode_into`] and [`Wire::decode`]
+//! instead, so a custom type implements those two methods and gets the
+//! validating per-item path.  Either way the bytes on the socket are the
+//! same.
+//!
 //! ```
 //! use cgp_server::Wire;
 //!
@@ -15,21 +30,69 @@
 //! u64::encode_into(&[1, 2, 3], &mut bytes);
 //! assert_eq!(bytes.len(), 24);
 //! assert_eq!(u64::decode(&bytes).unwrap(), vec![1, 2, 3]);
+//! // The borrowed view carries exactly the encoded bytes.
+//! assert_eq!(&*u64::wire_bytes(&[1, 2, 3]), &bytes[..]);
 //! ```
 
+use std::borrow::Cow;
 use std::fmt;
+use std::io::{self, Read};
 
 /// A payload item that can cross the socket.
 ///
 /// Implementations must round-trip: `decode(encode_into(items)) == items`
 /// for every slice, and `decode` must reject malformed input with an error
 /// instead of panicking (frames arrive from another process).
+///
+/// The two provided methods are what the frame code calls.  Their
+/// defaults go through `encode_into` and `decode`; the numeric types
+/// override them on little-endian hosts to skip the byte buffer (see the
+/// [module docs](self)).  An override must produce exactly the bytes and
+/// values of the defaults.
 pub trait Wire: Sized + Send + 'static {
     /// Appends the serialized form of `items` to `out`.
     fn encode_into(items: &[Self], out: &mut Vec<u8>);
 
     /// Parses a payload serialized by [`Wire::encode_into`].
     fn decode(bytes: &[u8]) -> Result<Vec<Self>, WireError>;
+
+    /// The serialized form of `items`: borrowed from the slice where the
+    /// in-memory layout is the wire layout, encoded into a fresh buffer
+    /// otherwise (the default).
+    fn wire_bytes(items: &[Self]) -> Cow<'_, [u8]> {
+        encoded(items)
+    }
+
+    /// Reads a payload of exactly `len` bytes from `reader` and parses it.
+    ///
+    /// The outer error is the reader's (the stream broke or ended inside
+    /// the payload).  The inner one is a malformed payload.  In that case
+    /// all `len` bytes have still been consumed, so the stream stays in
+    /// step with its frames.  The default reads the bytes into a buffer
+    /// and calls [`Wire::decode`].
+    fn read_payload<R: Read>(
+        reader: &mut R,
+        len: usize,
+    ) -> io::Result<Result<Vec<Self>, WireError>> {
+        read_and_decode(reader, len)
+    }
+}
+
+/// [`Wire::wire_bytes`] through [`Wire::encode_into`].
+fn encoded<T: Wire>(items: &[T]) -> Cow<'_, [u8]> {
+    let mut out = Vec::new();
+    T::encode_into(items, &mut out);
+    Cow::Owned(out)
+}
+
+/// [`Wire::read_payload`] through a byte buffer and [`Wire::decode`].
+fn read_and_decode<T: Wire, R: Read>(
+    reader: &mut R,
+    len: usize,
+) -> io::Result<Result<Vec<T>, WireError>> {
+    let mut bytes = vec![0u8; len];
+    reader.read_exact(&mut bytes)?;
+    Ok(T::decode(&bytes))
 }
 
 /// A payload failed to parse (truncated frame, invalid encoding).
@@ -45,6 +108,12 @@ impl WireError {
             message: message.into(),
         }
     }
+
+    fn not_whole(len: usize, width: usize) -> Self {
+        WireError::new(format!(
+            "{len} bytes is not a whole number of {width}-byte items"
+        ))
+    }
 }
 
 impl fmt::Display for WireError {
@@ -54,6 +123,58 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// The borrowed-bytes overrides of [`Wire::wire_bytes`] and
+/// [`Wire::read_payload`] for a numeric type whose wire form is its
+/// in-memory form whenever `$direct` holds; otherwise they fall back to
+/// the per-item path.
+macro_rules! direct_payload {
+    ($direct:expr) => {
+        fn wire_bytes(items: &[Self]) -> Cow<'_, [u8]> {
+            if !$direct {
+                return encoded(items);
+            }
+            // SAFETY: `Self` is a primitive number: no padding, every byte
+            // of `items` is initialized, and `u8` has alignment 1, so the
+            // slice's memory is a valid `[u8]` of `size_of_val(items)`
+            // bytes borrowed for the slice's lifetime.  `$direct` holds,
+            // so that memory is each item's `to_le_bytes()` in order.
+            let bytes = unsafe {
+                std::slice::from_raw_parts(
+                    items.as_ptr().cast::<u8>(),
+                    std::mem::size_of_val(items),
+                )
+            };
+            Cow::Borrowed(bytes)
+        }
+
+        fn read_payload<R: Read>(
+            reader: &mut R,
+            len: usize,
+        ) -> io::Result<Result<Vec<Self>, WireError>> {
+            let width = std::mem::size_of::<Self>();
+            if !$direct {
+                return read_and_decode(reader, len);
+            }
+            if !len.is_multiple_of(width) {
+                // Consume the payload anyway: the next frame starts after it.
+                crate::protocol::skip_bytes(reader, len)?;
+                return Ok(Err(WireError::not_whole(len, width)));
+            }
+            let mut items: Vec<Self> = vec![Default::default(); len / width];
+            // SAFETY: `items` owns `len` initialized bytes (zeroed above),
+            // `u8` has alignment 1, and the borrow ends before `items` is
+            // used again.  Every bit pattern is a valid `Self`, so any
+            // bytes the reader writes leave valid items, and since
+            // `$direct` holds they are the items whose `to_le_bytes()` the
+            // bytes are.
+            let bytes =
+                unsafe { std::slice::from_raw_parts_mut(items.as_mut_ptr().cast::<u8>(), len) };
+            reader.read_exact(bytes)?;
+            Ok(Ok(items))
+        }
+    };
+}
 
 macro_rules! fixed_width_wire {
     ($($ty:ty),*) => {
@@ -68,17 +189,15 @@ macro_rules! fixed_width_wire {
             fn decode(bytes: &[u8]) -> Result<Vec<Self>, WireError> {
                 const WIDTH: usize = std::mem::size_of::<$ty>();
                 if !bytes.len().is_multiple_of(WIDTH) {
-                    return Err(WireError::new(format!(
-                        "{} bytes is not a whole number of {}-byte items",
-                        bytes.len(),
-                        WIDTH
-                    )));
+                    return Err(WireError::not_whole(bytes.len(), WIDTH));
                 }
                 Ok(bytes
                     .chunks_exact(WIDTH)
                     .map(|chunk| <$ty>::from_le_bytes(chunk.try_into().expect("exact chunk")))
                     .collect())
             }
+
+            direct_payload!(cfg!(target_endian = "little"));
         })*
     };
 }
@@ -101,6 +220,11 @@ impl Wire for usize {
             .map(|x| usize::try_from(x).map_err(|_| WireError::new("usize overflow")))
             .collect()
     }
+
+    direct_payload!(cfg!(all(
+        target_endian = "little",
+        target_pointer_width = "64"
+    )));
 }
 
 impl Wire for isize {
@@ -117,6 +241,11 @@ impl Wire for isize {
             .map(|x| isize::try_from(x).map_err(|_| WireError::new("isize overflow")))
             .collect()
     }
+
+    direct_payload!(cfg!(all(
+        target_endian = "little",
+        target_pointer_width = "64"
+    )));
 }
 
 impl Wire for bool {
@@ -218,6 +347,100 @@ mod tests {
         assert!(String::decode(&[3]).is_err());
     }
 
+    /// The streamed paths against the per-item ones on `bytes`:
+    /// [`Wire::read_payload`] consumes exactly the payload and reaches
+    /// [`Wire::decode`]'s verdict, with the same items (compared through
+    /// [`Wire::encode_into`], which for floats keeps every bit), and
+    /// [`Wire::wire_bytes`] of those items is `bytes` again.
+    fn streamed_matches_per_item<T: Wire>(bytes: &[u8]) {
+        let name = std::any::type_name::<T>();
+        let mut stream = bytes.to_vec();
+        stream.extend_from_slice(b"next frame");
+        let mut reader = &stream[..];
+        let streamed = T::read_payload(&mut reader, bytes.len()).expect("the payload is there");
+        assert_eq!(
+            reader, b"next frame",
+            "{name}: consumed exactly the payload"
+        );
+        match (streamed, T::decode(bytes)) {
+            (Ok(streamed), Ok(decoded)) => {
+                let mut reencoded = Vec::new();
+                T::encode_into(&streamed, &mut reencoded);
+                assert_eq!(reencoded, bytes, "{name}: streamed items");
+                let mut reencoded = Vec::new();
+                T::encode_into(&decoded, &mut reencoded);
+                assert_eq!(reencoded, bytes, "{name}: decoded items");
+                assert_eq!(&*T::wire_bytes(&streamed), bytes, "{name}: borrowed bytes");
+            }
+            (Err(streamed), Err(decoded)) => assert_eq!(streamed, decoded, "{name}"),
+            (streamed, decoded) => panic!(
+                "{name}: streamed ok = {}, decoded ok = {}",
+                streamed.is_ok(),
+                decoded.is_ok()
+            ),
+        }
+        // A reader that ends inside the payload is an I/O error, whatever
+        // the bytes.
+        let err = T::read_payload(&mut &bytes[..], bytes.len() + 1)
+            .map(|_| ())
+            .expect_err("the reader ends one byte short");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{name}");
+    }
+
+    /// Every codec's streamed paths against its per-item ones.
+    fn every_codec_matches_per_item(bytes: &[u8]) {
+        streamed_matches_per_item::<u8>(bytes);
+        streamed_matches_per_item::<u16>(bytes);
+        streamed_matches_per_item::<u32>(bytes);
+        streamed_matches_per_item::<u64>(bytes);
+        streamed_matches_per_item::<u128>(bytes);
+        streamed_matches_per_item::<i8>(bytes);
+        streamed_matches_per_item::<i16>(bytes);
+        streamed_matches_per_item::<i32>(bytes);
+        streamed_matches_per_item::<i64>(bytes);
+        streamed_matches_per_item::<i128>(bytes);
+        streamed_matches_per_item::<f32>(bytes);
+        streamed_matches_per_item::<f64>(bytes);
+        streamed_matches_per_item::<usize>(bytes);
+        streamed_matches_per_item::<isize>(bytes);
+        streamed_matches_per_item::<bool>(bytes);
+        streamed_matches_per_item::<char>(bytes);
+        streamed_matches_per_item::<String>(bytes);
+    }
+
+    #[test]
+    fn streamed_paths_match_the_per_item_paths_at_every_length() {
+        // Every length up to two of the widest items, so each width sees
+        // whole payloads and every ragged remainder.
+        for len in 0..=33u8 {
+            let bytes: Vec<u8> = (0..len).map(|i| i.wrapping_mul(37) ^ 0xA5).collect();
+            every_codec_matches_per_item(&bytes);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn streamed_paths_match_the_per_item_paths_on_random_bytes(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..80),
+        ) {
+            every_codec_matches_per_item(&bytes);
+        }
+    }
+
+    #[test]
+    fn numeric_payloads_are_borrowed_on_little_endian_hosts() {
+        let items: Vec<u64> = (0..100).collect();
+        let bytes = u64::wire_bytes(&items);
+        assert_eq!(
+            matches!(bytes, Cow::Borrowed(_)),
+            cfg!(target_endian = "little")
+        );
+        assert!(matches!(bool::wire_bytes(&[true]), Cow::Owned(_)));
+        assert!(matches!(String::wire_bytes(&["x".into()]), Cow::Owned(_)));
+    }
+
     #[test]
     fn custom_types_implement_the_trait() {
         #[derive(Debug, PartialEq, Clone)]
@@ -233,5 +456,12 @@ mod tests {
             }
         }
         round_trip(&[Meters(7), Meters(u64::MAX)]);
+        // The provided methods take the per-item path.
+        let items = [Meters(7), Meters(u64::MAX)];
+        let bytes = Meters::wire_bytes(&items).into_owned();
+        assert_eq!(bytes, u64::wire_bytes(&[7, u64::MAX]).into_owned());
+        let read = Meters::read_payload(&mut &bytes[..], bytes.len()).unwrap();
+        assert_eq!(read.unwrap(), items);
+        assert!(Meters::read_payload(&mut &bytes[..], 3).unwrap().is_err());
     }
 }

@@ -4,7 +4,10 @@
 //! Little-endian throughout: each frame is `len: u64` (byte length of the
 //! body) followed by the body, whose first byte is the kind.  Payload
 //! bytes inside submit/result frames are produced and consumed by the
-//! payload type's [`Wire`](crate::Wire) codec (see [`crate::codec`]).
+//! payload type's [`Wire`](crate::Wire) codec (see [`crate::codec`]):
+//! a payload frame is written as one vectored write of the length prefix,
+//! the fixed header and the payload borrowed from the items, and read as
+//! the prefix, the header, then the payload straight into its `Vec<T>`.
 //!
 //! | kind | dir | body layout after the kind byte |
 //! |------|-----|----------------------------------|
@@ -20,7 +23,7 @@
 //! the budget; it is ignored — and conventionally zero — for the other
 //! lanes).  See `docs/wire-protocol.md` for the normative spec.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
@@ -196,6 +199,13 @@ impl Write for Stream {
         }
     }
 
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            Stream::Unix(s) => s.write_vectored(bufs),
+            Stream::Tcp(s) => s.write_vectored(bufs),
+        }
+    }
+
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
             Stream::Unix(s) => s.flush(),
@@ -208,18 +218,50 @@ impl Write for Stream {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Writes one length-prefixed frame.
+/// Body bytes of a submit frame before its payload: kind, `request_id`,
+/// `priority`, `deadline_micros`.
+pub(crate) const SUBMIT_HEADER: usize = 18;
+
+/// Body bytes of a result frame before its payload: kind, `request_id`.
+pub(crate) const RESULT_HEADER: usize = 9;
+
+/// Writes one length-prefixed frame whose body is `body`.
 pub(crate) fn write_frame(stream: &mut Stream, body: &[u8]) -> std::io::Result<()> {
-    stream.write_all(&(body.len() as u64).to_le_bytes())?;
-    stream.write_all(body)?;
+    write_payload_frame(stream, body, &[])
+}
+
+/// Writes one length-prefixed frame whose body is `header` followed by
+/// `payload`, as vectored writes of `[len prefix, header, payload]`: the
+/// payload goes to the socket from wherever it lives, without being
+/// copied into a frame buffer first.
+pub(crate) fn write_payload_frame(
+    stream: &mut Stream,
+    header: &[u8],
+    payload: &[u8],
+) -> std::io::Result<()> {
+    let len = ((header.len() + payload.len()) as u64).to_le_bytes();
+    let mut parts = [
+        IoSlice::new(&len),
+        IoSlice::new(header),
+        IoSlice::new(payload),
+    ];
+    let mut rest = &mut parts[..];
+    while !rest.is_empty() {
+        match stream.write_vectored(rest) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(written) => IoSlice::advance_slices(&mut rest, written),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
 }
 
-/// Reads one length-prefixed frame; `Ok(None)` on clean EOF at a frame
+/// Reads one frame's length prefix; `Ok(None)` on clean EOF at a frame
 /// boundary.  A length prefix beyond [`MAX_FRAME_BYTES`] is an error (the
 /// stream cannot be resynchronized after refusing to read a body, so the
 /// caller must drop the connection).
-pub(crate) fn read_frame(stream: &mut Stream) -> std::io::Result<Option<Vec<u8>>> {
+pub(crate) fn read_frame_len(stream: &mut Stream) -> std::io::Result<Option<usize>> {
     let mut len = [0u8; 8];
     match stream.read_exact(&mut len) {
         Ok(()) => {}
@@ -236,9 +278,41 @@ pub(crate) fn read_frame(stream: &mut Stream) -> std::io::Result<Option<Vec<u8>>
             format!("frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"),
         ));
     }
-    let mut body = vec![0u8; len as usize];
+    Ok(Some(len as usize))
+}
+
+/// Reads one length-prefixed frame whole; `Ok(None)` on clean EOF at a
+/// frame boundary (see [`read_frame_len`]).
+pub(crate) fn read_frame(stream: &mut Stream) -> std::io::Result<Option<Vec<u8>>> {
+    let Some(len) = read_frame_len(stream)? else {
+        return Ok(None);
+    };
+    let mut body = vec![0u8; len];
     stream.read_exact(&mut body)?;
     Ok(Some(body))
+}
+
+/// Reads the first `min(len, N)` bytes of a `len`-byte body: the fixed
+/// header of a payload frame, or all of a short frame.  Returns the
+/// buffer and how many of its bytes were read.
+pub(crate) fn read_head<const N: usize>(
+    stream: &mut Stream,
+    len: usize,
+) -> std::io::Result<([u8; N], usize)> {
+    let mut head = [0u8; N];
+    let read = len.min(N);
+    stream.read_exact(&mut head[..read])?;
+    Ok((head, read))
+}
+
+/// Reads and discards `len` bytes (a body or payload nobody needs)
+/// without allocating for them.
+pub(crate) fn skip_bytes<R: Read>(reader: &mut R, len: usize) -> std::io::Result<()> {
+    let skipped = std::io::copy(&mut reader.take(len as u64), &mut std::io::sink())?;
+    if skipped < len as u64 {
+        return Err(ErrorKind::UnexpectedEof.into());
+    }
+    Ok(())
 }
 
 /// Little-endian field reader over one frame body.
@@ -286,8 +360,7 @@ impl<'a> FrameReader<'a> {
         String::from_utf8(head.to_vec()).ok()
     }
 
-    /// Everything not yet consumed (the payload tail of submit/result
-    /// frames).
+    /// Everything not yet consumed (an error frame's message).
     pub(crate) fn tail(self) -> &'a [u8] {
         self.rest
     }

@@ -1,8 +1,15 @@
 //! The server side: one acceptor thread, and per connection one reader
-//! thread plus one writer thread.  Results are streamed back through
-//! `JobTicket::on_complete`, which only **enqueues** the frame — socket
-//! I/O happens on the connection's writer thread, so a slow (or vanished)
-//! client can never wedge a executor or stall another tenant.
+//! thread plus one writer thread.
+//!
+//! The reader parses each frame's length prefix and fixed header, then
+//! reads a submit's payload straight into the job's `Vec<T>`
+//! ([`Wire::read_payload`]).  Results are streamed back through
+//! `JobTicket::on_complete`, which only **enqueues** the request id and
+//! the permuted `Vec<T>`: the executor neither encodes nor touches the
+//! socket.  The connection's writer thread turns the result into a frame,
+//! writing the payload straight from the `Vec<T>` ([`Wire::wire_bytes`]),
+//! so a slow (or vanished) client can never wedge an executor or stall
+//! another tenant.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -14,7 +21,8 @@ use std::thread::JoinHandle;
 
 use cgp_cgm::CgmError;
 use cgp_core::{
-    PermutationService, PermuteOptions, ServiceConfig, ServiceError, ServiceHandle, ServiceMetrics,
+    PermutationService, PermuteOptions, Priority, ServiceConfig, ServiceError, ServiceHandle,
+    ServiceMetrics,
 };
 
 use crate::codec::Wire;
@@ -80,12 +88,15 @@ enum WakeTarget {
 
 /// What a connection's writer thread is fed.  The queue is the only path
 /// to the socket's write half: the reader enqueues error/metrics frames,
-/// completion callbacks enqueue result frames, and `Close` — sent by
-/// shutdown after the fleet drains — flushes everything queued before it
-/// (the channel is FIFO) and then closes the socket, so the peer sees its
-/// final results and *then* EOF.
-enum WriterMsg {
+/// completion callbacks enqueue results, and `Close` — sent by shutdown
+/// after the fleet drains — flushes everything queued before it (the
+/// channel is FIFO) and then closes the socket, so the peer sees its final
+/// results and *then* EOF.
+enum WriterMsg<T> {
+    /// A complete frame body.
     Frame(Vec<u8>),
+    /// A job's permuted items, for the result frame of this request id.
+    Result(u64, Vec<T>),
     Close,
 }
 
@@ -105,7 +116,7 @@ struct ServerInner<T: Wire> {
     /// removes its own entry when it exits ([`ConnEntry`]); a handle kept
     /// past that would keep the writer thread and its socket alive until
     /// server shutdown.
-    conns: Mutex<HashMap<u64, mpsc::Sender<WriterMsg>>>,
+    conns: Mutex<HashMap<u64, mpsc::Sender<WriterMsg<T>>>>,
     wake: WakeTarget,
     next_conn: AtomicU64,
 }
@@ -127,7 +138,7 @@ impl<T: Wire> ServerInner<T> {
             let metrics = service.shutdown();
             *self.final_metrics.lock().unwrap_or_else(|e| e.into_inner()) = Some(metrics);
         }
-        let conns: Vec<mpsc::Sender<WriterMsg>> = self
+        let conns: Vec<mpsc::Sender<WriterMsg<T>>> = self
             .conns
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -338,16 +349,93 @@ fn acceptor_loop<T: Wire>(listener: Listener, inner: Arc<ServerInner<T>>) {
 /// every sender is gone (reader exited and all in-flight jobs resolved).
 /// Write errors are swallowed — a vanished peer just means its remaining
 /// frames have nowhere to go.
-fn writer_loop(mut stream: Stream, rx: mpsc::Receiver<WriterMsg>) {
+fn writer_loop<T: Wire>(mut stream: Stream, rx: mpsc::Receiver<WriterMsg<T>>) {
     for msg in rx.iter() {
         match msg {
             WriterMsg::Frame(body) => {
                 let _ = write_frame(&mut stream, &body);
             }
+            WriterMsg::Result(request_id, data) => {
+                let mut header = [0u8; RESULT_HEADER];
+                header[0] = KIND_RESULT;
+                header[1..].copy_from_slice(&request_id.to_le_bytes());
+                let _ = write_payload_frame(&mut stream, &header, &T::wire_bytes(&data));
+            }
             WriterMsg::Close => break,
         }
     }
     let _ = stream.shutdown();
+}
+
+/// One request from the client, read off the socket whole.
+enum Request<T> {
+    Submit {
+        request_id: u64,
+        priority: Priority,
+        data: Vec<T>,
+    },
+    Metrics,
+    Shutdown,
+    /// A malformed frame, consumed to its end: it gets a bad-frame error
+    /// for `request_id` and the connection reads on.
+    Bad {
+        request_id: u64,
+        message: String,
+    },
+}
+
+/// Reads the next request; `Ok(None)` on a clean hang-up between frames.
+/// An error means the stream cannot be read in step any more: an
+/// oversized length prefix, or a failure or EOF inside a frame.
+///
+/// Only the length prefix and the fixed submit header are read into a
+/// buffer.  A submit's payload goes straight into its `Vec<T>`, and the
+/// bodies of other frames, which the server never needs, are skipped.
+fn read_request<T: Wire>(stream: &mut Stream) -> std::io::Result<Option<Request<T>>> {
+    let Some(len) = read_frame_len(stream)? else {
+        return Ok(None);
+    };
+    let (head, read) = read_head::<SUBMIT_HEADER>(stream, len)?;
+    let mut frame = FrameReader::new(&head[..read]);
+    let bad = |request_id, message: String| Request::Bad {
+        request_id,
+        message,
+    };
+    let kind = frame.u8();
+    if kind != Some(KIND_SUBMIT) {
+        skip_bytes(stream, len - read)?;
+        return Ok(Some(match kind {
+            Some(KIND_METRICS_REQUEST) => Request::Metrics,
+            Some(KIND_SHUTDOWN) => Request::Shutdown,
+            Some(k) => bad(CONNECTION_REQUEST_ID, format!("unknown frame kind {k}")),
+            None => bad(CONNECTION_REQUEST_ID, "empty frame".to_string()),
+        }));
+    }
+    let Some(request_id) = frame.u64() else {
+        return Ok(Some(bad(
+            CONNECTION_REQUEST_ID,
+            "submit frame truncated before request id".to_string(),
+        )));
+    };
+    let (Some(lane), Some(deadline_micros)) = (frame.u8(), frame.u64()) else {
+        return Ok(Some(bad(request_id, "submit header truncated".to_string())));
+    };
+    let payload = len - SUBMIT_HEADER;
+    let Some(priority) = decode_priority(lane, deadline_micros) else {
+        skip_bytes(stream, payload)?;
+        return Ok(Some(bad(
+            request_id,
+            format!("unknown priority lane {lane}"),
+        )));
+    };
+    Ok(Some(match T::read_payload(stream, payload)? {
+        Ok(data) => Request::Submit {
+            request_id,
+            priority,
+            data,
+        },
+        Err(e) => bad(request_id, e.message),
+    }))
 }
 
 /// A live connection's entry in [`ServerInner::conns`], removed when the
@@ -396,7 +484,7 @@ fn serve_connection<T: Wire>(mut stream: Stream, conn_id: u64, inner: Arc<Server
         Ok(clone) => clone,
         Err(_) => return,
     };
-    let (tx, rx) = mpsc::channel::<WriterMsg>();
+    let (tx, rx) = mpsc::channel::<WriterMsg<T>>();
     if std::thread::Builder::new()
         .name(format!("cgp-wire-write-{conn_id}"))
         .spawn(move || writer_loop(write_half, rx))
@@ -420,10 +508,10 @@ fn serve_connection<T: Wire>(mut stream: Stream, conn_id: u64, inner: Arc<Server
     };
 
     loop {
-        let body = match read_frame(&mut stream) {
-            Ok(Some(body)) => body,
+        let request = match read_request::<T>(&mut stream) {
+            Ok(Some(request)) => request,
             // Clean EOF: the client hung up.  In-flight tickets still
-            // resolve; their frames land in the writer queue, whose writes
+            // resolve; their results land in the writer queue, whose writes
             // fail harmlessly against the closed socket (Rust ignores
             // SIGPIPE, so a dead peer is an error value, not a signal).
             Ok(None) => return,
@@ -435,36 +523,12 @@ fn serve_connection<T: Wire>(mut stream: Stream, conn_id: u64, inner: Arc<Server
                 return;
             }
         };
-        let mut frame = FrameReader::new(&body);
-        match frame.u8() {
-            Some(KIND_SUBMIT) => {
-                let Some(request_id) = frame.u64() else {
-                    send_error(
-                        CONNECTION_REQUEST_ID,
-                        ErrorCode::BadFrame,
-                        "submit frame truncated before request id",
-                    );
-                    continue;
-                };
-                let (Some(lane), Some(deadline_micros)) = (frame.u8(), frame.u64()) else {
-                    send_error(request_id, ErrorCode::BadFrame, "submit header truncated");
-                    continue;
-                };
-                let Some(priority) = decode_priority(lane, deadline_micros) else {
-                    send_error(
-                        request_id,
-                        ErrorCode::BadFrame,
-                        &format!("unknown priority lane {lane}"),
-                    );
-                    continue;
-                };
-                let data = match T::decode(frame.tail()) {
-                    Ok(data) => data,
-                    Err(e) => {
-                        send_error(request_id, ErrorCode::BadFrame, &e.message);
-                        continue;
-                    }
-                };
+        match request {
+            Request::Submit {
+                request_id,
+                priority,
+                data,
+            } => {
                 // Non-blocking admission: wire backpressure is an error
                 // frame the client can retry on, never a parked reader
                 // (which would stop this connection's other traffic).
@@ -472,23 +536,17 @@ fn serve_connection<T: Wire>(mut stream: Stream, conn_id: u64, inner: Arc<Server
                     Ok(ticket) => {
                         let tx = tx.clone();
                         ticket.on_complete(move |outcome| {
-                            let body = match outcome {
-                                Ok((data, _report)) => {
-                                    let mut body = Vec::with_capacity(9 + data.len() * 8);
-                                    body.push(KIND_RESULT);
-                                    body.extend_from_slice(&request_id.to_le_bytes());
-                                    T::encode_into(&data, &mut body);
-                                    body
-                                }
-                                Err(e) => error_body(
+                            // Enqueue only: the executor thread running
+                            // this callback neither encodes nor blocks on
+                            // a socket.
+                            let _ = tx.send(match outcome {
+                                Ok((data, _report)) => WriterMsg::Result(request_id, data),
+                                Err(e) => WriterMsg::Frame(error_body(
                                     request_id,
                                     ErrorCode::of_service_error(&e),
                                     &e.to_string(),
-                                ),
-                            };
-                            // Enqueue only: the executor thread running
-                            // this callback must never block on a socket.
-                            let _ = tx.send(WriterMsg::Frame(body));
+                                )),
+                            });
                         });
                     }
                     Err(rejected) => {
@@ -500,7 +558,7 @@ fn serve_connection<T: Wire>(mut stream: Stream, conn_id: u64, inner: Arc<Server
                     }
                 }
             }
-            Some(KIND_METRICS_REQUEST) => {
+            Request::Metrics => {
                 let snapshot = inner
                     .service
                     .lock()
@@ -536,7 +594,7 @@ fn serve_connection<T: Wire>(mut stream: Stream, conn_id: u64, inner: Arc<Server
                     }
                 }
             }
-            Some(KIND_SHUTDOWN) => {
+            Request::Shutdown => {
                 // Drains accepted jobs (result frames flush through each
                 // connection's writer queue ahead of its Close), then
                 // closes every connection — including this one, whose next
@@ -544,16 +602,10 @@ fn serve_connection<T: Wire>(mut stream: Stream, conn_id: u64, inner: Arc<Server
                 inner.shutdown_service();
                 return;
             }
-            kind => {
-                send_error(
-                    CONNECTION_REQUEST_ID,
-                    ErrorCode::BadFrame,
-                    &match kind {
-                        Some(k) => format!("unknown frame kind {k}"),
-                        None => "empty frame".to_string(),
-                    },
-                );
-            }
+            Request::Bad {
+                request_id,
+                message,
+            } => send_error(request_id, ErrorCode::BadFrame, &message),
         }
     }
 }

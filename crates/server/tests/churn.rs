@@ -1,7 +1,7 @@
 //! Connection churn soak: a closed connection must give back its writer
-//! thread and its socket.  Thread and fd counts are process-wide, so this
-//! lives in its own test binary with a single test — no other server runs
-//! in the process while it counts.
+//! thread, its socket and its tenant.  Thread and fd counts are
+//! process-wide, so this lives in its own test binary with a single test —
+//! no other server runs in the process while it counts.
 
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -44,6 +44,7 @@ fn closed_connections_release_their_writer_thread_and_socket() {
     // before the baseline is taken.
     let reference = connect(&path).permute(&data).unwrap();
     let fds_before = open_fds();
+    let tenants = || server.metrics().expect("the server is up").per_tenant.len();
 
     for cycle in 0..CYCLES {
         let mut client = connect(&path);
@@ -54,13 +55,15 @@ fn closed_connections_release_their_writer_thread_and_socket() {
     loop {
         let writers = threads_named("cgp-wire-write");
         let fds = open_fds();
-        if writers <= 1 && fds <= fds_before + FD_SLACK {
+        // Every connection served a job, so each had a metrics slot.
+        let live = tenants();
+        if writers <= 1 && fds <= fds_before + FD_SLACK && live <= 1 {
             break;
         }
         assert!(
             Instant::now() < deadline,
             "after {CYCLES} closed connections: {writers} writer threads alive, \
-             {fds} fds open (started with {fds_before})"
+             {fds} fds open (started with {fds_before}), {live} tenants live"
         );
         std::thread::sleep(Duration::from_millis(10));
     }

@@ -1,12 +1,15 @@
 //! Fuzzing of the frame decoder: random bytes into every [`Wire::decode`]
-//! implementation, and random frames into a live connection.
+//! implementation, random frames into a live connection, and short,
+//! ragged and cut-off submits into the streamed payload read.
 //!
 //! Frames arrive from another process, so no byte sequence may panic a
 //! server thread.  A malformed frame gets a `bad-frame` error frame and the
-//! connection survives; only an oversized length prefix (which cannot be
-//! resynchronized) closes it, after its error frame.
+//! connection survives; only an oversized length prefix, or a stream that
+//! ends inside a frame (neither can be resynchronized), closes it, after
+//! its error frame.
 
 use std::io::{ErrorKind, Read, Write};
+use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -228,4 +231,95 @@ proptest! {
         server.shutdown();
         prop_assert_eq!(SERVER_PANICS.load(Ordering::SeqCst), 0, "a server thread panicked");
     }
+}
+
+/// A submit body: header for `request_id` on the Normal lane, then
+/// `payload`.
+fn submit_body(request_id: u64, payload: &[u8]) -> Vec<u8> {
+    let mut body = vec![SUBMIT];
+    body.extend_from_slice(&request_id.to_le_bytes());
+    body.push(0);
+    body.extend_from_slice(&0u64.to_le_bytes());
+    body.extend_from_slice(payload);
+    body
+}
+
+/// Short, ragged and cut-off submits against a `WireServer<T>`; `items`
+/// is a well-formed payload whose every proper prefix is sent as a
+/// payload of its own.
+fn short_ragged_and_cut_off_submits<T: Wire>(items: &[T]) {
+    count_server_panics();
+    let path = fresh_socket_path();
+    let config = ServiceConfig::new(2).executors(1).queue_depth(8).seed(7);
+    let server: WireServer<T> =
+        WireServer::bind_uds(&path, config, PermuteOptions::default()).unwrap();
+    let mut stream = UnixStream::connect(&path).unwrap();
+    assert_eq!(read_frame(&mut stream).unwrap()[0], 0, "hello comes first");
+
+    // Submit bodies of 1..=17 bytes end inside the fixed header.
+    for len in 1..=17u8 {
+        let body: Vec<u8> = [SUBMIT].into_iter().chain(1..len).collect();
+        let Expect::BadFrame(id) = submit_expectation(&body) else {
+            panic!("a {len}-byte submit body is malformed");
+        };
+        write_frame(&mut stream, body.len() as u64, &body);
+        let reply = read_frame(&mut stream).expect("the connection survives");
+        assert_eq!(error_of(&reply), (id, BAD_FRAME), "{len}-byte body");
+    }
+
+    // Every proper prefix of a well-formed payload: those that do not
+    // parse (for a fixed-width type, the ones that are not a whole number
+    // of items) get a bad-frame error addressed to their request, the
+    // rest are served, and the stream stays in step throughout.
+    let mut payload = Vec::new();
+    T::encode_into(items, &mut payload);
+    for cut in 0..=payload.len() {
+        let request_id = 1000 + cut as u64;
+        let prefix = &payload[..cut];
+        let body = submit_body(request_id, prefix);
+        write_frame(&mut stream, body.len() as u64, &body);
+        let reply = read_frame(&mut stream).expect("the connection survives");
+        match T::decode(prefix) {
+            Err(_) => assert_eq!(error_of(&reply), (request_id, BAD_FRAME), "cut {cut}"),
+            Ok(sent) => {
+                assert_eq!(reply[0], RESULT, "cut {cut}: {reply:?}");
+                assert_eq!(
+                    u64::from_le_bytes(reply[1..9].try_into().unwrap()),
+                    request_id
+                );
+                let got = T::decode(&reply[9..]).expect("a result parses");
+                assert_eq!(got.len(), sent.len(), "cut {cut}");
+            }
+        }
+    }
+
+    // A stream that ends inside a payload: one bad-frame error at most,
+    // then a clean end of stream.
+    let body = submit_body(9, &payload);
+    write_frame(&mut stream, body.len() as u64, &body[..body.len() - 1]);
+    stream.shutdown(Shutdown::Write).unwrap();
+    if let Some(reply) = read_frame(&mut stream) {
+        assert_eq!(error_of(&reply), (CONNECTION_REQUEST_ID, BAD_FRAME));
+        assert!(
+            read_frame(&mut stream).is_none(),
+            "then a clean end of stream"
+        );
+    }
+    drop(stream);
+    server.shutdown();
+    assert_eq!(
+        SERVER_PANICS.load(Ordering::SeqCst),
+        0,
+        "a server thread panicked"
+    );
+}
+
+#[test]
+fn short_ragged_and_cut_off_u64_submits_get_bad_frames_or_a_clean_close() {
+    short_ragged_and_cut_off_submits::<u64>(&[3, 1, 4, 1, 5]);
+}
+
+#[test]
+fn short_ragged_and_cut_off_string_submits_get_bad_frames_or_a_clean_close() {
+    short_ragged_and_cut_off_submits::<String>(&["wire".into(), "".into(), "ünï".into()]);
 }

@@ -6,7 +6,7 @@ use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cgp_core::{PermutationService, PermuteOptions, Priority, ServiceConfig};
 use cgp_server::{Client, ClientError, ErrorCode, WireServer, CONNECTION_REQUEST_ID};
@@ -293,17 +293,30 @@ fn wire_metrics_report_per_connection_tenants_and_backpressure_is_an_error_frame
     assert_eq!(m.jobs_served, 3, "the fleet served three");
     assert_eq!(m.tenant_failed, 0);
 
+    // Occupy the one executor with a long job from connection A, and wait
+    // until it has left the queue.  The flood below then meets a busy
+    // executor however fast the reader admits: the one-deep queue takes
+    // B's first submit, and the full queue and B's quota refuse the rest.
+    let long: Vec<u64> = (0..1 << 21).collect();
+    let long_id = a.submit(&long).unwrap();
+    a.metrics().unwrap(); // A's reader has admitted the long job
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.metrics().unwrap().lane_depth.total() > 0 {
+        assert!(Instant::now() < deadline, "the executor never took the job");
+        std::thread::yield_now();
+    }
+
     // Flood connection B past the one-deep queue without waiting: the
     // wire answer to backpressure is a queue-full error frame per
     // rejected submit, not a parked server thread.
-    let big: Vec<u64> = (0..400_000).collect();
-    let ids: Vec<u64> = (0..6).map(|_| b.submit(&big).unwrap()).collect();
+    let small: Vec<u64> = (0..64).collect();
+    let ids: Vec<u64> = (0..6).map(|_| b.submit(&small).unwrap()).collect();
     let mut rejected = 0;
     let mut accepted = 0;
     for id in ids {
         match b.wait(id) {
             Ok(out) => {
-                assert_eq!(out.len(), big.len());
+                assert_eq!(out.len(), small.len());
                 accepted += 1;
             }
             Err(ClientError::Remote {
@@ -319,5 +332,6 @@ fn wire_metrics_report_per_connection_tenants_and_backpressure_is_an_error_frame
         rejected >= 1,
         "a one-deep queue cannot absorb six instant submits"
     );
+    assert_eq!(a.wait(long_id).unwrap().len(), long.len());
     server.shutdown();
 }
